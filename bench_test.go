@@ -171,18 +171,3 @@ func BenchmarkAblationBulk(b *testing.B) {
 		b.ReportMetric(r.OneByOneMS/r.BulkMillis, "speedup")
 	}
 }
-
-// BenchmarkAblationParallel measures Ablation 8: the gather-phase
-// parallelism sweep at full update rate.
-func BenchmarkAblationParallel(b *testing.B) {
-	cfg := benchScale()
-	cfg.Rate = 1.0
-	b.ReportAllocs()
-	var times []float64
-	for i := 0; i < b.N; i++ {
-		times = bench.RunParallelSweep(cfg, []int{1, 4})
-	}
-	b.ReportMetric(times[0], "serial-ms/eval")
-	b.ReportMetric(times[1], "par4-ms/eval")
-	b.ReportMetric(times[0]/times[1], "speedup")
-}

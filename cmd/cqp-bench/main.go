@@ -12,15 +12,10 @@
 //	recovery   out-of-sync diff recovery vs. full-answer resend
 //	bulk       bulk vs. per-report processing
 //	predictive predictive queries: shared grid vs. TPR-tree
-//	parallel   gather-phase parallelism sweep
-//	shard      spatial shard count sweep (writes BENCH_shard.json)
-//	core       single-engine steady-state Step cost sweep (appends a
-//	           labelled run to BENCH_core.json; see -label)
-//	server     open-loop server capacity: delivery-latency percentiles
-//	           vs. offered report rate plus the shed point, over the
-//	           full wire stack (appends a labelled run to
-//	           BENCH_server.json; see -rates, -label)
 //	all        everything above
+//
+// Performance claims about the whole pipeline cite the workloads and
+// metrics of BENCHMARK.json (bash benchmark/run.sh), not these tables.
 //
 // Examples:
 //
@@ -30,35 +25,30 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
-	"time"
 
 	"cqp/internal/bench"
 )
 
 func main() {
 	var (
-		exp         = flag.String("exp", "all", "experiment: fig5a|fig5b|shared|qindex|gridsize|recovery|bulk|predictive|parallel|shard|core|server|all")
-		label       = flag.String("label", "", "run label recorded in BENCH_core.json / BENCH_server.json")
-		shards      = flag.String("shards", "1,2,4,8", "comma-separated shard counts for -exp shard")
-		parallelism = flag.String("parallelism", "", "comma-separated join worker counts: the sweep list for -exp parallel (default 1,2,4,8) and the per-point engine settings for -exp core (default 0 = serial; 0 is allowed)")
-		objects     = flag.Int("objects", 20000, "moving object population")
-		queries     = flag.Int("queries", 20000, "moving query population")
-		ticks       = flag.Int("ticks", 8, "measured evaluation periods per point")
-		seed        = flag.Int64("seed", 1, "random seed")
-		paperScale  = flag.Bool("paper-scale", false, "use the paper's 100K objects x 100K queries")
-
-		rates    = flag.String("rates", "200,400,800", "comma-separated offered rates (reports/sec) for -exp server")
-		duration = flag.Duration("duration", 2*time.Second, "paced phase per server point for -exp server")
-		sessions = flag.Int("sessions", 4, "concurrent client sessions for -exp server")
-		slo      = flag.Duration("slo", time.Second, "delivery p99 SLO bounding the shed probe for -exp server")
+		exp        = flag.String("exp", "all", "experiment: fig5a|fig5b|shared|qindex|gridsize|recovery|bulk|predictive|all")
+		objects    = flag.Int("objects", 20000, "moving object population")
+		queries    = flag.Int("queries", 20000, "moving query population")
+		ticks      = flag.Int("ticks", 8, "measured evaluation periods per point")
+		seed       = flag.Int64("seed", 1, "random seed")
+		paperScale = flag.Bool("paper-scale", false, "use the paper's 100K objects x 100K queries")
 	)
 	flag.Parse()
+
+	switch *exp {
+	case "fig5a", "fig5b", "shared", "qindex", "gridsize", "recovery", "bulk", "predictive", "all":
+	default:
+		fmt.Fprintf(os.Stderr, "cqp-bench: unknown experiment %q\n", *exp)
+		os.Exit(2)
+	}
 
 	if *paperScale {
 		*objects, *queries = 100000, 100000
@@ -83,17 +73,6 @@ func main() {
 	run("recovery", func() { recovery(base) })
 	run("bulk", func() { bulk(base) })
 	run("predictive", func() { predictive(base) })
-	run("parallel", func() { parallelExp(base, *parallelism) })
-	run("shard", func() { shardExp(base, *shards) })
-	run("core", func() { coreExp(base, *label, *parallelism) })
-	run("server", func() { serverExp(*label, *rates, *duration, *sessions, *slo, *seed) })
-
-	switch *exp {
-	case "fig5a", "fig5b", "shared", "qindex", "gridsize", "recovery", "bulk", "predictive", "parallel", "shard", "core", "server", "all":
-	default:
-		fmt.Fprintf(os.Stderr, "cqp-bench: unknown experiment %q\n", *exp)
-		os.Exit(2)
-	}
 }
 
 func fig5a(base bench.Fig5Config) {
@@ -197,116 +176,6 @@ func predictive(base bench.Fig5Config) {
 	fmt.Println()
 }
 
-// parseCounts parses a comma-separated integer list flag; values below
-// min are rejected.
-func parseCounts(list, flagName string, min int) []int {
-	var counts []int
-	for _, f := range strings.Split(list, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < min {
-			fmt.Fprintf(os.Stderr, "cqp-bench: bad %s entry %q\n", flagName, f)
-			os.Exit(2)
-		}
-		counts = append(counts, n)
-	}
-	return counts
-}
-
-func parallelExp(base bench.Fig5Config, list string) {
-	fmt.Println("=== Ablation 8: join-phase parallelism (100% update rate) ===")
-	workers := []int{1, 2, 4, 8}
-	if list != "" {
-		workers = parseCounts(list, "-parallelism", 1)
-	}
-	cfg := base
-	cfg.Rate, cfg.QueryRate = 1.0, 0.3
-	times := bench.RunParallelSweep(cfg, workers)
-	fmt.Printf("%10s %12s %9s\n", "workers", "step ms", "speedup")
-	for i, w := range workers {
-		fmt.Printf("%10d %12.1f %8.1fx\n", w, times[i], times[0]/times[i])
-	}
-	fmt.Println()
-}
-
-func shardExp(base bench.Fig5Config, list string) {
-	counts := parseCounts(list, "-shards", 1)
-	fmt.Println("=== Shard scaling: Step latency vs. spatial shard count (30% update rate) ===")
-	results := bench.RunShardSweep(base, counts)
-	fmt.Printf("%10s %8s %12s %9s %12s\n", "shards", "tiles", "step ms", "speedup", "updates/tick")
-	for _, r := range results {
-		fmt.Printf("%10d %4dx%-3d %12.1f %8.2fx %12.0f\n",
-			r.Shards, r.Rows, r.Cols, r.StepMS, results[0].StepMS/r.StepMS, r.Updates)
-	}
-	data, err := json.MarshalIndent(results, "", "  ")
-	if err == nil {
-		err = os.WriteFile("BENCH_shard.json", append(data, '\n'), 0o644)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cqp-bench: writing BENCH_shard.json: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("\nwrote BENCH_shard.json")
-	fmt.Println()
-}
-
-// coreExp runs the single-engine core sweep and appends the run to
-// BENCH_core.json, the perf-regression trajectory of the unsharded hot
-// path (one Step == one op; ns/op, B/op, allocs/op as a testing.B
-// benchmark would report them).
-func coreExp(base bench.Fig5Config, label, parallelism string) {
-	fmt.Println("=== Core engine: steady-state Step cost (30% update rate) ===")
-	levels := []int{0}
-	if parallelism != "" {
-		levels = parseCounts(parallelism, "-parallelism", 0)
-	}
-	var points []bench.CorePoint
-	for _, p := range levels {
-		cfg := base
-		cfg.Parallelism = p
-		pts := bench.RunCoreSweep(cfg)
-		if p > 0 {
-			// Distinguish parallel variants of the same population so a
-			// single run can carry serial and parallel points side by
-			// side (the parallelism field holds the exact value).
-			for i := range pts {
-				pts[i].Name += fmt.Sprintf("-p%d", p)
-			}
-		}
-		points = append(points, pts...)
-	}
-	fmt.Printf("%10s %10s %10s %14s %14s %14s %14s\n",
-		"point", "objects", "queries", "ms/step", "KB/step", "allocs/step", "updates/step")
-	for _, p := range points {
-		fmt.Printf("%10s %10d %10d %14.1f %14.0f %14.0f %14.0f\n",
-			p.Name, p.Objects, p.Queries, p.NsPerStep/1e6, p.BytesPerStep/1024,
-			p.AllocsPerStep, p.UpdatesPerStep)
-	}
-
-	run := bench.CoreRun{
-		Label:  label,
-		When:   time.Now().UTC().Format("2006-01-02"),
-		Points: points,
-	}
-	var runs []bench.CoreRun
-	if data, err := os.ReadFile("BENCH_core.json"); err == nil {
-		if err := json.Unmarshal(data, &runs); err != nil {
-			fmt.Fprintf(os.Stderr, "cqp-bench: parsing existing BENCH_core.json: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	runs = append(runs, run)
-	data, err := json.MarshalIndent(runs, "", "  ")
-	if err == nil {
-		err = os.WriteFile("BENCH_core.json", append(data, '\n'), 0o644)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cqp-bench: writing BENCH_core.json: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("\nwrote BENCH_core.json")
-	fmt.Println()
-}
-
 func bulk(base bench.Fig5Config) {
 	fmt.Println("=== Ablation 6: bulk vs. per-report evaluation ===")
 	fmt.Printf("%12s %12s %14s %9s\n", "batch size", "bulk ms", "one-by-one ms", "speedup")
@@ -314,66 +183,5 @@ func bulk(base bench.Fig5Config) {
 		fmt.Printf("%12d %12.1f %14.1f %8.1fx\n",
 			r.BatchSize, r.BulkMillis, r.OneByOneMS, r.OneByOneMS/r.BulkMillis)
 	}
-	fmt.Println()
-}
-
-// serverExp runs the open-loop server-capacity sweep and appends the
-// labelled run to BENCH_server.json: the rate-vs-latency curve of the
-// full wire stack plus the shed point found by the doubling probe.
-func serverExp(label, rates string, duration time.Duration, sessions int, slo time.Duration, seed int64) {
-	fmt.Println("=== Server capacity: open-loop load, delivery latency vs. offered rate ===")
-	var rr []float64
-	for _, f := range strings.Split(rates, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v <= 0 {
-			fmt.Fprintf(os.Stderr, "cqp-bench: bad -rates entry %q\n", f)
-			os.Exit(2)
-		}
-		rr = append(rr, v)
-	}
-	cfg := bench.ServerSweepConfig{
-		Rates:     rr,
-		Duration:  duration,
-		Sessions:  sessions,
-		Seed:      seed,
-		SLO:       slo,
-		ProbeShed: true,
-	}
-	run, err := bench.RunServerSweep(cfg, label)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cqp-bench: server sweep: %v\n", err)
-		os.Exit(1)
-	}
-	run.When = time.Now().UTC().Format("2006-01-02")
-
-	fmt.Printf("%10s %10s %10s %10s %10s %10s %8s\n",
-		"offered/s", "achieved", "delivered", "p50 ms", "p99 ms", "max lag", "sheds")
-	for _, p := range run.Points {
-		fmt.Printf("%10.0f %10.0f %10d %10.1f %10.1f %9.1fms %8d\n",
-			p.OfferedRate, p.AchievedRate, p.Delivered, p.P50Ms, p.P99Ms, p.MaxLagMs, p.Sheds)
-	}
-	if run.ShedPoint > 0 {
-		fmt.Printf("shed point: ~%.0f reports/sec (first rate to shed, drop, miss 90%% of offered, or blow the %v p99 SLO)\n", run.ShedPoint, slo)
-	} else {
-		fmt.Println("shed point: not reached within the probe range")
-	}
-
-	var runs []bench.ServerRun
-	if data, err := os.ReadFile("BENCH_server.json"); err == nil {
-		if err := json.Unmarshal(data, &runs); err != nil {
-			fmt.Fprintf(os.Stderr, "cqp-bench: parsing existing BENCH_server.json: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	runs = append(runs, run)
-	data, err := json.MarshalIndent(runs, "", "  ")
-	if err == nil {
-		err = os.WriteFile("BENCH_server.json", append(data, '\n'), 0o644)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cqp-bench: writing BENCH_server.json: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("\nwrote BENCH_server.json")
 	fmt.Println()
 }

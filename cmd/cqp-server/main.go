@@ -39,7 +39,7 @@ func main() {
 		readTO    = flag.Duration("read-timeout", 45*time.Second, "reap sessions silent for this long (0 = never)")
 		writeTO   = flag.Duration("write-timeout", 5*time.Second, "per-frame write deadline (<0 = none)")
 		heartbeat = flag.Duration("heartbeat", 15*time.Second, "server→client heartbeat period (0 = off)")
-		outbox    = flag.Int("outbox", 256, "per-session outbound queue depth; size it from the measured shed point (cqp-bench -exp server)")
+		outbox    = flag.Int("outbox", 256, "per-session outbound queue depth; size it from the sheds the serve-bulk and ingest-flood benchmark workloads report")
 		outboxPol = flag.String("outbox-policy", "shed", "full-outbox behavior: shed (disconnect, heal via wakeup) | drop-newest (drop the frame, heal via commit checksum)")
 		maxFrame  = flag.Uint("max-frame", 1<<20, "largest accepted inbound frame in bytes")
 

@@ -34,12 +34,6 @@ type Fig5Config struct {
 	Warmup    int     // unmeasured leading periods
 	DT        float64 // seconds per period (paper: 5)
 	Seed      int64
-
-	// Parallelism is the engine's join-phase worker count for
-	// experiments that honor it (the core sweep); 0 keeps the serial
-	// engine. Sweeps that vary the worker count themselves
-	// (RunParallelSweep) take an explicit list instead.
-	Parallelism int
 }
 
 // WithDefaults fills the zero fields with the laptop-scale defaults used
@@ -375,32 +369,3 @@ type recorder struct {
 
 func (r *recorder) ReportObject(u core.ObjectUpdate) { r.objs = append(r.objs, u) }
 func (r *recorder) ReportQuery(u core.QueryUpdate)   { r.qrys = append(r.qrys, u) }
-
-// --- Ablation 8: parallel gather ------------------------------------------
-
-// RunParallelSweep measures the average Step time of the incremental
-// engine across gather-parallelism levels on an identical workload.
-func RunParallelSweep(cfg Fig5Config, workers []int) []float64 {
-	cfg = cfg.WithDefaults()
-	out := make([]float64, len(workers))
-	for i, w := range workers {
-		net := roadnet.Generate(roadnet.Config{Seed: cfg.Seed})
-		world := gen.MustNewWorld(gen.Config{Net: net, NumObjects: cfg.Objects, Seed: cfg.Seed})
-		wl := gen.NewWorkload(world, cfg.Queries, cfg.QuerySide, cfg.Seed)
-		scatter(wl)
-		engine := core.MustNewEngine(core.Options{
-			Bounds: geo.R(0, 0, 1, 1), GridN: cfg.GridN, Parallelism: w,
-		})
-		wl.Bootstrap(engine)
-		engine.Step(world.Now())
-		total := 0.0
-		for tick := 0; tick < cfg.Ticks; tick++ {
-			wl.Tick(engine, cfg.DT, cfg.Rate, cfg.QueryRate)
-			start := time.Now()
-			engine.Step(world.Now())
-			total += msSince(start)
-		}
-		out[i] = total / float64(cfg.Ticks)
-	}
-	return out
-}

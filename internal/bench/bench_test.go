@@ -128,10 +128,3 @@ func TestRunPredictiveComparison(t *testing.T) {
 		t.Fatalf("no predictive answers: %+v", r)
 	}
 }
-
-func TestRunParallelSweep(t *testing.T) {
-	times := RunParallelSweep(tiny(), []int{1, 4})
-	if len(times) != 2 || times[0] <= 0 || times[1] <= 0 {
-		t.Fatalf("sweep: %v", times)
-	}
-}

@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"cqp/internal/shard"
 )
@@ -88,4 +91,70 @@ func TestDifferentialRepartitionCluster(t *testing.T) {
 			}
 		})
 	}
+}
+
+// heldSpawner is a PipeSpawner whose respawns (incarnation > 1) fail
+// while hold is set, so a test can keep a killed slot down for exactly
+// the steps it chooses.
+type heldSpawner struct {
+	PipeSpawner
+	hold atomic.Bool
+}
+
+func (s *heldSpawner) Spawn(worker int, incarnation uint64) (Process, error) {
+	if incarnation > 1 && s.hold.Load() {
+		return nil, errors.New("respawn held")
+	}
+	return s.PipeSpawner.Spawn(worker, incarnation)
+}
+
+// TestMergeRetiresFallbackGauge merges two tiles while their worker is
+// down, so both retire while counted in cluster.tiles.fallback. The
+// retired tiles must give their counts back: once the worker returns
+// and the cluster settles, TilesInFallback must equal the number of
+// live tiles not served remotely, which is zero.
+func TestMergeRetiresFallbackGauge(t *testing.T) {
+	sp := &heldSpawner{}
+	sp.hold.Store(true)
+	var tilesBeforeMerge int
+	runClusterDifferential(t, clusterDiffConfig{
+		seed: 5, rows: 2, cols: 2, workers: 1, steps: 14, settle: true,
+		spawner: sp,
+		disturbBoth: func(step int, ref *shard.Engine, cl *Cluster) {
+			switch step {
+			case 3:
+				splitMid(t, ref)
+				splitMid(t, cl)
+			case 8:
+				cl.KillWorker(0)
+				deadline := time.Now().Add(5 * time.Second)
+				for cl.NumWorkersUp() > 0 {
+					if time.Now().After(deadline) {
+						t.Fatal("killed worker never went down")
+					}
+					time.Sleep(time.Millisecond)
+				}
+				tilesBeforeMerge = cl.NumTiles()
+				mergeFirst(t, ref)
+				mergeFirst(t, cl)
+			case 9:
+				if n := cl.NumTiles(); n != tilesBeforeMerge-1 {
+					t.Fatalf("merge did not run: %d tiles, want %d", n, tilesBeforeMerge-1)
+				}
+			case 11:
+				sp.hold.Store(false)
+			}
+		},
+		after: func(cl *Cluster) {
+			notRemote := 0
+			for _, id := range cl.LiveTiles() {
+				if !cl.tile(uint32(id)).remote {
+					notRemote++
+				}
+			}
+			if got := cl.TilesInFallback(); got != notRemote || got != 0 {
+				t.Fatalf("TilesInFallback = %d, live tiles not remote = %d, want both 0", got, notRemote)
+			}
+		},
+	})
 }

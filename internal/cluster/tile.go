@@ -181,8 +181,14 @@ func (t *clusterTile) WorkStats() core.Stats { return t.work }
 // Close retires the tile. When a repartition destroys a remote tile the
 // worker is told to free its engine; delivery is best-effort (a dead or
 // congested link just leaves the engine to be reaped with the process),
-// and tile ids are never reused, so no further frame can target it.
+// and tile ids are never reused, so no further frame can target it. A
+// tile retired while in fallback gives back its cluster.tiles.fallback
+// count: nothing would ever establish it again to do so.
 func (t *clusterTile) Close() error {
+	if t.inFbGauge {
+		t.cl.m.fallback.Add(-1)
+		t.inFbGauge = false
+	}
 	if t.remote {
 		if st := t.slot.current(); st != nil && st.incarnation == t.remoteInc {
 			st.enqueue(wire.ClusterRetire{Tile: uint32(t.id), Epoch: t.epoch})

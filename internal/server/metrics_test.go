@@ -51,8 +51,15 @@ func TestServerMetricsObserveTraffic(t *testing.T) {
 	if got := sreg.Counter("server.bytes_in").Value(); got == 0 {
 		t.Error("server.bytes_in = 0 after inbound frames")
 	}
-	if got := sreg.Counter("server.bytes_out").Value(); got == 0 {
-		t.Error("server.bytes_out = 0 after outbound frames")
+	// The writer adds its byte count only after Flush returns, which can
+	// be after the client has already read the frame: poll, don't assert.
+	bytesOutDeadline := time.After(5 * time.Second)
+	for sreg.Counter("server.bytes_out").Value() == 0 {
+		select {
+		case <-bytesOutDeadline:
+			t.Fatal("server.bytes_out = 0 after outbound frames")
+		case <-time.After(5 * time.Millisecond):
+		}
 	}
 	// The engine metrics share the registry when Config.Metrics is set.
 	if got := sreg.Counter("engine.steps").Value(); got == 0 {

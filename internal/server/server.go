@@ -57,9 +57,9 @@ const (
 )
 
 // OutboxPolicy selects what happens when a session's outbox is full at
-// enqueue time. The load harness (internal/loadgen) measures the shed
-// point — the arrival rate at which sessions start hitting a full
-// outbox — and these policies are the two ways to spend it.
+// enqueue time. The benchmark's serve-bulk and ingest-flood workloads
+// (BENCHMARK.json) count sessions that hit a full outbox, and these
+// policies are the two ways to spend that headroom.
 type OutboxPolicy int
 
 const (
@@ -143,9 +143,9 @@ type Config struct {
 	// OutboxSize is the per-session outbound queue depth; when a
 	// session's outbox is full the client is shed (disconnected) rather
 	// than allowed to stall evaluation. Defaults to DefaultOutboxSize.
-	// Size it from the measured shed point (see internal/loadgen and
-	// EXPERIMENTS.md "Server capacity"): depth ≈ burst frames per
-	// evaluation × evaluations a slow client may fall behind.
+	// Size it from the sheds the serve-bulk and ingest-flood benchmark
+	// workloads report: depth ≈ burst frames per evaluation ×
+	// evaluations a slow client may fall behind.
 	OutboxSize int
 
 	// OutboxPolicy selects the full-outbox behavior: ShedSession (the

@@ -474,7 +474,7 @@ func TestStatsRequest(t *testing.T) {
 
 	c.ReportObject(core.ObjectUpdate{ID: 1, Kind: core.Moving, Loc: geo.Pt(1, 1)})
 	c.RegisterQuery(core.QueryUpdate{ID: 1, Kind: core.Range, Region: geo.R(0, 0, 2, 2)})
-	evaluateUntil(t, s, func() bool { return s.NumObjects() == 1 })
+	evaluateUntil(t, s, func() bool { return s.NumObjects() == 1 && s.NumQueries() == 1 })
 
 	if err := c.RequestStats(); err != nil {
 		t.Fatal(err)

@@ -99,10 +99,17 @@ func readPipelineTrace(t *testing.T, path string) [][]trace.Record {
 
 // TestPipelineTraceThroughServerMatchesDirect is the whole toolchain in
 // one test: a cqp-gen-equivalent trace written to disk, replayed
-// cqp-replay-style through a live TCP server into a client, with a
-// metrics registry watching every tier. The client's converged answers
-// must equal a direct core.Engine run of the same trace file, and the
-// server's counters must equal the traffic both endpoints observed.
+// cqp-replay-style through a live TCP server into clients, with a
+// metrics registry watching every tier. Every client's converged
+// answers must equal a direct core.Engine run of the same trace file,
+// and the server's counters must equal the traffic the endpoints
+// observed.
+//
+// The single-session case evaluates by hand at tick boundaries. The
+// multi-session case is the soak: the trace's records split across
+// concurrent sessions by object and query ID, queries moving, under
+// ticker-driven evaluation. It must converge to the same answers with
+// no shed session and no full-answer heal.
 func TestPipelineTraceThroughServerMatchesDirect(t *testing.T) {
 	const (
 		objects = 60
@@ -130,52 +137,103 @@ func TestPipelineTraceThroughServerMatchesDirect(t *testing.T) {
 		direct.Step(now)
 	}
 
-	// The networked run: server with a registry on every tier.
+	for _, tc := range []struct {
+		name     string
+		sessions int
+		interval time.Duration
+	}{
+		{"one-session-manual", 1, 0},
+		{"four-sessions-ticker", 4, 10 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runPipelineThroughServer(t, batches, direct, queries, tc.sessions, tc.interval)
+		})
+	}
+}
+
+// runPipelineThroughServer replays batches through a live server into
+// sessions clients and checks convergence to direct plus the ledger.
+// Record IDs pick the session (ID mod sessions), so every object's and
+// query's reports stay ordered on one connection and each query is
+// owned by exactly one client. With interval zero the test evaluates at
+// tick boundaries; otherwise only the server's ticker does.
+func runPipelineThroughServer(t *testing.T, batches [][]trace.Record, direct *cqp.Engine, queries, sessions int, interval time.Duration) {
 	reg := cqp.NewMetricsRegistry()
 	s, err := cqp.Listen("127.0.0.1:0", cqp.ServerConfig{
-		Engine:  cqp.Options{Bounds: cqp.R(0, 0, 1, 1), GridN: 16},
-		Metrics: reg,
+		Engine:   cqp.Options{Bounds: cqp.R(0, 0, 1, 1), GridN: 16},
+		Interval: interval,
+		Metrics:  reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
+	// One client registry shared by every session sums their counters,
+	// the mirror image of the server's.
 	creg := cqp.NewMetricsRegistry()
-	c, err := cqp.DialOptions(s.Addr().String(), cqp.ClientOptions{Metrics: creg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	go func() { // drain events; answers accumulate inside the client
-		for range c.Events() {
+	clients := make([]*cqp.Client, sessions)
+	for i := range clients {
+		c, err := cqp.DialOptions(s.Addr().String(), cqp.ClientOptions{Metrics: creg})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
+		defer c.Close()
+		go func() { // drain events; answers accumulate inside the client
+			for range c.Events() {
+			}
+		}()
+		clients[i] = c
+	}
+	sessionOf := func(rec trace.Record) int {
+		if rec.IsQuery {
+			return int(rec.QueryUpdate().ID) % sessions
+		}
+		return int(rec.ObjectUpdate().ID) % sessions
+	}
+	owner := func(q cqp.QueryID) *cqp.Client { return clients[int(q)%sessions] }
 
-	// Replay (cqp-replay with -speedup 0): feed each tick's records,
-	// evaluating at tick boundaries like a ticker-driven server would.
+	// Replay (cqp-replay with -speedup 0): every session feeds its share
+	// of each tick's records concurrently with the others.
 	reports := 0
 	for _, batch := range batches {
-		for _, rec := range batch {
-			if rec.IsQuery {
-				err = c.RegisterQuery(rec.QueryUpdate())
-			} else {
-				err = c.ReportObject(rec.ObjectUpdate())
-			}
-			if err != nil {
+		errs := make(chan error, sessions)
+		for i, c := range clients {
+			go func() {
+				for _, rec := range batch {
+					if sessionOf(rec) != i {
+						continue
+					}
+					var err error
+					if rec.IsQuery {
+						err = c.RegisterQuery(rec.QueryUpdate())
+					} else {
+						err = c.ReportObject(rec.ObjectUpdate())
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+				errs <- nil
+			}()
+		}
+		for range clients {
+			if err := <-errs; err != nil {
 				t.Fatal(err)
 			}
-			reports++
 		}
-		s.Evaluate()
+		reports += len(batch)
+		if interval == 0 {
+			s.Evaluate()
+		}
 	}
 
-	// Converge: commit acts as a barrier (same TCP stream as the
-	// updates), so after a successful round-trip per query the client's
-	// answer equals the server's — which must equal the direct run's.
+	// Converge by polling, without commits: a commit racing in-flight
+	// updates is healed with a full answer, which this run must not need.
 	answersEqual := func(q cqp.QueryID) bool {
 		want, _ := direct.Answer(q)
-		got, ok := c.Answer(q)
+		got, ok := owner(q).Answer(q)
 		if !ok || len(got) != len(want) {
 			return false
 		}
@@ -188,34 +246,35 @@ func TestPipelineTraceThroughServerMatchesDirect(t *testing.T) {
 		}
 		return true
 	}
-	for q := cqp.QueryID(1); q <= queries; q++ {
+	for q := cqp.QueryID(1); q <= cqp.QueryID(queries); q++ {
 		deadline := time.Now().Add(10 * time.Second)
 		for !answersEqual(q) {
 			if time.Now().After(deadline) {
 				want, _ := direct.Answer(q)
-				got, _ := c.Answer(q)
+				got, _ := owner(q).Answer(q)
 				t.Fatalf("query %d never converged to the direct run:\nclient: %v\ndirect: %v", q, got, want)
 			}
-			c.Commit(q)
-			s.Evaluate()
+			if interval == 0 {
+				s.Evaluate()
+			}
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
 
 	// The server's ledger must agree with what both endpoints saw.
 	counter := func(name string) uint64 { return reg.Counter(name).Value() }
-	if got := reg.Gauge("server.sessions").Value(); got != 1 {
-		t.Errorf("server.sessions = %d, want 1", got)
+	if got := reg.Gauge("server.sessions").Value(); got != int64(sessions) {
+		t.Errorf("server.sessions = %d, want %d", got, sessions)
 	}
-	if got := counter("server.sessions_total"); got != 1 {
-		t.Errorf("server.sessions_total = %d, want 1", got)
+	if got := counter("server.sessions_total"); got != uint64(sessions) {
+		t.Errorf("server.sessions_total = %d, want %d", got, sessions)
 	}
-	if got := reg.Gauge("server.subscriptions").Value(); got != queries {
+	if got := reg.Gauge("server.subscriptions").Value(); got != int64(queries) {
 		t.Errorf("server.subscriptions = %d, want %d", got, queries)
 	}
-	// Every report and commit traveled one frame; the client also wrote
+	// Every report traveled one frame; the clients also wrote
 	// the initial hello-free stream, so frames_in is exactly the
-	// client's successful writes. No heartbeats are configured, so the
+	// clients' successful writes. No heartbeats are configured, so the
 	// stream quiesces and the counts settle to equality.
 	waitCounters := func(name string, got func() uint64, want func() uint64) {
 		t.Helper()
@@ -236,6 +295,37 @@ func TestPipelineTraceThroughServerMatchesDirect(t *testing.T) {
 	waitCounters("server.updates.streamed vs client.updates.applied",
 		func() uint64 { return counter("server.updates.streamed") },
 		func() uint64 { return creg.Counter("client.updates.applied").Value() })
+	// Commit once the stream has quiesced. With one session every report
+	// precedes the commit on the same connection, so the server's answer
+	// is final when it checks the client's checksum: each commit must be
+	// acknowledged, not healed.
+	if sessions == 1 {
+		s.Evaluate()
+		waitCounters("server.updates.streamed vs client.updates.applied",
+			func() uint64 { return counter("server.updates.streamed") },
+			func() uint64 { return creg.Counter("client.updates.applied").Value() })
+		for q := cqp.QueryID(1); q <= cqp.QueryID(queries); q++ {
+			if err := owner(q).Commit(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for reg.Counter("server.commits").Value() < uint64(queries) {
+			if time.Now().After(deadline) {
+				t.Fatalf("server.commits = %d, want %d", reg.Counter("server.commits").Value(), queries)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	// Convergence was purely incremental: nothing shed, dropped or healed.
+	for _, name := range []string{"server.sheds", "server.outbox_dropped", "server.full_answers"} {
+		if got := counter(name); got != 0 {
+			t.Errorf("%s = %d, want 0", name, got)
+		}
+	}
+	if got := creg.Counter("client.reconnects").Value(); got != 0 {
+		t.Errorf("client.reconnects = %d, want 0", got)
+	}
 	if in := counter("server.frames_in"); in < uint64(reports) {
 		t.Errorf("server.frames_in = %d, want at least the %d replayed reports", in, reports)
 	}
