@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race flake chaos chaos-cluster fuzz cover bench vet lint fmt examples clean
+.PHONY: all build test race flake chaos chaos-cluster fuzz cover bench benchmark vet lint fmt examples clean
 
 all: build vet lint test
 
@@ -59,9 +59,18 @@ vet:
 
 # The project's own static-analysis suite (see DESIGN.md, "Mechanically
 # enforced invariants"). Exits nonzero on any finding not covered by a
-# //lint:allow annotation.
+# //lint:allow annotation. The nested benchmark module is linted through
+# go vet, with cqp-lint as the vet tool.
 lint:
 	$(GO) run ./cmd/cqp-lint ./...
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/cqp-lint" ./cmd/cqp-lint && \
+	cd benchmark && $(GO) vet -vettool="$$tmp/cqp-lint" .
+
+# One benchmark run (BENCHMARK.json) of workload W.
+W ?= engine-paper
+benchmark:
+	bash benchmark/run.sh --workload $(W) --seed 1 --seconds 15 --trace 0
 
 fmt:
 	gofmt -l -w .

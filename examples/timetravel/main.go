@@ -4,7 +4,7 @@
 // repository; the program then answers
 //
 //   - a PAST range query from the archive (who crossed the plaza between
-//     t=100 and t=200?), via the B+tree-indexed location history,
+//     t=100 and t=200?), via the object-indexed location history,
 //   - a PRESENT continuous range query from the engine, and
 //   - a FUTURE predictive range query from the engine's trajectory join.
 //
@@ -98,7 +98,7 @@ func run(w io.Writer) error {
 	future, _ := engine.Answer(2)
 	fmt.Fprintf(w, "FUTURE  vehicles predicted to cross the plaza within 30 min: %v\n", future)
 
-	fmt.Fprintf(w, "\narchive: %d bytes of location history, indexed by a %d-entry B+tree\n",
+	fmt.Fprintf(w, "\narchive: %d bytes of location history, %d reports indexed by object ID\n",
 		repo.NumArchivedBytes(), 11*world.NumObjects())
 	return nil
 }

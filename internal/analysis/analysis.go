@@ -11,7 +11,7 @@
 //   - locksend: no mutex may be held across a blocking channel
 //     operation or a blocking I/O call (the session/outbox deadlock
 //     shape).
-//   - erradrift: no discarded errors on the storage/wire write paths.
+//   - erradrift: no discarded errors on the repository/wire write paths.
 //   - validatefirst: no receiver-state mutation before parameter
 //     validation has passed (the applyQueryUpdate bug class).
 //   - golifecycle: no fire-and-forget goroutines — every `go` statement

@@ -6,16 +6,15 @@ import (
 )
 
 // ErrAdrift flags discarded errors on the durable write paths: any call
-// into internal/storage, internal/wire, or internal/repository whose
-// final error result is dropped — either as a bare expression statement
-// or assigned wholesale to blanks. A lost storage error silently
-// diverges the durable committed answer from the engine's; a lost wire
-// error leaves a session undead, streaming into a void. Close errors
-// are exempt (teardown paths routinely discard them after a prior
-// failure).
+// into internal/wire or internal/repository whose final error result is
+// dropped — either as a bare expression statement or assigned wholesale
+// to blanks. A lost repository error silently diverges the durable
+// committed answer from the engine's; a lost wire error leaves a session
+// undead, streaming into a void. Close errors are exempt (teardown paths
+// routinely discard them after a prior failure).
 var ErrAdrift = &Analyzer{
 	Name: "erradrift",
-	Doc: "flag discarded errors from storage/wire/repository write paths: " +
+	Doc: "flag discarded errors from wire/repository write paths: " +
 		"a dropped durable-write or frame-write error desynchronizes " +
 		"recovery state",
 	Run: runErrAdrift,
@@ -24,7 +23,6 @@ var ErrAdrift = &Analyzer{
 // errAdriftPkgSuffixes are the package paths whose error results must be
 // consumed.
 var errAdriftPkgSuffixes = []string{
-	"internal/storage",
 	"internal/wire",
 	"internal/repository",
 }
@@ -87,7 +85,7 @@ func checkDiscard(pass *Pass, call *ast.CallExpr) {
 	if !isErrorType(res.At(res.Len() - 1).Type()) {
 		return
 	}
-	pass.Reportf(call.Pos(), "error from %s.%s discarded: storage/wire write-path errors must be handled (or the discard annotated)", shortPkg(path), fn.Name())
+	pass.Reportf(call.Pos(), "error from %s.%s discarded: repository/wire write-path errors must be handled (or the discard annotated)", shortPkg(path), fn.Name())
 }
 
 func isErrorType(t types.Type) bool {

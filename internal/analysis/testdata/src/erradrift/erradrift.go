@@ -1,9 +1,9 @@
-// Fixture for the erradrift analyzer: errors from the storage and wire
-// write paths must be consumed; Close is exempt.
+// Fixture for the erradrift analyzer: errors from the repository and
+// wire write paths must be consumed; Close is exempt.
 package erradrift
 
 import (
-	"cqp/internal/storage"
+	"cqp/internal/repository"
 	"cqp/internal/wire"
 )
 
@@ -34,16 +34,16 @@ func capturedRead(r *wire.Reader) (wire.Message, error) {
 	return r.Read()
 }
 
-func dropSync(t *storage.BTree) {
-	t.Sync() // want `error from storage\.Sync discarded`
+func dropSync(r *repository.Repository) {
+	r.Sync() // want `error from repository\.Sync discarded`
 }
 
-func handledSync(t *storage.BTree) error {
-	return t.Sync()
+func handledSync(r *repository.Repository) error {
+	return r.Sync()
 }
 
 // closeExempt: teardown paths routinely discard Close errors after a
 // prior failure; the analyzer leaves them alone.
-func closeExempt(t *storage.BTree) {
-	defer t.Close()
+func closeExempt(r *repository.Repository) {
+	defer r.Close()
 }

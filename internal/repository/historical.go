@@ -1,8 +1,11 @@
 package repository
 
 import (
+	"cmp"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cqp/internal/core"
@@ -20,8 +23,10 @@ import (
 // the archive; the repository favors a simple, robust append-only log
 // over read-optimized indexing, matching its role in the paper.
 func (r *Repository) HistoricalRange(region geo.Rect, t1, t2 float64) ([]core.ObjectID, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	seen := map[core.ObjectID]struct{}{}
-	err := r.locations.Replay(func(_ int64, payload []byte) bool {
+	_, err := r.locations.scan(func(_ int64, payload []byte) bool {
 		rec, ok := decodeLocation(payload)
 		if !ok {
 			return true
@@ -47,9 +52,28 @@ func (r *Repository) HistoricalRange(region geo.Rect, t1, t2 float64) ([]core.Ob
 
 // Trajectory returns the archived reports of one object within [t1, t2],
 // sorted by report time — the historical counterpart of a predictive
-// object's future trajectory. It reads through the object index.
+// object's future trajectory. It reads through the object index; reports
+// with equal times keep their append order.
 func (r *Repository) Trajectory(id core.ObjectID, t1, t2 float64) ([]LocationRecord, error) {
-	return r.IndexedHistory(id, t1, t2)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	offsets := r.index[id]
+	out := make([]LocationRecord, 0, len(offsets))
+	for _, off := range offsets {
+		payload, err := r.locations.readAt(off)
+		if err != nil {
+			return nil, err
+		}
+		rec, ok := decodeLocation(payload)
+		if !ok || rec.ID != id {
+			return nil, fmt.Errorf("repository: index points at foreign record at offset %d", off)
+		}
+		if rec.T >= t1 && rec.T <= t2 {
+			out = append(out, rec)
+		}
+	}
+	slices.SortStableFunc(out, func(a, b LocationRecord) int { return cmp.Compare(a.T, b.T) })
+	return out, nil
 }
 
 func decodeLocation(payload []byte) (LocationRecord, bool) {

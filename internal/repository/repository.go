@@ -4,9 +4,11 @@
 // that drive out-of-sync recovery across server restarts, and a catalog
 // of stationary objects (gas stations, hospitals, ...).
 //
-// Persistence is built on package storage: append-only checksummed logs
-// for the location history and the commit stream, and a slotted-page heap
-// file for the stationary catalog.
+// Persistence is three append-only checksummed logs: the location
+// history, the commit stream and the stationary catalog. Open replays
+// each log once to rebuild the in-memory state: a per-object index of
+// location-record offsets, the latest committed answer per query, and
+// the latest catalog entry per stationary object.
 package repository
 
 import (
@@ -15,11 +17,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"cqp/internal/core"
 	"cqp/internal/geo"
-	"cqp/internal/storage"
 )
 
 // LocationRecord is one archived position report.
@@ -33,15 +35,13 @@ type LocationRecord struct {
 // All methods are safe for concurrent use.
 type Repository struct {
 	mu        sync.Mutex
-	locations *storage.Log
-	commits   *storage.Log
-	catalog   *storage.HeapFile
+	locations *appendLog
+	commits   *appendLog
+	catalog   *appendLog
 
-	locIndex     *storage.BTree // object-ID index over the location log
-	locIndexMark string         // watermark file path
-
+	index      map[core.ObjectID][]int64 // location-record offsets per object, in append order
 	committed  map[core.QueryID][]core.ObjectID
-	stationary map[core.ObjectID]storage.RID
+	stationary map[core.ObjectID]geo.Point
 }
 
 // Open opens (creating if necessary) a repository in dir.
@@ -49,97 +49,67 @@ func Open(dir string) (*Repository, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("repository: create dir: %w", err)
 	}
-	locations, err := storage.OpenLog(filepath.Join(dir, "locations.log"))
-	if err != nil {
-		return nil, err
-	}
-	commits, err := storage.OpenLog(filepath.Join(dir, "commits.log"))
-	if err != nil {
-		locations.Close()
-		return nil, err
-	}
-	catalog, err := storage.OpenHeapFile(filepath.Join(dir, "stationary.heap"), 64)
-	if err != nil {
-		locations.Close()
-		commits.Close()
-		return nil, err
-	}
 	r := &Repository{
-		locations:  locations,
-		commits:    commits,
-		catalog:    catalog,
+		index:      make(map[core.ObjectID][]int64),
 		committed:  make(map[core.QueryID][]core.ObjectID),
-		stationary: make(map[core.ObjectID]storage.RID),
+		stationary: make(map[core.ObjectID]geo.Point),
 	}
-	if err := r.openLocationIndex(dir); err != nil {
-		locations.Close()
-		commits.Close()
-		catalog.Close()
+	var err error
+	r.locations, err = openLog(filepath.Join(dir, "locations.log"), func(off int64, payload []byte) {
+		if rec, ok := decodeLocation(payload); ok {
+			r.index[rec.ID] = append(r.index[rec.ID], off)
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
-	if err := r.recover(); err != nil {
-		r.Close()
+	r.commits, err = openLog(filepath.Join(dir, "commits.log"), func(_ int64, payload []byte) {
+		if q, objs, ok := decodeCommit(payload); ok {
+			r.applyCommit(q, objs)
+		}
+	})
+	if err != nil {
+		r.locations.Close()
+		return nil, err
+	}
+	r.catalog, err = openLog(filepath.Join(dir, "stationary.log"), func(_ int64, payload []byte) {
+		if id, loc, present, ok := decodeStationary(payload); ok && present {
+			r.stationary[id] = loc
+		} else if ok {
+			delete(r.stationary, id)
+		}
+	})
+	if err != nil {
+		r.locations.Close()
+		r.commits.Close()
 		return nil, err
 	}
 	return r, nil
 }
 
-// recover rebuilds the in-memory committed-answer table (latest record
-// per query wins) and the stationary catalog index.
-func (r *Repository) recover() error {
-	err := r.commits.Replay(func(_ int64, payload []byte) bool {
-		q, objs, ok := decodeCommit(payload)
-		if !ok {
-			return true // skip malformed record defensively
-		}
-		if objs == nil {
-			delete(r.committed, q)
-		} else {
-			r.committed[q] = objs
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	return r.catalog.Scan(func(rid storage.RID, rec []byte) bool {
-		if id, _, ok := decodeStationary(rec); ok {
-			r.stationary[id] = rid
-		}
-		return true
-	})
-}
-
-// Close flushes and closes all stores.
+// Close flushes and closes all logs.
 func (r *Repository) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var first error
-	if err := r.persistIndexMark(); err != nil {
-		first = err
-	}
-	for _, c := range []func() error{r.locations.Close, r.commits.Close, r.catalog.Close, r.locIndex.Close} {
-		if err := c(); err != nil && first == nil {
+	for _, l := range []*appendLog{r.locations, r.commits, r.catalog} {
+		if err := l.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
-// Sync forces all stores to stable storage.
+// Sync forces all logs to stable storage.
 func (r *Repository) Sync() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.locations.Sync(); err != nil {
-		return err
+	for _, l := range []*appendLog{r.locations, r.commits, r.catalog} {
+		if err := l.sync(); err != nil {
+			return err
+		}
 	}
-	if err := r.persistIndexMark(); err != nil {
-		return err
-	}
-	if err := r.commits.Sync(); err != nil {
-		return err
-	}
-	return r.catalog.Sync()
+	return nil
 }
 
 // --- Location history ---------------------------------------------------
@@ -153,21 +123,28 @@ func (r *Repository) AppendLocation(rec LocationRecord) error {
 	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(rec.Loc.X))
 	binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(rec.Loc.Y))
 	binary.LittleEndian.PutUint64(buf[24:], math.Float64bits(rec.T))
-	off, err := r.locations.Append(buf[:])
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	off, err := r.locations.append(buf[:])
 	if err != nil {
 		return err
 	}
-	return r.locIndex.Insert(uint64(rec.ID), uint64(off))
+	r.index[rec.ID] = append(r.index[rec.ID], off)
+	return nil
 }
 
 // History returns the archived reports of one object, sorted by report
 // time, via the object index.
 func (r *Repository) History(id core.ObjectID) ([]LocationRecord, error) {
-	return r.IndexedHistory(id, math.Inf(-1), math.Inf(1))
+	return r.Trajectory(id, math.Inf(-1), math.Inf(1))
 }
 
 // NumArchivedBytes returns the size of the location history log.
-func (r *Repository) NumArchivedBytes() int64 { return r.locations.Size() }
+func (r *Repository) NumArchivedBytes() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.locations.size
+}
 
 // --- Committed answers ----------------------------------------------------
 
@@ -176,17 +153,23 @@ func (r *Repository) NumArchivedBytes() int64 { return r.locations.Size() }
 func (r *Repository) CommitAnswer(q core.QueryID, objs []core.ObjectID) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, err := r.commits.Append(encodeCommit(q, objs)); err != nil {
+	if _, err := r.commits.append(encodeCommit(q, objs)); err != nil {
 		return err
 	}
+	if objs != nil {
+		objs = slices.Clone(objs)
+	}
+	r.applyCommit(q, objs)
+	return nil
+}
+
+// applyCommit makes objs the committed answer of q; nil erases it.
+func (r *Repository) applyCommit(q core.QueryID, objs []core.ObjectID) {
 	if objs == nil {
 		delete(r.committed, q)
 	} else {
-		cp := make([]core.ObjectID, len(objs))
-		copy(cp, objs)
-		r.committed[q] = cp
+		r.committed[q] = objs
 	}
-	return nil
 }
 
 // Committed returns the last committed answer of q, if any.
@@ -200,17 +183,6 @@ func (r *Repository) Committed(q core.QueryID) ([]core.ObjectID, bool) {
 	out := make([]core.ObjectID, len(objs))
 	copy(out, objs)
 	return out, true
-}
-
-// CommittedQueries returns the IDs of all queries with committed answers.
-func (r *Repository) CommittedQueries() []core.QueryID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]core.QueryID, 0, len(r.committed))
-	for q := range r.committed {
-		out = append(out, q)
-	}
-	return out
 }
 
 func encodeCommit(q core.QueryID, objs []core.ObjectID) []byte {
@@ -252,47 +224,27 @@ func decodeCommit(payload []byte) (core.QueryID, []core.ObjectID, bool) {
 
 // --- Stationary catalog ---------------------------------------------------
 
-const stationaryRecordSize = 8 + 8 + 8
+// A catalog record is a put (id | x | y) or, when only the ID is
+// present, a delete tombstone. The latest record per ID wins.
+const (
+	stationaryTombstoneSize = 8
+	stationaryRecordSize    = 8 + 8 + 8
+)
 
 // PutStationary registers (or relocates) a stationary object in the
 // catalog.
 func (r *Repository) PutStationary(id core.ObjectID, loc geo.Point) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if rid, ok := r.stationary[id]; ok {
-		if err := r.catalog.Delete(rid); err != nil {
-			return err
-		}
-	}
 	var buf [stationaryRecordSize]byte
 	binary.LittleEndian.PutUint64(buf[0:], uint64(id))
 	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(loc.X))
 	binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(loc.Y))
-	rid, err := r.catalog.Insert(buf[:])
-	if err != nil {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, err := r.catalog.append(buf[:]); err != nil {
 		return err
 	}
-	r.stationary[id] = rid
+	r.stationary[id] = loc
 	return nil
-}
-
-// GetStationary looks a stationary object up by ID.
-func (r *Repository) GetStationary(id core.ObjectID) (geo.Point, bool, error) {
-	r.mu.Lock()
-	rid, ok := r.stationary[id]
-	r.mu.Unlock()
-	if !ok {
-		return geo.Point{}, false, nil
-	}
-	rec, err := r.catalog.Get(rid)
-	if err != nil {
-		return geo.Point{}, false, err
-	}
-	_, loc, ok := decodeStationary(rec)
-	if !ok {
-		return geo.Point{}, false, fmt.Errorf("repository: corrupt stationary record at %v", rid)
-	}
-	return loc, true, nil
 }
 
 // DeleteStationary removes a stationary object; it reports whether the
@@ -300,89 +252,50 @@ func (r *Repository) GetStationary(id core.ObjectID) (geo.Point, bool, error) {
 func (r *Repository) DeleteStationary(id core.ObjectID) (bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rid, ok := r.stationary[id]
-	if !ok {
+	if _, ok := r.stationary[id]; !ok {
 		return false, nil
 	}
-	if err := r.catalog.Delete(rid); err != nil {
+	var buf [stationaryTombstoneSize]byte
+	binary.LittleEndian.PutUint64(buf[:], uint64(id))
+	if _, err := r.catalog.append(buf[:]); err != nil {
 		return false, err
 	}
 	delete(r.stationary, id)
 	return true, nil
 }
 
-// VisitStationary calls fn for every cataloged stationary object.
+// VisitStationary calls fn for every cataloged stationary object in
+// ascending ID order, stopping early if fn returns false.
 func (r *Repository) VisitStationary(fn func(id core.ObjectID, loc geo.Point) bool) error {
-	return r.catalog.Scan(func(_ storage.RID, rec []byte) bool {
-		id, loc, ok := decodeStationary(rec)
-		if !ok {
-			return true
-		}
-		return fn(id, loc)
-	})
-}
-
-func decodeStationary(rec []byte) (core.ObjectID, geo.Point, bool) {
-	if len(rec) != stationaryRecordSize {
-		return 0, geo.Point{}, false
-	}
-	return core.ObjectID(binary.LittleEndian.Uint64(rec[0:])),
-		geo.Pt(
-			math.Float64frombits(binary.LittleEndian.Uint64(rec[8:])),
-			math.Float64frombits(binary.LittleEndian.Uint64(rec[16:])),
-		), true
-}
-
-// CompactCommits rewrites the commit log to contain only the latest
-// committed answer per query, reclaiming space from superseded records.
-// The compacted log is written beside the live one and swapped in
-// atomically; a crash at any point leaves either the old or the new log
-// intact.
-func (r *Repository) CompactCommits() error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-
-	path := r.commits.Path()
-	tmp := path + ".compact"
-	os.Remove(tmp)
-	fresh, err := storage.OpenLog(tmp)
-	if err != nil {
-		return err
+	ids := make([]core.ObjectID, 0, len(r.stationary))
+	for id := range r.stationary {
+		ids = append(ids, id)
 	}
-	for q, objs := range r.committed {
-		if _, err := fresh.Append(encodeCommit(q, objs)); err != nil {
-			fresh.Close()
-			os.Remove(tmp)
-			return err
+	slices.Sort(ids)
+	locs := make([]geo.Point, len(ids))
+	for i, id := range ids {
+		locs[i] = r.stationary[id]
+	}
+	r.mu.Unlock()
+	for i, id := range ids {
+		if !fn(id, locs[i]) {
+			break
 		}
 	}
-	if err := fresh.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := r.commits.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		// Try to reopen the original before giving up.
-		reopened, rerr := storage.OpenLog(path)
-		if rerr != nil {
-			return fmt.Errorf("repository: compact swap failed (%v) and reopen failed: %w", err, rerr)
-		}
-		r.commits = reopened
-		return err
-	}
-	reopened, err := storage.OpenLog(path)
-	if err != nil {
-		return err
-	}
-	r.commits = reopened
 	return nil
 }
 
-// CommitLogSize returns the commit log size in bytes.
-func (r *Repository) CommitLogSize() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.commits.Size()
+func decodeStationary(rec []byte) (id core.ObjectID, loc geo.Point, present, ok bool) {
+	switch len(rec) {
+	case stationaryTombstoneSize:
+		return core.ObjectID(binary.LittleEndian.Uint64(rec[0:])), geo.Point{}, false, true
+	case stationaryRecordSize:
+		return core.ObjectID(binary.LittleEndian.Uint64(rec[0:])),
+			geo.Pt(
+				math.Float64frombits(binary.LittleEndian.Uint64(rec[8:])),
+				math.Float64frombits(binary.LittleEndian.Uint64(rec[16:])),
+			), true, true
+	}
+	return 0, geo.Point{}, false, false
 }

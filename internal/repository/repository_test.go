@@ -3,13 +3,14 @@ package repository
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"cqp/internal/core"
 	"cqp/internal/geo"
-	"cqp/internal/storage"
 )
 
 func TestLocationHistoryRoundTrip(t *testing.T) {
@@ -41,6 +42,33 @@ func TestLocationHistoryRoundTrip(t *testing.T) {
 	if r.NumArchivedBytes() == 0 {
 		t.Error("archive should be non-empty")
 	}
+	// Out-of-order reports are sorted by time; equal times keep their
+	// append order.
+	for _, rec := range []LocationRecord{
+		{ID: 9, Loc: geo.Pt(0, 0), T: 2},
+		{ID: 9, Loc: geo.Pt(1, 0), T: 1},
+		{ID: 9, Loc: geo.Pt(2, 0), T: 2},
+		{ID: 9, Loc: geo.Pt(3, 0), T: 1},
+	} {
+		if err := r.AppendLocation(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkTies := func(r *Repository) {
+		t.Helper()
+		hist, err := r.History(9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var xs []float64
+		for _, rec := range hist {
+			xs = append(xs, rec.Loc.X)
+		}
+		if len(xs) != 4 || xs[0] != 1 || xs[1] != 3 || xs[2] != 0 || xs[3] != 2 {
+			t.Fatalf("history of 9 by X = %v, want [1 3 0 2]", xs)
+		}
+	}
+	checkTies(r)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,6 +86,7 @@ func TestLocationHistoryRoundTrip(t *testing.T) {
 	if empty, _ := r.History(999); len(empty) != 0 {
 		t.Fatalf("unknown object history: %v", empty)
 	}
+	checkTies(r)
 }
 
 func TestCommittedAnswersPersist(t *testing.T) {
@@ -100,8 +129,8 @@ func TestCommittedAnswersPersist(t *testing.T) {
 	if !ok || len(got) != 1 || got[0] != 5 {
 		t.Fatalf("after reopen Committed(1) = %v, %v", got, ok)
 	}
-	if qs := r.CommittedQueries(); len(qs) != 2 {
-		t.Fatalf("CommittedQueries = %v", qs)
+	if got, ok := r.Committed(2); !ok || len(got) != 0 {
+		t.Fatalf("after reopen Committed(2) = %v, %v", got, ok)
 	}
 
 	// Erase a commit (query removed) and persist that too.
@@ -133,11 +162,11 @@ func TestStationaryCatalog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	loc, ok, err := r.GetStationary(42)
-	if err != nil || !ok || loc.X != 42 {
-		t.Fatalf("GetStationary = %v %v %v", loc, ok, err)
+	cat := catalog(t, r)
+	if loc, ok := cat[42]; !ok || loc.X != 42 {
+		t.Fatalf("catalog[42] = %v %v", loc, ok)
 	}
-	if _, ok, _ := r.GetStationary(999); ok {
+	if _, ok := cat[999]; ok {
 		t.Error("unknown stationary object found")
 	}
 
@@ -145,8 +174,7 @@ func TestStationaryCatalog(t *testing.T) {
 	if err := r.PutStationary(42, geo.Pt(-1, -1)); err != nil {
 		t.Fatal(err)
 	}
-	loc, _, _ = r.GetStationary(42)
-	if loc.X != -1 {
+	if loc := catalog(t, r)[42]; loc.X != -1 {
 		t.Fatalf("relocated = %v", loc)
 	}
 
@@ -165,17 +193,96 @@ func TestStationaryCatalog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	count := 0
-	r.VisitStationary(func(id core.ObjectID, loc geo.Point) bool {
-		count++
-		return true
-	})
-	if count != 199 {
-		t.Fatalf("catalog count after reopen = %d", count)
+	cat = catalog(t, r)
+	if len(cat) != 199 {
+		t.Fatalf("catalog count after reopen = %d", len(cat))
 	}
-	if _, ok, _ := r.GetStationary(41); !ok {
+	if _, ok := cat[41]; !ok {
 		t.Error("lost object 41 across reopen")
 	}
+	if _, ok := cat[42]; ok {
+		t.Error("deleted object 42 resurrected across reopen")
+	}
+
+	// Early stop.
+	n := 0
+	if err := r.VisitStationary(func(core.ObjectID, geo.Point) bool { n++; return n < 3 }); err != nil {
+		t.Fatal(err)
+	}
+	if n != 3 {
+		t.Fatalf("early stop visited %d", n)
+	}
+}
+
+// catalog collects the stationary catalog via VisitStationary, checking
+// that it visits in ascending ID order.
+func catalog(t *testing.T, r *Repository) map[core.ObjectID]geo.Point {
+	t.Helper()
+	out := map[core.ObjectID]geo.Point{}
+	prev := core.ObjectID(0)
+	err := r.VisitStationary(func(id core.ObjectID, loc geo.Point) bool {
+		if len(out) > 0 && id <= prev {
+			t.Errorf("VisitStationary: %d after %d", id, prev)
+		}
+		prev = id
+		out[id] = loc
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestStationaryCatalogRandomizedAgainstMap drives puts, relocations and
+// deletes against a map oracle; the replayed catalog must match it.
+func TestStationaryCatalogRandomizedAgainstMap(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	oracle := map[core.ObjectID]geo.Point{}
+	for i := 0; i < 2000; i++ {
+		id := core.ObjectID(rng.Intn(100))
+		if rng.Intn(3) == 0 {
+			_, live := oracle[id]
+			ok, err := r.DeleteStationary(id)
+			if err != nil || ok != live {
+				t.Fatalf("delete %d = %v, %v; live %v", id, ok, err, live)
+			}
+			delete(oracle, id)
+			continue
+		}
+		loc := geo.Pt(rng.Float64(), rng.Float64())
+		if err := r.PutStationary(id, loc); err != nil {
+			t.Fatal(err)
+		}
+		oracle[id] = loc
+	}
+	check := func(r *Repository) {
+		t.Helper()
+		cat := catalog(t, r)
+		if len(cat) != len(oracle) {
+			t.Fatalf("catalog has %d objects, oracle %d", len(cat), len(oracle))
+		}
+		for id, want := range oracle {
+			if cat[id] != want {
+				t.Fatalf("object %d at %v, want %v", id, cat[id], want)
+			}
+		}
+	}
+	check(r)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	check(r)
 }
 
 func TestHistoricalRangeAndTrajectory(t *testing.T) {
@@ -266,62 +373,11 @@ func TestLocationIndexCrashRecovery(t *testing.T) {
 	}
 	check(r)
 	r.Close()
-
-	// Crash simulation 1: lost watermark → full rebuild.
-	if err := os.Remove(filepath.Join(dir, "locations.idx.mark")); err != nil {
-		t.Fatal(err)
-	}
-	r, err = Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(r)
-	r.Close()
-
-	// Crash simulation 2: stale watermark (index missing the tail) →
-	// incremental catch-up. Rewind the mark halfway into the log.
-	data, err := os.ReadFile(filepath.Join(dir, "locations.idx.mark"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	half := binary.LittleEndian.Uint64(data) / 2
-	// Snap to a record boundary: records are fixed-size frames.
-	frame := uint64(locationRecordSize + 8)
-	half -= half % frame
-	binary.LittleEndian.PutUint64(data, half)
-	// Also delete the index so catch-up re-inserts from the mark into a
-	// fresh tree (a fully deleted index with a kept mark would double-add
-	// otherwise; the mark belongs to the index file).
-	if err := os.Remove(filepath.Join(dir, "locations.idx")); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, "locations.idx.mark")); err != nil {
-		t.Fatal(err)
-	}
-	r, err = Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(r)
-	r.Close()
-
-	// Crash simulation 3: corrupt index file → rebuild.
-	idxPath := filepath.Join(dir, "locations.idx")
-	if err := os.WriteFile(idxPath, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	os.Remove(filepath.Join(dir, "locations.idx.mark"))
-	r, err = Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(r)
-	r.Close()
 }
 
-// TestLocationIndexCatchUp exercises the incremental catch-up path: the
-// log grows past the watermark (as after a crash between log append and
-// index sync), and reopening indexes exactly the tail.
+// TestLocationIndexCatchUp appends records straight to the location log,
+// bypassing the repository (as after a crash between the log append and
+// anything else): reopening must index them.
 func TestLocationIndexCatchUp(t *testing.T) {
 	dir := t.TempDir()
 	r, err := Open(dir)
@@ -335,23 +391,23 @@ func TestLocationIndexCatchUp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Crash simulation: 10 more records reach the log but never the index
-	// or the watermark.
-	log, err := storage.OpenLog(filepath.Join(dir, "locations.log"))
+	log, err := openLog(filepath.Join(dir, "locations.log"), func(int64, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 50; i < 60; i++ {
-		var buf [32]byte
+		var buf [locationRecordSize]byte
 		binary.LittleEndian.PutUint64(buf[0:], 1)
-		binary.LittleEndian.PutUint64(buf[8:], mathFloat64bits(float64(i)))
+		binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(float64(i)))
 		binary.LittleEndian.PutUint64(buf[16:], 0)
-		binary.LittleEndian.PutUint64(buf[24:], mathFloat64bits(float64(i)))
-		if _, err := log.Append(buf[:]); err != nil {
+		binary.LittleEndian.PutUint64(buf[24:], math.Float64bits(float64(i)))
+		if _, err := log.append(buf[:]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	log.Close()
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	r, err = Open(dir)
 	if err != nil {
@@ -370,51 +426,238 @@ func TestLocationIndexCatchUp(t *testing.T) {
 	}
 }
 
-func mathFloat64bits(f float64) uint64 { return math.Float64bits(f) }
+// TestConcurrentAppendAndHistory appends from several goroutines, each
+// also reading history as it goes: the object index must stay consistent
+// and lose no report.
+func TestConcurrentAppendAndHistory(t *testing.T) {
+	r, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	const (
+		writers = 4
+		appends = 2000
+		objects = 10
+	)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < appends; i++ {
+				id := core.ObjectID(i % objects)
+				if err := r.AppendLocation(LocationRecord{ID: id, Loc: geo.Pt(float64(w), float64(i)), T: float64(i)}); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%100 == 99 {
+					if _, err := r.History(id); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	total := 0
+	for id := core.ObjectID(0); id < objects; id++ {
+		hist, err := r.History(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += len(hist)
+	}
+	if total != writers*appends {
+		t.Fatalf("total history length = %d, want %d", total, writers*appends)
+	}
+}
 
-func TestCompactCommits(t *testing.T) {
+func BenchmarkAppendLocation(b *testing.B) {
+	r, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := LocationRecord{ID: core.ObjectID(i % 20000), Loc: geo.Pt(float64(i), 0), T: float64(i)}
+		if err := r.AppendLocation(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestOpenSkipsMalformedRecords replays logs holding intact frames whose
+// payloads do not decode: Open skips them and keeps every good record.
+func TestOpenSkipsMalformedRecords(t *testing.T) {
 	dir := t.TempDir()
 	r, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Many superseded commits for a handful of queries.
-	for round := 0; round < 50; round++ {
-		for q := core.QueryID(1); q <= 5; q++ {
-			r.CommitAnswer(q, []core.ObjectID{core.ObjectID(round), core.ObjectID(round + 1)})
+	if err := r.AppendLocation(LocationRecord{ID: 1, Loc: geo.Pt(1, 1), T: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.CommitAnswer(1, []core.ObjectID{4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.PutStationary(1, geo.Pt(2, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	badCommit := encodeCommit(1, []core.ObjectID{5, 6})
+	for name, payloads := range map[string][][]byte{
+		"locations.log": {[]byte("xyz")},
+		"commits.log": {
+			{1, 2, 3},                    // shorter than the header
+			{1, 0, 0, 0, 0, 0, 0, 0, 1},  // present without a count
+			badCommit[:len(badCommit)-8], // count promises more IDs than follow
+		},
+		"stationary.log": {[]byte("12345")},
+	} {
+		l, err := openLog(filepath.Join(dir, name), func(int64, []byte) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range payloads {
+			if _, err := l.append(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	r.CommitAnswer(3, nil) // erased query
-	before := r.CommitLogSize()
-	if err := r.CompactCommits(); err != nil {
-		t.Fatal(err)
-	}
-	after := r.CommitLogSize()
-	if after >= before {
-		t.Fatalf("compaction did not shrink the log: %d -> %d", before, after)
-	}
-	// Latest answers survive.
-	got, ok := r.Committed(1)
-	if !ok || len(got) != 2 || got[0] != 49 {
-		t.Fatalf("Committed(1) after compaction = %v, %v", got, ok)
-	}
-	if _, ok := r.Committed(3); ok {
-		t.Error("erased query resurrected by compaction")
-	}
-	// The compacted log still accepts appends and survives reopen.
-	if err := r.CommitAnswer(9, []core.ObjectID{7}); err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
+
 	r, err = Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if got, ok := r.Committed(9); !ok || len(got) != 1 || got[0] != 7 {
-		t.Fatalf("post-compaction commit lost: %v, %v", got, ok)
+	if hist, err := r.History(1); err != nil || len(hist) != 1 {
+		t.Fatalf("History(1) = %v, %v", hist, err)
 	}
-	if got, _ := r.Committed(1); len(got) != 2 {
-		t.Fatalf("compacted commit lost after reopen: %v", got)
+	if got, err := r.HistoricalRange(geo.R(0, 0, 10, 10), 0, 10); err != nil || len(got) != 1 || got[0] != 1 {
+		t.Fatalf("HistoricalRange = %v, %v", got, err)
+	}
+	if got, ok := r.Committed(1); !ok || len(got) != 1 || got[0] != 4 {
+		t.Fatalf("Committed(1) = %v, %v", got, ok)
+	}
+	if cat := catalog(t, r); len(cat) != 1 || cat[1] != geo.Pt(2, 2) {
+		t.Fatalf("catalog = %v", cat)
+	}
+}
+
+// TestOpenFailsOnUnopenableLog makes each log in turn unopenable: Open
+// fails instead of starting with that log missing.
+func TestOpenFailsOnUnopenableLog(t *testing.T) {
+	for _, name := range []string{"locations.log", "commits.log", "stationary.log"} {
+		dir := t.TempDir()
+		if err := os.Mkdir(filepath.Join(dir, name), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := Open(dir); err == nil {
+			r.Close()
+			t.Errorf("Open with %s a directory succeeded", name)
+		}
+	}
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := Open(file); err == nil {
+		r.Close()
+		t.Error("Open of a regular file succeeded")
+	}
+}
+
+// TestFailedWritesLeaveStateUnchanged closes the repository's files
+// under it: every write reports an error and changes no in-memory state,
+// and every read reports an error.
+func TestFailedWritesLeaveStateUnchanged(t *testing.T) {
+	r, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AppendLocation(LocationRecord{ID: 1, Loc: geo.Pt(1, 1), T: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.PutStationary(7, geo.Pt(7, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := r.AppendLocation(LocationRecord{ID: 2, T: 2}); err == nil {
+		t.Error("AppendLocation on closed files succeeded")
+	}
+	if len(r.index[2]) != 0 {
+		t.Error("failed AppendLocation indexed the report")
+	}
+	if err := r.CommitAnswer(1, []core.ObjectID{1}); err == nil {
+		t.Error("CommitAnswer on closed files succeeded")
+	}
+	if _, ok := r.Committed(1); ok {
+		t.Error("failed CommitAnswer changed the committed answer")
+	}
+	if err := r.PutStationary(8, geo.Pt(8, 8)); err == nil {
+		t.Error("PutStationary on closed files succeeded")
+	}
+	if ok, err := r.DeleteStationary(7); err == nil || ok {
+		t.Errorf("DeleteStationary on closed files = %v, %v", ok, err)
+	}
+	if cat := catalog(t, r); len(cat) != 1 || cat[7] != geo.Pt(7, 7) {
+		t.Errorf("failed catalog writes changed it: %v", cat)
+	}
+	if err := r.Sync(); err == nil {
+		t.Error("Sync on closed files succeeded")
+	}
+	if _, err := r.History(1); err == nil {
+		t.Error("History on closed files succeeded")
+	}
+	if _, err := r.HistoricalRange(geo.R(0, 0, 10, 10), 0, 10); err == nil {
+		t.Error("HistoricalRange on closed files succeeded")
+	}
+}
+
+// TestHistoryReportsCorruptRecord damages archived records while the
+// repository is open: History reports an error instead of returning
+// garbage.
+func TestHistoryReportsCorruptRecord(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for id := core.ObjectID(1); id <= 2; id++ {
+		if err := r.AppendLocation(LocationRecord{ID: id, Loc: geo.Pt(1, 1), T: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "locations.log"), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	frame := int64(logFrameHeader + locationRecordSize)
+	// Object 1: a flipped payload byte fails the checksum.
+	if _, err := f.WriteAt([]byte{0xFF}, logFrameHeader+8); err != nil {
+		t.Fatal(err)
+	}
+	// Object 2: a length field that runs past the end of the log.
+	if _, err := f.WriteAt([]byte{0xFF, 0xFF}, frame); err != nil {
+		t.Fatal(err)
+	}
+	for id := core.ObjectID(1); id <= 2; id++ {
+		if hist, err := r.History(id); err == nil {
+			t.Errorf("History(%d) of a corrupt record = %v, want an error", id, hist)
+		}
 	}
 }
