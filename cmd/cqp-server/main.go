@@ -28,9 +28,7 @@ func main() {
 		gridN    = flag.Int("grid", 64, "grid cells per axis")
 		size     = flag.Float64("size", 1.0, "monitored space is the square [0,size)²")
 		horizon  = flag.Float64("horizon", 100, "predictive trajectory horizon (seconds)")
-		shards   = flag.Int("shards", 1, "spatial shards evaluating in parallel (1 = single engine)")
-
-		parallelism = flag.Int("parallelism", 0, "join-phase worker count per engine (0 = serial); with -shards > 1 each tile engine gets this many workers")
+		shards   = flag.Int("shards", 1, "spatial shards, each a tile engine stepping on its own goroutine: the way to use more than one core (1 = single engine)")
 
 		shardHalo   = flag.Float64("shard-halo", 0, "halo margin around each tile engine's region (0 = one grid cell)")
 		shardRepart = flag.Bool("shard-repartition", false, "split hot tiles and merge cold ones under load skew (shards > 1)")
@@ -69,7 +67,6 @@ func main() {
 			Bounds:            cqp.R(0, 0, *size, *size),
 			GridN:             *gridN,
 			PredictiveHorizon: *horizon,
-			Parallelism:       *parallelism,
 		},
 		Shards:            *shards,
 		ShardHalo:         *shardHalo,

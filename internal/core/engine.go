@@ -47,17 +47,6 @@ type Options struct {
 	// cover the longest window in use. Defaults to 100.
 	PredictiveHorizon float64
 
-	// Parallelism is the worker count of the parallel query-update join:
-	// when a step carries enough dirty work, its query re-registrations,
-	// moved-object joins, and dirty-kNN re-evaluations are bucketed into
-	// per-cell batches and drained by this many workers with
-	// work-stealing (see join.go). 0 or 1 keeps evaluation
-	// single-threaded (the default). The emitted update stream is
-	// bit-identical at any worker count: gathers are read-only, deltas
-	// are applied serially in a deterministic order, and the appended
-	// region is canonically sorted either way.
-	Parallelism int
-
 	// Metrics, when non-nil, registers the engine's observability
 	// instruments (step counters, update counters, latency histograms,
 	// scratch high-water marks) in the given registry. Instruments are
@@ -113,9 +102,6 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if out.PredictiveHorizon < 0 {
 		return out, fmt.Errorf("core: Options.PredictiveHorizon must be positive, got %v", out.PredictiveHorizon)
-	}
-	if out.Parallelism < 0 {
-		return out, fmt.Errorf("core: Options.Parallelism must be non-negative, got %d", out.Parallelism)
 	}
 	return out, nil
 }
@@ -261,8 +247,7 @@ type Engine struct {
 	// carries semantics between Steps — each buffer is reset (length
 	// zero or cleared) before use.
 	movedBuf []movedObj    // phase-1 changed-object list
-	workers  []*joinWorker // per-worker join scratch; [0] serves the serial path
-	deques   []*clDeque    // per-worker batch deques (see join.go)
+	join     joinScratch   // phase-3 gather findings and callbacks (see join.go)
 	dirtyBuf []QueryID     // sorted dirty-kNN drain
 	qidBuf   []*queryState // removeObject's sorted QList drain
 	hBuf     []int32       // answer-member snapshot for drop scans et al.
@@ -272,31 +257,15 @@ type Engine struct {
 	knnAdd   []int32 // recomputeKNN's admitted member handles
 	prevEmit int     // previous Step's emission count: pre-size hint for out
 
-	// Parallel-join scratch (see join.go): the partition stage's
-	// counting-sort buffers and batch table, the per-phase item tables,
-	// and the canonical-sort keys.
-	partIdx  []int32
-	itemCell []int32
-	cellCnt  []int32
-	batches  []batchSpan
-	nActive  int32 // workers participating in the running phase
-	qryPlan  []qryPlanEntry
-	gItems   []gItem
-	gRes     []gRes
-	qryCount map[QueryID]int32
-	knnQS    []*queryState
-	knnCell  []int32
-	knnRes   []knnRes
-	liveBuf  []movedObj // phase-3 live view, shared with movedBuf's array
+	// Canonical-sort keys and permutation scratch (see sort.go).
 	sortKeys []uint64
 	sortWide []updSortKey
 	sortTmp  []Update
 
-	// Pre-bound grid-visit callbacks for the serial query-update phase
-	// (a fresh closure per moved query escapes to the heap; with tens of
+	// Pre-bound grid-visit callbacks for phase 2's query updates (a
+	// fresh closure per moved query escapes to the heap; with tens of
 	// thousands of query moves per Step that was a dominant allocation
-	// source). curQS/curOut carry the query being applied; the apply
-	// path runs strictly serially, so one slot suffices.
+	// source). curQS/curOut carry the query being applied.
 	curQS        *queryState
 	curOut       *[]Update
 	rangeVisitCB func(uint64, geo.Point) bool
@@ -316,9 +285,9 @@ func NewEngine(opt Options) (*Engine, error) {
 		objs:     make(map[ObjectID]*objectState),
 		qrys:     make(map[QueryID]*queryState),
 		dirtyKNN: make(map[QueryID]struct{}),
-		qryCount: make(map[QueryID]int32),
 		m:        newEngineMetrics(o.Metrics, o.Clock),
 	}
+	e.bindJoinScratch()
 	e.rangeVisitCB = func(k uint64, _ geo.Point) bool {
 		e.stats.CandidateChecks++
 		// Candidates from the region difference A_new − A_old can still
@@ -537,10 +506,9 @@ func (e *Engine) stepAppend(out []Update, now float64) []Update {
 	}
 
 	// Phases 2–4 are the query-update join: query re-registrations,
-	// the moved-object spatial join, and exact dirty-kNN re-evaluation.
-	// Each phase gathers read-only (in parallel, when configured) and
-	// applies serially; see join.go for the batch/steal machinery and
-	// the determinism argument.
+	// the moved-object spatial join, and exact dirty-kNN re-evaluation;
+	// see join.go for why phase 3 gathers every moved object before
+	// applying any finding.
 	joinBegin := e.m.tracer.Begin()
 
 	// Phase 2: apply query reports. Range queries are evaluated
@@ -592,7 +560,6 @@ func (e *Engine) stepAppend(out []Update, now float64) []Update {
 	m.negUpdates.Add(e.stats.NegativeUpdates - prevNeg)
 	m.knnRecomputes.Add(e.stats.KNNRecomputes - prevKNN)
 	m.movedHighWater.SetMax(int64(cap(e.movedBuf)))
-	m.gatherSlots.SetMax(int64(len(e.workers)))
 	m.lastEmitted.Set(int64(emitted))
 	m.objects.Set(int64(len(e.objs)))
 	m.qrySet.Set(int64(len(e.qrys)))

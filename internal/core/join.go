@@ -2,75 +2,33 @@ package core
 
 import (
 	"slices"
-	"sync"
 
 	"cqp/internal/geo"
-	"cqp/internal/grid"
 )
 
-// This file is the parallel query-update join: phases 2–4 of a Step
-// restructured as a two-stage batch join.
+// This file is the query-update join: phases 2–4 of a Step.
 //
-// Stage 1 (partition): the step's dirty work — query re-registrations,
-// moved objects, dirty-kNN re-evaluations — is bucketed into per-cell
-// batches by a stable counting sort over grid-cell indices. Cell-major
-// batches give each worker spatial locality (MOIST-style grouping: one
-// batch's items probe the same neighborhood of the flat slab arrays).
+//   - Phase 2 (queryPhase) applies the step's query reports one at a
+//     time in report-buffer order, so duplicate reports, removals, and
+//     auto-commit timing follow arrival order. The incremental
+//     evaluation itself is applyRangeUpdate (rangeq.go) and
+//     applyPredictiveUpdate (predictive.go).
+//   - Phase 3 (objectJoinPhase) joins every moved object against the
+//     registered queries in two passes: a read-only gather over the grid
+//     and answer sets as phase 2 left them, recording membership
+//     proposals and kNN dirty marks in engine-owned scratch, then a
+//     serial apply of those findings.
+//   - Phase 4 (knnPhase) re-searches every dirty kNN query exactly, in
+//     ascending QueryID order (recomputeKNN, knn.go).
 //
-// Stage 2 (execution): Options.Parallelism workers drain the batches
-// from per-worker deques with Chase-Lev-style stealing (deque.go).
-// Workers only *gather*: they evaluate predicates against the frozen
-// grid and answer sets and record their findings (membership proposals,
-// drop/add handle spans, dirty marks) in per-worker scratch that the
-// engine owns and reslices each step, so the hot loop allocates
-// nothing. Workers never mutate shared engine state.
-//
-// A short serial apply then merges the per-worker deltas in a
-// deterministic order and the step's appended region is canonically
-// sorted (sort.go), which makes the emitted stream bit-identical to the
-// serial engine's at any worker count and any steal schedule:
-//
-//   - gathers are pure reads of state no apply has touched yet, so what
-//     a worker finds is independent of which worker found it;
-//   - for one (query, object) pair all proposals within a phase carry
-//     the same sign (a drop test and an add probe cannot both fire —
-//     they evaluate the same predicate), and setMember suppresses
-//     same-sign duplicates against the live answer, so the emitted
-//     multiset is apply-order-invariant;
-//   - everything order-sensitive — auto-commit snapshots, grid region
-//     registration, per-item emission — happens in the serial apply, in
-//     report-buffer or sorted-query order, never in steal order.
-
-// joinParallelMin is the per-phase work-item floor below which the
-// serial path is used outright: batching a handful of items costs more
-// than it saves.
-const joinParallelMin = 32
-
-// batchTargetItems computes the batch granularity rule: aim for
-// stealFanout batches per worker (enough slack for stealing to level
-// load skew) but never fewer than minBatchItems items per batch (below
-// that, deque traffic dominates the work).
-func batchTargetItems(n, workers int) int {
-	const (
-		stealFanout   = 8
-		minBatchItems = 8
-	)
-	t := n / (workers * stealFanout)
-	if t < minBatchItems {
-		t = minBatchItems
-	}
-	return t
-}
-
-// Join phases, in step order.
-const (
-	phaseQuery  = iota // phase 2: query re-registrations
-	phaseObject        // phase 3: moved-object join
-	phaseKNN           // phase 4: dirty-kNN re-evaluation
-)
-
-// batchSpan is one batch: a half-open range of e.partIdx.
-type batchSpan struct{ lo, hi int32 }
+// Gathering every moved object before applying any finding keeps each
+// object's probe a pure read of one frozen state, so what the gather
+// finds does not depend on the order the moved objects are visited in.
+// All proposals for one (query, object) pair carry the same sign (a drop
+// test and an add probe evaluate the same predicate, so they cannot both
+// fire), and setMember suppresses same-sign duplicates against the live
+// answer, so the emitted multiset is apply-order-invariant; the step's
+// canonical sort (sort.go) then fixes the stream.
 
 // memberProposal is one membership decision produced by the phase-3
 // gather and applied serially afterwards, by handle.
@@ -79,69 +37,13 @@ type memberProposal struct {
 	in     bool
 }
 
-// Phase-2 item classification.
-const (
-	qmSerial uint8 = iota // removals, duplicate IDs, KNN, unknown kinds: applied one at a time
-	qmGather              // Range/PredictiveRange singleton: parallel gather + ordered apply
-)
-
-// qryPlanEntry records, per report-buffer slot, how phase 2 handles it.
-type qryPlanEntry struct {
-	mode uint8
-	gi   int32 // gItems index when mode == qmGather
-}
-
-// gItem is one gatherable phase-2 work item.
-type gItem struct {
-	buf   int32       // index into e.qryBuf
-	qs    *queryState // existing state; nil for brand-new registrations
-	fresh bool        // kind change: qs torn down at apply, started fresh
-	cell  int32       // partition cell (region center)
-}
-
-// gRes is a phase-2 gather result: drop and add handle spans in the
-// owning worker's ids scratch.
-type gRes struct {
-	worker         int32
-	dropLo, dropHi int32
-	addLo, addHi   int32
-}
-
-// knnRes is a phase-4 gather result: the neighbor search's outcome plus
-// drop/add handle spans.
-type knnRes struct {
-	worker         int32
-	dropLo, dropHi int32
-	addLo, addHi   int32
-	found          int32   // neighbors found (< k while starved)
-	radius         float64 // distance to the farthest neighbor
-}
-
-// joinWorker is one worker's engine-owned scratch: gather findings,
-// pre-bound grid-visit callbacks, and drain counters. Slot 0 also
-// serves the serial path, so serial and parallel steps execute the same
-// gather code.
-type joinWorker struct {
-	e  *Engine
-	id int32
-
-	// Gather findings. props/dirty are phase 3's output; ids holds
-	// phase 2's and phase 4's drop/add spans (indices recorded in
-	// gRes/knnRes stay valid across growth — spans are resolved against
-	// the current slice header at apply time).
+// joinScratch is the phase-3 gather's engine-owned scratch: its
+// findings, the membership stamp filter, and pre-bound grid-visit
+// callbacks. Backing buffers and callbacks are retained across Steps,
+// which keeps the join allocation-free at steady state.
+type joinScratch struct {
 	props []memberProposal
 	dirty []int32 // query handles to mark kNN-dirty
-	ids   []int32 // flat object-handle span storage
-
-	// Per-phase counters, merged into Stats/metrics by the serial apply.
-	checks    uint64
-	evalCells uint64
-	batches   uint64
-	steals    uint64
-
-	diffBuf []geo.Rect
-	knnBuf  []grid.Neighbor
-	memBuf  []int32 // answer-member snapshots during gathers
 
 	// qStamp is an epoch-stamped membership filter for the phase-3
 	// candidate probe: qStamp[qh] == stampCur exactly when the moved
@@ -150,47 +52,37 @@ type joinWorker struct {
 	// anyway for the drop side — so the probe rejects the dominant
 	// already-a-member case with one flat array load, touching neither
 	// the (cold) query state nor its answer set. Sized to the query
-	// handle table by workerScratch; resizing resets the epoch.
+	// handle table by objectJoinPhase; resizing resets the epoch.
 	qStamp   []uint32
 	stampCur uint32
 
-	// Current-item slots read by the pre-bound callbacks.
-	curOS        *objectState
-	curRegion    geo.Rect
-	curT1, curT2 float64
+	curOS *objectState // the moved object being gathered, read by the callbacks
 
-	objRegionsCB func(uint64, geo.Rect) bool // phase-3 candidate probe at curOS.loc
-	sweptCellCB  func(int) bool              // phase-3 predictive swept-box walk
+	objRegionsCB func(uint64, geo.Rect) bool // candidate probe at curOS.loc
+	sweptCellCB  func(int) bool              // predictive swept-box walk
 	sweptRegCB   func(uint64, geo.Rect) bool
-	rangeAddCB   func(uint64, geo.Point) bool // phase-2 range add scan
-	predCellCB   func(int) bool               // phase-2 predictive add scan
-	predRegCB    func(uint64, geo.Rect) bool
 }
 
-// newJoinWorker builds a worker slot with its callbacks pre-bound (a
-// fresh closure per item escapes to the heap; these visit millions of
+// bindJoinScratch pre-binds the phase-3 grid-visit callbacks (a fresh
+// closure per moved object escapes to the heap; these visit millions of
 // candidates per second).
-func newJoinWorker(e *Engine, id int32) *joinWorker {
-	w := &joinWorker{e: e, id: id}
-	w.objRegionsCB = func(k uint64, r geo.Rect) bool {
+func (e *Engine) bindJoinScratch() {
+	j := &e.join
+	j.objRegionsCB = func(k uint64, r geo.Rect) bool {
 		if !keyIsQuery(k) {
 			return true
 		}
-		os := w.curOS
-		w.checks++
+		os := j.curOS
+		e.stats.CandidateChecks++
 		// The kind comes from the key and the region from the slab the
 		// grid is already walking, so the common non-matching candidate
 		// is rejected without touching the (cold) query state at all.
 		switch keyKind(k) {
 		case Range:
-			// The stamp filter is a frozen-state read (QList membership
-			// at gather start), so it is steal-schedule-independent; it
-			// keeps the common case — a moved object still inside a
-			// region it was in — out of the serial apply without ever
-			// loading the query state: kind and handle come from the
-			// key, the region from the slab.
-			if r.Contains(os.loc) && w.qStamp[k>>3] != w.stampCur {
-				w.props = append(w.props, memberProposal{int32(k >> 3), os.h, true})
+			// The stamp filter keeps the common case — a moved object
+			// still inside a region it was in — out of the apply.
+			if r.Contains(os.loc) && j.qStamp[k>>3] != j.stampCur {
+				j.props = append(j.props, memberProposal{int32(k >> 3), os.h, true})
 			}
 		case KNN:
 			// r is the circle's bounding box (the whole space while the
@@ -200,277 +92,46 @@ func newJoinWorker(e *Engine, id int32) *joinWorker {
 			// stamp skips it here. Inside, the exact test: within the
 			// current radius, or still starved — the exact answer may
 			// change. (Answers and radii are stable throughout the
-			// gather phase: they only change in the apply and
-			// kNN-recompute phases.)
-			if r.Contains(os.loc) && w.qStamp[k>>3] != w.stampCur {
+			// gather: they only change in the apply and kNN-recompute
+			// phases.)
+			if r.Contains(os.loc) && j.qStamp[k>>3] != j.stampCur {
 				qs := e.qrysByH[k>>3]
 				if qs.answer.Len() < qs.k || qs.focal.Dist(os.loc) <= qs.radius {
-					w.dirty = append(w.dirty, qs.h)
+					j.dirty = append(j.dirty, qs.h)
 				}
 			}
 		case PredictiveRange:
-			if os.kind == Predictive && w.qStamp[k>>3] != w.stampCur {
+			if os.kind == Predictive && j.qStamp[k>>3] != j.stampCur {
 				if qs := e.qrysByH[k>>3]; e.predictiveMatch(qs, os) {
-					w.props = append(w.props, memberProposal{qs.h, os.h, true})
+					j.props = append(j.props, memberProposal{qs.h, os.h, true})
 				}
 			}
 		}
 		return true
 	}
-	w.sweptRegCB = func(k uint64, _ geo.Rect) bool {
-		if !keyIsQuery(k) || keyKind(k) != PredictiveRange || w.qStamp[k>>3] == w.stampCur {
+	j.sweptRegCB = func(k uint64, _ geo.Rect) bool {
+		if !keyIsQuery(k) || keyKind(k) != PredictiveRange || j.qStamp[k>>3] == j.stampCur {
 			return true
 		}
 		qs := e.qrysByH[k>>3]
-		w.checks++
-		if e.predictiveMatch(qs, w.curOS) {
-			w.props = append(w.props, memberProposal{qs.h, w.curOS.h, true})
+		e.stats.CandidateChecks++
+		if e.predictiveMatch(qs, j.curOS) {
+			j.props = append(j.props, memberProposal{qs.h, j.curOS.h, true})
 		}
 		return true
 	}
-	w.sweptCellCB = func(ci int) bool {
-		e.g.VisitRegionsInCell(ci, w.sweptRegCB)
+	j.sweptCellCB = func(ci int) bool {
+		e.g.VisitRegionsInCell(ci, j.sweptRegCB)
 		return true
-	}
-	w.rangeAddCB = func(k uint64, _ geo.Point) bool {
-		w.checks++
-		w.ids = append(w.ids, int32(k>>1))
-		return true
-	}
-	w.predRegCB = func(k uint64, _ geo.Rect) bool {
-		if keyIsQuery(k) {
-			return true
-		}
-		os := e.objsByH[k>>1]
-		w.checks++
-		if e.predictedIntersects(os, w.curRegion, w.curT1, w.curT2) {
-			w.ids = append(w.ids, os.h)
-		}
-		return true
-	}
-	w.predCellCB = func(ci int) bool {
-		w.evalCells++
-		e.g.VisitRegionsInCell(ci, w.predRegCB)
-		return true
-	}
-	return w
-}
-
-// workerScratch returns n reset worker slots, growing the engine's pool
-// as needed. Backing buffers and callbacks are retained across Steps,
-// which keeps the join allocation-free at steady state.
-func (e *Engine) workerScratch(n int) []*joinWorker {
-	for len(e.workers) < n {
-		e.workers = append(e.workers, newJoinWorker(e, int32(len(e.workers))))
-	}
-	ws := e.workers[:n]
-	for _, w := range ws {
-		w.props = w.props[:0]
-		w.dirty = w.dirty[:0]
-		w.ids = w.ids[:0]
-		w.checks, w.evalCells = 0, 0
-		w.batches, w.steals = 0, 0
-		if len(w.qStamp) < len(e.qrysByH) {
-			// Query population grew: new zeroed array, fresh epoch.
-			// Steady state never resizes, so the hot path stays
-			// allocation-free.
-			w.qStamp = make([]uint32, len(e.qrysByH))
-			w.stampCur = 0
-		}
-	}
-	return ws
-}
-
-// mergeWorkerStats folds the first n workers' counters into the
-// engine's Stats and join metrics after a phase's apply.
-func (e *Engine) mergeWorkerStats(n int) {
-	for _, w := range e.workers[:n] {
-		e.stats.CandidateChecks += w.checks
-		e.stats.RegionEvalCells += w.evalCells
-		if w.batches != 0 || w.steals != 0 {
-			e.m.joinBatches.Add(w.batches)
-			e.m.joinSteals.Add(w.steals)
-			e.m.workerBatches.Observe(int64(w.batches))
-		}
-		w.checks, w.evalCells, w.batches, w.steals = 0, 0, 0, 0
-	}
-}
-
-// partition buckets n work items into cell-major order (stable counting
-// sort over grid-cell indices) and cuts e.batches into spans of roughly
-// batchTargetItems items. Items of one cell always land in one batch —
-// the locality grouping — so a batch's grid probes cluster spatially.
-func (e *Engine) partition(phase, n, workers int) {
-	ncells := e.g.N()*e.g.N() + 1
-	cnt := e.cellCnt
-	if cap(cnt) < ncells {
-		cnt = make([]int32, ncells)
-	}
-	cnt = cnt[:ncells]
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	cells := e.itemCell
-	if cap(cells) < n {
-		cells = make([]int32, n)
-	}
-	cells = cells[:n]
-	for i := 0; i < n; i++ {
-		var c int32
-		switch phase {
-		case phaseQuery:
-			c = e.gItems[i].cell
-		case phaseObject:
-			c = int32(e.g.CellIndex(e.liveBuf[i].os.loc))
-		case phaseKNN:
-			c = e.knnCell[i]
-		}
-		cells[i] = c
-		cnt[c]++
-	}
-	var run int32
-	for c := 0; c < ncells; c++ {
-		v := cnt[c]
-		cnt[c] = run
-		run += v
-	}
-	idx := e.partIdx
-	if cap(idx) < n {
-		idx = make([]int32, n)
-	}
-	idx = idx[:n]
-	for i := 0; i < n; i++ {
-		c := cells[i]
-		idx[cnt[c]] = int32(i)
-		cnt[c]++
-	}
-	e.cellCnt, e.itemCell, e.partIdx = cnt, cells, idx
-
-	target := int32(batchTargetItems(n, workers))
-	e.batches = e.batches[:0]
-	lo, prevEnd := int32(0), int32(0)
-	for c := 0; c < ncells; c++ {
-		end := cnt[c] // after the scatter, cnt[c] is cell c's end offset
-		if end == prevEnd {
-			continue
-		}
-		prevEnd = end
-		if end-lo >= target {
-			e.batches = append(e.batches, batchSpan{lo, end})
-			lo = end
-		}
-	}
-	if lo < int32(n) {
-		e.batches = append(e.batches, batchSpan{lo, int32(n)})
-	}
-}
-
-// runBatches executes the partitioned batches across up to maxW workers:
-// each worker's deque is preloaded with a contiguous run of batch
-// indices (contiguity preserves the cell-major locality), workers drain
-// their own deque LIFO and steal FIFO from victims when it runs dry.
-// The calling goroutine participates as worker 0.
-func (e *Engine) runBatches(phase, maxW int) {
-	nb := len(e.batches)
-	if nb == 0 {
-		return
-	}
-	W := maxW
-	if W > nb {
-		W = nb
-	}
-	for len(e.deques) < W {
-		e.deques = append(e.deques, &clDeque{})
-	}
-	for w := 0; w < W; w++ {
-		e.deques[w].reset(int32(w*nb/W), int32((w+1)*nb/W))
-	}
-	e.nActive = int32(W)
-	var wg sync.WaitGroup
-	wg.Add(W - 1)
-	for w := 1; w < W; w++ {
-		go e.workers[w].runPhase(phase, &wg)
-	}
-	e.workers[0].runPhase(phase, nil)
-	wg.Wait()
-}
-
-// runPhase is one worker's drain loop: own deque first (LIFO), then
-// steal scan. Batches only ever leave deques mid-phase — nothing is
-// pushed — so a full steal scan that finds every victim empty proves
-// global completion.
-func (w *joinWorker) runPhase(phase int, wg *sync.WaitGroup) {
-	e := w.e
-	own := e.deques[w.id]
-	for {
-		b, ok := own.popBottom()
-		if !ok {
-			break
-		}
-		w.batches++
-		w.processBatch(phase, b)
-	}
-	n := int(e.nActive)
-	for {
-		stole := false
-		for k := 1; k < n; k++ {
-			if b, ok := e.deques[(int(w.id)+k)%n].steal(); ok {
-				w.steals++
-				w.batches++
-				w.processBatch(phase, b)
-				stole = true
-				break
-			}
-		}
-		if !stole {
-			break
-		}
-	}
-	if wg != nil {
-		wg.Done()
-	}
-}
-
-// processBatch gathers every item of batch b into this worker's scratch.
-func (w *joinWorker) processBatch(phase int, b int32) {
-	e := w.e
-	sp := e.batches[b]
-	switch phase {
-	case phaseQuery:
-		for _, i := range e.partIdx[sp.lo:sp.hi] {
-			w.gatherQuery(&e.gItems[i], &e.gRes[i])
-		}
-	case phaseObject:
-		for _, i := range e.partIdx[sp.lo:sp.hi] {
-			w.gatherMovedObject(e.liveBuf[i].os)
-		}
-	case phaseKNN:
-		for _, i := range e.partIdx[sp.lo:sp.hi] {
-			w.gatherKNN(e.knnQS[i], &e.knnRes[i])
-		}
 	}
 }
 
 // ---------------------------------------------------------------------------
 // Phase 2: query re-registrations.
 
-// queryPhase applies the step's buffered query reports. With a single
-// worker (or too few gatherable items) every report runs through the
-// serial applyQueryUpdate path; otherwise singleton Range and
-// PredictiveRange reports are gathered in parallel and every report is
-// then applied in report-buffer order, so ordering-sensitive semantics
-// (duplicate reports, removals, auto-commit timing) are untouched.
+// queryPhase applies the step's buffered query reports in report-buffer
+// order.
 func (e *Engine) queryPhase(out *[]Update) {
-	n := len(e.qryBuf)
-	if n == 0 {
-		return
-	}
-	maxW := e.opt.Parallelism
-	if maxW > 1 && n >= joinParallelMin {
-		if e.queryPhaseParallel(out, maxW) {
-			return
-		}
-	}
 	for _, u := range e.qryBuf {
 		e.stats.QueryReports++
 		if u.Remove {
@@ -481,254 +142,85 @@ func (e *Engine) queryPhase(out *[]Update) {
 	}
 }
 
-// queryPhaseParallel classifies, gathers, and applies the buffered query
-// reports. Returns false (having touched nothing) when too few reports
-// are gatherable to be worth batching, leaving the serial path to run.
-func (e *Engine) queryPhaseParallel(out *[]Update, maxW int) bool {
-	n := len(e.qryBuf)
-	plan := e.qryPlan
-	if cap(plan) < n {
-		plan = make([]qryPlanEntry, n)
-	}
-	plan = plan[:n]
-	counts := e.qryCount
-	for _, u := range e.qryBuf {
-		counts[u.ID]++
-	}
-	items := e.gItems[:0]
-	for i := range e.qryBuf {
-		u := &e.qryBuf[i]
-		p := qryPlanEntry{mode: qmSerial, gi: -1}
-		// Only the sole report for its ID is gatherable: duplicate-ID
-		// sequences have intra-buffer data dependencies (each sees its
-		// predecessor's state), so they take the one-at-a-time path.
-		if !u.Remove && counts[u.ID] == 1 {
-			switch u.Kind {
-			case Range, PredictiveRange:
-				it := gItem{
-					buf:  int32(i),
-					qs:   e.qrys[u.ID],
-					cell: int32(e.g.CellIndex(u.Region.Center())),
-				}
-				if it.qs != nil && it.qs.kind != u.Kind {
-					it.qs, it.fresh = nil, true
-				}
-				p.mode = qmGather
-				p.gi = int32(len(items))
-				items = append(items, it)
-			}
-		}
-		plan[i] = p
-	}
-	clear(counts)
-	e.qryPlan, e.gItems = plan, items
-	if len(items) < joinParallelMin {
-		return false
-	}
-	res := e.gRes
-	if cap(res) < len(items) {
-		res = make([]gRes, len(items))
-	}
-	e.gRes = res[:len(items)]
-
-	e.workerScratch(maxW)
-	e.partition(phaseQuery, len(items), maxW)
-	e.runBatches(phaseQuery, maxW)
-
-	// Serial apply, in report-buffer order.
-	for i := range e.qryBuf {
-		u := &e.qryBuf[i]
-		e.stats.QueryReports++
-		if p := plan[i]; p.mode == qmGather {
-			e.applyGatheredQuery(u, &e.gItems[p.gi], &e.gRes[p.gi], out)
-		} else if u.Remove {
-			e.removeQuery(u.ID)
-		} else {
-			e.applyQueryUpdate(*u, out)
-		}
-	}
-	e.mergeWorkerStats(maxW)
-	return true
-}
-
-// gatherQuery evaluates one gatherable query report read-only: which
-// current members fall out of the new region/window (drops) and which
-// grid candidates newly match (adds), recorded as handle spans in this
-// worker's ids scratch. The grid, object locations, and this query's
-// answer are all frozen during the phase — no apply has run yet, and
-// gatherable items are the only report for their ID.
-func (w *joinWorker) gatherQuery(it *gItem, r *gRes) {
-	e := w.e
-	u := &e.qryBuf[it.buf]
-	qs := it.qs
-	r.worker = w.id
-	r.dropLo = int32(len(w.ids))
-	switch u.Kind {
-	case Range:
-		if qs != nil {
-			members := qs.answer.AppendTo(w.memBuf[:0])
-			w.memBuf = members
-			for _, h := range members {
-				w.checks++
-				if !u.Region.Contains(e.objsByH[h].loc) {
-					w.ids = append(w.ids, h)
-				}
-			}
-		}
-		r.dropHi = int32(len(w.ids))
-		r.addLo = r.dropHi
-		var diff []geo.Rect
-		if qs != nil && qs.registered {
-			diff = u.Region.Difference(qs.region, w.diffBuf)
-		} else {
-			diff = append(w.diffBuf[:0], u.Region)
-		}
-		w.diffBuf = diff
-		for _, piece := range diff {
-			w.evalCells += uint64(e.g.CountCells(piece))
-			e.g.VisitObjectsIn(piece, w.rangeAddCB)
-		}
-		r.addHi = int32(len(w.ids))
-	case PredictiveRange:
-		w.curRegion, w.curT1, w.curT2 = u.Region, u.T1, u.T2
-		if qs != nil {
-			members := qs.answer.AppendTo(w.memBuf[:0])
-			w.memBuf = members
-			for _, h := range members {
-				w.checks++
-				if !e.predictedIntersects(e.objsByH[h], u.Region, u.T1, u.T2) {
-					w.ids = append(w.ids, h)
-				}
-			}
-		}
-		r.dropHi = int32(len(w.ids))
-		r.addLo = r.dropHi
-		e.g.VisitCells(u.Region, w.predCellCB)
-		r.addHi = int32(len(w.ids))
-	}
-}
-
-// applyGatheredQuery is the serial apply of one gathered query report:
-// the same state transitions as applyQueryUpdate, with the drop/add
-// scans replaced by the gather's recorded spans.
-func (e *Engine) applyGatheredQuery(u *QueryUpdate, it *gItem, r *gRes, out *[]Update) {
-	qs := it.qs
-	if it.fresh {
-		e.removeQuery(u.ID)
-	}
-	if qs == nil {
-		qs = e.newQuery(u.ID, u.Kind)
-	}
-	if !e.opt.Replica {
-		e.commit(qs)
-	}
-	qs.t = u.T
-	if u.Kind == PredictiveRange {
-		qs.t1, qs.t2 = u.T1, u.T2
-	}
-	w := e.workers[r.worker]
-	for _, h := range w.ids[r.dropLo:r.dropHi] {
-		e.setMember(qs, e.objsByH[h], false, out)
-	}
-	for _, h := range w.ids[r.addLo:r.addHi] {
-		e.setMember(qs, e.objsByH[h], true, out)
-	}
-	if qs.registered {
-		e.g.MoveRegion(qkeyH(qs.h, qs.kind), qs.region, u.Region)
-	} else {
-		e.g.InsertRegion(qkeyH(qs.h, qs.kind), u.Region)
-		qs.registered = true
-	}
-	qs.region = u.Region
-}
-
 // ---------------------------------------------------------------------------
 // Phase 3: moved-object join.
 
 // objectJoinPhase joins every changed object against the registered
-// queries: membership re-checks plus grid candidate probes, gathered
-// (in parallel, when configured) and applied serially.
+// queries: membership re-checks plus grid candidate probes, all gathered
+// before any is applied.
 func (e *Engine) objectJoinPhase(live []movedObj, out *[]Update) {
-	n := len(live)
-	if n == 0 {
+	if len(live) == 0 {
 		return
 	}
-	maxW := e.opt.Parallelism
-	if maxW <= 1 || n < joinParallelMin {
-		ws := e.workerScratch(1)
-		for i := range live {
-			ws[0].gatherMovedObject(live[i].os)
-		}
-		e.applyObjectJoins(1, out)
-		return
+	j := &e.join
+	j.props = j.props[:0]
+	j.dirty = j.dirty[:0]
+	if len(j.qStamp) < len(e.qrysByH) {
+		// Query population grew: new zeroed array, fresh epoch. Steady
+		// state never resizes, so the hot path stays allocation-free.
+		j.qStamp = make([]uint32, len(e.qrysByH))
+		j.stampCur = 0
 	}
-	e.workerScratch(maxW)
-	e.liveBuf = live
-	e.partition(phaseObject, n, maxW)
-	e.runBatches(phaseObject, maxW)
-	e.applyObjectJoins(maxW, out)
-	e.liveBuf = nil
+	for i := range live {
+		e.gatherMovedObject(live[i].os)
+	}
+	e.applyObjectJoins(out)
 }
 
-// applyObjectJoins integrates the workers' phase-3 findings: dirty
-// marks, stats, and membership proposals (deduplicated by setMember).
-// Worker order is fine here — all proposals for one (query, object)
-// pair carry the same sign, so the emitted multiset is order-invariant
-// and the canonical sort fixes the stream.
-func (e *Engine) applyObjectJoins(n int, out *[]Update) {
-	for _, w := range e.workers[:n] {
-		for _, qh := range w.dirty {
-			e.dirtyKNN[e.qrysByH[qh].id] = struct{}{}
-		}
-		for _, p := range w.props {
-			e.setMember(e.qrysByH[p.qh], e.objsByH[p.oh], p.in, out)
-		}
+// applyObjectJoins integrates the phase-3 findings: dirty marks and
+// membership proposals (deduplicated by setMember).
+func (e *Engine) applyObjectJoins(out *[]Update) {
+	j := &e.join
+	for _, qh := range j.dirty {
+		e.dirtyKNN[e.qrysByH[qh].id] = struct{}{}
 	}
-	e.mergeWorkerStats(n)
+	for _, p := range j.props {
+		e.setMember(e.qrysByH[p.qh], e.objsByH[p.oh], p.in, out)
+	}
 }
 
 // gatherMovedObject is the object side of the spatial join, a pure
 // read: it re-checks the object's existing memberships against current
 // query state and probes the grid for newly satisfied candidate
-// queries, appending its findings to this worker's scratch.
-func (w *joinWorker) gatherMovedObject(os *objectState) {
-	e := w.e
+// queries, appending its findings to the join scratch.
+func (e *Engine) gatherMovedObject(os *objectState) {
+	j := &e.join
 	// New epoch: stamps from previous objects become invalid without
 	// clearing. On the (rare) wrap to 0, every slot must be wiped —
 	// a slot stamped 0 in a previous cycle would alias the new epoch.
-	w.stampCur++
-	if w.stampCur == 0 {
-		clear(w.qStamp)
-		w.stampCur = 1
+	j.stampCur++
+	if j.stampCur == 0 {
+		clear(j.qStamp)
+		j.stampCur = 1
 	}
 	// Existing memberships: stamp, and detach from queries the object
 	// no longer satisfies.
 	for _, qs := range os.queries {
-		w.qStamp[qs.h] = w.stampCur
-		w.checks++
+		j.qStamp[qs.h] = j.stampCur
+		e.stats.CandidateChecks++
 		switch qs.kind {
 		case Range:
 			if !qs.region.Contains(os.loc) {
-				w.props = append(w.props, memberProposal{qs.h, os.h, false})
+				j.props = append(j.props, memberProposal{qs.h, os.h, false})
 			}
 		case KNN:
 			// Any movement of a member can reorder the k nearest.
-			w.dirty = append(w.dirty, qs.h)
+			j.dirty = append(j.dirty, qs.h)
 		case PredictiveRange:
 			if !e.predictiveMatch(qs, os) {
-				w.props = append(w.props, memberProposal{qs.h, os.h, false})
+				j.props = append(j.props, memberProposal{qs.h, os.h, false})
 			}
 		}
 	}
 
 	// Candidate queries registered in the cell of the new location.
-	w.curOS = os
-	e.g.VisitRegionsAt(os.loc, w.objRegionsCB)
+	j.curOS = os
+	e.g.VisitRegionsAt(os.loc, j.objRegionsCB)
 
 	// A predictive object additionally joins against predictive queries
 	// wherever its trajectory box reaches, not only at its current point.
 	if os.kind == Predictive && os.sweptValid {
-		e.g.VisitCells(os.swept, w.sweptCellCB)
+		e.g.VisitCells(os.swept, j.sweptCellCB)
 	}
 }
 
@@ -749,129 +241,10 @@ func (e *Engine) knnPhase(out *[]Update) int {
 	slices.Sort(dirty)
 	clear(e.dirtyKNN)
 	e.dirtyBuf = dirty
-
-	maxW := e.opt.Parallelism
-	if maxW <= 1 || len(dirty) < joinParallelMin {
-		for _, qid := range dirty {
-			if qs, ok := e.qrys[qid]; ok {
-				e.recomputeKNN(qs, out)
-			}
-		}
-		return len(dirty)
-	}
-
-	qss := e.knnQS[:0]
-	cells := e.knnCell[:0]
 	for _, qid := range dirty {
 		if qs, ok := e.qrys[qid]; ok {
-			qss = append(qss, qs)
-			cells = append(cells, int32(e.g.CellIndex(qs.focal)))
+			e.recomputeKNN(qs, out)
 		}
 	}
-	e.knnQS, e.knnCell = qss, cells
-	res := e.knnRes
-	if cap(res) < len(qss) {
-		res = make([]knnRes, len(qss))
-	}
-	e.knnRes = res[:len(qss)]
-
-	e.workerScratch(maxW)
-	e.partition(phaseKNN, len(qss), maxW)
-	e.runBatches(phaseKNN, maxW)
-
-	// Serial apply in sorted-query order, so region maintenance hits the
-	// grid in the same order as the serial engine.
-	for i, qs := range qss {
-		e.applyGatheredKNN(qs, &e.knnRes[i], out)
-	}
-	e.mergeWorkerStats(maxW)
-	// Reset the retained pointer slice so stale *queryState values don't
-	// outlive their queries.
-	e.knnQS = qss[:0]
-	clear(qss)
 	return len(dirty)
-}
-
-// gatherKNN re-searches one dirty kNN query read-only: the exact
-// neighbor set from the frozen grid, recorded as drop/add handle spans
-// plus the new radius.
-func (w *joinWorker) gatherKNN(qs *queryState, r *knnRes) {
-	e := w.e
-	neighbors := e.g.KNearestAppend(w.knnBuf[:0], qs.focal, qs.k, notQueryKey)
-	w.knnBuf = neighbors
-	r.worker = w.id
-	r.found = int32(len(neighbors))
-	radius := 0.0
-	for _, n := range neighbors {
-		if n.Dist > radius {
-			radius = n.Dist
-		}
-	}
-	r.radius = radius
-
-	r.dropLo = int32(len(w.ids))
-	members := qs.answer.AppendTo(w.memBuf[:0])
-	w.memBuf = members
-	for _, h := range members {
-		if !neighborsContain(neighbors, h) {
-			w.ids = append(w.ids, h)
-		}
-	}
-	r.dropHi = int32(len(w.ids))
-	r.addLo = r.dropHi
-	for _, n := range neighbors {
-		if h := int32(n.ID >> 1); !qs.answer.Has(h) {
-			w.ids = append(w.ids, h)
-		}
-	}
-	r.addHi = int32(len(w.ids))
-}
-
-// neighborsContain reports whether handle h is among the neighbor keys
-// (linear scan: k is small).
-func neighborsContain(ns []grid.Neighbor, h int32) bool {
-	for _, n := range ns {
-		if int32(n.ID>>1) == h {
-			return true
-		}
-	}
-	return false
-}
-
-// applyGatheredKNN is the serial apply of one gathered kNN re-search:
-// the same transitions as recomputeKNN with the search and diff scans
-// replaced by the gather's result.
-func (e *Engine) applyGatheredKNN(qs *queryState, r *knnRes, out *[]Update) {
-	e.stats.KNNRecomputes++
-	w := e.workers[r.worker]
-	for _, h := range w.ids[r.dropLo:r.dropHi] {
-		e.setMember(qs, e.objsByH[h], false, out)
-	}
-	for _, h := range w.ids[r.addLo:r.addHi] {
-		// Gathered as answer non-members from a distinct neighbor
-		// list — provably absent (see setMemberNew).
-		e.setMemberNew(qs, e.objsByH[h], out)
-	}
-	e.reRegisterKNN(qs, int(r.found), r.radius)
-}
-
-// reRegisterKNN re-registers a kNN query's circular region after a
-// re-search found `found` neighbors with the given radius. While the
-// query is starved (fewer than k objects exist) any insertion anywhere
-// can extend the answer, so the query watches the whole space.
-func (e *Engine) reRegisterKNN(qs *queryState, found int, radius float64) {
-	var region geo.Rect
-	if found < qs.k {
-		region = e.g.Bounds()
-	} else {
-		region = geo.Circle{C: qs.focal, R: radius}.BBox()
-	}
-	if qs.registered {
-		e.g.MoveRegion(qkeyH(qs.h, KNN), qs.region, region)
-	} else {
-		e.g.InsertRegion(qkeyH(qs.h, KNN), region)
-		qs.registered = true
-	}
-	qs.region = region
-	qs.radius = radius
 }

@@ -1,14 +1,18 @@
 package core
 
+import (
+	"cqp/internal/geo"
+	"cqp/internal/grid"
+)
+
 // notQueryKey filters a grid search down to object entries. Package-level
 // so passing it as a callback never allocates a closure.
 func notQueryKey(k uint64) bool { return !keyIsQuery(k) }
 
 // recomputeKNN performs an exact k-nearest-neighbor search for a dirty
 // kNN query, emits the diff against the stored answer, and re-registers
-// the query's circular region in the grid. (The parallel phase-4 path
-// performs the same transitions split into gatherKNN/applyGatheredKNN;
-// see join.go.)
+// the query's circular region in the grid. Phase 4 of a Step (knnPhase,
+// join.go) calls it once per dirty query, in ascending QueryID order.
 //
 // Following the paper, a kNN query lives in the grid "as the smallest
 // circular region that contains the k nearest objects": a focal-centered
@@ -58,6 +62,38 @@ func (e *Engine) recomputeKNN(qs *queryState, out *[]Update) {
 	e.knnDrop, e.knnAdd = drop, add
 
 	e.reRegisterKNN(qs, len(neighbors), radius)
+}
+
+// neighborsContain reports whether handle h is among the neighbor keys
+// (linear scan: k is small).
+func neighborsContain(ns []grid.Neighbor, h int32) bool {
+	for _, n := range ns {
+		if int32(n.ID>>1) == h {
+			return true
+		}
+	}
+	return false
+}
+
+// reRegisterKNN re-registers a kNN query's circular region after a
+// re-search found `found` neighbors with the given radius. While the
+// query is starved (fewer than k objects exist) any insertion anywhere
+// can extend the answer, so the query watches the whole space.
+func (e *Engine) reRegisterKNN(qs *queryState, found int, radius float64) {
+	var region geo.Rect
+	if found < qs.k {
+		region = e.g.Bounds()
+	} else {
+		region = geo.Circle{C: qs.focal, R: radius}.BBox()
+	}
+	if qs.registered {
+		e.g.MoveRegion(qkeyH(qs.h, KNN), qs.region, region)
+	} else {
+		e.g.InsertRegion(qkeyH(qs.h, KNN), region)
+		qs.registered = true
+	}
+	qs.region = region
+	qs.radius = radius
 }
 
 // KNNRadius returns the current circle radius of a kNN query (the

@@ -18,16 +18,7 @@ type engineMetrics struct {
 
 	stepLatency *obs.Histogram // full Step duration (needs a Clock)
 	stepUpdates *obs.Histogram // updates emitted per Step
-
-	// Parallel-join instruments (see join.go): total batches drained,
-	// batches stolen off other workers' deques, the distribution of
-	// batches drained per worker per phase (a tight distribution means
-	// the partition balanced; a wide one means stealing did the work),
-	// and the latency of the whole join (phases 2–4).
-	joinBatches   *obs.Counter
-	joinSteals    *obs.Counter
-	workerBatches *obs.Histogram
-	joinLatency   *obs.Histogram
+	joinLatency *obs.Histogram // the query-update join, phases 2–4 (see join.go)
 
 	steps         *obs.Counter
 	objectReports *obs.Counter
@@ -42,7 +33,6 @@ type engineMetrics struct {
 	// that make steady-state Steps allocation-stable. A mark that keeps
 	// climbing under a stable workload is a leak in scratch reuse.
 	movedHighWater  *obs.Gauge // cap of the phase-1 changed-object list
-	gatherSlots     *obs.Gauge // per-worker gather slots materialized
 	lastEmitted     *obs.Gauge // updates emitted by the last Step
 	objects, qrySet *obs.Gauge // registered population after the last Step
 }
@@ -54,9 +44,6 @@ func newEngineMetrics(reg *obs.Registry, clock obs.Clock) *engineMetrics {
 		tracer:         obs.NewTracer(clock),
 		stepLatency:    reg.Histogram("engine.step_ns", obs.DurationBuckets),
 		stepUpdates:    reg.Histogram("engine.step_updates", obs.SizeBuckets),
-		joinBatches:    reg.Counter("engine.join.batches"),
-		joinSteals:     reg.Counter("engine.join.steals"),
-		workerBatches:  reg.Histogram("engine.join.worker_batches", obs.SizeBuckets),
 		joinLatency:    reg.Histogram("engine.join_ns", obs.DurationBuckets),
 		steps:          reg.Counter("engine.steps"),
 		objectReports:  reg.Counter("engine.reports.objects"),
@@ -67,7 +54,6 @@ func newEngineMetrics(reg *obs.Registry, clock obs.Clock) *engineMetrics {
 		negUpdates:     reg.Counter("engine.updates.negative"),
 		knnRecomputes:  reg.Counter("engine.knn.recomputes"),
 		movedHighWater: reg.Gauge("engine.scratch.moved_cap"),
-		gatherSlots:    reg.Gauge("engine.scratch.gather_slots"),
 		lastEmitted:    reg.Gauge("engine.last_emitted"),
 		objects:        reg.Gauge("engine.objects"),
 		qrySet:         reg.Gauge("engine.queries"),

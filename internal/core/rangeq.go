@@ -12,8 +12,8 @@ import "cqp/internal/geo"
 //   - the overlap A_new ∩ A_old is not re-evaluated — its membership is
 //     already reflected in the stored answer.
 //
-// (The parallel phase-2 path performs the same transitions split into
-// gatherQuery/applyGatheredQuery; see join.go.)
+// Phase 2 of a Step (queryPhase, join.go) reaches it through
+// applyQueryUpdate, one report at a time in report-buffer order.
 func (e *Engine) applyRangeUpdate(qs *queryState, newRegion geo.Rect, out *[]Update) {
 	oldRegion := qs.region
 	wasRegistered := qs.registered

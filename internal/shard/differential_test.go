@@ -28,26 +28,13 @@ func TestDifferentialShardedVsSingle(t *testing.T) {
 		for _, grid := range [][2]int{{2, 2}, {1, 4}} {
 			seed, grid := seed, grid
 			t.Run("", func(t *testing.T) {
-				runDifferential(t, seed, grid[0], grid[1], 100, 0)
+				runDifferential(t, seed, grid[0], grid[1], 100)
 			})
 		}
 	}
 }
 
-// TestDifferentialInnerParallelism re-runs the differential with each
-// tile engine using its own work-stealing join workers
-// (Options.InnerParallelism), proving the inner parallel join changes
-// nothing observable through the router.
-func TestDifferentialInnerParallelism(t *testing.T) {
-	for _, seed := range []int64{3, 11} {
-		seed := seed
-		t.Run("", func(t *testing.T) {
-			runDifferential(t, seed, 2, 2, 60, 2)
-		})
-	}
-}
-
-func runDifferential(t *testing.T, seed int64, rows, cols, steps, inner int) {
+func runDifferential(t *testing.T, seed int64, rows, cols, steps int) {
 	rng := rand.New(rand.NewSource(seed))
 	copt := core.Options{
 		Bounds:            geo.R(0, 0, 1, 1),
@@ -55,7 +42,7 @@ func runDifferential(t *testing.T, seed int64, rows, cols, steps, inner int) {
 		PredictiveHorizon: 50,
 	}
 	single := core.MustNewEngine(copt)
-	sharded, err := New(Options{Core: copt, Rows: rows, Cols: cols, PadTiles: rng.Intn(2), InnerParallelism: inner})
+	sharded, err := New(Options{Core: copt, Rows: rows, Cols: cols, PadTiles: rng.Intn(2)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,14 +89,6 @@ type Options struct {
 	// Disabled unless Repartition.Enable is set; SplitTile and
 	// MergeTile work either way.
 	Repartition RepartitionOptions
-
-	// InnerParallelism, when positive, overrides Core.Parallelism for
-	// every tile engine: each tile runs its join phase with this many
-	// work-stealing workers. Zero inherits Core.Parallelism unchanged.
-	// Useful when the tile count is below the core count — a few big
-	// halo-bounded tiles can then still use the remaining cores inside
-	// each Step.
-	InnerParallelism int
 }
 
 // RepartitionOptions tunes the load-aware split/merge policy. Per-tile
@@ -515,9 +507,6 @@ func (e *Engine) tileOptions(rect geo.Rect) core.Options {
 	// Tile engines are replicas behind this router: the router owns the
 	// commit/recover protocol, so tiles skip auto-commit snapshots.
 	o.Replica = true
-	if e.opt.InnerParallelism > 0 {
-		o.Parallelism = e.opt.InnerParallelism
-	}
 	return o
 }
 
