@@ -56,7 +56,6 @@ func main() {
 		workers  = flag.Int("workers", 2, "worker processes; tiles are pinned round-robin")
 		repoDir  = flag.String("repo", "", "repository directory for durable commits (empty = in-memory only)")
 
-		shardHalo   = flag.Float64("shard-halo", 0, "halo margin around each tile engine's region (0 = one grid cell)")
 		shardRepart = flag.Bool("shard-repartition", false, "split hot tiles and merge cold ones under load skew")
 
 		hbInterval = flag.Duration("worker-heartbeat", 100*time.Millisecond, "coordinator→worker heartbeat period")
@@ -90,7 +89,6 @@ func main() {
 	cl, err := cluster.New(cluster.Config{
 		Shard: shard.Options{
 			Core: copt, Rows: *rows, Cols: *cols,
-			Halo:        *shardHalo,
 			Repartition: shard.RepartitionOptions{Enable: *shardRepart},
 		},
 		Workers:           *workers,

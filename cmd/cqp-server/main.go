@@ -30,7 +30,6 @@ func main() {
 		horizon  = flag.Float64("horizon", 100, "predictive trajectory horizon (seconds)")
 		shards   = flag.Int("shards", 1, "spatial shards, each a tile engine stepping on its own goroutine: the way to use more than one core (1 = single engine)")
 
-		shardHalo   = flag.Float64("shard-halo", 0, "halo margin around each tile engine's region (0 = one grid cell)")
 		shardRepart = flag.Bool("shard-repartition", false, "split hot tiles and merge cold ones under load skew (shards > 1)")
 		repoDir     = flag.String("repo", "", "repository directory for durable commits and location history (empty = in-memory only)")
 
@@ -69,7 +68,6 @@ func main() {
 			PredictiveHorizon: *horizon,
 		},
 		Shards:            *shards,
-		ShardHalo:         *shardHalo,
 		ShardRepartition:  cqp.ShardRepartitionOptions{Enable: *shardRepart},
 		Interval:          *interval,
 		RepositoryDir:     *repoDir,

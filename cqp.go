@@ -86,8 +86,8 @@ type (
 	// ShardedEngine partitions the space into parallel per-tile engines
 	// behind the Processor interface.
 	ShardedEngine = shard.Engine
-	// ShardOptions configures a ShardedEngine (tile grid shape, kNN
-	// replication padding, halo margin, repartition policy).
+	// ShardOptions configures a ShardedEngine (tile grid shape,
+	// repartition policy).
 	ShardOptions = shard.Options
 	// ShardRepartitionOptions tunes the sharded engine's load-aware
 	// tile split/merge policy.

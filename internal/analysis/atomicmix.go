@@ -19,11 +19,11 @@ import (
 //     standard; this analyzer guards the legacy pattern's fields.)
 //
 //  2. No obs instrument may be resolved inside a loop. Registry.Counter/
-//     Gauge/Histogram are construction-time lookups (they allocate on
-//     first use and take a registry lock); the hot-path contract in
-//     internal/obs is "resolve once, hold the pointer". A lookup inside
-//     a for/range body turns a per-step increment into a per-step
-//     map+mutex operation.
+//     Gauge/GaugeFunc/Histogram are construction-time calls (they
+//     allocate on first use and take a registry lock); the hot-path
+//     contract in internal/obs is "resolve once, hold the pointer". A
+//     lookup inside a for/range body turns a per-step increment into a
+//     per-step map+mutex operation.
 var AtomicMix = &Analyzer{
 	Name: "atomicmix",
 	Doc: "flag fields accessed both via sync/atomic and plain reads/writes, " +
@@ -158,15 +158,15 @@ func loopWalk(pass *Pass, n ast.Node, depth int) {
 	})
 }
 
-// obsResolveCall recognizes Registry.Counter/Gauge/Histogram calls from
-// internal/obs.
+// obsResolveCall recognizes Registry.Counter/Gauge/GaugeFunc/Histogram
+// calls from internal/obs.
 func obsResolveCall(info *types.Info, call *ast.CallExpr) string {
 	fn := funcOf(info, call)
 	if fn == nil {
 		return ""
 	}
 	switch fn.Name() {
-	case "Counter", "Gauge", "Histogram":
+	case "Counter", "Gauge", "GaugeFunc", "Histogram":
 	default:
 		return ""
 	}

@@ -67,3 +67,11 @@ func (m *metrics) rangeClosure(r *obs.Registry, vs []int64) {
 		_ = func() { r.Gauge("engine.depth").Set(v) } // want `obs instrument resolved inside a loop`
 	}
 }
+
+// funcPerItem registers a derived gauge per loop iteration: flagged
+// like any other resolution (and a repeated name would panic).
+func funcPerItem(r *obs.Registry, names []string) {
+	for _, n := range names {
+		r.GaugeFunc(n, func() int64 { return 0 }) // want `obs instrument resolved inside a loop`
+	}
+}

@@ -147,9 +147,9 @@ type Cluster struct {
 	stop  chan struct{}
 
 	// tiles is indexed by tile id and grows when repartitioning attaches
-	// fresh tiles mid-run; retired ids keep their (now idle) transport.
-	// The demux goroutines read it concurrently with router-side growth,
-	// hence the lock.
+	// fresh tiles mid-run; a retired id's entry is nil. The demux
+	// goroutines and metric scrapes read it concurrently with the
+	// router's changes, hence the lock.
 	tilesMu sync.RWMutex
 	tiles   []*clusterTile
 
@@ -180,16 +180,6 @@ func New(cfg Config) (*Cluster, error) {
 	for i := 0; i < cfg.Workers; i++ {
 		cl.slots = append(cl.slots, newWorkerSlot(cl, i))
 	}
-	rows, cols := cfg.Shard.Rows, cfg.Shard.Cols
-	if rows == 0 {
-		rows = 1
-	}
-	if cols == 0 {
-		cols = 1
-	}
-	if rows > 0 && cols > 0 {
-		cl.tiles = make([]*clusterTile, rows*cols)
-	}
 	eng, err := shard.NewWithTiles(cfg.Shard, func(tile int, opt core.Options) (shard.Tile, error) {
 		t := newClusterTile(cl, tile, opt, cl.slots[tile%cfg.Workers])
 		cl.tilesMu.Lock()
@@ -204,6 +194,10 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	cl.Engine = eng
+	// The derived gauges read the slot and tile tables, so they register
+	// only once both exist.
+	cl.m.reg.GaugeFunc("cluster.tiles.fallback", func() int64 { return int64(cl.TilesInFallback()) })
+	cl.m.reg.GaugeFunc("cluster.workers.up", func() int64 { return int64(cl.NumWorkersUp()) })
 	// Tiles exist before any demux goroutine starts: spawn the first
 	// incarnations only now.
 	for _, s := range cl.slots {
@@ -236,7 +230,7 @@ func (c *Cluster) Close() error {
 }
 
 // NumWorkersUp returns the number of currently live worker links, for
-// tests and monitoring.
+// tests and monitoring; it is the value of cluster.workers.up.
 func (c *Cluster) NumWorkersUp() int {
 	n := 0
 	for _, s := range c.slots {
@@ -247,9 +241,21 @@ func (c *Cluster) NumWorkersUp() int {
 	return n
 }
 
-// TilesInFallback returns how many tiles are currently served by their
-// in-process fallback engine.
-func (c *Cluster) TilesInFallback() int { return int(c.m.fallback.Value()) }
+// TilesInFallback returns how many live tiles ran their most recent
+// step on their in-process fallback engine; a tile that has not stepped
+// yet does not count. It is safe to call concurrently with Step, and it
+// is the value of cluster.tiles.fallback.
+func (c *Cluster) TilesInFallback() int {
+	c.tilesMu.RLock()
+	defer c.tilesMu.RUnlock()
+	n := 0
+	for _, t := range c.tiles {
+		if t != nil && t.inFallback.Load() {
+			n++
+		}
+	}
+	return n
+}
 
 // KillWorker forcefully kills worker slot i's current process, if any —
 // a chaos drill: the supervisor detects the death, the slot's tiles
@@ -305,9 +311,8 @@ func (c *Cluster) tile(i uint32) *clusterTile {
 // deliverResult routes a step result to its tile. The channel send
 // never blocks: a tile holds at most one outstanding step, so a full
 // buffer only ever means stale frames, which the epoch gate discards.
-// A result addressed to a retired tile lands in its idle transport's
-// buffer and is never read — tile ids are not reused, so it cannot be
-// misdelivered.
+// A result addressed to a retired tile is dropped — tile ids are not
+// reused, so it cannot be misdelivered.
 func (c *Cluster) deliverResult(m wire.ClusterStepResult) {
 	t := c.tile(m.Tile)
 	if t == nil {

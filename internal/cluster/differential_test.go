@@ -7,6 +7,7 @@ import (
 
 	"cqp/internal/core"
 	"cqp/internal/geo"
+	"cqp/internal/obs"
 	"cqp/internal/shard"
 )
 
@@ -59,6 +60,13 @@ type clusterDiffConfig struct {
 	// while the cluster is still open — for post-run assertions that
 	// need live slot state.
 	after func(cl *Cluster)
+
+	// scrape, when set, gives the cluster a metrics registry and takes
+	// snapshots of it on another goroutine for the whole run, as a
+	// /metrics scrape would, so the race detector sees the derived
+	// gauges read the tile and slot tables while the router changes
+	// them.
+	scrape bool
 }
 
 func runClusterDifferential(t *testing.T, cfg clusterDiffConfig) {
@@ -69,7 +77,7 @@ func runClusterDifferential(t *testing.T, cfg clusterDiffConfig) {
 		GridN:             1 + w.rng.Intn(12),
 		PredictiveHorizon: 50,
 	}
-	sopt := shard.Options{Core: copt, Rows: cfg.rows, Cols: cfg.cols, PadTiles: w.rng.Intn(2)}
+	sopt := shard.Options{Core: copt, Rows: cfg.rows, Cols: cfg.cols}
 	ref, err := shard.New(sopt)
 	if err != nil {
 		t.Fatal(err)
@@ -79,6 +87,11 @@ func runClusterDifferential(t *testing.T, cfg clusterDiffConfig) {
 	spawner := cfg.spawner
 	if spawner == nil {
 		spawner = &PipeSpawner{}
+	}
+	var reg *obs.Registry
+	if cfg.scrape {
+		reg = obs.NewRegistry()
+		sopt.Core.Metrics = reg
 	}
 	cl, err := New(Config{
 		Shard:             sopt,
@@ -94,6 +107,21 @@ func runClusterDifferential(t *testing.T, cfg clusterDiffConfig) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	if cfg.scrape {
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				case <-time.After(100 * time.Microsecond):
+					reg.Snapshot()
+				}
+			}
+		}()
+		defer func() { close(stop); <-done }()
+	}
 
 	if up := cl.NumWorkersUp(); up != cfg.workers {
 		t.Fatalf("after New: %d/%d workers up", up, cfg.workers)
@@ -176,6 +204,11 @@ func runClusterDifferential(t *testing.T, cfg clusterDiffConfig) {
 		}
 	}
 
+	if cfg.scrape {
+		if got, want := reg.Snapshot()["cluster.tiles.fallback"], int64(cl.TilesInFallback()); got != want {
+			t.Errorf("cluster.tiles.fallback = %v, TilesInFallback = %d", got, want)
+		}
+	}
 	if cfg.after != nil {
 		cfg.after(cl)
 	}

@@ -10,6 +10,9 @@ import (
 // instruments, bound against the same registry the shard router and the
 // tile engines use (Config.Shard.Core.Metrics), so one /metrics scrape
 // sees the whole stack: engine work, router merges, and cluster health.
+// New adds two gauges derived from the coordinator's tables at scrape
+// time: cluster.tiles.fallback (TilesInFallback) and cluster.workers.up
+// (NumWorkersUp).
 type clusterMetrics struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
@@ -18,8 +21,6 @@ type clusterMetrics struct {
 	resyncs     *obs.Counter // cluster.resyncs: tiles successfully handed back to a worker
 	resyncFails *obs.Counter // cluster.resync.failures: timeouts and checksum mismatches
 	staleEpochs *obs.Counter // cluster.stale_epochs: frames discarded for carrying an old epoch
-	fallback    *obs.Gauge   // cluster.tiles.fallback: tiles currently served in-process
-	workersUp   *obs.Gauge   // cluster.workers.up: worker links currently live
 }
 
 // newClusterMetrics resolves every instrument against reg (nil yields
@@ -32,8 +33,6 @@ func newClusterMetrics(reg *obs.Registry, clock obs.Clock) *clusterMetrics {
 		resyncs:     reg.Counter("cluster.resyncs"),
 		resyncFails: reg.Counter("cluster.resync.failures"),
 		staleEpochs: reg.Counter("cluster.stale_epochs"),
-		fallback:    reg.Gauge("cluster.tiles.fallback"),
-		workersUp:   reg.Gauge("cluster.workers.up"),
 	}
 }
 

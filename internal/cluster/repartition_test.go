@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"cqp/internal/core"
+	"cqp/internal/geo"
 	"cqp/internal/shard"
 )
 
@@ -49,14 +51,15 @@ func mergeFirst(t *testing.T, e repartitioner) {
 // engine repartitioned in lockstep. Two scripted worker kills compose
 // repartitioning with journal-rebuild failover: a tile born mid-run
 // must rebuild on a fresh worker from its journal and pass the
-// checksum resync like any original tile.
+// checksum resync like any original tile. A concurrent scrape reads the
+// derived cluster gauges throughout.
 func TestDifferentialRepartitionCluster(t *testing.T) {
 	for _, seed := range []int64{1, 7} {
 		seed := seed
 		t.Run("", func(t *testing.T) {
 			var last *Cluster
 			runClusterDifferential(t, clusterDiffConfig{
-				seed: seed, rows: 2, cols: 2, workers: 2, steps: 60, settle: true,
+				seed: seed, rows: 2, cols: 2, workers: 2, steps: 60, settle: true, scrape: true,
 				disturbBoth: func(step int, ref *shard.Engine, cl *Cluster) {
 					switch step {
 					case 7, 15, 23:
@@ -93,28 +96,32 @@ func TestDifferentialRepartitionCluster(t *testing.T) {
 	}
 }
 
-// heldSpawner is a PipeSpawner whose respawns (incarnation > 1) fail
-// while hold is set, so a test can keep a killed slot down for exactly
-// the steps it chooses.
+// heldSpawner is a PipeSpawner whose spawns of incarnation from or
+// later fail while hold is set, so a test can keep a slot down for
+// exactly the steps it chooses. With from = 2 the first workers start
+// and only a killed slot stays down; with from = 1 no worker ever runs.
 type heldSpawner struct {
 	PipeSpawner
+	from uint64
 	hold atomic.Bool
 }
 
 func (s *heldSpawner) Spawn(worker int, incarnation uint64) (Process, error) {
-	if incarnation > 1 && s.hold.Load() {
-		return nil, errors.New("respawn held")
+	if incarnation >= s.from && s.hold.Load() {
+		return nil, errors.New("spawn held")
 	}
 	return s.PipeSpawner.Spawn(worker, incarnation)
 }
 
 // TestMergeRetiresFallbackGauge merges two tiles while their worker is
-// down, so both retire while counted in cluster.tiles.fallback. The
-// retired tiles must give their counts back: once the worker returns
-// and the cluster settles, TilesInFallback must equal the number of
-// live tiles not served remotely, which is zero.
+// down, so both retire while in fallback and the tile born by the merge
+// has never been remote. While the worker is held down every live tile
+// steps in-process, so TilesInFallback must equal NumTiles, the merged
+// tile included. Once the worker returns and the cluster settles,
+// TilesInFallback must equal the number of live tiles not served
+// remotely, which is zero.
 func TestMergeRetiresFallbackGauge(t *testing.T) {
-	sp := &heldSpawner{}
+	sp := &heldSpawner{from: 2}
 	sp.hold.Store(true)
 	var tilesBeforeMerge int
 	runClusterDifferential(t, clusterDiffConfig{
@@ -137,9 +144,12 @@ func TestMergeRetiresFallbackGauge(t *testing.T) {
 				tilesBeforeMerge = cl.NumTiles()
 				mergeFirst(t, ref)
 				mergeFirst(t, cl)
-			case 9:
+			case 9, 10:
 				if n := cl.NumTiles(); n != tilesBeforeMerge-1 {
 					t.Fatalf("merge did not run: %d tiles, want %d", n, tilesBeforeMerge-1)
+				}
+				if got, n := cl.TilesInFallback(), cl.NumTiles(); got != n {
+					t.Fatalf("step %d, worker held down: TilesInFallback = %d, want all %d live tiles", step, got, n)
 				}
 			case 11:
 				sp.hold.Store(false)
@@ -157,4 +167,31 @@ func TestMergeRetiresFallbackGauge(t *testing.T) {
 			}
 		},
 	})
+}
+
+// TestNeverRemoteTilesCountInFallback runs a cluster whose spawner fails
+// every incarnation, so no tile ever goes remote and every step runs
+// in-process. Every live tile must count in fallback.
+func TestNeverRemoteTilesCountInFallback(t *testing.T) {
+	sp := &heldSpawner{from: 1}
+	sp.hold.Store(true)
+	cl, err := New(Config{
+		Shard:   shard.Options{Core: core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: 4}, Rows: 2, Cols: 2},
+		Spawner: sp,
+		Backoff: Backoff{Initial: time.Millisecond, Max: 5 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for step := 0; step < 3; step++ {
+		cl.ReportObject(core.ObjectUpdate{ID: core.ObjectID(step), Kind: core.Moving, Loc: geo.Pt(0.1+0.3*float64(step), 0.5)})
+		cl.Step(float64(step))
+	}
+	if got, n := cl.TilesInFallback(), cl.NumTiles(); got != n || n != 4 {
+		t.Errorf("TilesInFallback = %d, NumTiles = %d, want both 4", got, n)
+	}
+	if up := cl.NumWorkersUp(); up != 0 {
+		t.Errorf("NumWorkersUp = %d with every spawn failing, want 0", up)
+	}
 }

@@ -94,7 +94,6 @@ func (s *workerSlot) attach(proc Process, inc uint64) *slotConn {
 	s.mu.Lock()
 	s.st = st
 	s.mu.Unlock()
-	s.cl.m.workersUp.Add(1)
 	conn := proc.Conn()
 	s.wg.Add(3)
 	go func() {
@@ -195,7 +194,6 @@ func (s *workerSlot) run(st *slotConn) {
 				s.st = nil
 			}
 			s.mu.Unlock()
-			s.cl.m.workersUp.Add(-1)
 			st = nil
 			if s.cl.stopped() {
 				return

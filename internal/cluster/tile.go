@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"cqp/internal/core"
@@ -50,10 +51,13 @@ type clusterTile struct {
 
 	remote    bool   // worker backend is live and trusted
 	remoteInc uint64 // incarnation the worker backend was built under
-	inFbGauge bool   // counted in cluster.tiles.fallback
 	fb        *core.Engine
 	fbBuf     []core.Update
 	work      core.Stats
+
+	// inFallback records whether the most recent step ran on fb. It is
+	// what TilesInFallback counts, from scrapes on other goroutines.
+	inFallback atomic.Bool
 
 	resc chan wire.ClusterStepResult
 	ackc chan wire.ClusterResyncAck
@@ -103,7 +107,7 @@ func (t *clusterTile) StepBegin(now float64) {
 				return
 			}
 		}
-		t.toFallback()
+		t.remote = false
 	}
 	// Degraded path: evaluate in-process. The goroutine mirrors the
 	// in-process tile's worker so fallback tiles still step in parallel;
@@ -129,6 +133,7 @@ func (t *clusterTile) StepWait() []core.Update {
 		out := <-t.fbc
 		t.fold()
 		t.work = t.fb.Stats()
+		t.inFallback.Store(true)
 		return out
 	}
 	for {
@@ -145,6 +150,7 @@ func (t *clusterTile) StepWait() []core.Update {
 				RegionEvalCells: res.RegionEvalCells,
 			}
 			t.lastNs = 0
+			t.inFallback.Store(false)
 			return res.Updates
 		case <-t.stepDown:
 			// The worker died mid-step. Rebuild its pre-step state from the
@@ -152,7 +158,7 @@ func (t *clusterTile) StepWait() []core.Update {
 			// happened: determinism makes the redone batch identical to the
 			// one the worker would have returned — even if its result was
 			// already in flight (it is discarded by the epoch gate later).
-			t.toFallback()
+			t.remote = false
 			t.ensureFallback()
 			for _, u := range t.objStage {
 				t.fb.ReportObject(u)
@@ -165,6 +171,7 @@ func (t *clusterTile) StepWait() []core.Update {
 			t.lastNs = t.cl.m.tracer.Since(begin)
 			t.fold()
 			t.work = t.fb.Stats()
+			t.inFallback.Store(true)
 			return t.fbBuf
 		}
 	}
@@ -178,17 +185,16 @@ func (t *clusterTile) StepNanos() int64 { return t.lastNs }
 // faults.
 func (t *clusterTile) WorkStats() core.Stats { return t.work }
 
-// Close retires the tile. When a repartition destroys a remote tile the
-// worker is told to free its engine; delivery is best-effort (a dead or
-// congested link just leaves the engine to be reaped with the process),
-// and tile ids are never reused, so no further frame can target it. A
-// tile retired while in fallback gives back its cluster.tiles.fallback
-// count: nothing would ever establish it again to do so.
+// Close retires the tile: it leaves the coordinator's tile table, so
+// TilesInFallback stops counting it and late frames addressed to it are
+// dropped. When a repartition destroys a remote tile the worker is told
+// to free its engine; delivery is best-effort (a dead or congested link
+// just leaves the engine to be reaped with the process), and tile ids
+// are never reused, so no further frame can target it.
 func (t *clusterTile) Close() error {
-	if t.inFbGauge {
-		t.cl.m.fallback.Add(-1)
-		t.inFbGauge = false
-	}
+	t.cl.tilesMu.Lock()
+	t.cl.tiles[t.id] = nil
+	t.cl.tilesMu.Unlock()
 	if t.remote {
 		if st := t.slot.current(); st != nil && st.incarnation == t.remoteInc {
 			st.enqueue(wire.ClusterRetire{Tile: uint32(t.id), Epoch: t.epoch})
@@ -234,9 +240,7 @@ func (t *clusterTile) fresh() bool {
 func (t *clusterTile) establish() {
 	st := t.slot.current()
 	if st == nil {
-		if t.remote {
-			t.toFallback()
-		}
+		t.remote = false
 		return
 	}
 	if t.remote && st.incarnation == t.remoteInc {
@@ -256,18 +260,14 @@ func (t *clusterTile) establish() {
 		Replica:  t.opt.Replica,
 	}
 	if t.fresh() {
-		if st.enqueue(assign) {
-			t.setRemote(st.incarnation)
-		} else {
-			t.toFallback()
-		}
+		t.remote, t.remoteInc = st.enqueue(assign), st.incarnation
 		return
 	}
 	// The fallback engine doubles as the authoritative copy the worker's
 	// rebuild is verified against.
 	t.ensureFallback()
 	if !st.enqueue(assign) || !st.enqueue(t.resyncMsg()) {
-		t.toFallback()
+		t.remote = false
 		return
 	}
 	want := stateChecksum(t.fb, t.journalQueryIDs())
@@ -284,41 +284,24 @@ func (t *clusterTile) establish() {
 				// Divergent rebuild: never hand the tile to this backend.
 				t.cl.m.resyncFails.Inc()
 				st.fail()
-				t.toFallback()
+				t.remote = false
 				return
 			}
 			t.cl.m.resyncs.Inc()
-			t.setRemote(st.incarnation)
+			t.remote, t.remoteInc = true, st.incarnation
 			t.fb = nil
 			return
 		case <-st.down:
-			t.toFallback()
+			t.remote = false
 			return
 		case <-timer.C:
 			// A link that cannot complete a resync in time is not a link we
 			// trust with steps; burn it and retry with a fresh process.
 			t.cl.m.resyncFails.Inc()
 			st.fail()
-			t.toFallback()
+			t.remote = false
 			return
 		}
-	}
-}
-
-func (t *clusterTile) setRemote(inc uint64) {
-	t.remote = true
-	t.remoteInc = inc
-	if t.inFbGauge {
-		t.cl.m.fallback.Add(-1)
-		t.inFbGauge = false
-	}
-}
-
-func (t *clusterTile) toFallback() {
-	t.remote = false
-	if !t.inFbGauge {
-		t.cl.m.fallback.Add(1)
-		t.inFbGauge = true
 	}
 }
 

@@ -29,6 +29,7 @@
 package obs
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -103,6 +104,7 @@ type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
+	funcs      map[string]func() int64
 	histograms map[string]*Histogram
 }
 
@@ -111,6 +113,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
+		funcs:      make(map[string]func() int64),
 		histograms: make(map[string]*Histogram),
 	}
 }
@@ -149,6 +152,25 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
+// GaugeFunc registers a gauge whose value is f(), computed each time
+// Snapshot or Flatten runs. It is the form for a gauge that restates
+// state its owner already holds (a map's length, a count over a table):
+// the value cannot drift from the state the way a hand-balanced
+// Add(±1) pair can. f must be safe to call from any goroutine; it runs
+// after r.mu is released, so it may take locks under which its owner
+// resolves instruments. Unlike the shared instruments, a name
+// registers once: a second GaugeFunc, or a name of another kind,
+// panics. A nil registry ignores the call.
+func (r *Registry) GaugeFunc(name string, f func() int64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.mustBeFree(name, "gauge func")
+	r.funcs[name] = f
+}
+
 // Histogram returns the histogram registered under name, creating it
 // with the given bucket bounds on first use (later bounds are ignored
 // for an existing name). A nil registry returns a detached histogram.
@@ -176,22 +198,24 @@ func (r *Registry) mustBeFree(name, kind string) {
 	if _, ok := r.gauges[name]; ok {
 		panic("obs: metric " + name + " already registered as a gauge, requested as " + kind)
 	}
+	if _, ok := r.funcs[name]; ok {
+		panic("obs: metric " + name + " already registered as a gauge func, requested as " + kind)
+	}
 	if _, ok := r.histograms[name]; ok {
 		panic("obs: metric " + name + " already registered as a histogram, requested as " + kind)
 	}
 }
 
 // Snapshot returns the current value of every registered instrument,
-// keyed by name: counters as uint64, gauges as int64, histograms as
-// HistogramValue. encoding/json renders map keys sorted, so marshaling
-// a snapshot is deterministic.
+// keyed by name: counters as uint64, gauges (func gauges included) as
+// int64, histograms as HistogramValue. encoding/json renders map keys
+// sorted, so marshaling a snapshot is deterministic.
 func (r *Registry) Snapshot() map[string]any {
 	out := make(map[string]any)
 	if r == nil {
 		return out
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	for name, c := range r.counters {
 		out[name] = c.Value()
 	}
@@ -201,29 +225,29 @@ func (r *Registry) Snapshot() map[string]any {
 	for name, h := range r.histograms {
 		out[name] = h.Value()
 	}
+	funcs := maps.Clone(r.funcs)
+	r.mu.Unlock()
+	for name, f := range funcs {
+		out[name] = f()
+	}
 	return out
 }
 
 // Flatten returns every metric as one number per name: counters and
 // gauges verbatim, histograms expanded to <name>.count and <name>.sum.
-// It is the shape the benchmark harness appends to its JSON records.
+// It is the shape the benchmark harness reads its server counters from.
 func (r *Registry) Flatten() map[string]float64 {
 	out := make(map[string]float64)
-	if r == nil {
-		return out
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name, c := range r.counters {
-		out[name] = float64(c.Value())
-	}
-	for name, g := range r.gauges {
-		out[name] = float64(g.Value())
-	}
-	for name, h := range r.histograms {
-		v := h.Value()
-		out[name+".count"] = float64(v.Count)
-		out[name+".sum"] = float64(v.Sum)
+	for name, v := range r.Snapshot() {
+		switch v := v.(type) {
+		case uint64:
+			out[name] = float64(v)
+		case int64:
+			out[name] = float64(v)
+		case HistogramValue:
+			out[name+".count"] = float64(v.Count)
+			out[name+".sum"] = float64(v.Sum)
+		}
 	}
 	return out
 }

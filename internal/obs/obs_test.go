@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -61,12 +62,78 @@ func TestRegistrySharing(t *testing.T) {
 func TestRegistryKindMismatchPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("m")
-	defer func() {
-		if recover() == nil {
-			t.Error("requesting a counter name as a gauge did not panic")
+	r.GaugeFunc("f", func() int64 { return 0 })
+	one := func() int64 { return 1 }
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"counter name as gauge", func() { r.Gauge("m") }},
+		{"counter name as gauge func", func() { r.GaugeFunc("m", one) }},
+		{"gauge func name as gauge", func() { r.Gauge("f") }},
+		{"gauge func name as histogram", func() { r.Histogram("f", SizeBuckets) }},
+		{"gauge func registered twice", func() { r.GaugeFunc("f", one) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", tc.name)
+				}
+			}()
+			tc.call()
+		}()
+	}
+}
+
+// TestGaugeFunc: a func gauge is recomputed at every Snapshot and
+// Flatten and renders as int64, exactly like a stored gauge.
+func TestGaugeFunc(t *testing.T) {
+	r := NewRegistry()
+	var level atomic.Int64
+	r.GaugeFunc("owned.len", level.Load)
+	for _, want := range []int64{3, -1} {
+		level.Store(want)
+		if got, ok := r.Snapshot()["owned.len"].(int64); !ok || got != want {
+			t.Errorf("Snapshot[owned.len] = %v, want int64 %d", r.Snapshot()["owned.len"], want)
 		}
+		if got := r.Flatten()["owned.len"]; got != float64(want) {
+			t.Errorf("Flatten[owned.len] = %v, want %d", got, want)
+		}
+	}
+}
+
+// TestGaugeFuncRunsOutsideRegistryLock: an owner may hold its own lock
+// while resolving an instrument, and a func gauge may take that same
+// lock. Snapshot must therefore call funcs after releasing the registry
+// lock, or the two goroutines deadlock.
+func TestGaugeFuncRunsOutsideRegistryLock(t *testing.T) {
+	r := NewRegistry()
+	var owner sync.Mutex
+	inFunc := make(chan struct{})
+	r.GaugeFunc("owned", func() int64 {
+		close(inFunc)
+		owner.Lock()
+		defer owner.Unlock()
+		return 1
+	})
+	owner.Lock()
+	snap := make(chan map[string]any, 1)
+	go func() { snap <- r.Snapshot() }()
+	<-inFunc
+	resolved := make(chan struct{})
+	go func() {
+		r.Counter("resolved.under.owner.lock")
+		owner.Unlock()
+		close(resolved)
 	}()
-	r.Gauge("m")
+	select {
+	case <-resolved:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Registry.Counter blocked while a gauge func waited on its caller's lock")
+	}
+	if got := (<-snap)["owned"]; got != int64(1) {
+		t.Errorf("Snapshot[owned] = %v, want 1", got)
+	}
 }
 
 // TestNilRegistryDetached: a nil *Registry hands out functional
@@ -81,6 +148,8 @@ func TestNilRegistryDetached(t *testing.T) {
 	}
 	r.Gauge("g").Set(5)
 	r.Histogram("h", SizeBuckets).Observe(3)
+	r.GaugeFunc("f", func() int64 { t.Error("nil registry called a gauge func"); return 0 })
+	r.GaugeFunc("f", func() int64 { return 0 }) // no second-registration panic either
 	if len(r.Snapshot()) != 0 {
 		t.Error("nil registry snapshot is non-empty")
 	}

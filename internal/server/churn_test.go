@@ -30,7 +30,9 @@ func (l smallBufListener) Accept() (net.Conn, error) {
 // subscribe, disconnect — then wedges a non-reading subscriber until
 // the server sheds it, and checks that the session accounting closes
 // exactly: sessions_total counts every dial, sheds counts exactly the
-// wedged client, and the live-session gauge returns to zero. The
+// wedged client, and the live-session gauge returns to zero. A scrape
+// loop snapshots the registry throughout, so the race detector sees the
+// derived session gauges read the server's tables during the churn. The
 // package's leakcheck TestMain turns any writer/reader goroutine left
 // behind by the churn into a failure.
 func TestSessionChurnAndShedReconcile(t *testing.T) {
@@ -45,9 +47,21 @@ func TestSessionChurnAndShedReconcile(t *testing.T) {
 		Metrics:    reg,
 	})
 	addr := s.Addr().String()
-	sessions := reg.Gauge("server.sessions")
 	total := reg.Counter("server.sessions_total")
 	sheds := reg.Counter("server.sheds")
+	stopScrape, scrapeDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scrapeDone)
+		for {
+			select {
+			case <-stopScrape:
+				return
+			case <-time.After(100 * time.Microsecond):
+				reg.Snapshot()
+			}
+		}
+	}()
+	defer func() { close(stopScrape); <-scrapeDone }()
 
 	// Phase 1: rapid churn. Each cycle is a full session lifecycle.
 	const churn = 15
@@ -131,9 +145,9 @@ func TestSessionChurnAndShedReconcile(t *testing.T) {
 	}
 	wedged.Close()
 	deadline := time.Now().Add(5 * time.Second)
-	for sessions.Value() != 0 {
+	for reg.Flatten()["server.sessions"] != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("sessions gauge stuck at %d, want 0", sessions.Value())
+			t.Fatalf("sessions gauge stuck at %v, want 0", reg.Flatten()["server.sessions"])
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -13,9 +13,7 @@ import "cqp/internal/obs"
 type serverMetrics struct {
 	tracer *obs.Tracer
 
-	sessions *obs.Gauge   // live sessions
-	subs     *obs.Gauge   // query → session subscriptions
-	total    *obs.Counter // sessions ever accepted
+	total *obs.Counter // sessions ever accepted
 
 	framesIn  *obs.Counter
 	framesOut *obs.Counter
@@ -38,8 +36,6 @@ type serverMetrics struct {
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	return &serverMetrics{
 		tracer:        obs.NewTracer(obs.WallClock),
-		sessions:      reg.Gauge("server.sessions"),
-		subs:          reg.Gauge("server.subscriptions"),
 		total:         reg.Counter("server.sessions_total"),
 		framesIn:      reg.Counter("server.frames_in"),
 		framesOut:     reg.Counter("server.frames_out"),
@@ -56,4 +52,20 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		recoveries:    reg.Counter("server.recoveries"),
 		fullAnswers:   reg.Counter("server.full_answers"),
 	}
+}
+
+// registerStateGauges adds the gauges that restate the server's own
+// tables: server.sessions (live sessions) and server.subscriptions
+// (query → session subscriptions), read under s.mu at scrape time.
+func (s *Server) registerStateGauges(reg *obs.Registry) {
+	reg.GaugeFunc("server.sessions", func() int64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return int64(len(s.sessions))
+	})
+	reg.GaugeFunc("server.subscriptions", func() int64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return int64(len(s.subs))
+	})
 }

@@ -33,14 +33,14 @@ func TestServerMetricsObserveTraffic(t *testing.T) {
 	evaluateUntil(t, s, func() bool { return s.NumObjects() == 1 && s.NumQueries() == 1 })
 	waitEvent(t, c, client.EventUpdates)
 
-	if got := sreg.Gauge("server.sessions").Value(); got != 1 {
-		t.Errorf("server.sessions = %d, want 1", got)
+	if got := sreg.Flatten()["server.sessions"]; got != 1 {
+		t.Errorf("server.sessions = %v, want 1", got)
 	}
 	if got := sreg.Counter("server.sessions_total").Value(); got != 1 {
 		t.Errorf("server.sessions_total = %d, want 1", got)
 	}
-	if got := sreg.Gauge("server.subscriptions").Value(); got != 1 {
-		t.Errorf("server.subscriptions = %d, want 1", got)
+	if got := sreg.Flatten()["server.subscriptions"]; got != 1 {
+		t.Errorf("server.subscriptions = %v, want 1", got)
 	}
 	if got := sreg.Counter("server.evaluations").Value(); got == 0 {
 		t.Error("server.evaluations = 0 after Evaluate calls")
@@ -110,11 +110,11 @@ func TestServerMetricsObserveTraffic(t *testing.T) {
 	// Disconnect: the sessions gauge returns to zero.
 	c.Close()
 	deadline = time.After(5 * time.Second)
-	for sreg.Gauge("server.sessions").Value() != 0 {
+	for sreg.Flatten()["server.sessions"] != 0 {
 		select {
 		case <-deadline:
-			t.Fatalf("server.sessions = %d after client close, want 0",
-				sreg.Gauge("server.sessions").Value())
+			t.Fatalf("server.sessions = %v after client close, want 0",
+				sreg.Flatten()["server.sessions"])
 		case <-time.After(5 * time.Millisecond):
 		}
 	}

@@ -89,12 +89,6 @@ type Config struct {
 	// shards evaluating in parallel. Negative values are rejected.
 	Shards int
 
-	// ShardHalo is the absolute halo margin added around each tile
-	// engine's region when Shards > 1 (shard.Options.Halo). It only
-	// tunes index resolution at tile seams — answers are invariant
-	// under it; 0 picks one global grid cell.
-	ShardHalo float64
-
 	// ShardRepartition configures the sharded engine's load-aware
 	// split/merge policy when Shards > 1; the zero value leaves the
 	// partition static.
@@ -310,6 +304,7 @@ func Listen(addr string, cfg Config) (*Server, error) {
 		}
 		engine.Step(0)
 	}
+	s.registerStateGauges(cfg.Metrics)
 
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -376,7 +371,7 @@ func newProcessor(cfg Config) (core.Processor, error) {
 		rows, cols := shard.Split(cfg.Shards)
 		return shard.New(shard.Options{
 			Core: cfg.Engine, Rows: rows, Cols: cols,
-			Halo: cfg.ShardHalo, Repartition: cfg.ShardRepartition,
+			Repartition: cfg.ShardRepartition,
 		})
 	default:
 		return core.NewEngine(cfg.Engine)
@@ -596,7 +591,6 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	s.sessions[sess] = struct{}{}
 	s.mu.Unlock()
-	s.m.sessions.Add(1)
 	s.m.total.Inc()
 	go s.sessionWriter(sess)
 	defer func() {
@@ -605,7 +599,6 @@ func (s *Server) handleConn(conn net.Conn) {
 		sess.markDead()
 		sess.closeOutbox()
 		s.mu.Unlock()
-		s.m.sessions.Add(-1)
 		<-sess.writerDone
 	}()
 	r := wire.NewReaderLimit(conn, s.maxFrame)
@@ -651,7 +644,6 @@ func (s *Server) handleMessage(sess *session, msg wire.Message) {
 		} else {
 			s.subs[m.Update.ID] = sess
 		}
-		s.m.subs.Set(int64(len(s.subs)))
 	case wire.Commit:
 		s.handleCommit(sess, m)
 	case wire.Wakeup:
@@ -704,7 +696,6 @@ func (s *Server) handleCommit(sess *session, m wire.Commit) {
 func (s *Server) handleWakeup(sess *session, m wire.Wakeup) {
 	q := m.Update.ID
 	s.subs[q] = sess
-	s.m.subs.Set(int64(len(s.subs)))
 
 	if _, known := s.engine.Answer(q); !known {
 		// Server restarted (or never saw the query): re-register from the

@@ -42,7 +42,7 @@ func runDifferential(t *testing.T, seed int64, rows, cols, steps int) {
 		PredictiveHorizon: 50,
 	}
 	single := core.MustNewEngine(copt)
-	sharded, err := New(Options{Core: copt, Rows: rows, Cols: cols, PadTiles: rng.Intn(2)})
+	sharded, err := New(Options{Core: copt, Rows: rows, Cols: cols})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -262,7 +262,7 @@ func mergeColdest(t *testing.T, e *Engine) {
 func TestHaloCrossingQueryAcrossSplit(t *testing.T) {
 	e := MustNew(Options{
 		Core: core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: 8},
-		Rows: 1, Cols: 2, Halo: 0.05,
+		Rows: 1, Cols: 2,
 	})
 	defer e.Close()
 
@@ -315,8 +315,9 @@ func TestHaloCrossingQueryAcrossSplit(t *testing.T) {
 // TestPredictiveFanoutBounded pins the swept-region routing bound: with
 // a MaxSpeed cap a predictive query replicates only to tiles
 // overlapping its region expanded by MaxSpeed·PredictiveHorizon plus
-// the halo — not to every tile — and the shard.query_replicas
-// histogram records that fan-out. Without a cap it must broadcast.
+// the halo (one grid cell, 0.125 here) — 9 of the 16 tiles, not every
+// tile — and the shard.query_replicas histogram records that fan-out.
+// Without a cap it must broadcast.
 func TestPredictiveFanoutBounded(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := MustNew(Options{
@@ -325,7 +326,7 @@ func TestPredictiveFanoutBounded(t *testing.T) {
 			PredictiveHorizon: 10, MaxSpeed: 0.004,
 			Metrics: reg,
 		},
-		Rows: 4, Cols: 4, Halo: 0.01,
+		Rows: 4, Cols: 4,
 	})
 	defer e.Close()
 
@@ -339,8 +340,8 @@ func TestPredictiveFanoutBounded(t *testing.T) {
 	if !slices.Equal(qi.coverage, want) {
 		t.Fatalf("predictive coverage %v, want swept-region tiles %v", qi.coverage, want)
 	}
-	if len(qi.coverage) >= e.NumTiles() {
-		t.Fatalf("swept-region routing did not bound fan-out: %d of %d tiles", len(qi.coverage), e.NumTiles())
+	if len(qi.coverage) != 9 {
+		t.Fatalf("swept-region routing did not bound fan-out: %d of %d tiles, want 9", len(qi.coverage), e.NumTiles())
 	}
 	if got := reg.Flatten()["shard.query_replicas.count"]; got != 1 {
 		t.Fatalf("replica fan-out histogram saw %v observations, want 1", got)

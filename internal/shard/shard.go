@@ -21,17 +21,17 @@
 //     by MaxSpeed·PredictiveHorizon overlaps (every tile when MaxSpeed
 //     is unset: a predictive object's trajectory can then reach a
 //     distant query region from any tile); kNN queries to every tile
-//     overlapping their focal circle plus a configurable padding ring,
+//     overlapping their focal circle plus a one-tile padding ring,
 //     re-replicated whenever the circle grows.
-//   - Each tile engine spans only its own tile plus a halo margin: its
-//     core.Options.Region is the tile rectangle expanded by Options.Halo
-//     (clipped to the global bounds), so the spatial index resolution
-//     concentrates where the tile's objects actually are. Correctness
-//     does not depend on the halo — engine answers are invariant under
-//     the Region choice (predicates evaluate raw geometry; the grid is
-//     only a candidate generator; see core.Options.Region) — it exists
-//     so a replica's clipped region and its owned objects stay well
-//     inside the tile's index.
+//   - Each tile engine spans only its own tile plus a halo margin of one
+//     global grid cell: its core.Options.Region is the tile rectangle
+//     expanded by the halo (clipped to the global bounds), so the
+//     spatial index resolution concentrates where the tile's objects
+//     actually are. Correctness does not depend on the halo — engine
+//     answers are invariant under the Region choice (predicates
+//     evaluate raw geometry; the grid is only a candidate generator;
+//     see core.Options.Region) — it exists so a replica's clipped
+//     region and its owned objects stay well inside the tile's index.
 //   - The tiling is a binary split forest over an initial Rows×Cols
 //     grid: a hot tile splits into two halves along its longer axis, two
 //     cold sibling leaves merge back into their parent rectangle, and
@@ -65,25 +65,13 @@ import (
 type Options struct {
 	// Core configures each per-tile engine. Core.Bounds is the global
 	// monitored space; each tile engine receives a copy whose Region is
-	// the tile's rectangle expanded by Halo. Core.Region must be unset
-	// (the router owns it). Required.
+	// the tile's rectangle expanded by the halo, one global grid cell
+	// (max bounds extent / Core.GridN). Core.Region must be unset (the
+	// router owns it). Required.
 	Core core.Options
 
 	// Rows, Cols shape the initial tile grid. Both default to 1.
 	Rows, Cols int
-
-	// PadTiles is the kNN replication padding: a kNN query is
-	// replicated to every tile overlapping its focal circle grown by
-	// this many initial tile widths, so small circle growth does not
-	// force a re-replication every step. Defaults to 1.
-	PadTiles int
-
-	// Halo is the absolute margin added around each tile's rectangle to
-	// form its engine Region, and the slack added to the predictive
-	// swept-region routing. It only tunes index resolution at the seams
-	// — answers are invariant under it. 0 picks one global grid cell
-	// (max bounds extent / Core.GridN); negative is an error.
-	Halo float64
 
 	// Repartition configures load-aware tile splitting and merging.
 	// Disabled unless Repartition.Enable is set; SplitTile and
@@ -127,29 +115,17 @@ func (o *Options) withDefaults() (Options, error) {
 	if out.Rows < 1 || out.Cols < 1 {
 		return out, fmt.Errorf("shard: Options.Rows and Cols must be positive, got %d x %d", out.Rows, out.Cols)
 	}
-	if out.PadTiles == 0 {
-		out.PadTiles = 1
-	}
-	if out.PadTiles < 0 {
-		return out, fmt.Errorf("shard: Options.PadTiles must be non-negative, got %d", out.PadTiles)
-	}
-	if out.Halo < 0 {
-		return out, fmt.Errorf("shard: Options.Halo must be non-negative, got %v", out.Halo)
-	}
 	if out.Core.Region != (geo.Rect{}) && out.Core.Region != out.Core.Bounds {
 		return out, fmt.Errorf("shard: Options.Core.Region is owned by the router, leave it unset")
 	}
 	// Resolve the core defaults once, up front: the router needs the
-	// effective GridN (halo default), PredictiveHorizon and MaxSpeed
+	// effective GridN (the halo), PredictiveHorizon and MaxSpeed
 	// (swept-region routing) before any tile engine exists.
 	c, err := out.Core.Normalized()
 	if err != nil {
 		return out, err
 	}
 	out.Core = c
-	if out.Halo == 0 {
-		out.Halo = math.Max(c.Bounds.Width(), c.Bounds.Height()) / float64(c.GridN)
-	}
 	r := &out.Repartition
 	if r.Interval == 0 {
 		r.Interval = 16
@@ -336,8 +312,8 @@ type tnode struct {
 // Engine is the sharded processor. See the package documentation.
 type Engine struct {
 	opt   Options
-	halo  float64
-	tileW float64 // initial tile width (kNN pad unit, stable across repartitions)
+	halo  float64 // margin around each tile's rectangle: one global grid cell
+	tileW float64 // initial tile width (kNN pad, stable across repartitions)
 	tileH float64
 
 	tiles  []Tile      // by tile id; nil once retired (ids are never reused)
@@ -404,7 +380,7 @@ func NewWithTiles(opt Options, factory TileFactory) (*Engine, error) {
 	b := o.Core.Bounds
 	e := &Engine{
 		opt:     o,
-		halo:    o.Halo,
+		halo:    math.Max(b.Width(), b.Height()) / float64(o.Core.GridN),
 		objs:    make(map[core.ObjectID]*objInfo),
 		qrys:    make(map[core.QueryID]*queryInfo),
 		candKNN: make(map[core.ObjectID]map[core.QueryID]struct{}),
@@ -635,11 +611,12 @@ func (e *Engine) allLive(dst []int) []int {
 }
 
 // knnCoverage appends the tiles a kNN query must be replicated to for a
-// focal circle of the given radius, padded by PadTiles initial tile
-// widths. The pad is a replication-churn damper, not a correctness
-// bound — settleKNN's fixpoint supplies that.
+// focal circle of the given radius, padded by one initial tile width so
+// small circle growth does not force a re-replication every step. The
+// pad is a replication-churn damper, not a correctness bound —
+// settleKNN's fixpoint supplies that.
 func (e *Engine) knnCoverage(focal geo.Point, radius float64, dst []int) []int {
-	pad := float64(e.opt.PadTiles) * math.Max(e.tileW, e.tileH)
+	pad := math.Max(e.tileW, e.tileH)
 	return e.tilesOverlapping(geo.RectAround(focal, radius+pad), dst)
 }
 

@@ -62,7 +62,6 @@ func TestOptionsValidation(t *testing.T) {
 	bad := []Options{
 		{Core: core.Options{Bounds: geo.R(0, 0, 1, 1)}, Rows: -1},
 		{Core: core.Options{Bounds: geo.R(0, 0, 1, 1)}, Cols: -2},
-		{Core: core.Options{Bounds: geo.R(0, 0, 1, 1)}, PadTiles: -1},
 		{Core: core.Options{}}, // invalid core bounds
 	}
 	for i, o := range bad {

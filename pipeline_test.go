@@ -263,14 +263,15 @@ func runPipelineThroughServer(t *testing.T, batches [][]trace.Record, direct *cq
 
 	// The server's ledger must agree with what both endpoints saw.
 	counter := func(name string) uint64 { return reg.Counter(name).Value() }
-	if got := reg.Gauge("server.sessions").Value(); got != int64(sessions) {
-		t.Errorf("server.sessions = %d, want %d", got, sessions)
+	flat := reg.Flatten()
+	if got := flat["server.sessions"]; got != float64(sessions) {
+		t.Errorf("server.sessions = %v, want %d", got, sessions)
 	}
 	if got := counter("server.sessions_total"); got != uint64(sessions) {
 		t.Errorf("server.sessions_total = %d, want %d", got, sessions)
 	}
-	if got := reg.Gauge("server.subscriptions").Value(); got != int64(queries) {
-		t.Errorf("server.subscriptions = %d, want %d", got, queries)
+	if got := flat["server.subscriptions"]; got != float64(queries) {
+		t.Errorf("server.subscriptions = %v, want %d", got, queries)
 	}
 	// Every report traveled one frame; the clients also wrote
 	// the initial hello-free stream, so frames_in is exactly the
