@@ -9,8 +9,8 @@ import (
 // The kNN merge. Each tile replica maintains its *local* top-k: the k
 // nearest of the tile's own objects. The local top-k of every covered
 // tile is a superset of that tile's contribution to the global top-k,
-// so the union of local answers — the candidacy refcounts in
-// queryInfo.count — always contains the exact global answer, provided
+// so the union of local answers — the merged candidate set in
+// queryInfo.cands — always contains the exact global answer, provided
 // the coverage is wide enough. settleKNN establishes "wide enough" as a
 // fixpoint: after ranking the candidates by distance, any uncovered
 // live tile that could still hold a closer object (MinDist(focal, tile)
@@ -35,8 +35,8 @@ type cand struct {
 // rankedCandidates returns the query's live merge candidates ordered by
 // (distance to focal, ObjectID).
 func (e *Engine) rankedCandidates(qi *queryInfo) []cand {
-	cands := make([]cand, 0, len(qi.count))
-	for o := range qi.count {
+	cands := make([]cand, 0, len(qi.cands))
+	for _, o := range qi.cands {
 		info, ok := e.objs[o]
 		if !ok {
 			continue // removed this batch; its retraction is already merged
@@ -116,46 +116,27 @@ func (e *Engine) settleKNN(m *mergeState, qi *queryInfo, now float64) {
 				e.tiles[t].ReportQuery(def)
 			}
 			qi.coverage = unionSorted(make([]int, 0, len(qi.coverage)+len(grow)), qi.coverage, grow)
-			qi.covEpoch = e.stepSeq
 			// Sub-step only the newly covered tiles, at the step's own
 			// timestamp: their engines register the replica and report
 			// its local top-k, which absorb folds into the candidates.
 			e.m.knnSubsteps.Add(uint64(len(grow)))
-			for _, batch := range e.stepTiles(grow, now) {
-				e.absorb(m, batch)
-			}
+			e.absorb(m, e.stepTiles(grow, now))
 		}
 	}
 
-	n := len(cands)
-	if n > qi.k {
-		n = qi.k
-	}
-	newAns := make(map[core.ObjectID]struct{}, n)
-	for i := 0; i < n; i++ {
-		newAns[cands[i].id] = struct{}{}
-	}
-	// Diff in object order (not map order): emissions append to the
-	// merged update stream, which must be replay-stable.
-	var drop []core.ObjectID
-	for o := range qi.answer {
-		if _, still := newAns[o]; !still {
-			drop = append(drop, o)
+	top := m.memBuf[:0]
+	for _, c := range cands {
+		if len(top) == qi.k {
+			break
 		}
+		top = append(top, c.id)
 	}
-	slices.Sort(drop)
-	for _, o := range drop {
-		e.emit(m, qi.id, o, false)
+	qi.radius = 0
+	if len(top) > 0 {
+		qi.radius = cands[len(top)-1].dist
 	}
-	for i := 0; i < n; i++ {
-		if _, had := qi.answer[cands[i].id]; !had {
-			e.emit(m, qi.id, cands[i].id, true)
-		}
-	}
-	qi.answer = newAns
-	if n > 0 {
-		qi.radius = cands[n-1].dist
-	} else {
-		qi.radius = 0
-	}
+	slices.Sort(top)
+	m.out = appendDiff(m.out, qi.id, qi.answer, top)
+	qi.answer = append(qi.answer[:0], top...)
+	m.memBuf = top[:0]
 }

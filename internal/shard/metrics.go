@@ -18,8 +18,7 @@ type shardMetrics struct {
 
 	steps         *obs.Counter
 	migrations    *obs.Counter // cross-tile object moves (remove+insert splits)
-	netted        *obs.Counter // merge-dedup hits: touched pairs whose transitions canceled
-	bypassed      *obs.Counter // updates absorbed via the single-replica fast path
+	netted        *obs.Counter // merge-dedup hits: (query, object) pairs whose updates in one round canceled
 	knnSubsteps   *obs.Counter // tiles sub-stepped by the kNN settle fixpoint
 	mergedUpdates *obs.Counter // updates emitted after the merge
 	tileSplits    *obs.Counter // hot-tile splits applied
@@ -43,7 +42,6 @@ func newShardMetrics(reg *obs.Registry, clock obs.Clock) *shardMetrics {
 		steps:          reg.Counter("shard.steps"),
 		migrations:     reg.Counter("shard.migrations"),
 		netted:         reg.Counter("shard.merge.netted"),
-		bypassed:       reg.Counter("shard.merge.bypassed"),
 		knnSubsteps:    reg.Counter("shard.knn.substeps"),
 		mergedUpdates:  reg.Counter("shard.updates.merged"),
 		tileSplits:     reg.Counter("shard.tile_splits"),

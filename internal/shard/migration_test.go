@@ -6,6 +6,7 @@ import (
 
 	"cqp/internal/core"
 	"cqp/internal/geo"
+	"cqp/internal/obs"
 )
 
 // Cross-shard object migration is the delicate spot of the routing
@@ -51,9 +52,20 @@ func TestMigrationBetweenDisjointQueries(t *testing.T) {
 // TestMigrationWithinSpanningQuery: the object crosses the tile
 // boundary but stays inside one query spanning both tiles — the old
 // tile's negative and the new tile's positive must cancel to zero
-// emitted updates, with the object never leaving the answer.
+// emitted updates, with the object never leaving the answer. The
+// cancellation counts once in shard.merge.netted: one per (query,
+// object) pair, not one per update.
 func TestMigrationWithinSpanningQuery(t *testing.T) {
-	e := newTestShard(t, 1, 2)
+	reg := obs.NewRegistry()
+	e, err := New(Options{
+		Core: core.Options{Bounds: geo.R(0, 0, 10, 10), GridN: 8, Metrics: reg},
+		Rows: 1, Cols: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	netted := reg.Counter("shard.merge.netted")
 	const q = core.QueryID(1)
 	e.ReportQuery(core.QueryUpdate{ID: q, Kind: core.Range, Region: geo.R(2, 2, 8, 8)})
 	e.ReportObject(core.ObjectUpdate{ID: 1, Kind: core.Moving, Loc: geo.Pt(4, 5)})
@@ -62,6 +74,7 @@ func TestMigrationWithinSpanningQuery(t *testing.T) {
 		t.Fatalf("setup answer = %v", got)
 	}
 
+	before := netted.Value()
 	e.ReportObject(core.ObjectUpdate{ID: 1, Kind: core.Moving, Loc: geo.Pt(6, 5), T: 1})
 	updates := e.Step(1)
 	if len(updates) != 0 {
@@ -69,6 +82,43 @@ func TestMigrationWithinSpanningQuery(t *testing.T) {
 	}
 	if got := answerOf(t, e, q); !idsEqual(got, []core.ObjectID{1}) {
 		t.Fatalf("answer after migration = %v", got)
+	}
+	if got := netted.Value() - before; got != 1 {
+		t.Fatalf("shard.merge.netted grew by %d, want 1 (one cancelled pair)", got)
+	}
+}
+
+// TestMigrationRemoveReaddSameStep: an object removed and re-reported
+// in one step, staying inside a query, is an in-batch transient. The
+// merge drops it whether the query sits on one tile or spans both: no
+// update, answer unchanged.
+func TestMigrationRemoveReaddSameStep(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		region geo.Rect
+	}{
+		{"one-tile", geo.R(1, 4, 3, 6)},
+		{"spanning", geo.R(2, 2, 8, 8)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newTestShard(t, 1, 2)
+			const q, o = core.QueryID(1), core.ObjectID(7)
+			e.ReportQuery(core.QueryUpdate{ID: q, Kind: core.Range, Region: tc.region})
+			e.ReportObject(core.ObjectUpdate{ID: o, Kind: core.Moving, Loc: geo.Pt(2.5, 5)})
+			e.Step(0)
+			if got := answerOf(t, e, q); !idsEqual(got, []core.ObjectID{o}) {
+				t.Fatalf("setup answer = %v", got)
+			}
+
+			e.ReportObject(core.ObjectUpdate{ID: o, Remove: true, T: 1})
+			e.ReportObject(core.ObjectUpdate{ID: o, Kind: core.Moving, Loc: geo.Pt(2.5, 5), T: 1})
+			if updates := e.Step(1); len(updates) != 0 {
+				t.Fatalf("remove and re-add inside the query must emit nothing, got %v", updates)
+			}
+			if got := answerOf(t, e, q); !idsEqual(got, []core.ObjectID{o}) {
+				t.Fatalf("answer after remove and re-add = %v", got)
+			}
+		})
 	}
 }
 

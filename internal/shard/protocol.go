@@ -13,30 +13,6 @@ import (
 // replicated to three tiles has one global answer and one committed
 // snapshot, both held here.
 
-// answerIDs returns the merged global answer of a query in ascending
-// ObjectID order.
-func (e *Engine) answerIDs(qi *queryInfo) []core.ObjectID {
-	var out []core.ObjectID
-	switch {
-	case qi.kind == core.KNN:
-		out = make([]core.ObjectID, 0, len(qi.answer))
-		for o := range qi.answer {
-			out = append(out, o)
-		}
-	case qi.count == nil:
-		return slices.Clone(qi.ans) // bypass mode: already sorted
-	default:
-		out = make([]core.ObjectID, 0, len(qi.count))
-		for o, c := range qi.count {
-			if c > 0 {
-				out = append(out, o)
-			}
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
 // Answer returns the current merged answer of q in ascending ObjectID
 // order, or nil and false if q is unknown.
 func (e *Engine) Answer(q core.QueryID) ([]core.ObjectID, bool) {
@@ -44,7 +20,7 @@ func (e *Engine) Answer(q core.QueryID) ([]core.ObjectID, bool) {
 	if !ok {
 		return nil, false
 	}
-	return e.answerIDs(qi), true
+	return append(make([]core.ObjectID, 0, len(qi.answer)), qi.answer...), true
 }
 
 // AnswerChecksum returns the order-independent checksum of q's current
@@ -54,20 +30,13 @@ func (e *Engine) AnswerChecksum(q core.QueryID) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	if qi.kind != core.KNN && qi.count == nil {
-		return core.ChecksumIDs(qi.ans), true
-	}
-	return core.ChecksumIDs(e.answerIDs(qi)), true
+	return core.ChecksumIDs(qi.answer), true
 }
 
 // commitNow snapshots the current merged answer as the committed
 // answer, reusing the previous snapshot's backing array.
 func (e *Engine) commitNow(qi *queryInfo) {
-	if qi.kind != core.KNN && qi.count == nil {
-		qi.committed = append(qi.committed[:0], qi.ans...)
-	} else {
-		qi.committed = append(qi.committed[:0], e.answerIDs(qi)...)
-	}
+	qi.committed = append(qi.committed[:0], qi.answer...)
 }
 
 // Commit records that q's client provably received the stream so far.
@@ -115,45 +84,41 @@ func (e *Engine) SeedCommitted(q core.QueryID, objs []core.ObjectID) bool {
 
 // Recover returns the updates an out-of-sync client needs — the diff
 // between the committed and current merged answers, negatives first —
-// and then commits, exactly as core.Engine.Recover does. Both sides of
-// the diff are ascending ObjectID slices, so the diff is a single
-// linear pass.
+// and then commits, exactly as core.Engine.Recover does.
 func (e *Engine) Recover(q core.QueryID) ([]core.Update, bool) {
 	qi, ok := e.qrys[q]
 	if !ok {
 		return nil, false
 	}
-	var answer []core.ObjectID
-	if qi.kind != core.KNN && qi.count == nil {
-		answer = qi.ans
-	} else {
-		answer = e.answerIDs(qi)
-	}
-	var out []core.Update
-	// Negatives first (the client prunes before it grows), then
-	// ascending ObjectID — the same order as core.Engine.Recover.
-	i, j := 0, 0
-	for i < len(qi.committed) {
-		for j < len(answer) && answer[j] < qi.committed[i] {
+	out := appendDiff(nil, q, qi.committed, qi.answer)
+	e.commitNow(qi)
+	return out, true
+}
+
+// appendDiff appends to out the updates that turn answer from into
+// answer to, both ascending ObjectID slices: negatives first (a client
+// prunes before it grows), then positives, each in ascending ObjectID
+// order — the same order as core.Engine.Recover.
+func appendDiff(out []core.Update, q core.QueryID, from, to []core.ObjectID) []core.Update {
+	j := 0
+	for _, o := range from {
+		for j < len(to) && to[j] < o {
 			j++
 		}
-		if j >= len(answer) || answer[j] != qi.committed[i] {
-			out = append(out, core.Update{Query: q, Object: qi.committed[i], Positive: false})
+		if j == len(to) || to[j] != o {
+			out = append(out, core.Update{Query: q, Object: o, Positive: false})
 		}
-		i++
 	}
-	i, j = 0, 0
-	for j < len(answer) {
-		for i < len(qi.committed) && qi.committed[i] < answer[j] {
+	i := 0
+	for _, o := range to {
+		for i < len(from) && from[i] < o {
 			i++
 		}
-		if i >= len(qi.committed) || qi.committed[i] != answer[j] {
-			out = append(out, core.Update{Query: q, Object: answer[j], Positive: true})
+		if i == len(from) || from[i] != o {
+			out = append(out, core.Update{Query: q, Object: o, Positive: true})
 		}
-		j++
 	}
-	qi.committed = append(qi.committed[:0], answer...)
-	return out, true
+	return out
 }
 
 // Stats returns the router's activity counters. Step, report, and

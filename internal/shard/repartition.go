@@ -33,13 +33,12 @@ import (
 //     exactly the replication path. Both walks are in sorted id order,
 //     so the handoff is replay-stable.
 //  3. Sub-step the dying and born tiles together at the step's own
-//     timestamp, absorbing their batches into the step's merge state
-//     with the refcounts forced on (mergeState.handoff): the dying
+//     timestamp and absorb their batches as one round: the dying
 //     replicas retract every member the born replicas simultaneously
-//     assert, the pairs net to silence in emitSetTransitions, and the
-//     merged stream is bit-identical to a run that never repartitioned.
-//     (A kNN answer likewise cannot change: candidacy moves between
-//     tiles but the candidate set and all distances are preserved.)
+//     assert, each pair nets to no change in fold, and the merged
+//     stream is bit-identical to a run that never repartitioned. (A
+//     kNN answer likewise cannot change: candidacy moves between tiles
+//     but the candidate set and all distances are preserved.)
 //  4. Destroy the dying transports.
 //
 // The policy (maybeRepartition) is driven by the same two signals the
@@ -324,23 +323,15 @@ func (e *Engine) handoff(m *mergeState, dying, born []int) {
 		}
 		// No removal is sent to the dying replicas: their whole engine
 		// is discarded after the sub-step, and the sub-step itself must
-		// still see the replica so it retracts its members. The handoff
-		// sub-step nets the dying and born replicas' streams through the
-		// refcounts, so a bypass-mode query expands back first.
-		qi.materializeCount()
+		// still see the replica so it retracts its members.
 		qi.coverage = newCov
-		qi.covEpoch = e.stepSeq
 	}
 
-	// Sub-step dying and born together; the refcounts net the −/+
-	// pairs to silence.
+	// Sub-step dying and born together; the fold nets the −/+ pairs to
+	// silence.
 	parts := append(append(make([]int, 0, len(dying)+len(born)), dying...), born...)
 	slices.Sort(parts)
-	m.handoff = true
-	for _, batch := range e.stepTiles(parts, e.now) {
-		e.absorb(m, batch)
-	}
-	m.handoff = false
+	e.absorb(m, e.stepTiles(parts, e.now))
 }
 
 // queryDef reconstructs the full (unclipped) definition update of a

@@ -39,11 +39,12 @@
 //     replication paths inside the step, so the merged stream never
 //     shows a seam (see repartition.go).
 //   - Step broadcasts the evaluation to all live tiles, runs them in
-//     parallel, and merges the resulting streams: membership refcounts
-//     deduplicate positives/negatives for queries replicated to several
-//     tiles — queries covered by exactly one tile bypass the refcount
-//     and stream straight through — and kNN answers are merged to the
-//     exact global top-k at the router (see knn.go).
+//     parallel, and merges the resulting streams with one sorted fold
+//     per query: every object has one owning tile, so a query's merged
+//     membership is the disjoint union of its replicas' memberships, and
+//     a pair retracted by one tile and asserted by another in the same
+//     round nets to nothing (see absorb). kNN answers are then merged to
+//     the exact global top-k at the router (see knn.go).
 //
 // The Engine satisfies core.Processor and is a drop-in replacement for
 // *core.Engine behind internal/server. Like the core engine it is not
@@ -54,7 +55,6 @@ package shard
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"cqp/internal/core"
@@ -168,8 +168,8 @@ type objInfo struct {
 }
 
 // queryInfo is the router's record of one query: its definition (for
-// replication), the tiles currently holding a replica, the per-object
-// replica-membership refcounts, and the globally merged answer state.
+// replication), the tiles currently holding a replica, and the globally
+// merged membership and answer, each an ascending ObjectID slice.
 type queryInfo struct {
 	id   core.QueryID
 	kind core.QueryKind
@@ -187,70 +187,22 @@ type queryInfo struct {
 	// live tiles (repartitions rewrite it in the same step).
 	coverage []int
 
-	// covEpoch is the router step that last changed the coverage set.
-	// The single-replica merge bypass requires a step in which the
-	// coverage did not change: only then is the sole replica's stream
-	// already the exact merged stream (see absorb).
-	covEpoch uint64
+	// answer is the merged global answer. For Range and PredictiveRange
+	// queries it is the fold's membership: the union of what the
+	// replicas report, each object owned by exactly one tile. For KNN
+	// queries it is the exact global top-k that settleKNN ranks out of
+	// cands.
+	answer []core.ObjectID
 
-	// count refcounts, per object, how many replicas currently report
-	// it as a member. For Range and PredictiveRange queries an object
-	// is owned by exactly one tile, so the merged global answer is
-	// simply {o : count[o] > 0}; the refcount deduplicates the
-	// transient −/+ pairs of cross-tile migrations. For KNN queries
-	// count tracks *candidacy* (membership in some tile's local top-k)
-	// and the exact global answer is maintained separately.
-	//
-	// count is nil while the query rides the single-replica merge
-	// bypass: with one replica there is nothing to deduplicate, so the
-	// answer lives in ans instead and the map is dropped. Any event
-	// that re-enters the refcount path — coverage change, repartition
-	// handoff, removal — materializes count again (materializeCount).
-	count map[core.ObjectID]int
-
-	// ans is the merged answer as a sorted ObjectID slice, valid only
-	// in bypass mode (count == nil, never for KNN). Tile batches are
-	// (Query, Object)-sorted, so the bypass folds a query's update run
-	// into ans with one linear merge — no per-update map traffic — and
-	// the auto-commit snapshot of a moving query is a memcopy.
-	ans []core.ObjectID
-
-	// answer is the exact global top-k of a KNN query; nil for other
-	// kinds (their answer is derived from count).
-	answer map[core.ObjectID]struct{}
+	// cands is a KNN query's merged candidate set, the fold's membership
+	// for that kind: the union of the replicas' local top-k. Empty for
+	// other kinds.
+	cands []core.ObjectID
 
 	// committed is the last committed answer in ascending ObjectID
 	// order; empty until the first commit. Never-committed and
 	// committed-empty coincide, exactly as they do observably in core.
 	committed []core.ObjectID
-}
-
-// materializeCount switches a bypass-mode query back to refcount mode:
-// every member of the sorted answer holds exactly one replica's claim.
-func (qi *queryInfo) materializeCount() {
-	if qi.count != nil {
-		return
-	}
-	qi.count = make(map[core.ObjectID]int, len(qi.ans))
-	for _, o := range qi.ans {
-		qi.count[o] = 1
-	}
-	qi.ans = qi.ans[:0]
-}
-
-// materializeAns switches a refcount-mode query to the bypass's sorted-
-// slice answer. Only called when the query has held a single replica
-// through a full settled step, which guarantees every refcount is 0 or
-// 1 — the slice is exactly {o : count[o] > 0}.
-func (qi *queryInfo) materializeAns() {
-	qi.ans = qi.ans[:0]
-	for o, c := range qi.count {
-		if c > 0 {
-			qi.ans = append(qi.ans, o)
-		}
-	}
-	slices.Sort(qi.ans)
-	qi.count = nil
 }
 
 // covHas reports whether sorted coverage contains tile t.
@@ -345,7 +297,6 @@ type Engine struct {
 	qryBuf   []core.QueryUpdate
 	covBuf   []int           // coverage scratch, reused per query update
 	covBuf2  []int           // second coverage scratch (kNN union)
-	ansBuf   []core.ObjectID // bypass answer-merge scratch (see absorbBypass)
 	batchBuf [][]core.Update // broadcast scratch
 	merge    mergeState      // step scratch, reused across Steps
 

@@ -21,25 +21,12 @@ func (e *Engine) ReportQuery(u core.QueryUpdate) {
 // Pending returns the number of buffered, not yet processed reports.
 func (e *Engine) Pending() int { return len(e.objBuf) + len(e.qryBuf) }
 
-// pair identifies one (query, object) membership decision during a
-// merge.
-type pair struct {
-	q core.QueryID
-	o core.ObjectID
-}
-
-// mergeState is the scratch state of one router Step: the pre-step
-// membership of every touched pair (so each pair emits at most one net
-// transition regardless of how many tile streams mention it), the KNN
-// queries needing a global re-rank, the queries and objects removed in
-// this batch, and the merged output. It lives on the Engine and is
-// reset, not reallocated, every step.
+// mergeState is the scratch state of one router Step: the KNN queries
+// needing a global re-rank, the queries and objects removed in this
+// batch, the fold's reusable buffers, and the merged output. It lives
+// on the Engine and is reset, not reallocated, every step.
 type mergeState struct {
-	prior      map[pair]bool
-	touched    []pair
-	knnDirty   map[core.QueryID]struct{}
-	priorHW    int // high-water len, see resetMap
-	knnDirtyHW int
+	knnDirty map[core.QueryID]struct{}
 
 	removedQrys map[core.QueryID]*queryInfo
 	removedObjs map[core.ObjectID]struct{}
@@ -49,13 +36,14 @@ type mergeState struct {
 	// under the same ID). Tile streams may still carry phase-1 negatives
 	// emitted by the old replicas before the teardown reached them;
 	// those refer to the old incarnation's membership and must not fold
-	// into the fresh counts (see absorb).
+	// into the fresh membership (see fold).
 	resetQrys map[core.QueryID]struct{}
 
-	// handoff marks the repartition handoff sub-step: every pair goes
-	// through the refcounts so the dying and born replicas' −/+ streams
-	// net to silence (see repartition.go).
-	handoff bool
+	// Scratch reused by every absorb round: per-batch read cursors, one
+	// query's per-tile runs, and the fold's output membership.
+	cursors []int
+	runs    [][]core.Update
+	memBuf  []core.ObjectID
 
 	out []core.Update
 }
@@ -63,42 +51,19 @@ type mergeState struct {
 // beginMerge resets the engine's merge scratch for a new step.
 func (e *Engine) beginMerge(out []core.Update) *mergeState {
 	m := &e.merge
-	if m.prior == nil {
-		m.prior = make(map[pair]bool)
+	if m.knnDirty == nil {
 		m.knnDirty = make(map[core.QueryID]struct{})
 		m.removedQrys = make(map[core.QueryID]*queryInfo)
 		m.removedObjs = make(map[core.ObjectID]struct{})
 		m.resetQrys = make(map[core.QueryID]struct{})
 	} else {
-		m.prior = resetMap(m.prior, &m.priorHW)
-		m.knnDirty = resetMap(m.knnDirty, &m.knnDirtyHW)
+		clear(m.knnDirty)
 		clear(m.removedQrys)
 		clear(m.removedObjs)
 		clear(m.resetQrys)
-		m.touched = m.touched[:0]
 	}
-	m.handoff = false
 	m.out = out
 	return m
-}
-
-// resetMap clears a per-step scratch map for reuse. A cleared Go map
-// keeps its bucket array, and clearing costs time proportional to that
-// retained capacity — so one huge step (the bootstrap step refcounts
-// every query before the single-replica bypass can engage) would tax
-// every later step forever. When recent usage collapses far below the
-// high-water mark the map is dropped and reallocated small instead.
-func resetMap[K comparable, V any](mp map[K]V, hw *int) map[K]V {
-	n := len(mp)
-	if n > *hw {
-		*hw = n
-	}
-	if *hw > 1024 && n*8 < *hw {
-		*hw = n
-		return make(map[K]V, 2*n+16)
-	}
-	clear(mp)
-	return mp
 }
 
 // Step routes every buffered report to its tile(s), runs all tile
@@ -128,16 +93,20 @@ func (e *Engine) stepAppend(out []core.Update, now float64) []core.Update {
 	e.routeObjects(m)
 	e.routeQueries(m)
 
-	for _, batch := range e.stepAll(now) {
-		e.absorb(m, batch)
-	}
-	e.emitSetTransitions(m)
+	e.absorb(m, e.stepAll(now))
 	e.settleKNNQueries(m, now)
 
 	e.objBuf = e.objBuf[:0]
 	e.qryBuf = e.qryBuf[:0]
 	core.SortUpdates(m.out[base:])
 
+	for _, u := range m.out[base:] {
+		if u.Positive {
+			e.stats.PositiveUpdates++
+		} else {
+			e.stats.NegativeUpdates++
+		}
+	}
 	emitted := len(m.out) - base
 	e.m.steps.Inc()
 	e.m.mergedUpdates.Add(uint64(emitted))
@@ -245,10 +214,7 @@ func (e *Engine) routeQueries(m *mergeState) {
 			// Keep the record until the merge completes: tiles may have
 			// emitted phase-1 negatives for this query (an object removal
 			// processed before the removal of the query), exactly as the
-			// single engine does. Those negatives fold through the
-			// refcount path, so a bypass-mode record re-materializes its
-			// counts.
-			qi.materializeCount()
+			// single engine does.
 			m.removedQrys[u.ID] = qi
 			continue
 		}
@@ -273,11 +239,7 @@ func (e *Engine) applyQueryUpdate(m *mergeState, u core.QueryUpdate) {
 	qi, exists := e.qrys[u.ID]
 	switch {
 	case !exists:
-		qi = &queryInfo{
-			id:    u.ID,
-			kind:  u.Kind,
-			count: make(map[core.ObjectID]int),
-		}
+		qi = &queryInfo{id: u.ID, kind: u.Kind}
 		e.qrys[u.ID] = qi
 		// A fresh registration auto-commits its (empty) answer, as core
 		// does. If the same ID was removed earlier in this batch, old
@@ -291,9 +253,8 @@ func (e *Engine) applyQueryUpdate(m *mergeState, u core.QueryUpdate) {
 		// resets here. Stale replicas outside the new coverage are
 		// removed below.
 		e.detachCandidates(qi)
-		qi.count = make(map[core.ObjectID]int)
-		qi.ans = qi.ans[:0]
-		qi.answer = nil
+		qi.answer = qi.answer[:0]
+		qi.cands = qi.cands[:0]
 		qi.radius = 0
 		qi.kind = u.Kind
 		qi.committed = qi.committed[:0]
@@ -303,9 +264,8 @@ func (e *Engine) applyQueryUpdate(m *mergeState, u core.QueryUpdate) {
 		// auto-commit. The snapshot mirrors core's phase ordering — the
 		// pre-step answer minus the objects removed earlier in this
 		// batch (core's phase 1 retracts those before phase 2 commits).
-		// For a bypass-mode query this is a memcopy of the sorted
-		// answer; moving queries auto-commit every tick, so this path
-		// dominated the router's query-move profile.
+		// The snapshot is a memcopy of the sorted answer: moving queries
+		// auto-commit every tick.
 		e.commitNow(qi)
 		if len(m.removedObjs) > 0 {
 			kept := qi.committed[:0]
@@ -342,13 +302,6 @@ func (e *Engine) applyQueryUpdate(m *mergeState, u core.QueryUpdate) {
 	}
 	e.m.replicaFanout.Observe(int64(len(newCov)))
 
-	// A coverage change ends the single-replica bypass for this step:
-	// the refcount path will fold the old and new replicas' streams, so
-	// the compact sorted answer must expand back into refcounts first.
-	if qi.count == nil && !slices.Equal(qi.coverage, newCov) {
-		qi.materializeCount()
-	}
-
 	for _, t := range qi.coverage {
 		if covHas(newCov, t) {
 			continue
@@ -368,44 +321,46 @@ func (e *Engine) applyQueryUpdate(m *mergeState, u core.QueryUpdate) {
 		}
 		e.tiles[t].ReportQuery(uc)
 	}
-	if !slices.Equal(qi.coverage, newCov) {
-		qi.coverage = append(qi.coverage[:0], newCov...)
-		qi.covEpoch = e.stepSeq
-	}
+	qi.coverage = append(qi.coverage[:0], newCov...)
 	e.covBuf = newCov[:0]
 }
 
-// lookupMerge resolves a query touched by a tile stream, including
-// queries removed earlier in this batch.
-func (e *Engine) lookupMerge(m *mergeState, q core.QueryID) *queryInfo {
-	if qi, ok := e.qrys[q]; ok {
-		return qi
+// absorb folds one round of tile batches — the main broadcast, a kNN
+// settle sub-step, or a repartition handoff sub-step — into the merged
+// state. Every batch is in canonical (Query, Object) order, so one pass
+// walks all of them query by query, gathers the query's run from each
+// batch that mentions it, in tile order, and hands the runs to fold.
+// Live kNN queries touched by the round are scheduled for a global
+// re-rank.
+func (e *Engine) absorb(m *mergeState, batches [][]core.Update) {
+	cur := m.cursors[:0]
+	for range batches {
+		cur = append(cur, 0)
 	}
-	return m.removedQrys[q]
-}
-
-// absorb folds one tile's update batch into the merge refcounts,
-// recording the pre-step membership of each pair on first touch.
-//
-// Fast path: a live non-KNN query covered by exactly one tile whose
-// coverage did not change this step streams straight through. The sole
-// replica's emissions are already the exact merged transitions — no
-// other tile can mention the query, and the stable coverage guarantees
-// no stale old-replica updates are in flight — so the refcount
-// bookkeeping (prior snapshot, touched list, net-transition pass)
-// reduces to mirroring the count and emitting verbatim. Batches are
-// sorted by (Query, Object), so the per-query decision is made once per
-// run of updates, not once per update.
-func (e *Engine) absorb(m *mergeState, batch []core.Update) {
-	var nbypass uint64
-	for i := 0; i < len(batch); {
-		q := batch[i].Query
-		j := i + 1
-		for j < len(batch) && batch[j].Query == q {
-			j++
+	netted := 0
+	for {
+		var q core.QueryID
+		found := false
+		for i, b := range batches {
+			if cur[i] < len(b) && (!found || b[cur[i]].Query < q) {
+				q, found = b[cur[i]].Query, true
+			}
 		}
-		run := batch[i:j]
-		i = j
+		if !found {
+			break
+		}
+		runs := m.runs[:0]
+		for i, b := range batches {
+			j := cur[i]
+			for j < len(b) && b[j].Query == q {
+				j++
+			}
+			if j > cur[i] {
+				runs = append(runs, b[cur[i]:j])
+				cur[i] = j
+			}
+		}
+		m.runs = runs
 		qi, live := e.qrys[q]
 		if !live {
 			qi = m.removedQrys[q]
@@ -413,125 +368,105 @@ func (e *Engine) absorb(m *mergeState, batch []core.Update) {
 		if qi == nil {
 			continue
 		}
-		if live && !m.handoff && qi.kind != core.KNN &&
-			len(qi.coverage) == 1 && qi.covEpoch != e.stepSeq {
-			nbypass += uint64(len(run))
-			e.absorbBypass(m, qi, run)
-			continue
+		if live && qi.kind == core.KNN {
+			m.knnDirty[q] = struct{}{}
 		}
-		e.absorbCounted(m, qi, run)
+		netted += e.fold(m, qi, live, runs)
 	}
-	if nbypass > 0 {
-		e.m.bypassed.Add(nbypass)
-	}
+	m.cursors = cur
+	e.m.netted.Add(uint64(netted))
 }
 
-// absorbBypass folds the sole replica's update run for one query into
-// its sorted-slice answer with a single linear merge: the run and the
-// answer are both in ascending ObjectID order. Emission mirrors the
-// refcount semantics exactly — a positive emits when the object was
-// absent, a negative when present, and the remove+re-add corner (the
-// one case a single engine emits two updates for a pair) streams
-// through verbatim.
-func (e *Engine) absorbBypass(m *mergeState, qi *queryInfo, run []core.Update) {
-	if qi.count != nil {
-		qi.materializeAns()
+// fold merges one query's per-tile runs of a round into its merged
+// membership — the answer of a Range or PredictiveRange query, the
+// candidate set of a KNN query — in one linear pass over the sorted
+// membership and the Object-sorted runs. Per object it replays the
+// refcount rule: the count starts at 1 if the object is a member, each
+// positive adds 1, each negative subtracts 1 but never below 0 and
+// never for a query in resetQrys, and the object stays a member iff
+// the count ends positive. Every object is owned by exactly one tile,
+// so a member is claimed by exactly one replica, and a retraction paired
+// with an assertion — a cross-tile migration, a repartition handoff, a
+// remove and re-add inside one tile — nets to no change. Each net change
+// goes to transition; fold returns the number of objects that netted.
+func (e *Engine) fold(m *mergeState, qi *queryInfo, live bool, runs [][]core.Update) (netted int) {
+	set := &qi.answer
+	if qi.kind == core.KNN {
+		set = &qi.cands
 	}
-	old := qi.ans
-	buf := e.ansBuf[:0]
+	_, reset := m.resetQrys[qi.id]
+	old := *set
+	buf := m.memBuf[:0]
 	k := 0
-	for r := 0; r < len(run); {
-		o := run[r].Object
+	for {
+		var o core.ObjectID
+		found := false
+		for _, r := range runs {
+			if len(r) > 0 && (!found || r[0].Object < o) {
+				o, found = r[0].Object, true
+			}
+		}
+		if !found {
+			break
+		}
 		for k < len(old) && old[k] < o {
 			buf = append(buf, old[k])
 			k++
 		}
-		present := k < len(old) && old[k] == o
-		if present {
-			k++
+		was := k < len(old) && old[k] == o
+		c := 0
+		if was {
+			c, k = 1, k+1
 		}
-		for ; r < len(run) && run[r].Object == o; r++ {
-			if run[r].Positive {
-				if !present {
-					present = true
-					e.emit(m, qi.id, o, true)
+		for i, r := range runs {
+			for len(r) > 0 && r[0].Object == o {
+				if r[0].Positive {
+					c++
+				} else if c > 0 && !reset {
+					// A reset query's fresh replicas only accrete members
+					// this step: its negatives all come from the old
+					// incarnation (see mergeState.resetQrys).
+					c--
 				}
-			} else if present {
-				present = false
-				e.emit(m, qi.id, o, false)
+				r = r[1:]
 			}
-			// else: stale negative for a state the merge never held;
-			// ignore, as the refcount path does.
+			runs[i] = r
 		}
-		if present {
+		in := c > 0
+		if in {
 			buf = append(buf, o)
+		}
+		if in == was {
+			netted++
+		} else {
+			e.transition(m, qi, live, o, in)
 		}
 	}
 	buf = append(buf, old[k:]...)
-	qi.ans = append(old[:0], buf...)
-	e.ansBuf = buf[:0]
+	*set = append(old[:0], buf...)
+	m.memBuf = buf[:0]
+	return netted
 }
 
-// absorbCounted folds one query's update run through the refcounts,
-// recording the pre-step membership of each pair on first touch.
-func (e *Engine) absorbCounted(m *mergeState, qi *queryInfo, run []core.Update) {
-	if qi.kind != core.KNN && qi.count == nil {
-		// A bypass-mode query pulled back through the refcount path
-		// (handoff sub-step, or a coverage change arranged after its
-		// last bypass step).
-		qi.materializeCount()
-	}
-	for _, u := range run {
-		key := pair{u.Query, u.Object}
-		if _, seen := m.prior[key]; !seen {
-			m.prior[key] = e.memberOf(qi, u.Object)
-			m.touched = append(m.touched, key)
+// transition applies one net membership change found by fold. For a
+// Range or PredictiveRange query it is a merged update. For a KNN query
+// it moves the object in or out of the candidate index, and settleKNN
+// diffs the answer afterwards — except for a query removed in this
+// batch, which still streams the phase-1 negatives of its departed
+// answer members, as the single engine does.
+func (e *Engine) transition(m *mergeState, qi *queryInfo, live bool, o core.ObjectID, in bool) {
+	switch {
+	case qi.kind != core.KNN:
+		m.out = append(m.out, core.Update{Query: qi.id, Object: o, Positive: in})
+	case !live:
+		if _, was := slices.BinarySearch(qi.answer, o); was && !in {
+			m.out = append(m.out, core.Update{Query: qi.id, Object: o, Positive: false})
 		}
-		if u.Positive {
-			qi.count[u.Object]++
-			if qi.count[u.Object] == 1 && qi.kind == core.KNN {
-				e.addCandidate(u.Object, qi.id)
-			}
-		} else {
-			if _, reset := m.resetQrys[u.Query]; reset {
-				// The query restarted from empty this step (kind change
-				// or same-ID re-registration). A fresh replica can only
-				// accrete members in its registration step, so every
-				// negative in this step's streams was emitted by an old
-				// replica about the old incarnation's membership —
-				// e.g. the phase-1 retraction of a cross-tile mover.
-				// Folding it in would cancel a genuine new-incarnation
-				// positive from a tile absorbed earlier; which tile is
-				// absorbed first must never decide the merged answer.
-				continue
-			}
-			switch c := qi.count[u.Object]; {
-			case c > 1:
-				qi.count[u.Object] = c - 1
-			case c == 1:
-				delete(qi.count, u.Object)
-				if qi.kind == core.KNN {
-					e.dropCandidate(u.Object, qi.id)
-				}
-			}
-			// c == 0: a retraction for a query re-registered under the
-			// same ID in this batch; the fresh state never held it.
-		}
+	case in:
+		e.addCandidate(o, qi.id)
+	default:
+		e.dropCandidate(o, qi.id)
 	}
-}
-
-// memberOf reports whether the merged global answer of qi currently
-// contains o.
-func (e *Engine) memberOf(qi *queryInfo, o core.ObjectID) bool {
-	if qi.kind == core.KNN {
-		_, in := qi.answer[o]
-		return in
-	}
-	if qi.count == nil {
-		_, in := slices.BinarySearch(qi.ans, o)
-		return in
-	}
-	return qi.count[o] > 0
 }
 
 func (e *Engine) addCandidate(o core.ObjectID, q core.QueryID) {
@@ -555,55 +490,7 @@ func (e *Engine) dropCandidate(o core.ObjectID, q core.QueryID) {
 // detachCandidates removes a KNN query from the reverse candidacy index
 // on removal or kind change.
 func (e *Engine) detachCandidates(qi *queryInfo) {
-	if qi.kind != core.KNN {
-		return
-	}
-	for o := range qi.count {
+	for _, o := range qi.cands {
 		e.dropCandidate(o, qi.id)
 	}
-}
-
-// emitSetTransitions emits the net membership transition of every
-// touched non-KNN pair (KNN queries are settled by the exact top-k
-// merge afterwards). A pair mentioned by several tile streams — e.g. a
-// cross-tile migration inside a multi-tile query, retracted by one tile
-// and asserted by the other — nets out here and emits nothing, while a
-// genuine change emits exactly once.
-func (e *Engine) emitSetTransitions(m *mergeState) {
-	for _, key := range m.touched {
-		qi := e.lookupMerge(m, key.q)
-		if qi == nil {
-			continue
-		}
-		if qi.kind == core.KNN {
-			if _, live := e.qrys[key.q]; live {
-				m.knnDirty[key.q] = struct{}{}
-			} else if _, was := qi.answer[key.o]; was && qi.count[key.o] == 0 {
-				// A query removed in this batch still streams the
-				// phase-1 negatives of its departed members, as the
-				// single engine does.
-				delete(qi.answer, key.o)
-				e.emit(m, key.q, key.o, false)
-			}
-			continue
-		}
-		nowIn := qi.count[key.o] > 0
-		if nowIn != m.prior[key] {
-			e.emit(m, key.q, key.o, nowIn)
-		} else {
-			// The transitions netted out — e.g. a cross-tile migration's
-			// −/+ pair inside one query: the merge deduplicated it.
-			e.m.netted.Inc()
-		}
-	}
-}
-
-// emit appends one merged global update.
-func (e *Engine) emit(m *mergeState, q core.QueryID, o core.ObjectID, positive bool) {
-	if positive {
-		e.stats.PositiveUpdates++
-	} else {
-		e.stats.NegativeUpdates++
-	}
-	m.out = append(m.out, core.Update{Query: q, Object: o, Positive: positive})
 }
