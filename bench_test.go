@@ -84,27 +84,13 @@ func BenchmarkAblationShared(b *testing.B) {
 			b.ReportAllocs()
 			var r bench.StrategyResult
 			for i := 0; i < b.N; i++ {
-				r = bench.RunStrategyComparison(cfg, false)
+				r = bench.RunStrategyComparison(cfg)
 			}
 			b.ReportMetric(r.IncrementalMillis, "inc-ms/eval")
 			b.ReportMetric(r.SnapshotMillis, "snap-ms/eval")
 			b.ReportMetric(r.SnapshotMillis/r.IncrementalMillis, "speedup")
 		})
 	}
-}
-
-// BenchmarkAblationQIndex measures Ablation 4: the shared grid against
-// the Q-index baseline on stationary queries.
-func BenchmarkAblationQIndex(b *testing.B) {
-	cfg := benchScale()
-	b.ReportAllocs()
-	var r bench.StrategyResult
-	for i := 0; i < b.N; i++ {
-		r = bench.RunStrategyComparison(cfg, true)
-	}
-	b.ReportMetric(r.IncrementalMillis, "inc-ms/eval")
-	b.ReportMetric(r.QIndexMillis, "qindex-ms/eval")
-	b.ReportMetric(r.QIndexMillis/r.IncrementalMillis, "speedup")
 }
 
 // BenchmarkAblationGridSize measures Ablation 3: evaluation cost across
@@ -141,19 +127,18 @@ func BenchmarkAblationRecovery(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPredictive measures Ablation 7: predictive-query
-// evaluation on the shared grid (incremental) against TPR-tree
-// re-evaluation.
+// BenchmarkAblationPredictive measures Ablation 7: the answer traffic of
+// predictive range queries under the incremental stream against
+// complete-answer re-evaluation.
 func BenchmarkAblationPredictive(b *testing.B) {
 	cfg := benchScale()
 	b.ReportAllocs()
-	var r bench.PredictiveResult
+	var r bench.Fig5Result
 	for i := 0; i < b.N; i++ {
-		r = bench.RunPredictiveComparison(cfg)
+		r = bench.RunPredictivePoint(cfg)
 	}
-	b.ReportMetric(r.IncrementalMillis, "inc-ms/eval")
-	b.ReportMetric(r.TPRMillis, "tpr-ms/eval")
-	b.ReportMetric(r.Updates, "updates/eval")
+	b.ReportMetric(r.IncrementalKB, "incKB/eval")
+	b.ReportMetric(r.CompleteKB, "compKB/eval")
 }
 
 // BenchmarkAblationBulk measures Ablation 6: bulk batch evaluation

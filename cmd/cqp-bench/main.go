@@ -7,11 +7,10 @@
 //	fig5a      answer size vs. object update rate (paper Figure 5a)
 //	fig5b      answer size vs. query side length (paper Figure 5b)
 //	shared     shared incremental engine vs. snapshot re-evaluation CPU
-//	qindex     shared grid vs. Q-index for stationary queries
 //	gridsize   grid granularity sweep
 //	recovery   out-of-sync diff recovery vs. full-answer resend
 //	bulk       bulk vs. per-report processing
-//	predictive predictive queries: shared grid vs. TPR-tree
+//	predictive predictive-query answer size vs. object update rate
 //	all        everything above
 //
 // Performance claims about the whole pipeline cite the workloads and
@@ -34,7 +33,7 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: fig5a|fig5b|shared|qindex|gridsize|recovery|bulk|predictive|all")
+		exp        = flag.String("exp", "all", "experiment: fig5a|fig5b|shared|gridsize|recovery|bulk|predictive|all")
 		objects    = flag.Int("objects", 20000, "moving object population")
 		queries    = flag.Int("queries", 20000, "moving query population")
 		ticks      = flag.Int("ticks", 8, "measured evaluation periods per point")
@@ -44,7 +43,7 @@ func main() {
 	flag.Parse()
 
 	switch *exp {
-	case "fig5a", "fig5b", "shared", "qindex", "gridsize", "recovery", "bulk", "predictive", "all":
+	case "fig5a", "fig5b", "shared", "gridsize", "recovery", "bulk", "predictive", "all":
 	default:
 		fmt.Fprintf(os.Stderr, "cqp-bench: unknown experiment %q\n", *exp)
 		os.Exit(2)
@@ -68,7 +67,6 @@ func main() {
 	run("fig5a", func() { fig5a(base) })
 	run("fig5b", func() { fig5b(base) })
 	run("shared", func() { shared(base) })
-	run("qindex", func() { qindexExp(base) })
 	run("gridsize", func() { gridsize(base) })
 	run("recovery", func() { recovery(base) })
 	run("bulk", func() { bulk(base) })
@@ -111,7 +109,7 @@ func shared(base bench.Fig5Config) {
 		cfg := base
 		cfg.Queries = q
 		cfg.Rate, cfg.QueryRate = 0.1, 0.1
-		r := bench.RunStrategyComparison(cfg, false)
+		r := bench.RunStrategyComparison(cfg)
 		fmt.Printf("%10d %16.1f %16.1f %8.1fx\n",
 			q, r.IncrementalMillis, r.SnapshotMillis, r.SnapshotMillis/r.IncrementalMillis)
 	}
@@ -122,22 +120,9 @@ func shared(base bench.Fig5Config) {
 	for _, rate := range []float64{0.05, 0.1, 0.2, 0.3, 0.5, 1.0} {
 		cfg := base
 		cfg.Rate, cfg.QueryRate = rate, rate
-		r := bench.RunStrategyComparison(cfg, false)
+		r := bench.RunStrategyComparison(cfg)
 		fmt.Printf("%7.0f%% %16.1f %16.1f %8.1fx\n",
 			rate*100, r.IncrementalMillis, r.SnapshotMillis, r.SnapshotMillis/r.IncrementalMillis)
-	}
-	fmt.Println()
-}
-
-func qindexExp(base bench.Fig5Config) {
-	fmt.Println("=== Ablation 4: shared grid vs. Q-index vs. VCI (stationary queries) ===")
-	fmt.Printf("%10s %16s %16s %14s %10s\n", "queries", "incremental ms", "snapshot ms", "q-index ms", "vci ms")
-	for _, q := range []int{1000, 5000, 10000} {
-		cfg := base
-		cfg.Queries = q
-		r := bench.RunStrategyComparison(cfg, true)
-		fmt.Printf("%10d %16.1f %16.1f %14.1f %10.1f\n",
-			q, r.IncrementalMillis, r.SnapshotMillis, r.QIndexMillis, r.VCIMillis)
 	}
 	fmt.Println()
 }
@@ -164,14 +149,14 @@ func recovery(base bench.Fig5Config) {
 }
 
 func predictive(base bench.Fig5Config) {
-	fmt.Println("=== Ablation 7: predictive queries — shared grid (incremental) vs. TPR-tree ===")
-	fmt.Printf("%8s %16s %12s %12s %14s\n", "rate", "incremental ms", "tpr ms", "updates", "answer tuples")
+	fmt.Println("=== Ablation 7: predictive-query answer size vs. object update rate ===")
+	fmt.Printf("%8s %14s %14s %8s %12s\n", "rate", "incr. KB", "complete KB", "ratio", "step ms")
 	for _, rate := range []float64{0.1, 0.3, 0.5} {
 		cfg := base
 		cfg.Rate, cfg.QueryRate = rate, rate
-		r := bench.RunPredictiveComparison(cfg)
-		fmt.Printf("%7.0f%% %16.1f %12.1f %12.0f %14.0f\n",
-			rate*100, r.IncrementalMillis, r.TPRMillis, r.Updates, r.AnswerTuples)
+		r := bench.RunPredictivePoint(cfg)
+		fmt.Printf("%7.0f%% %14.1f %14.1f %7.1f%% %12.1f\n",
+			rate*100, r.IncrementalKB, r.CompleteKB, 100*r.IncrementalKB/r.CompleteKB, r.StepMillis)
 	}
 	fmt.Println()
 }

@@ -5,7 +5,7 @@
 // contract rests on (see DESIGN.md, "Mechanically enforced invariants"):
 //
 //   - determinism: no wall-clock or ambient-entropy reads inside the
-//     deterministic packages (core, shard, grid, geo, tpr, repository).
+//     deterministic packages (core, shard, grid, geo, repository).
 //   - maporder: no map-iteration-ordered data may reach an emitted
 //     update slice, the wire, or a checksum without being sorted.
 //   - locksend: no mutex may be held across a blocking channel

@@ -19,7 +19,6 @@ var DeterministicPackages = map[string]bool{
 	"cqp/internal/shard":      true,
 	"cqp/internal/grid":       true,
 	"cqp/internal/geo":        true,
-	"cqp/internal/tpr":        true,
 	"cqp/internal/repository": true,
 }
 

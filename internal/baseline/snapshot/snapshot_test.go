@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cqp/internal/core"
@@ -80,49 +81,97 @@ func TestSnapshotKNNAndPredictive(t *testing.T) {
 
 // TestSnapshotMatchesIncrementalOracle runs both engines over an
 // identical random workload and asserts the snapshot answers equal the
-// incremental engine's maintained answers every step.
+// incremental engine's maintained answers every step. The snapshot
+// engine re-evaluates from scratch, so it is the independent check on
+// core's incremental Range and PredictiveRange answers.
 func TestSnapshotMatchesIncrementalOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	opt := core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: 8}
-	inc := core.MustNewEngine(opt)
-	snap, err := New(opt)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		seed    int64
+		opt     core.Options
+		objects int // bootstrapped before the queries
+		queries int
+		steps   int
+		query   func(rng *rand.Rand) core.QueryUpdate
+		object  func(rng *rand.Rand, now float64) core.ObjectUpdate
+	}{
+		{
+			// Stationary range queries over moving objects.
+			name: "range", seed: 5,
+			opt:     core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: 8},
+			objects: 50, queries: 10, steps: 50,
+			query: func(rng *rand.Rand) core.QueryUpdate {
+				return core.QueryUpdate{Kind: core.Range,
+					Region: geo.RectAt(geo.Pt(rng.Float64(), rng.Float64()), 0.2)}
+			},
+			object: func(rng *rand.Rand, now float64) core.ObjectUpdate {
+				return core.ObjectUpdate{Kind: core.Moving,
+					Loc: geo.Pt(rng.Float64(), rng.Float64()), T: now}
+			},
+		},
+		{
+			// Predictive range queries over objects reporting velocities.
+			name: "predictive", seed: 6,
+			opt:     core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: 8, PredictiveHorizon: 100},
+			queries: 15, steps: 30,
+			query: func(rng *rand.Rand) core.QueryUpdate {
+				return core.QueryUpdate{Kind: core.PredictiveRange,
+					Region: geo.RectAt(geo.Pt(rng.Float64(), rng.Float64()), 0.1+rng.Float64()*0.2),
+					T1:     rng.Float64() * 20, T2: 20 + rng.Float64()*30}
+			},
+			object: func(rng *rand.Rand, now float64) core.ObjectUpdate {
+				return core.ObjectUpdate{Kind: core.Predictive,
+					Loc: geo.Pt(rng.Float64(), rng.Float64()),
+					Vel: geo.Vec(rng.Float64()*0.02-0.01, rng.Float64()*0.02-0.01),
+					T:   now}
+			},
+		},
 	}
-
-	for i := core.ObjectID(1); i <= 50; i++ {
-		u := core.ObjectUpdate{ID: i, Kind: core.Moving, Loc: geo.Pt(rng.Float64(), rng.Float64())}
-		inc.ReportObject(u)
-		snap.ReportObject(u)
-	}
-	for j := core.QueryID(1); j <= 10; j++ {
-		u := core.QueryUpdate{ID: j, Kind: core.Range,
-			Region: geo.RectAt(geo.Pt(rng.Float64(), rng.Float64()), 0.2)}
-		inc.ReportQuery(u)
-		snap.ReportQuery(u)
-	}
-
-	for step := 0; step < 50; step++ {
-		for n := rng.Intn(10); n > 0; n-- {
-			u := core.ObjectUpdate{
-				ID: core.ObjectID(1 + rng.Intn(50)), Kind: core.Moving,
-				Loc: geo.Pt(rng.Float64(), rng.Float64()), T: float64(step),
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(c.seed))
+			inc := core.MustNewEngine(c.opt)
+			snap, err := New(c.opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			inc.ReportObject(u)
-			snap.ReportObject(u)
-		}
-		inc.Step(float64(step))
-		snaps := snap.Step(float64(step))
-		for _, s := range snaps {
-			want, _ := inc.Answer(s.Query)
-			if len(want) != len(s.Objects) {
-				t.Fatalf("step %d query %d: snapshot %v incremental %v", step, s.Query, s.Objects, want)
+			report := func(u core.ObjectUpdate) {
+				inc.ReportObject(u)
+				snap.ReportObject(u)
 			}
-			for i := range want {
-				if want[i] != s.Objects[i] {
-					t.Fatalf("step %d query %d: snapshot %v incremental %v", step, s.Query, s.Objects, want)
+			for i := 1; i <= c.objects; i++ {
+				u := c.object(rng, 0)
+				u.ID = core.ObjectID(i)
+				report(u)
+			}
+			for j := 1; j <= c.queries; j++ {
+				u := c.query(rng)
+				u.ID = core.QueryID(j)
+				inc.ReportQuery(u)
+				snap.ReportQuery(u)
+			}
+
+			checked := 0
+			for step := 0; step < c.steps; step++ {
+				now := float64(step)
+				for n := rng.Intn(10); n > 0; n-- {
+					id := core.ObjectID(1 + rng.Intn(50))
+					u := c.object(rng, now)
+					u.ID = id
+					report(u)
+				}
+				inc.Step(now)
+				for _, s := range snap.Step(now) {
+					want, _ := inc.Answer(s.Query)
+					if !slices.Equal(want, s.Objects) {
+						t.Fatalf("step %d query %d: snapshot %v incremental %v", step, s.Query, s.Objects, want)
+					}
+					checked += len(want)
 				}
 			}
-		}
+			if checked == 0 {
+				t.Fatal("no query ever had a non-empty answer")
+			}
+		})
 	}
 }

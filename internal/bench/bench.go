@@ -8,9 +8,7 @@ package bench
 import (
 	"time"
 
-	"cqp/internal/baseline/qindex"
 	"cqp/internal/baseline/snapshot"
-	"cqp/internal/baseline/vci"
 	"cqp/internal/core"
 	"cqp/internal/gen"
 	"cqp/internal/geo"
@@ -110,47 +108,54 @@ func RunFig5Point(cfg Fig5Config) Fig5Result {
 	var res Fig5Result
 	for i := 0; i < cfg.Ticks; i++ {
 		wl.Tick(engine, cfg.DT, cfg.Rate, cfg.QueryRate)
-		start := time.Now()
-		updates := engine.Step(world.Now())
-		res.StepMillis += float64(time.Since(start).Microseconds()) / 1000
-
-		res.Updates += float64(len(updates))
-		res.IncrementalKB += float64(wire.EncodedSize(wire.UpdateBatch{Updates: updates})) / 1024
-
-		// What the naive server would send instead: every query's complete
-		// answer, every period.
-		for j := 0; j < cfg.Queries; j++ {
-			ans, _ := engine.Answer(core.QueryID(j + 1))
-			res.AnswerTuples += float64(len(ans))
-			res.CompleteKB += float64(wire.EncodedSize(wire.FullAnswer{
-				Query: core.QueryID(j + 1), Objects: ans,
-			})) / 1024
-		}
+		res.measureStep(engine, world.Now(), cfg.Queries)
 	}
-	n := float64(cfg.Ticks)
-	res.IncrementalKB /= n
-	res.CompleteKB /= n
-	res.Updates /= n
-	res.AnswerTuples /= n
-	res.StepMillis /= n
-	return res
+	return res.per(cfg.Ticks)
 }
 
-// --- Ablation 1 & 2 & 4: evaluation-strategy CPU comparison --------------
+// measureStep runs one measured evaluation of e and adds its traffic
+// under both strategies to r: the update stream it emits, and what the
+// naive server would send instead, every query's complete answer.
+// Queries are numbered 1..queries.
+func (r *Fig5Result) measureStep(e *core.Engine, now float64, queries int) {
+	start := time.Now()
+	updates := e.Step(now)
+	r.StepMillis += msSince(start)
+
+	r.Updates += float64(len(updates))
+	r.IncrementalKB += float64(wire.EncodedSize(wire.UpdateBatch{Updates: updates})) / 1024
+	for j := 0; j < queries; j++ {
+		q := core.QueryID(j + 1)
+		ans, _ := e.Answer(q)
+		r.AnswerTuples += float64(len(ans))
+		r.CompleteKB += float64(wire.EncodedSize(wire.FullAnswer{Query: q, Objects: ans})) / 1024
+	}
+}
+
+// per returns r's sums averaged over ticks evaluations.
+func (r Fig5Result) per(ticks int) Fig5Result {
+	n := float64(ticks)
+	return Fig5Result{
+		IncrementalKB: r.IncrementalKB / n,
+		CompleteKB:    r.CompleteKB / n,
+		Updates:       r.Updates / n,
+		AnswerTuples:  r.AnswerTuples / n,
+		StepMillis:    r.StepMillis / n,
+	}
+}
+
+// --- Ablation 1 & 2: evaluation-strategy CPU comparison -----------------
 
 // StrategyResult compares engine strategies on one identical workload.
 type StrategyResult struct {
 	IncrementalMillis float64 // shared incremental engine, avg Step ms
 	SnapshotMillis    float64 // snapshot re-evaluation baseline, avg Step ms
-	QIndexMillis      float64 // Q-index baseline (stationary queries only); 0 if skipped
-	VCIMillis         float64 // velocity-constrained index baseline (stationary queries only); 0 if skipped
 }
 
-// RunStrategyComparison drives the incremental engine, the snapshot
-// baseline, and (when stationaryQueries is true) the Q-index baseline
-// with an identical report stream and returns average per-evaluation CPU
-// times.
-func RunStrategyComparison(cfg Fig5Config, stationaryQueries bool) StrategyResult {
+// RunStrategyComparison drives the incremental engine and the snapshot
+// baseline with an identical report stream and returns average
+// per-evaluation CPU times.
+func RunStrategyComparison(cfg Fig5Config) StrategyResult {
 	cfg = cfg.WithDefaults()
 	net := roadnet.Generate(roadnet.Config{Seed: cfg.Seed})
 	world := gen.MustNewWorld(gen.Config{Net: net, NumObjects: cfg.Objects, Seed: cfg.Seed})
@@ -162,35 +167,14 @@ func RunStrategyComparison(cfg Fig5Config, stationaryQueries bool) StrategyResul
 	if err != nil {
 		panic(err)
 	}
-	var qi *qindex.Engine
-	var vc *vci.Engine
-	if stationaryQueries {
-		qi = qindex.New()
-		// Speed bound: the network's fastest class; rebuild every 12
-		// evaluation periods.
-		vc = vci.New(net.Speed(roadnet.Highway), 12*cfg.DT)
-	}
-
-	sinks := []gen.Sink{inc, snap}
-	if qi != nil {
-		sinks = append(sinks, qi, vc)
-	}
-	fan := fanout{sinks}
+	fan := fanout{[]gen.Sink{inc, snap}}
 	wl.Bootstrap(fan)
-	queryRate := cfg.QueryRate
-	if stationaryQueries {
-		queryRate = 0 // Q-index cannot move queries; keep the comparison fair
-	}
 	inc.Step(world.Now())
 	snap.Step(world.Now())
-	if qi != nil {
-		qi.Step(world.Now())
-		vc.Step(world.Now())
-	}
 
 	var res StrategyResult
 	for i := 0; i < cfg.Ticks; i++ {
-		wl.Tick(fan, cfg.DT, cfg.Rate, queryRate)
+		wl.Tick(fan, cfg.DT, cfg.Rate, cfg.QueryRate)
 		now := world.Now()
 
 		start := time.Now()
@@ -200,22 +184,10 @@ func RunStrategyComparison(cfg Fig5Config, stationaryQueries bool) StrategyResul
 		start = time.Now()
 		snap.Step(now)
 		res.SnapshotMillis += msSince(start)
-
-		if qi != nil {
-			start = time.Now()
-			qi.Step(now)
-			res.QIndexMillis += msSince(start)
-
-			start = time.Now()
-			vc.Step(now)
-			res.VCIMillis += msSince(start)
-		}
 	}
 	n := float64(cfg.Ticks)
 	res.IncrementalMillis /= n
 	res.SnapshotMillis /= n
-	res.QIndexMillis /= n
-	res.VCIMillis /= n
 	return res
 }
 

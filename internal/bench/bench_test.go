@@ -66,16 +66,9 @@ func TestRunFig5PointShape(t *testing.T) {
 }
 
 func TestRunStrategyComparison(t *testing.T) {
-	r := RunStrategyComparison(tiny(), false)
+	r := RunStrategyComparison(tiny())
 	if r.IncrementalMillis <= 0 || r.SnapshotMillis <= 0 {
 		t.Fatalf("missing timings: %+v", r)
-	}
-	if r.QIndexMillis != 0 {
-		t.Fatalf("q-index should be skipped for moving queries: %+v", r)
-	}
-	r = RunStrategyComparison(tiny(), true)
-	if r.QIndexMillis <= 0 || r.VCIMillis <= 0 {
-		t.Fatalf("baseline timings missing: %+v", r)
 	}
 }
 
@@ -118,13 +111,20 @@ func TestRunBulk(t *testing.T) {
 	}
 }
 
-func TestRunPredictiveComparison(t *testing.T) {
-	cfg := tiny()
-	r := RunPredictiveComparison(cfg)
-	if r.IncrementalMillis <= 0 || r.TPRMillis <= 0 {
-		t.Fatalf("timings: %+v", r)
+func TestRunPredictivePoint(t *testing.T) {
+	r := RunPredictivePoint(tiny())
+	if r.Updates <= 0 || r.AnswerTuples <= 0 {
+		t.Fatalf("no predictive activity: %+v", r)
 	}
-	if r.AnswerTuples <= 0 {
-		t.Fatalf("no predictive answers: %+v", r)
+	if r.IncrementalKB <= 0 || r.IncrementalKB >= r.CompleteKB {
+		t.Fatalf("incremental %v KB, complete %v KB: want 0 < incremental < complete",
+			r.IncrementalKB, r.CompleteKB)
+	}
+
+	// Determinism: same config, same numbers (wall time excluded).
+	r2 := RunPredictivePoint(tiny())
+	r.StepMillis, r2.StepMillis = 0, 0
+	if r != r2 {
+		t.Fatalf("non-deterministic: %+v vs %+v", r, r2)
 	}
 }

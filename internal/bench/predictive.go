@@ -1,30 +1,19 @@
 package bench
 
 import (
-	"time"
-
-	"cqp/internal/baseline/tprq"
 	"cqp/internal/core"
 	"cqp/internal/gen"
 	"cqp/internal/geo"
 	"cqp/internal/roadnet"
 )
 
-// PredictiveResult compares predictive-query evaluation strategies: the
-// paper's shared grid with incremental updates against TPR-tree
-// re-evaluation (Ablation 7).
-type PredictiveResult struct {
-	IncrementalMillis float64 // shared grid, incremental, avg Step ms
-	TPRMillis         float64 // TPR-tree re-evaluation, avg Step ms
-	Updates           float64 // avg incremental updates per evaluation
-	AnswerTuples      float64 // avg total complete-answer cardinality
-}
-
-// RunPredictiveComparison drives both engines with an identical stream of
-// predictive object reports (location + velocity, from the road-network
-// world) and moving predictive range queries whose windows look
-// WindowAhead..WindowAhead+WindowLen into the future.
-func RunPredictiveComparison(cfg Fig5Config) PredictiveResult {
+// RunPredictivePoint measures one point of Ablation 7: RunFig5Point's
+// two answer-traffic strategies for predictive range queries. Objects
+// report location + velocity from the road-network world; the moving
+// queries' windows look windowAhead..windowAhead+windowLen seconds into
+// the future. The complete-answer column is what a re-evaluating server
+// (a TPR-tree, say) ships every period.
+func RunPredictivePoint(cfg Fig5Config) Fig5Result {
 	cfg = cfg.WithDefaults()
 	const (
 		horizon     = 200.0
@@ -36,48 +25,30 @@ func RunPredictiveComparison(cfg Fig5Config) PredictiveResult {
 	wl := gen.NewWorkload(world, cfg.Queries, cfg.QuerySide, cfg.Seed)
 	scatter(wl)
 
-	inc := core.MustNewEngine(core.Options{
+	engine := core.MustNewEngine(core.Options{
 		Bounds: geo.R(0, 0, 1, 1), GridN: cfg.GridN, PredictiveHorizon: horizon,
 	})
-	bl := tprq.New(world.Now(), horizon)
-
 	reportObject := func(i int, now float64) {
 		loc, vel := world.Object(i)
-		u := core.ObjectUpdate{
+		engine.ReportObject(core.ObjectUpdate{
 			ID: core.ObjectID(i + 1), Kind: core.Predictive, Loc: loc, Vel: vel, T: now,
-		}
-		inc.ReportObject(u)
-		bl.ReportObject(u)
+		})
 	}
 	reportQuery := func(j int, now float64) {
-		u := core.QueryUpdate{
+		engine.ReportQuery(core.QueryUpdate{
 			ID: core.QueryID(j + 1), Kind: core.PredictiveRange,
 			Region: wl.QueryRegion(j),
 			T1:     now + windowAhead, T2: now + windowAhead + windowLen,
 			T: now,
-		}
-		inc.ReportQuery(u)
-		bl.ReportQuery(u)
+		})
 	}
-
-	// Bootstrap the full population.
-	now := world.Now()
-	for i := 0; i < cfg.Objects; i++ {
-		reportObject(i, now)
-	}
-	for j := 0; j < cfg.Queries; j++ {
-		reportQuery(j, now)
-	}
-	inc.Step(now)
-	bl.Step(now)
-
-	var res PredictiveResult
-	for tick := 0; tick < cfg.Ticks; tick++ {
+	// tick advances one period and reports the movers: cfg.Rate of
+	// objects change course (move + new velocity), cfg.QueryRate of
+	// queries move and slide their windows.
+	tick := func() float64 {
 		world.AdvanceClock(cfg.DT)
 		wl.Queries.AdvanceClock(cfg.DT)
-		now = world.Now()
-		// cfg.Rate of objects change course (move + new velocity);
-		// cfg.QueryRate of queries move and slide their windows.
+		now := world.Now()
 		for i := 0; i < cfg.Objects; i++ {
 			if float64(i%100)/100 < cfg.Rate {
 				world.AdvanceObject(i, cfg.DT)
@@ -90,23 +61,25 @@ func RunPredictiveComparison(cfg Fig5Config) PredictiveResult {
 				reportQuery(j, now)
 			}
 		}
-
-		start := time.Now()
-		updates := inc.Step(now)
-		res.IncrementalMillis += msSince(start)
-		res.Updates += float64(len(updates))
-
-		start = time.Now()
-		snaps := bl.Step(now)
-		res.TPRMillis += msSince(start)
-		for _, s := range snaps {
-			res.AnswerTuples += float64(len(s.Objects))
-		}
+		return now
 	}
-	n := float64(cfg.Ticks)
-	res.IncrementalMillis /= n
-	res.TPRMillis /= n
-	res.Updates /= n
-	res.AnswerTuples /= n
-	return res
+
+	// Bootstrap the full population.
+	now := world.Now()
+	for i := 0; i < cfg.Objects; i++ {
+		reportObject(i, now)
+	}
+	for j := 0; j < cfg.Queries; j++ {
+		reportQuery(j, now)
+	}
+	engine.Step(now)
+	for i := 0; i < cfg.Warmup; i++ {
+		engine.Step(tick())
+	}
+
+	var res Fig5Result
+	for i := 0; i < cfg.Ticks; i++ {
+		res.measureStep(engine, tick(), cfg.Queries)
+	}
+	return res.per(cfg.Ticks)
 }

@@ -1,7 +1,5 @@
 package core
 
-import "slices"
-
 // ChecksumIDs returns an order-independent checksum of an answer set,
 // used by the out-of-sync recovery handshake: a reconnecting client sends
 // the checksum of its (rolled-back) answer; if it matches the server's
@@ -70,11 +68,7 @@ func (e *Engine) SeedCommitted(q QueryID, objs []ObjectID) bool {
 	if !ok {
 		return false
 	}
-	dst := append(qs.committed[:0], objs...)
-	// The committed snapshot is a set: dedupe, since the caller's input
-	// is unconstrained (a duplicate would double-emit on Recover).
-	slices.Sort(dst)
-	qs.committed = slices.Compact(dst)
+	qs.committed = SortIDs(append(qs.committed[:0], objs...))
 	// The installed snapshot need not match the live answer, so the next
 	// commit must rebuild even if no membership changed since.
 	qs.snapClean = false

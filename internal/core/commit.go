@@ -70,44 +70,49 @@ func (e *Engine) Recover(q QueryID) ([]Update, bool) {
 		return nil, false
 	}
 	// The snapshot is unordered (commit is the hot path and appends
-	// blindly); sort it here so membership tests are binary searches.
-	// Recover is rare, and the snapshot is rewritten below anyway.
+	// blindly); sort it here for the merge. Recover is rare, and the
+	// snapshot is rewritten below anyway.
 	slices.Sort(qs.committed)
-	var out []Update
-	for _, oid := range qs.committed {
-		if os, live := e.objs[oid]; !live || !qs.answer.Has(os.h) {
-			out = append(out, Update{Query: q, Object: oid, Positive: false})
-		}
-	}
-	members := qs.answer.AppendTo(e.hBuf[:0])
-	e.hBuf = members
-	for _, h := range members {
-		oid := e.idByH[h]
-		if _, ok := slices.BinarySearch(qs.committed, oid); !ok {
-			out = append(out, Update{Query: q, Object: oid, Positive: true})
-		}
-	}
-	slices.SortFunc(out, compareRecovery)
+	ans, _ := e.Answer(q)
+	out := AppendDiff(nil, q, qs.committed, ans)
 	e.commit(qs)
 	return out, true
 }
 
-// compareRecovery orders a recovery diff: negatives first (the client
-// prunes before it grows), then ascending ObjectID.
-func compareRecovery(a, b Update) int {
-	if a.Positive != b.Positive {
-		if !a.Positive {
-			return -1
+// AppendDiff appends to out the updates that turn answer from into
+// answer to, both ascending and duplicate-free (see SortIDs): negatives
+// first (a client prunes before it grows), then positives, each in
+// ascending ObjectID order. It is the recovery diff of every processor.
+func AppendDiff(out []Update, q QueryID, from, to []ObjectID) []Update {
+	j := 0
+	for _, o := range from {
+		for j < len(to) && to[j] < o {
+			j++
 		}
-		return 1
+		if j == len(to) || to[j] != o {
+			out = append(out, Update{Query: q, Object: o, Positive: false})
+		}
 	}
-	if a.Object < b.Object {
-		return -1
+	i := 0
+	for _, o := range to {
+		for i < len(from) && from[i] < o {
+			i++
+		}
+		if i == len(from) || from[i] != o {
+			out = append(out, Update{Query: q, Object: o, Positive: true})
+		}
 	}
-	if a.Object > b.Object {
-		return 1
-	}
-	return 0
+	return out
+}
+
+// SortIDs sorts ids in place and drops repeats, returning the
+// ascending, duplicate-free set AppendDiff expects. SeedCommitted input
+// is unconstrained, so every processor normalizes a seed with it: a
+// duplicate would double-emit on Recover and cancel out of the XOR
+// checksum.
+func SortIDs(ids []ObjectID) []ObjectID {
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // CommittedAnswer returns the last committed answer of q in ascending

@@ -19,8 +19,7 @@ import "math/bits"
 //
 // Iteration order is deterministic in both forms: insertion order while
 // packed, ascending handle order once spilled. The zero value is an
-// empty set. Not safe for concurrent mutation; concurrent reads are
-// safe, which is what the parallel join's gather phase relies on.
+// empty set. Not safe for concurrent mutation.
 type answerSet struct {
 	small []int32
 	bits  []uint64 // non-nil once spilled; small is then unused

@@ -82,7 +82,7 @@ func TestVelocityPointsAlongMovement(t *testing.T) {
 	w.Advance(0.5)
 	for i := 0; i < w.NumObjects(); i++ {
 		loc, vel := w.Object(i)
-		if vel.IsZero() {
+		if vel == (geo.Vector{}) {
 			continue // parked or at a node boundary
 		}
 		// Advance a small dt and compare against linear extrapolation; the

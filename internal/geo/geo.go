@@ -61,9 +61,6 @@ func (v Vector) Add(w Vector) Vector { return Vector{v.DX + w.DX, v.DY + w.DY} }
 // Len returns the Euclidean length of v.
 func (v Vector) Len() float64 { return math.Hypot(v.DX, v.DY) }
 
-// IsZero reports whether both components are exactly zero.
-func (v Vector) IsZero() bool { return v.DX == 0 && v.DY == 0 }
-
 // Norm returns v scaled to unit length. The zero vector is returned
 // unchanged.
 func (v Vector) Norm() Vector {
@@ -117,14 +114,6 @@ func (r Rect) Width() float64 { return r.MaxX - r.MinX }
 // Height returns the vertical extent of r.
 func (r Rect) Height() float64 { return r.MaxY - r.MinY }
 
-// Area returns the area of r; degenerate rectangles have area 0.
-func (r Rect) Area() float64 {
-	if !r.Valid() {
-		return 0
-	}
-	return r.Width() * r.Height()
-}
-
 // Center returns the midpoint of r.
 func (r Rect) Center() Point {
 	return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}
@@ -177,11 +166,6 @@ func (r Rect) Expand(d float64) Rect {
 	return Rect{r.MinX - d, r.MinY - d, r.MaxX + d, r.MaxY + d}
 }
 
-// Translate returns r shifted by v.
-func (r Rect) Translate(v Vector) Rect {
-	return Rect{r.MinX + v.DX, r.MinY + v.DY, r.MaxX + v.DX, r.MaxY + v.DY}
-}
-
 // MinDist returns the minimum Euclidean distance from p to any point of r;
 // it is 0 when p is inside r.
 func (r Rect) MinDist(p Point) float64 {
@@ -195,14 +179,6 @@ func (r Rect) MinDist2(p Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// MaxDist returns the maximum Euclidean distance from p to any point of r
-// (realized at one of the four corners).
-func (r Rect) MaxDist(p Point) float64 {
-	dx := math.Max(math.Abs(p.X-r.MinX), math.Abs(p.X-r.MaxX))
-	dy := math.Max(math.Abs(p.Y-r.MinY), math.Abs(p.Y-r.MaxY))
-	return math.Hypot(dx, dy)
-}
-
 func axisDist(v, lo, hi float64) float64 {
 	switch {
 	case v < lo:
@@ -212,11 +188,6 @@ func axisDist(v, lo, hi float64) float64 {
 	default:
 		return 0
 	}
-}
-
-// Enlargement returns the increase of area of r needed to include s.
-func (r Rect) Enlargement(s Rect) float64 {
-	return r.Union(s).Area() - r.Area()
 }
 
 // Difference returns r − s as a set of up to four disjoint rectangles.
@@ -265,18 +236,8 @@ type Circle struct {
 	R float64
 }
 
-// Contains reports whether p lies in the (closed) disk.
-func (c Circle) Contains(p Point) bool {
-	return c.C.Dist2(p) <= c.R*c.R+epsilon
-}
-
 // BBox returns the axis-aligned bounding box of the circle.
 func (c Circle) BBox() Rect { return RectAround(c.C, c.R) }
-
-// IntersectsRect reports whether the disk and r share at least one point.
-func (c Circle) IntersectsRect(r Rect) bool {
-	return r.MinDist2(c.C) <= c.R*c.R+epsilon
-}
 
 // epsilon absorbs floating-point noise in closed-region membership tests.
 const epsilon = 1e-12

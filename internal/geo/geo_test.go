@@ -36,14 +36,14 @@ func TestVectorOps(t *testing.T) {
 	if got := v.Scale(2); got != Vec(6, 8) {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := v.Add(Vec(-3, -4)); !got.IsZero() {
+	if got := v.Add(Vec(-3, -4)); got != (Vector{}) {
 		t.Errorf("Add = %v, want zero", got)
 	}
 	n := v.Norm()
 	if math.Abs(n.Len()-1) > 1e-12 {
 		t.Errorf("Norm length = %v", n.Len())
 	}
-	if !Vec(0, 0).Norm().IsZero() {
+	if Vec(0, 0).Norm() != (Vector{}) {
 		t.Error("Norm of zero vector should stay zero")
 	}
 	if got := Pt(1, 2).Add(Vec(1, 1)); got != Pt(2, 3) {
@@ -103,18 +103,12 @@ func TestRectIntersectUnion(t *testing.T) {
 	if u := a.Union(b); u != R(0, 0, 15, 15) {
 		t.Errorf("Union = %v", u)
 	}
-	if a.Union(b).Area() != 225 {
-		t.Errorf("Union area = %v", a.Union(b).Area())
-	}
-	if e := a.Enlargement(b); math.Abs(e-125) > 1e-12 {
-		t.Errorf("Enlargement = %v, want 125", e)
-	}
 }
 
 func TestRectGeometry(t *testing.T) {
 	r := R(0, 0, 4, 2)
-	if r.Width() != 4 || r.Height() != 2 || r.Area() != 8 {
-		t.Errorf("dims: %v %v %v", r.Width(), r.Height(), r.Area())
+	if r.Width() != 4 || r.Height() != 2 {
+		t.Errorf("dims: %v %v", r.Width(), r.Height())
 	}
 	if c := r.Center(); c != Pt(2, 1) {
 		t.Errorf("Center = %v", c)
@@ -122,31 +116,22 @@ func TestRectGeometry(t *testing.T) {
 	if g := r.Expand(1); g != R(-1, -1, 5, 3) {
 		t.Errorf("Expand = %v", g)
 	}
-	if tr := r.Translate(Vec(1, 1)); tr != R(1, 1, 5, 3) {
-		t.Errorf("Translate = %v", tr)
-	}
-	if (Rect{2, 2, 1, 1}).Area() != 0 {
-		t.Error("invalid rect area should be 0")
-	}
 }
 
 func TestRectMinMaxDist(t *testing.T) {
 	r := R(0, 0, 10, 10)
 	tests := []struct {
-		p        Point
-		min, max float64
+		p   Point
+		min float64
 	}{
-		{Pt(5, 5), 0, math.Hypot(5, 5)},
-		{Pt(13, 14), 5, math.Hypot(13, 14)},
-		{Pt(-3, 5), 3, math.Hypot(13, 5)},
-		{Pt(0, 0), 0, math.Hypot(10, 10)},
+		{Pt(5, 5), 0},
+		{Pt(13, 14), 5},
+		{Pt(-3, 5), 3},
+		{Pt(0, 0), 0},
 	}
 	for _, tc := range tests {
 		if got := r.MinDist(tc.p); math.Abs(got-tc.min) > 1e-12 {
 			t.Errorf("MinDist(%v) = %v, want %v", tc.p, got, tc.min)
-		}
-		if got := r.MaxDist(tc.p); math.Abs(got-tc.max) > 1e-12 {
-			t.Errorf("MaxDist(%v) = %v, want %v", tc.p, got, tc.max)
 		}
 	}
 }
@@ -192,6 +177,7 @@ func TestRectDifferenceBasic(t *testing.T) {
 // r and not in the interior of s, and pieces never overlap (positive
 // total-area check).
 func TestRectDifferenceProperty(t *testing.T) {
+	area := func(r Rect) float64 { return r.Width() * r.Height() }
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 500; iter++ {
 		r := R(rng.Float64()*10, rng.Float64()*10, rng.Float64()*10, rng.Float64()*10)
@@ -201,11 +187,11 @@ func TestRectDifferenceProperty(t *testing.T) {
 		// Area conservation: area(r − s) == area(r) − area(r ∩ s).
 		var got float64
 		for _, p := range pieces {
-			got += p.Area()
+			got += area(p)
 		}
-		want := r.Area()
+		want := area(r)
 		if in, ok := r.Intersect(s); ok {
-			want -= in.Area()
+			want -= area(in)
 		}
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("area mismatch: r=%v s=%v got=%v want=%v", r, s, got, want)
@@ -214,7 +200,7 @@ func TestRectDifferenceProperty(t *testing.T) {
 		// Pairwise disjoint interiors.
 		for i := 0; i < len(pieces); i++ {
 			for j := i + 1; j < len(pieces); j++ {
-				if in, ok := pieces[i].Intersect(pieces[j]); ok && in.Area() > 1e-9 {
+				if in, ok := pieces[i].Intersect(pieces[j]); ok && area(in) > 1e-9 {
 					t.Fatalf("overlapping pieces %v and %v", pieces[i], pieces[j])
 				}
 			}
@@ -243,24 +229,8 @@ func TestRectDifferenceProperty(t *testing.T) {
 
 func TestCircle(t *testing.T) {
 	c := Circle{C: Pt(5, 5), R: 2}
-	if !c.Contains(Pt(5, 7)) || !c.Contains(Pt(5, 5)) {
-		t.Error("Contains should include boundary and center")
-	}
-	if c.Contains(Pt(5, 7.1)) {
-		t.Error("Contains should exclude exterior")
-	}
 	if c.BBox() != R(3, 3, 7, 7) {
 		t.Errorf("BBox = %v", c.BBox())
-	}
-	if !c.IntersectsRect(R(6, 6, 10, 10)) {
-		t.Error("overlapping circle-rect should intersect")
-	}
-	if c.IntersectsRect(R(8, 8, 10, 10)) {
-		t.Error("distant rect should not intersect")
-	}
-	// Corner case: rect corner just outside the radius.
-	if c.IntersectsRect(R(6.5, 6.5, 10, 10)) {
-		t.Error("corner outside radius should not intersect")
 	}
 }
 
@@ -301,8 +271,8 @@ func TestQuickMinDistConsistent(t *testing.T) {
 	f := func(a1, b1, a2, b2, px, py float64) bool {
 		r := R(a1, b1, a2, b2)
 		p := Pt(px, py)
-		min, max := r.MinDist(p), r.MaxDist(p)
-		if min > max+1e-9 {
+		min := r.MinDist(p)
+		if min < 0 || min > p.Dist(r.Center())+1e-9 {
 			return false
 		}
 		if r.Contains(p) != (min == 0) {

@@ -19,11 +19,6 @@ func (m Motion) At(t float64) Point {
 	return m.Start.Add(m.Vel.Scale(t - m.T0))
 }
 
-// Segment returns the line segment swept between times t1 and t2.
-func (m Motion) Segment(t1, t2 float64) Segment {
-	return Segment{A: m.At(t1), B: m.At(t2)}
-}
-
 // IntersectsRectDuring reports whether the moving point is inside r at any
 // instant of the closed time window [t1, t2]. This is the predicate behind
 // predictive range queries ("objects that will intersect the region at a
@@ -78,116 +73,7 @@ type Segment struct {
 	A, B Point
 }
 
-// Len returns the length of the segment.
-func (s Segment) Len() float64 { return s.A.Dist(s.B) }
-
 // At returns the point at parameter u ∈ [0,1] along the segment.
 func (s Segment) At(u float64) Point {
 	return Point{s.A.X + u*(s.B.X-s.A.X), s.A.Y + u*(s.B.Y-s.A.Y)}
-}
-
-// BBox returns the bounding box of the segment.
-func (s Segment) BBox() Rect { return R(s.A.X, s.A.Y, s.B.X, s.B.Y) }
-
-// IntersectsRect reports whether any point of the segment lies in r.
-func (s Segment) IntersectsRect(r Rect) bool {
-	// Liang–Barsky with parameter u in [0,1].
-	dx, dy := s.B.X-s.A.X, s.B.Y-s.A.Y
-	lo, hi := 0.0, 1.0
-	var ok bool
-	if lo, hi, ok = clipAxis(s.A.X, dx, r.MinX, r.MaxX, lo, hi, 0); !ok {
-		return false
-	}
-	if _, _, ok = clipAxis(s.A.Y, dy, r.MinY, r.MaxY, lo, hi, 0); !ok {
-		return false
-	}
-	return true
-}
-
-// DistToPoint returns the minimum distance from p to the segment.
-func (s Segment) DistToPoint(p Point) float64 {
-	dx, dy := s.B.X-s.A.X, s.B.Y-s.A.Y
-	l2 := dx*dx + dy*dy
-	if l2 == 0 {
-		return s.A.Dist(p)
-	}
-	u := ((p.X-s.A.X)*dx + (p.Y-s.A.Y)*dy) / l2
-	u = math.Max(0, math.Min(1, u))
-	return s.At(u).Dist(p)
-}
-
-// SmallestEnclosingCircle returns the minimum disk containing every point
-// in pts, using Welzl's randomized-style algorithm made deterministic by
-// processing points in the given order with restarts. It runs in expected
-// linear time for the small point sets the kNN maintenance produces
-// (k ≤ a few hundred). An empty input yields the zero circle.
-//
-// The paper stores a kNN query in the grid "as the smallest circular
-// region that contains the k nearest objects"; this is that region.
-func SmallestEnclosingCircle(pts []Point) Circle {
-	var c Circle
-	for i, p := range pts {
-		if i == 0 {
-			c = Circle{C: p}
-			continue
-		}
-		if c.Contains(p) {
-			continue
-		}
-		c = circleWithBoundary(pts[:i], p)
-	}
-	return c
-}
-
-// circleWithBoundary returns the smallest circle containing pts with q on
-// its boundary.
-func circleWithBoundary(pts []Point, q Point) Circle {
-	c := Circle{C: q}
-	for i, p := range pts {
-		if c.Contains(p) {
-			continue
-		}
-		c = circleWith2Boundary(pts[:i], q, p)
-	}
-	return c
-}
-
-// circleWith2Boundary returns the smallest circle containing pts with q1
-// and q2 on its boundary.
-func circleWith2Boundary(pts []Point, q1, q2 Point) Circle {
-	c := circleFrom2(q1, q2)
-	for _, p := range pts {
-		if c.Contains(p) {
-			continue
-		}
-		c = circleFrom3(q1, q2, p)
-	}
-	return c
-}
-
-func circleFrom2(a, b Point) Circle {
-	c := Point{(a.X + b.X) / 2, (a.Y + b.Y) / 2}
-	return Circle{C: c, R: c.Dist(a)}
-}
-
-func circleFrom3(a, b, c Point) Circle {
-	ax, ay := a.X, a.Y
-	bx, by := b.X, b.Y
-	cx, cy := c.X, c.Y
-	d := 2 * (ax*(by-cy) + bx*(cy-ay) + cx*(ay-by))
-	if math.Abs(d) < 1e-18 {
-		// Collinear: fall back to the diameter of the two farthest points.
-		best := circleFrom2(a, b)
-		if cand := circleFrom2(a, c); cand.R > best.R {
-			best = cand
-		}
-		if cand := circleFrom2(b, c); cand.R > best.R {
-			best = cand
-		}
-		return best
-	}
-	ux := ((ax*ax+ay*ay)*(by-cy) + (bx*bx+by*by)*(cy-ay) + (cx*cx+cy*cy)*(ay-by)) / d
-	uy := ((ax*ax+ay*ay)*(cx-bx) + (bx*bx+by*by)*(ax-cx) + (cx*cx+cy*cy)*(bx-ax)) / d
-	ctr := Point{ux, uy}
-	return Circle{C: ctr, R: ctr.Dist(a)}
 }

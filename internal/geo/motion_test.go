@@ -17,10 +17,6 @@ func TestMotionAt(t *testing.T) {
 	if got := m.At(9); got != Pt(-1, -2) {
 		t.Errorf("At(9) = %v (backwards extrapolation)", got)
 	}
-	seg := m.Segment(10, 12)
-	if seg.A != Pt(0, 0) || seg.B != Pt(2, 4) {
-		t.Errorf("Segment = %v", seg)
-	}
 }
 
 func TestMotionIntersectsRectDuring(t *testing.T) {
@@ -79,7 +75,7 @@ func TestMotionIntersectsSampling(t *testing.T) {
 		if got && !sampled {
 			// Verify it is a near-boundary graze rather than a real bug:
 			// distance from the swept segment to the rect must be tiny.
-			seg := m.Segment(t1, t2)
+			seg := Segment{A: m.At(t1), B: m.At(t2)}
 			d := math.Min(
 				math.Min(r.MinDist(seg.A), r.MinDist(seg.B)),
 				segRectGap(seg, r))
@@ -104,93 +100,11 @@ func segRectGap(s Segment, r Rect) float64 {
 }
 
 func TestSegment(t *testing.T) {
-	s := Segment{Pt(0, 0), Pt(10, 0)}
-	if s.Len() != 10 {
-		t.Errorf("Len = %v", s.Len())
+	s := Segment{Pt(0, 0), Pt(10, 4)}
+	if s.At(0) != s.A || s.At(1) != s.B {
+		t.Errorf("At endpoints = %v, %v", s.At(0), s.At(1))
 	}
-	if s.At(0.5) != Pt(5, 0) {
+	if s.At(0.5) != Pt(5, 2) {
 		t.Errorf("At(0.5) = %v", s.At(0.5))
-	}
-	if s.BBox() != R(0, 0, 10, 0) {
-		t.Errorf("BBox = %v", s.BBox())
-	}
-	if !s.IntersectsRect(R(4, -1, 6, 1)) {
-		t.Error("segment should cross rect")
-	}
-	if s.IntersectsRect(R(4, 1, 6, 2)) {
-		t.Error("segment should miss rect above it")
-	}
-	if d := s.DistToPoint(Pt(5, 3)); math.Abs(d-3) > 1e-12 {
-		t.Errorf("DistToPoint mid = %v", d)
-	}
-	if d := s.DistToPoint(Pt(-3, 4)); math.Abs(d-5) > 1e-12 {
-		t.Errorf("DistToPoint endpoint = %v", d)
-	}
-	zero := Segment{Pt(1, 1), Pt(1, 1)}
-	if d := zero.DistToPoint(Pt(4, 5)); math.Abs(d-5) > 1e-12 {
-		t.Errorf("degenerate DistToPoint = %v", d)
-	}
-}
-
-func TestSmallestEnclosingCircleBasic(t *testing.T) {
-	// Empty.
-	if c := SmallestEnclosingCircle(nil); c.R != 0 {
-		t.Errorf("empty circle R = %v", c.R)
-	}
-	// Single point.
-	c := SmallestEnclosingCircle([]Point{Pt(3, 4)})
-	if c.C != Pt(3, 4) || c.R != 0 {
-		t.Errorf("single = %+v", c)
-	}
-	// Two points: diameter.
-	c = SmallestEnclosingCircle([]Point{Pt(0, 0), Pt(4, 0)})
-	if c.C != Pt(2, 0) || math.Abs(c.R-2) > 1e-9 {
-		t.Errorf("pair = %+v", c)
-	}
-	// Equilateral-ish triangle: circumcircle.
-	c = SmallestEnclosingCircle([]Point{Pt(0, 0), Pt(4, 0), Pt(2, 3)})
-	for _, p := range []Point{Pt(0, 0), Pt(4, 0), Pt(2, 3)} {
-		if c.C.Dist(p) > c.R+1e-9 {
-			t.Errorf("triangle point %v outside circle %+v", p, c)
-		}
-	}
-	// Interior point does not grow the circle.
-	base := SmallestEnclosingCircle([]Point{Pt(0, 0), Pt(4, 0), Pt(2, 3)})
-	withInner := SmallestEnclosingCircle([]Point{Pt(0, 0), Pt(4, 0), Pt(2, 3), Pt(2, 1)})
-	if math.Abs(base.R-withInner.R) > 1e-9 {
-		t.Errorf("interior point changed radius: %v vs %v", base.R, withInner.R)
-	}
-	// Collinear points.
-	c = SmallestEnclosingCircle([]Point{Pt(0, 0), Pt(2, 0), Pt(6, 0)})
-	if math.Abs(c.R-3) > 1e-9 {
-		t.Errorf("collinear = %+v", c)
-	}
-}
-
-// TestSmallestEnclosingCircleRandom validates containment and (approximate)
-// minimality on random point sets: the circle must contain every point and
-// must pass through at least two of them (otherwise it could shrink).
-func TestSmallestEnclosingCircleRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for iter := 0; iter < 200; iter++ {
-		n := 2 + rng.Intn(30)
-		pts := make([]Point, n)
-		for i := range pts {
-			pts[i] = Pt(rng.Float64()*100, rng.Float64()*100)
-		}
-		c := SmallestEnclosingCircle(pts)
-		onBoundary := 0
-		for _, p := range pts {
-			d := c.C.Dist(p)
-			if d > c.R+1e-7 {
-				t.Fatalf("point %v outside circle %+v (d=%v)", p, c, d)
-			}
-			if d > c.R-1e-7 {
-				onBoundary++
-			}
-		}
-		if onBoundary < 2 && n >= 2 && c.R > 1e-9 {
-			t.Fatalf("circle %+v touches only %d points; not minimal", c, onBoundary)
-		}
 	}
 }

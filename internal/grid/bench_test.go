@@ -41,7 +41,7 @@ func BenchmarkGridMoveRegionSameCells(b *testing.B) {
 		c := geo.Pt(0.3+rng.Float64()*0.4, 0.3+rng.Float64()*0.4)
 		r := geo.RectAt(c, 0.01)
 		// Sub-cell-width move: exercises the in-place fast path.
-		g.MoveRegion(id, r, r.Translate(geo.Vec(0.0005, 0.0005)))
+		g.MoveRegion(id, r, geo.RectAt(c.Add(geo.Vec(0.0005, 0.0005)), 0.01))
 	}
 }
 

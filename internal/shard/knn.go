@@ -136,7 +136,7 @@ func (e *Engine) settleKNN(m *mergeState, qi *queryInfo, now float64) {
 		qi.radius = cands[len(top)-1].dist
 	}
 	slices.Sort(top)
-	m.out = appendDiff(m.out, qi.id, qi.answer, top)
+	m.out = core.AppendDiff(m.out, qi.id, qi.answer, top)
 	qi.answer = append(qi.answer[:0], top...)
 	m.memBuf = top[:0]
 }

@@ -77,8 +77,7 @@ func (e *Engine) SeedCommitted(q core.QueryID, objs []core.ObjectID) bool {
 	if !ok {
 		return false
 	}
-	qi.committed = append(qi.committed[:0], objs...)
-	slices.Sort(qi.committed)
+	qi.committed = core.SortIDs(append(qi.committed[:0], objs...))
 	return true
 }
 
@@ -90,35 +89,9 @@ func (e *Engine) Recover(q core.QueryID) ([]core.Update, bool) {
 	if !ok {
 		return nil, false
 	}
-	out := appendDiff(nil, q, qi.committed, qi.answer)
+	out := core.AppendDiff(nil, q, qi.committed, qi.answer)
 	e.commitNow(qi)
 	return out, true
-}
-
-// appendDiff appends to out the updates that turn answer from into
-// answer to, both ascending ObjectID slices: negatives first (a client
-// prunes before it grows), then positives, each in ascending ObjectID
-// order — the same order as core.Engine.Recover.
-func appendDiff(out []core.Update, q core.QueryID, from, to []core.ObjectID) []core.Update {
-	j := 0
-	for _, o := range from {
-		for j < len(to) && to[j] < o {
-			j++
-		}
-		if j == len(to) || to[j] != o {
-			out = append(out, core.Update{Query: q, Object: o, Positive: false})
-		}
-	}
-	i := 0
-	for _, o := range to {
-		for i < len(from) && from[i] < o {
-			i++
-		}
-		if i == len(from) || from[i] != o {
-			out = append(out, core.Update{Query: q, Object: o, Positive: true})
-		}
-	}
-	return out
 }
 
 // Stats returns the router's activity counters. Step, report, and

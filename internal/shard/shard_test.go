@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -256,6 +257,38 @@ func TestCommitRecoverProtocol(t *testing.T) {
 	ca, _ = e.CommittedAnswer(1)
 	if !idsEqual(ca, []core.ObjectID{7}) {
 		t.Fatalf("seeded committed = %v", ca)
+	}
+}
+
+// TestSeedCommittedMatchesCore seeds a committed answer holding a
+// duplicate into a single engine and a sharded one: both must keep the
+// seed as a set, so the committed answer, its checksum, and the recovery
+// diff agree.
+func TestSeedCommittedMatchesCore(t *testing.T) {
+	opt := core.Options{Bounds: geo.R(0, 0, 10, 10), GridN: 8}
+	sh, err := NewN(opt, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sh.Close() })
+	for _, p := range []core.Processor{core.MustNewEngine(opt), sh} {
+		p.ReportObject(core.ObjectUpdate{ID: 5, Kind: core.Moving, Loc: geo.Pt(5, 5)})
+		p.ReportQuery(core.QueryUpdate{ID: 1, Kind: core.Range, Region: geo.R(4, 4, 6, 6)})
+		p.Step(0)
+		p.SeedCommitted(1, []core.ObjectID{3, 3, 5})
+
+		ca, _ := p.CommittedAnswer(1)
+		if !idsEqual(ca, []core.ObjectID{3, 5}) {
+			t.Fatalf("%T: committed = %v, want [3 5]", p, ca)
+		}
+		cs, _ := p.CommittedChecksum(1)
+		if want := core.ChecksumIDs([]core.ObjectID{3, 5}); cs != want {
+			t.Fatalf("%T: committed checksum = %x, want %x", p, cs, want)
+		}
+		rec, _ := p.Recover(1)
+		if want := []core.Update{{Query: 1, Object: 3, Positive: false}}; !slices.Equal(rec, want) {
+			t.Fatalf("%T: recovery = %v, want %v", p, rec, want)
+		}
 	}
 }
 
