@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // LockSend flags a mutex held across a blocking channel operation or a
@@ -206,7 +207,9 @@ func blockingCall(info *types.Info, call *ast.CallExpr) string {
 		}
 	case "Wait":
 		if path == "sync" {
-			return "sync.WaitGroup.Wait"
+			// Name the receiver: WaitGroup.Wait and Cond.Wait block for
+			// different reasons, and the finding should say which.
+			return strings.TrimPrefix(types.TypeString(sig.Recv().Type(), nil), "*") + ".Wait"
 		}
 	case "Accept":
 		if path == "net" {

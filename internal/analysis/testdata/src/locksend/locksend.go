@@ -9,10 +9,12 @@ import (
 )
 
 type box struct {
-	mu  sync.Mutex
-	rw  sync.RWMutex
-	ch  chan int
-	val int
+	mu   sync.Mutex
+	rw   sync.RWMutex
+	ch   chan int
+	val  int
+	wg   sync.WaitGroup
+	cond *sync.Cond
 }
 
 // sendUnderLock is the outbox deadlock shape.
@@ -88,4 +90,18 @@ func (b *box) rangeChanUnderLock() {
 	for v := range b.ch { // want `range over channel while holding b\.mu`
 		b.val += v
 	}
+}
+
+// waitGroupUnderLock: the finding names the WaitGroup.
+func (b *box) waitGroupUnderLock() {
+	b.mu.Lock()
+	b.wg.Wait() // want `sync\.WaitGroup\.Wait while holding b\.mu`
+	b.mu.Unlock()
+}
+
+// condWaitUnderLock: the finding names the Cond, not a WaitGroup.
+func (b *box) condWaitUnderLock() {
+	b.mu.Lock()
+	b.cond.Wait() // want `sync\.Cond\.Wait while holding b\.mu`
+	b.mu.Unlock()
 }

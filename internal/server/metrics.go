@@ -24,6 +24,7 @@ type serverMetrics struct {
 	outboxDropped *obs.Counter   // frames dropped under OutboxPolicy DropNewest
 	writeBatch    *obs.Histogram // frames coalesced per writer flush
 	evaluations   *obs.Counter   // bulk evaluation ticks
+	ingestStalls  *obs.Counter   // read-loop waits on an inbox one step ahead
 	evalLatency   *obs.Histogram // full evaluate-and-enqueue duration
 	streamed      *obs.Counter   // updates enqueued to subscribers
 	rtt           *obs.Histogram // heartbeat round trips
@@ -45,6 +46,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		outboxDropped: reg.Counter("server.outbox_dropped"),
 		writeBatch:    reg.Histogram("server.write_batch_frames", obs.SizeBuckets),
 		evaluations:   reg.Counter("server.evaluations"),
+		ingestStalls:  reg.Counter("server.ingest_stalls"),
 		evalLatency:   reg.Histogram("server.eval_ns", obs.DurationBuckets),
 		streamed:      reg.Counter("server.updates.streamed"),
 		rtt:           reg.Histogram("server.heartbeat_rtt_ns", obs.DurationBuckets),

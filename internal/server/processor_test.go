@@ -56,8 +56,8 @@ func TestInjectedClusterProcessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	evaluateUntil(t, s, func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
+		s.stepMu.Lock()
+		defer s.stepMu.Unlock()
 		ca, ok := s.engine.CommittedAnswer(1)
 		return ok && len(ca) == 1
 	})

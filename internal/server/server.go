@@ -11,9 +11,9 @@
 //     subscribed connection carrying only the positive/negative updates of
 //     that connection's queries.
 //   - MsgCommit acknowledges the stream; if the client's answer checksum
-//     matches the server's current answer, the answer is committed (and
-//     persisted), otherwise the server heals the client with a
-//     MsgFullAnswer.
+//     matches the server's answer as of the last completed evaluation,
+//     the answer is committed (and persisted), otherwise the server heals
+//     the client with a MsgFullAnswer.
 //   - MsgWakeup reconnects an out-of-sync client: if its checksum matches
 //     the committed answer the server replies with the incremental
 //     MsgRecoveryDiff, otherwise with a complete MsgFullAnswer.
@@ -161,15 +161,22 @@ type Config struct {
 // Server is a running location-aware server. Create with Listen, stop
 // with Close.
 type Server struct {
-	mu       sync.Mutex
-	engine   core.Processor
-	repo     *repository.Repository // nil when persistence is disabled
-	subs     map[core.QueryID]*session
-	sessions map[*session]struct{}
-	draining bool // set by Close: no further outbox enqueues
+	stepMu     sync.Mutex // owns the next three fields; taken before mu
+	engine     core.Processor
+	updBuf     []core.Update              // step's StepAppend buffer
+	perSession map[*session][]core.Update // step's fan-out grouping
 
-	m      *serverMetrics
-	updBuf []core.Update // evaluateLocked's reusable StepAppend buffer
+	mu              sync.Mutex // guards the session tables and the report inbox
+	subs            map[core.QueryID]*session
+	sessions        map[*session]struct{}
+	draining        bool // set by Close: no further outbox enqueues
+	objs, spareObjs []core.ObjectUpdate
+	qrys, spareQrys []core.QueryUpdate
+	inflight        int           // reports the running step evaluates
+	stepDone        chan struct{} // closed when that step ends; nil between steps
+
+	repo *repository.Repository // nil when persistence is disabled
+	m    *serverMetrics
 
 	ln           net.Listener
 	logger       *log.Logger
@@ -276,6 +283,7 @@ func Listen(addr string, cfg Config) (*Server, error) {
 		repo:         repo,
 		subs:         make(map[core.QueryID]*session),
 		sessions:     make(map[*session]struct{}),
+		perSession:   make(map[*session][]core.Update),
 		ln:           ln,
 		logger:       logger,
 		interval:     cfg.Interval,
@@ -310,11 +318,11 @@ func Listen(addr string, cfg Config) (*Server, error) {
 	go s.acceptLoop()
 	if s.interval > 0 {
 		s.wg.Add(1)
-		go s.tickLoop()
+		go s.every(s.interval, func() { s.Evaluate() })
 	}
 	if s.heartbeat > 0 {
 		s.wg.Add(1)
-		go s.heartbeatLoop()
+		go s.every(s.heartbeat, s.sendHeartbeats)
 	}
 	return s, nil
 }
@@ -389,36 +397,27 @@ func closeProcessor(p core.Processor) {
 // now returns the server clock in seconds since start.
 func (s *Server) now() float64 { return time.Since(s.start).Seconds() }
 
-func (s *Server) tickLoop() {
+// every runs f each period until Close; the caller has done s.wg.Add(1).
+func (s *Server) every(period time.Duration, f func()) {
 	defer s.wg.Done()
-	t := time.NewTicker(s.interval)
+	t := time.NewTicker(period)
 	defer t.Stop()
 	for {
 		select {
 		case <-s.closed:
 			return
 		case <-t.C:
-			s.Evaluate()
+			f()
 		}
 	}
 }
 
-func (s *Server) heartbeatLoop() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.heartbeat)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.closed:
-			return
-		case <-t.C:
-			s.mu.Lock()
-			now := s.now()
-			for sess := range s.sessions {
-				s.send(sess, wire.Heartbeat{Time: now})
-			}
-			s.mu.Unlock()
-		}
+func (s *Server) sendHeartbeats() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	now := s.now()
+	for sess := range s.sessions {
+		s.send(sess, wire.Heartbeat{Time: now})
 	}
 }
 
@@ -426,33 +425,49 @@ func (s *Server) heartbeatLoop() {
 // incremental updates to subscribed clients. It returns the number of
 // updates produced. Exposed for tests and for Interval == 0 setups.
 func (s *Server) Evaluate() int {
+	s.stepMu.Lock()
+	defer s.stepMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.evaluateLocked()
+	return s.step()
 }
 
-func (s *Server) evaluateLocked() int {
+// step swaps the inbox for the spare buffers and releases mu while it
+// feeds the batch to the processor (objects, then queries, each in
+// arrival order) and runs StepAppend. Meanwhile the read loops buffer up
+// to as many reports as this step evaluates, then wait on stepDone: the
+// TCP socket is the bounded queue. Caller holds s.stepMu and s.mu.
+func (s *Server) step() int {
 	begin := s.m.tracer.Begin()
 	s.m.evaluations.Inc()
 	now := s.now()
-	// StepAppend into a server-owned buffer: the updates are regrouped
-	// into per-session batches below and never retained past this call,
-	// so the evaluation tick avoids Step's per-call slice allocation.
-	s.updBuf = s.engine.StepAppend(s.updBuf[:0], now)
-	updates := s.updBuf
-	if len(updates) == 0 {
-		s.m.tracer.End(s.m.evalLatency, begin)
-		return 0
+	objs, qrys := s.objs, s.qrys
+	s.objs, s.qrys = s.spareObjs, s.spareQrys
+	done := make(chan struct{})
+	s.inflight, s.stepDone = len(objs)+len(qrys), done
+	s.mu.Unlock()
+	for _, u := range objs {
+		s.engine.ReportObject(u)
 	}
-	// Group per destination session.
-	perSession := make(map[*session][]core.Update)
+	for _, u := range qrys {
+		s.engine.ReportQuery(u)
+	}
+	// StepAppend into a server-owned buffer: the updates are regrouped
+	// below and never retained, so a tick avoids Step's slice allocation.
+	s.updBuf = s.engine.StepAppend(s.updBuf[:0], now)
+	s.mu.Lock()
+	s.spareObjs, s.spareQrys = objs[:0], qrys[:0]
+	s.stepDone = nil
+	close(done)
+	// Group per destination session. The map is reused across ticks; the
+	// batch slices are not, because the outboxes retain them.
 	streamed := 0
-	for _, u := range updates {
+	for _, u := range s.updBuf {
 		sess, ok := s.subs[u.Query]
 		if !ok || sess.isDead() {
 			continue
 		}
-		perSession[sess] = append(perSession[sess], u)
+		s.perSession[sess] = append(s.perSession[sess], u)
 		streamed++
 	}
 	s.m.streamed.Add(uint64(streamed))
@@ -460,12 +475,13 @@ func (s *Server) evaluateLocked() int {
 	// any one client sees is reproducible; the enqueue order *across*
 	// sessions is not client-observable (each session only receives its
 	// own batch, and send never blocks).
-	for sess, batch := range perSession {
+	for sess, batch := range s.perSession {
 		//lint:allow maporder per-session batch content is canonically ordered; cross-session enqueue order is not observable by any client
 		s.send(sess, wire.UpdateBatch{Time: now, Updates: batch})
 	}
+	clear(s.perSession)
 	s.m.tracer.End(s.m.evalLatency, begin)
-	return len(updates)
+	return len(s.updBuf)
 }
 
 // send enqueues a message on a session's outbox; the session's writer
@@ -522,7 +538,7 @@ func (s *Server) sessionWriter(sess *session) {
 					failed = true
 				} else {
 					frames++
-					bytes += uint64(wire.EncodedSize(m))
+					bytes += uint64(sess.w.FrameSize())
 				}
 			}
 			// Greedy, non-blocking drain: batch whatever else is already
@@ -618,22 +634,39 @@ func (s *Server) handleConn(conn net.Conn) {
 			return
 		}
 		s.m.framesIn.Inc()
-		s.m.bytesIn.Add(uint64(wire.EncodedSize(msg)))
-		s.handleMessage(sess, msg)
+		s.m.bytesIn.Add(uint64(r.FrameSize()))
+		if stepDone := s.handleMessage(sess, msg); stepDone != nil {
+			s.m.ingestStalls.Inc()
+			select {
+			case <-stepDone:
+			case <-s.closed:
+			}
+		}
 	}
 }
 
-func (s *Server) handleMessage(sess *session, msg wire.Message) {
+// handleMessage applies one inbound frame. A report only joins the
+// inbox; once the inbox holds as many reports as the running step
+// evaluates, handleMessage returns that step's stepDone, and the read
+// loop waits on it before reading the next frame (one step ahead).
+func (s *Server) handleMessage(sess *session, msg wire.Message) <-chan struct{} {
+	switch msg.(type) {
+	case wire.ObjectReport, wire.QueryReport, wire.Heartbeat:
+	default: // the rest read the processor
+		s.stepMu.Lock()
+		defer s.stepMu.Unlock()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch m := msg.(type) {
 	case wire.ObjectReport:
-		s.engine.ReportObject(m.Update)
+		s.objs = append(s.objs, m.Update)
 		if s.repo != nil {
 			s.persistObjectReport(m.Update)
 		}
+		return s.backlog()
 	case wire.QueryReport:
-		s.engine.ReportQuery(m.Update)
+		s.qrys = append(s.qrys, m.Update)
 		if m.Update.Remove {
 			delete(s.subs, m.Update.ID)
 			if s.repo != nil {
@@ -644,6 +677,7 @@ func (s *Server) handleMessage(sess *session, msg wire.Message) {
 		} else {
 			s.subs[m.Update.ID] = sess
 		}
+		return s.backlog()
 	case wire.Commit:
 		s.handleCommit(sess, m)
 	case wire.Wakeup:
@@ -666,17 +700,24 @@ func (s *Server) handleMessage(sess *session, msg wire.Message) {
 	default:
 		s.logger.Printf("server: unexpected message %T from client", msg)
 	}
+	return nil
+}
+
+// backlog returns the running step's stepDone (nil between steps) once
+// the inbox is one step ahead of it, and nil before. Caller holds s.mu.
+func (s *Server) backlog() <-chan struct{} {
+	if len(s.objs)+len(s.qrys) < s.inflight {
+		return nil
+	}
+	return s.stepDone
 }
 
 // handleCommit processes a client acknowledgment: commit when the
 // checksums agree, heal with a full answer when they do not (the rare
-// in-flight-updates race). Caller holds s.mu.
+// in-flight-updates race). The client's checksum can only reflect
+// completed steps, so pending reports stay pending: evaluating them
+// could only force a spurious heal. Caller holds s.stepMu and s.mu.
 func (s *Server) handleCommit(sess *session, m wire.Commit) {
-	// Apply pending reports first so the commit sees the answer the
-	// client reconstructed.
-	if s.engine.Pending() > 0 {
-		s.evaluateLocked()
-	}
 	current, ok := s.engine.AnswerChecksum(m.Query)
 	if !ok {
 		return // unknown query: nothing to commit
@@ -691,8 +732,8 @@ func (s *Server) handleCommit(sess *session, m wire.Commit) {
 	s.send(sess, wire.CommitAck{Query: m.Query, Checksum: m.Checksum})
 }
 
-// handleWakeup processes an out-of-sync client reconnection. Caller
-// holds s.mu.
+// handleWakeup processes an out-of-sync client reconnection against the
+// last completed step. Caller holds s.stepMu and s.mu.
 func (s *Server) handleWakeup(sess *session, m wire.Wakeup) {
 	q := m.Update.ID
 	s.subs[q] = sess
@@ -701,16 +742,13 @@ func (s *Server) handleWakeup(sess *session, m wire.Wakeup) {
 		// Server restarted (or never saw the query): re-register from the
 		// definition carried by the wakeup, evaluate, and seed the
 		// committed answer from the repository if we have one.
-		s.engine.ReportQuery(m.Update)
-		s.evaluateLocked()
+		s.qrys = append(s.qrys, m.Update)
+		s.step()
 		if s.repo != nil {
 			if committed, ok := s.repo.Committed(q); ok {
 				s.engine.SeedCommitted(q, committed)
 			}
 		}
-	} else if s.engine.Pending() > 0 {
-		// Make sure the diff reflects every buffered report.
-		s.evaluateLocked()
 	}
 
 	committedCk, ok := s.engine.CommittedChecksum(q)
@@ -733,7 +771,7 @@ func (s *Server) handleWakeup(sess *session, m wire.Wakeup) {
 }
 
 // sendFullAnswer ships the complete current answer and commits it.
-// Caller holds s.mu.
+// Caller holds s.stepMu and s.mu.
 func (s *Server) sendFullAnswer(sess *session, q core.QueryID) {
 	answer, ok := s.engine.Answer(q)
 	if !ok {
@@ -767,7 +805,7 @@ func (s *Server) persistObjectReport(u core.ObjectUpdate) {
 }
 
 // persistCommit mirrors the engine's committed answer into the
-// repository. Caller holds s.mu.
+// repository. Caller holds s.stepMu.
 func (s *Server) persistCommit(q core.QueryID) {
 	if s.repo == nil {
 		return
@@ -783,29 +821,29 @@ func (s *Server) persistCommit(q core.QueryID) {
 
 // Stats exposes the engine's counters (for monitoring and tests).
 func (s *Server) Stats() core.Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.stepMu.Lock()
+	defer s.stepMu.Unlock()
 	return s.engine.Stats()
 }
 
 // Answer returns the engine's current answer for q (for monitoring and
 // for tests that compare client state against the server's ground truth).
 func (s *Server) Answer(q core.QueryID) ([]core.ObjectID, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.stepMu.Lock()
+	defer s.stepMu.Unlock()
 	return s.engine.Answer(q)
 }
 
 // NumObjects returns the engine's registered object count.
 func (s *Server) NumObjects() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.stepMu.Lock()
+	defer s.stepMu.Unlock()
 	return s.engine.NumObjects()
 }
 
 // NumQueries returns the engine's registered query count.
 func (s *Server) NumQueries() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.stepMu.Lock()
+	defer s.stepMu.Unlock()
 	return s.engine.NumQueries()
 }

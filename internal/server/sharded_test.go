@@ -52,8 +52,8 @@ func TestShardedServerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	evaluateUntil(t, s, func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
+		s.stepMu.Lock()
+		defer s.stepMu.Unlock()
 		ca, ok := s.engine.CommittedAnswer(1)
 		return ok && len(ca) == 2
 	})

@@ -300,8 +300,10 @@ func (RecoveryDiff) msgType() MsgType { return MsgRecoveryDiff }
 
 // Writer encodes messages onto a stream. Not safe for concurrent use.
 type Writer struct {
-	w   *bufio.Writer
-	buf []byte
+	w      *bufio.Writer
+	buf    []byte
+	header [5]byte // a field, not a local: a local escapes through w.w
+	size   int     // bytes of the last frame encoded, header included
 }
 
 // NewWriter returns a Writer over w.
@@ -326,17 +328,22 @@ func (w *Writer) Write(m Message) error {
 // of the encoding.
 func (w *Writer) WriteBuffered(m Message) error {
 	w.buf = appendMessage(w.buf[:0], m)
-	var header [5]byte
-	binary.LittleEndian.PutUint32(header[0:], uint32(len(w.buf)))
-	header[4] = byte(m.msgType())
-	if _, err := w.w.Write(header[:]); err != nil {
+	binary.LittleEndian.PutUint32(w.header[0:], uint32(len(w.buf)))
+	w.header[4] = byte(m.msgType())
+	if _, err := w.w.Write(w.header[:]); err != nil {
 		return fmt.Errorf("wire: write header: %w", err)
 	}
 	if _, err := w.w.Write(w.buf); err != nil {
 		return fmt.Errorf("wire: write payload: %w", err)
 	}
+	w.size = len(w.header) + len(w.buf)
 	return nil
 }
+
+// FrameSize returns the size in bytes, header included, of the frame the
+// last successful Write or WriteBuffered encoded: EncodedSize of that
+// message, without encoding it again.
+func (w *Writer) FrameSize() int { return w.size }
 
 // Flush forces every buffered frame onto the underlying stream.
 func (w *Writer) Flush() error {
@@ -348,9 +355,11 @@ func (w *Writer) Flush() error {
 
 // Reader decodes messages from a stream. Not safe for concurrent use.
 type Reader struct {
-	r   *bufio.Reader
-	buf []byte
-	max uint32
+	r      *bufio.Reader
+	buf    []byte
+	max    uint32
+	header [5]byte // a field, not a local: a local escapes through io.ReadFull
+	size   int     // bytes of the last frame read, header included
 }
 
 // NewReader returns a Reader over r accepting frames up to MaxPayload.
@@ -372,8 +381,8 @@ func NewReaderLimit(r io.Reader, maxFrame uint32) *Reader {
 // Read decodes the next message. It returns io.EOF at a clean end of
 // stream.
 func (r *Reader) Read() (Message, error) {
-	var header [5]byte
-	if _, err := io.ReadFull(r.r, header[:]); err != nil {
+	header := r.header[:]
+	if _, err := io.ReadFull(r.r, header); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, io.EOF
 		}
@@ -387,8 +396,14 @@ func (r *Reader) Read() (Message, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: read payload: %w", err)
 	}
+	r.size = len(header) + len(payload)
 	return decodeMessage(MsgType(header[4]), payload)
 }
+
+// FrameSize returns the size in bytes, header included, of the frame the
+// last Read consumed whole (whether or not it decoded): EncodedSize of
+// that message, without encoding it again.
+func (r *Reader) FrameSize() int { return r.size }
 
 // readPayload returns the next n payload bytes. Buffers up to
 // maxPrealloc are allocated outright; larger ones grow chunk by chunk as
@@ -928,7 +943,8 @@ func decodeUpdateBatch(d *decoder) (UpdateBatch, error) {
 
 // EncodedSize returns the wire size in bytes of a message, including the
 // frame header; the benchmarks use it to measure answer bandwidth exactly
-// as the network would see it.
+// as the network would see it. It encodes m: a Reader or Writer that has
+// just handled m reports the same number through FrameSize for free.
 func EncodedSize(m Message) int {
 	return 5 + len(appendMessage(nil, m))
 }

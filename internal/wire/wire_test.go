@@ -272,6 +272,41 @@ func TestEncodedSize(t *testing.T) {
 	}
 }
 
+// TestFrameSizeMatchesEncodedSize: the frame sizes the Writer and Reader
+// report as they go are EncodedSize of each message, so the server can
+// count bytes_in/bytes_out without encoding a frame twice.
+func TestFrameSizeMatchesEncodedSize(t *testing.T) {
+	msgs := []Message{
+		ObjectReport{Update: core.ObjectUpdate{ID: 7, Kind: core.Moving, Loc: geo.Pt(1, 2), T: 3}},
+		UpdateBatch{Time: 1, Updates: []core.Update{{Query: 1, Object: 2, Positive: true}}},
+		Heartbeat{Time: 2},
+		StatsRequest{},
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, m := range msgs {
+		if err := w.WriteBuffered(m); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := w.FrameSize(), EncodedSize(m); got != want {
+			t.Errorf("Writer.FrameSize(%T) = %d, want %d", m, got, want)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(&buf)
+	for _, want := range msgs {
+		m, err := r.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.FrameSize(); got != EncodedSize(want) {
+			t.Errorf("Reader.FrameSize(%T) = %d, want %d", m, got, EncodedSize(want))
+		}
+	}
+}
+
 // TestWriteBufferedByteIdentical proves the batched write path produces
 // exactly the byte stream of the unbatched path: N frames encoded with
 // WriteBuffered and flushed once must equal the same N frames written
