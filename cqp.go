@@ -86,6 +86,9 @@ type (
 	// ShardedEngine partitions the space into parallel per-tile engines
 	// behind the Processor interface.
 	ShardedEngine = shard.Engine
+	// Protocol layers the out-of-sync client protocol (Commit, Recover,
+	// committed answers) over any Processor.
+	Protocol = core.Protocol
 	// ShardOptions configures a ShardedEngine (tile grid shape,
 	// repartition policy).
 	ShardOptions = shard.Options
@@ -147,6 +150,10 @@ func MustNewEngine(opt Options) *Engine { return core.MustNewEngine(opt) }
 func NewShardedEngine(opt Options, n int) (*ShardedEngine, error) {
 	return shard.NewN(opt, n)
 }
+
+// NewProtocol wraps a Processor that has not seen any report yet in the
+// out-of-sync client protocol.
+func NewProtocol(p Processor) *Protocol { return core.NewProtocol(p) }
 
 // ApplyUpdates replays an update stream onto a client-side answer set.
 func ApplyUpdates(answer map[ObjectID]struct{}, updates []Update, q QueryID) {

@@ -15,7 +15,7 @@ import (
 // the same order. A field appended on one side but skipped — or
 // reordered — on the other silently shifts every later byte, the drift
 // class that otherwise only surfaces as a resync-checksum failure at
-// runtime (the ClusterAssign Region/MaxSpeed/Replica shape).
+// runtime (the ClusterAssign Region/MaxSpeed shape).
 //
 // Sequences are extracted syntactically, in source order, relative to
 // the message variable of each switch case: selector accesses record

@@ -249,7 +249,7 @@ func RunRecovery(cfg Fig5Config, missedTicksList []int) []RecoveryResult {
 		world := gen.MustNewWorld(gen.Config{Net: net, NumObjects: cfg.Objects, Seed: cfg.Seed})
 		wl := gen.NewWorkload(world, cfg.Queries, cfg.QuerySide, cfg.Seed)
 		scatter(wl)
-		engine := core.MustNewEngine(core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: cfg.GridN})
+		engine := core.NewProtocol(core.MustNewEngine(core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: cfg.GridN}))
 		wl.Bootstrap(engine)
 		engine.Step(world.Now())
 

@@ -127,27 +127,30 @@ func runClusterDifferential(t *testing.T, cfg clusterDiffConfig) {
 		t.Fatalf("after New: %d/%d workers up", up, cfg.workers)
 	}
 
+	// Every report and step goes through the protocol layer, which the
+	// committed-answer and recovery assertions read.
+	pref, pcl := core.NewProtocol(ref), core.NewProtocol(cl)
 	stepBoth := func(step int) {
 		t.Helper()
 		now := w.step(func(ou *core.ObjectUpdate, qu *core.QueryUpdate) {
 			if ou != nil {
-				ref.ReportObject(*ou)
-				cl.ReportObject(*ou)
+				pref.ReportObject(*ou)
+				pcl.ReportObject(*ou)
 			}
 			if qu != nil {
-				ref.ReportQuery(*qu)
-				cl.ReportQuery(*qu)
+				pref.ReportQuery(*qu)
+				pcl.ReportQuery(*qu)
 			}
 		})
-		a := ref.Step(now)
-		b := cl.Step(now)
+		a := pref.Step(now)
+		b := pcl.Step(now)
 		if !updatesEqual(a, b) {
 			t.Fatalf("seed %d step %d: merged streams diverge (fallback tiles: %d)\nsharded: %v\ncluster: %v",
 				cfg.seed, step, cl.TilesInFallback(), a, b)
 		}
 		for _, q := range w.queryIDs() {
-			ra, ok1 := ref.Answer(q)
-			ca, ok2 := cl.Answer(q)
+			ra, ok1 := pref.Answer(q)
+			ca, ok2 := pcl.Answer(q)
 			if ok1 != ok2 || !idsEqualTest(ra, ca) {
 				t.Fatalf("seed %d step %d: query %d answers diverge\nsharded: %v (%v)\ncluster: %v (%v)",
 					cfg.seed, step, q, ra, ok1, ca, ok2)
@@ -156,19 +159,19 @@ func runClusterDifferential(t *testing.T, cfg clusterDiffConfig) {
 		// Exercise the protocol surface identically on both sides.
 		if len(w.queries) > 0 && w.rng.Float64() < 0.2 {
 			q := w.pickQuery()
-			if x, y := ref.Commit(q), cl.Commit(q); x != y {
+			if x, y := pref.Commit(q), pcl.Commit(q); x != y {
 				t.Fatalf("seed %d step %d: Commit(%d) sharded=%v cluster=%v", cfg.seed, step, q, x, y)
 			}
-			rc, _ := ref.CommittedChecksum(q)
-			cc, _ := cl.CommittedChecksum(q)
+			rc, _ := pref.CommittedChecksum(q)
+			cc, _ := pcl.CommittedChecksum(q)
 			if rc != cc {
 				t.Fatalf("seed %d step %d: committed checksums diverge for %d", cfg.seed, step, q)
 			}
 		}
 		if len(w.queries) > 0 && w.rng.Float64() < 0.1 {
 			q := w.pickQuery()
-			ra, _ := ref.Recover(q)
-			ca, _ := cl.Recover(q)
+			ra, _ := pref.Recover(q)
+			ca, _ := pcl.Recover(q)
 			if !updatesEqual(ra, ca) {
 				t.Fatalf("seed %d step %d: Recover(%d) diverges\nsharded: %v\ncluster: %v", cfg.seed, step, q, ra, ca)
 			}

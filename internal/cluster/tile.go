@@ -257,7 +257,6 @@ func (t *clusterTile) establish() {
 		// resync state checksums could never match a repartitioned tile.
 		Region:   t.opt.Region,
 		MaxSpeed: t.opt.MaxSpeed,
-		Replica:  t.opt.Replica,
 	}
 	if t.fresh() {
 		t.remote, t.remoteInc = st.enqueue(assign), st.incarnation

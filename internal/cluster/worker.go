@@ -54,7 +54,6 @@ func ServeWorker(conn net.Conn) error {
 				PredictiveHorizon: m.PredictiveHorizon,
 				Region:            m.Region,
 				MaxSpeed:          m.MaxSpeed,
-				Replica:           m.Replica,
 			}
 			eng, err := core.NewEngine(opt)
 			if err != nil {
@@ -136,12 +135,6 @@ func tileEpoch(t *workerTile) any {
 	return t.epoch
 }
 
-// answerer is the slice of the processor surface stateChecksum reads;
-// both *core.Engine (worker and fallback engines) satisfy it.
-type answerer interface {
-	Answer(core.QueryID) ([]core.ObjectID, bool)
-}
-
 // stateChecksum folds the answers of the given queries — which must be
 // in ascending ID order on both sides — into one fingerprint of a tile
 // engine's membership state. The coordinator compares the resyncing
@@ -149,7 +142,7 @@ type answerer interface {
 // worker again: the two engines were rebuilt from the same journal, so
 // any difference means divergence (version skew, undetected corruption)
 // and the worker must not be handed the tile.
-func stateChecksum(eng answerer, qids []core.QueryID) uint64 {
+func stateChecksum(eng *core.Engine, qids []core.QueryID) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
 	for _, q := range qids {

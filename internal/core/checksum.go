@@ -46,31 +46,3 @@ func (e *Engine) AnswerChecksum(q QueryID) (uint64, bool) {
 	}
 	return e.checksumAnswer(&qs.answer), true
 }
-
-// CommittedChecksum returns the checksum of q's committed answer; ok is
-// false when q is unknown. A query that never committed has the checksum
-// of the empty set (0).
-func (e *Engine) CommittedChecksum(q QueryID) (uint64, bool) {
-	qs, ok := e.qrys[q]
-	if !ok {
-		return 0, false
-	}
-	return ChecksumIDs(qs.committed), true
-}
-
-// SeedCommitted installs a committed answer for q, typically restored
-// from the repository after a server restart, so that clients of
-// long-lived queries can recover incrementally across restarts. Unknown
-// object IDs are permitted: they simply produce negative updates on the
-// next Recover. It reports whether q is registered.
-func (e *Engine) SeedCommitted(q QueryID, objs []ObjectID) bool {
-	qs, ok := e.qrys[q]
-	if !ok {
-		return false
-	}
-	qs.committed = SortIDs(append(qs.committed[:0], objs...))
-	// The installed snapshot need not match the live answer, so the next
-	// commit must rebuild even if no membership changed since.
-	qs.snapClean = false
-	return true
-}

@@ -62,16 +62,6 @@ type Options struct {
 	// Clock disables latency timing while every other metric still
 	// functions.
 	Clock obs.Clock
-
-	// Replica marks the engine as an internal replica behind a router —
-	// a shard tile or a cluster worker engine. The router is the single
-	// source of truth for the client commit/recover protocol, so a
-	// replica skips the per-report committed-answer snapshot that a
-	// moving query's auto-commit would otherwise rebuild on every tick
-	// (the snapshot would never be consulted). Explicit Commit and
-	// Recover calls still work; only the implicit auto-commit is elided.
-	// The update stream is bit-identical with or without the flag.
-	Replica bool
 }
 
 func (o *Options) withDefaults() (Options, error) {
@@ -164,7 +154,7 @@ type objectState struct {
 }
 
 // queryState is the engine's record of one query: the paper's query entry
-// plus the incremental-evaluation and recovery bookkeeping.
+// plus the incremental-evaluation bookkeeping.
 type queryState struct {
 	id QueryID
 	// h is the query's dense handle (slot in Engine.qrysByH, payload of
@@ -185,24 +175,6 @@ type queryState struct {
 	// keyed by object handle (members are always live, so handles cannot
 	// dangle).
 	answer answerSet
-
-	// committed is the last answer the client provably received, keyed
-	// by ObjectID — unlike answer it can outlive its members (a removed
-	// object must still produce a negative update on Recover), so it
-	// must not reference handles. It is an unordered snapshot slice,
-	// rewritten wholesale on every commit (the auto-commit path is hot;
-	// Recover, the only reader that needs lookups, sorts it first). See
-	// Commit and Recover.
-	committed []ObjectID
-
-	// snapClean records that committed (as a set) still equals answer:
-	// no membership change since the last commit. Auto-commit fires on
-	// every report a moving query sends, but most reporting queries —
-	// the ones in quiet cells — have unchanged answers, so commit can
-	// skip the snapshot rebuild for them entirely. Cleared by the two
-	// answer mutators (setMember, setMemberNew) and by SeedCommitted,
-	// set by commit.
-	snapClean bool
 }
 
 // Engine is the shared, incremental continuous query processor. Methods
@@ -227,8 +199,8 @@ type Engine struct {
 	qryFree []int32
 
 	// idByH mirrors objsByH with just the external ID: handle→ID
-	// translation (commit snapshots, answer reads, checksums) is a flat
-	// array load instead of a pointer chase through the object state.
+	// translation (answer reads, checksums) is a flat array load
+	// instead of a pointer chase through the object state.
 	// Freed slots keep their stale ID — translation is only ever done
 	// for live members, whose slots are current.
 	idByH []ObjectID
@@ -603,7 +575,6 @@ func (e *Engine) setMember(qs *queryState, os *objectState, in bool, out *[]Upda
 		}
 		e.stats.NegativeUpdates++
 	}
-	qs.snapClean = false
 	*out = append(*out, Update{Query: qs.id, Object: os.id, Positive: in})
 }
 
@@ -625,7 +596,6 @@ func (e *Engine) setMemberNew(qs *queryState, os *objectState, out *[]Update) {
 	}
 	os.queries = append(os.queries, qs)
 	e.stats.PositiveUpdates++
-	qs.snapClean = false
 	*out = append(*out, Update{Query: qs.id, Object: os.id, Positive: true})
 }
 
@@ -733,7 +703,7 @@ func (e *Engine) registerSwept(os *objectState) {
 
 // applyQueryUpdate registers a new query or applies a movement report to
 // an existing one. Updates with an unknown kind are rejected up front,
-// before any state is touched: an invalid report must not auto-commit an
+// before any state is touched: an invalid report must not re-register an
 // existing query or overwrite its timestamp.
 func (e *Engine) applyQueryUpdate(u QueryUpdate, out *[]Update) {
 	switch u.Kind {
@@ -751,16 +721,6 @@ func (e *Engine) applyQueryUpdate(u QueryUpdate, out *[]Update) {
 	if !exists {
 		qs = e.newQuery(u.ID, u.Kind)
 	}
-
-	// Receiving any report from a query's client proves the client is
-	// connected and has consumed the stream so far: auto-commit (paper
-	// §3.3, moving queries commit implicitly). Replica engines skip the
-	// snapshot — their committed state is never consulted (see
-	// Options.Replica).
-	if !e.opt.Replica {
-		e.commit(qs)
-	}
-
 	qs.t = u.T
 	switch u.Kind {
 	case Range:

@@ -259,7 +259,8 @@ func TestStationaryObjectsAndPendingCount(t *testing.T) {
 // must not auto-commit an existing query's answer or overwrite its
 // timestamp, and the query must keep working afterwards.
 func TestUnknownQueryKindNoSideEffects(t *testing.T) {
-	e := newTestEngine(t)
+	eng := newTestEngine(t)
+	e := NewProtocol(eng)
 
 	// An unknown kind must not register a query at all.
 	e.ReportQuery(QueryUpdate{ID: 7, Kind: QueryKind(99)})
@@ -293,7 +294,7 @@ func TestUnknownQueryKindNoSideEffects(t *testing.T) {
 	if !updatesEqual(got, want) {
 		t.Fatalf("got %v want %v", got, want)
 	}
-	if err := e.CheckConsistency(true); err != nil {
+	if err := eng.CheckConsistency(true); err != nil {
 		t.Fatal(err)
 	}
 }

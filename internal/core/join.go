@@ -10,7 +10,7 @@ import (
 //
 //   - Phase 2 (queryPhase) applies the step's query reports one at a
 //     time in report-buffer order, so duplicate reports, removals, and
-//     auto-commit timing follow arrival order. The incremental
+//     kind changes follow arrival order. The incremental
 //     evaluation itself is applyRangeUpdate (rangeq.go) and
 //     applyPredictiveUpdate (predictive.go).
 //   - Phase 3 (objectJoinPhase) joins every moved object against the

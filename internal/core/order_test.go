@@ -115,7 +115,7 @@ func TestStepStreamReproducible(t *testing.T) {
 // negatives in ascending ObjectID order first (the client prunes before
 // it grows), then positives in ascending ObjectID order.
 func TestRecoverPinnedOrder(t *testing.T) {
-	eng := MustNewEngine(Options{Bounds: geo.R(0, 0, 10, 10), GridN: 4})
+	eng := NewProtocol(MustNewEngine(Options{Bounds: geo.R(0, 0, 10, 10), GridN: 4}))
 	const q = QueryID(1)
 	eng.ReportQuery(QueryUpdate{ID: q, Kind: Range, Region: geo.R(0, 0, 5, 5)})
 	for _, o := range []ObjectID{4, 2, 9, 7} {
@@ -154,7 +154,7 @@ func TestRecoverPinnedOrder(t *testing.T) {
 
 // TestCommittedAnswerSorted pins CommittedAnswer's ascending order.
 func TestCommittedAnswerSorted(t *testing.T) {
-	eng := MustNewEngine(Options{Bounds: geo.R(0, 0, 10, 10), GridN: 4})
+	eng := NewProtocol(MustNewEngine(Options{Bounds: geo.R(0, 0, 10, 10), GridN: 4}))
 	const q = QueryID(3)
 	eng.ReportQuery(QueryUpdate{ID: q, Kind: Range, Region: geo.R(0, 0, 5, 5)})
 	for _, o := range []ObjectID{31, 5, 17, 2, 23} {

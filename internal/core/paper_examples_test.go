@@ -194,7 +194,7 @@ func TestPaperExampleIII(t *testing.T) {
 // would leave the client at the wrong (p1, p2, p3, p4); the committed-
 // answer recovery protocol sends exactly (−p2, +p3, +p4).
 func TestPaperFig4OutOfSync(t *testing.T) {
-	e := MustNewEngine(Options{Bounds: geo.R(0, 0, 10, 10), GridN: 8})
+	e := NewProtocol(MustNewEngine(Options{Bounds: geo.R(0, 0, 10, 10), GridN: 8}))
 	region := geo.R(4, 4, 6, 6)
 
 	e.ReportObject(ObjectUpdate{ID: 1, Kind: Moving, Loc: geo.Pt(5, 5), T: 0})

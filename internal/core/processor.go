@@ -1,7 +1,5 @@
 package core
 
-import "cqp/internal/geo"
-
 // Processor is the evaluation contract shared by every continuous query
 // processor in the repository: the single-space Engine and the spatially
 // sharded engine (internal/shard) both satisfy it, and the network layer
@@ -14,21 +12,20 @@ import "cqp/internal/geo"
 //     returns the incremental (Q, ±A) updates in canonical order (see
 //     SortUpdates). Feeding the same report stream to any Processor
 //     yields a bit-identical update stream — the reproducibility the
-//     out-of-sync protocol and the differential shard tests rely on.
+//     differential shard tests rely on.
 //   - Replaying the update stream against a query's previously reported
 //     answer always yields exactly its current Answer.
-//   - Commit, Recover, CommittedAnswer, the checksums, and SeedCommitted
-//     implement the paper's out-of-sync client protocol.
+//
+// The paper's out-of-sync client protocol is not part of the contract:
+// Protocol implements it once, over any Processor.
 //
 // Like the Engine, a Processor is not safe for concurrent use: callers
-// serialize access (internal/server holds its own mutex).
+// serialize access (internal/server holds its stepMu around every call).
 type Processor interface {
 	// ReportObject buffers an object update for the next Step.
 	ReportObject(ObjectUpdate)
 	// ReportQuery buffers a query registration, movement, or removal.
 	ReportQuery(QueryUpdate)
-	// Pending returns the number of buffered, not yet processed reports.
-	Pending() int
 	// Step processes every buffered report as one bulk evaluation at
 	// time now and returns the incremental answer updates.
 	Step(now float64) []Update
@@ -39,32 +36,14 @@ type Processor interface {
 	// allocation-free.
 	StepAppend(dst []Update, now float64) []Update
 	// Answer returns the current answer of q in ascending ObjectID
-	// order, or nil and false if q is unknown.
+	// order, in a slice the caller owns, or nil and false if q is
+	// unknown.
 	Answer(q QueryID) ([]ObjectID, bool)
 	// AnswerChecksum returns the order-independent checksum of q's
 	// current answer.
 	AnswerChecksum(q QueryID) (uint64, bool)
-	// Commit records that q's client provably received the stream so
-	// far; it reports whether q is registered.
-	Commit(q QueryID) bool
-	// CommittedAnswer returns the last committed answer of q in
-	// ascending ObjectID order.
-	CommittedAnswer(q QueryID) ([]ObjectID, bool)
-	// CommittedChecksum returns the checksum of q's committed answer.
-	CommittedChecksum(q QueryID) (uint64, bool)
-	// SeedCommitted installs a committed answer for q (repository
-	// restore after restart); it reports whether q is registered.
-	SeedCommitted(q QueryID, objs []ObjectID) bool
-	// Recover returns the updates an out-of-sync client needs: the diff
-	// between the committed and current answers, which is then
-	// committed.
-	Recover(q QueryID) ([]Update, bool)
 	// Stats returns a copy of the processor's activity counters.
 	Stats() Stats
-	// Now returns the evaluation timestamp of the last Step.
-	Now() float64
-	// Bounds returns the monitored space.
-	Bounds() geo.Rect
 	// NumObjects returns the number of registered objects.
 	NumObjects() int
 	// NumQueries returns the number of registered queries.

@@ -190,7 +190,7 @@ func randQueryUpdate(rng *rand.Rand, id QueryID, kind QueryKind, now float64,
 // the uncommitted window would linger on the client.)
 func TestRandomRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	e := MustNewEngine(Options{Bounds: geo.R(0, 0, 1, 1), GridN: 8})
+	e := NewProtocol(MustNewEngine(Options{Bounds: geo.R(0, 0, 1, 1), GridN: 8}))
 
 	const q = QueryID(1)
 	e.ReportQuery(QueryUpdate{ID: q, Kind: Range, Region: geo.R(0.3, 0.3, 0.7, 0.7)})

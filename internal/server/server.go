@@ -96,9 +96,9 @@ type Config struct {
 
 	// Processor, when non-nil, is used as the query processor instead of
 	// constructing one from Engine/Shards (which are then ignored). The
-	// server takes ownership: Close closes the processor if it implements
-	// io.Closer. cmd/cqp-cluster injects the multi-process cluster
-	// coordinator (internal/cluster) here.
+	// server wraps every processor in core.Protocol and takes ownership:
+	// Close closes it if it implements io.Closer. cmd/cqp-cluster injects
+	// the multi-process cluster coordinator (internal/cluster) here.
 	Processor core.Processor
 
 	// Interval is the bulk-evaluation period Δt (the paper evaluates
@@ -162,7 +162,7 @@ type Config struct {
 // with Close.
 type Server struct {
 	stepMu     sync.Mutex // owns the next three fields; taken before mu
-	engine     core.Processor
+	engine     *core.Protocol
 	updBuf     []core.Update              // step's StepAppend buffer
 	perSession map[*session][]core.Update // step's fan-out grouping
 
@@ -278,7 +278,7 @@ func Listen(addr string, cfg Config) (*Server, error) {
 		maxFrame = DefaultMaxFrame
 	}
 	s := &Server{
-		engine:       engine,
+		engine:       core.NewProtocol(engine),
 		m:            newServerMetrics(cfg.Metrics),
 		repo:         repo,
 		subs:         make(map[core.QueryID]*session),
@@ -301,7 +301,7 @@ func Listen(addr string, cfg Config) (*Server, error) {
 	// restart the way moving clients do.
 	if repo != nil {
 		err := repo.VisitStationary(func(id core.ObjectID, loc geo.Point) bool {
-			engine.ReportObject(core.ObjectUpdate{ID: id, Kind: core.Stationary, Loc: loc})
+			s.engine.ReportObject(core.ObjectUpdate{ID: id, Kind: core.Stationary, Loc: loc})
 			return true
 		})
 		if err != nil {
@@ -310,7 +310,7 @@ func Listen(addr string, cfg Config) (*Server, error) {
 			closeProcessor(engine)
 			return nil, err
 		}
-		engine.Step(0)
+		s.engine.Step(0)
 	}
 	s.registerStateGauges(cfg.Metrics)
 
@@ -352,7 +352,7 @@ func (s *Server) Close() error {
 				err = rerr
 			}
 		}
-		closeProcessor(s.engine)
+		closeProcessor(s.engine.Processor)
 	})
 	return err
 }

@@ -71,8 +71,8 @@ func TestShardsConfigValidation(t *testing.T) {
 	}
 	for _, n := range []int{0, 1} {
 		s := startServer(t, Config{Shards: n})
-		if _, ok := s.engine.(*core.Engine); !ok {
-			t.Fatalf("Shards=%d should run the single core engine, got %T", n, s.engine)
+		if _, ok := s.engine.Processor.(*core.Engine); !ok {
+			t.Fatalf("Shards=%d should run the single core engine, got %T", n, s.engine.Processor)
 		}
 		s.Close()
 	}

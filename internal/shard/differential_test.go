@@ -14,8 +14,8 @@ import (
 // predictive, and trajectory objects, range/kNN/predictive queries,
 // removals, kind changes, and plenty of cross-shard movers — replayed
 // through a single core.Engine and through a 2×2 (and 1×4) sharded
-// engine must produce identical answers AND identical committed answers
-// for every query after every Step.
+// engine must produce identical answers AND, through core.Protocol,
+// identical committed answers for every query after every Step.
 //
 // The per-step update streams are allowed to differ (a cross-tile
 // migration inside a spanning query nets to nothing here but may also
@@ -41,12 +41,13 @@ func runDifferential(t *testing.T, seed int64, rows, cols, steps int) {
 		GridN:             1 + rng.Intn(12),
 		PredictiveHorizon: 50,
 	}
-	single := core.MustNewEngine(copt)
-	sharded, err := New(Options{Core: copt, Rows: rows, Cols: cols})
+	single := core.NewProtocol(core.MustNewEngine(copt))
+	shardEng, err := New(Options{Core: copt, Rows: rows, Cols: cols})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sharded.Close()
+	defer shardEng.Close()
+	sharded := core.NewProtocol(shardEng)
 
 	const (
 		maxObjects = 70
@@ -106,10 +107,8 @@ func runDifferential(t *testing.T, seed int64, rows, cols, steps int) {
 			}
 		}
 
-		// At most one update per query per step: the two engines snapshot
-		// auto-commits at slightly different points within a batch, so
-		// duplicate same-step updates of one query could legitimately
-		// commit different intermediate answers.
+		// At most one update per query per step; TestProtocolDifferential
+		// covers several.
 		touchedQ := map[core.QueryID]struct{}{}
 		for n := rng.Intn(4); n > 0; n-- {
 			switch {

@@ -98,7 +98,7 @@ func (e *Engine) mergeableParent(t int) int {
 }
 
 // runRepartitions applies the queued manual operations, then the
-// periodic load policy. Called at the very start of stepAppend, before
+// periodic load policy. Called at the very start of StepAppend, before
 // any buffered report is routed.
 func (e *Engine) runRepartitions(m *mergeState) {
 	changed := false
@@ -125,9 +125,9 @@ func (e *Engine) runRepartitions(m *mergeState) {
 }
 
 // maybeRepartition runs the load policy: every Interval steps, split
-// the hottest tile if its load exceeds SplitFactor × the mean (and the
+// the hottest tile if its load exceeds splitFactor × the mean (and the
 // tile budget allows), otherwise merge the coldest sibling-leaf pair
-// whose combined load is below MergeFactor × the mean. At most one
+// whose combined load is below mergeFactor × the mean. At most one
 // operation per check keeps the partition from thrashing. Reports
 // whether an operation ran.
 func (e *Engine) maybeRepartition(m *mergeState) bool {
@@ -155,7 +155,7 @@ func (e *Engine) maybeRepartition(m *mergeState) bool {
 			hot, hotScore = id, s
 		}
 	}
-	if hot >= 0 && len(e.live) < ro.MaxTiles && hotScore > ro.SplitFactor*mean {
+	if hot >= 0 && len(e.live) < ro.MaxTiles && hotScore > splitFactor*mean {
 		e.splitNow(m, hot)
 		return true
 	}
@@ -175,7 +175,7 @@ func (e *Engine) maybeRepartition(m *mergeState) bool {
 			bestP, bestScore = p, s
 		}
 	}
-	if bestP >= 0 && bestScore < ro.MergeFactor*mean {
+	if bestP >= 0 && bestScore < mergeFactor*mean {
 		e.mergeNow(m, bestP)
 		return true
 	}

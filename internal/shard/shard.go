@@ -94,15 +94,15 @@ type RepartitionOptions struct {
 	// MaxTiles caps the number of live tiles (default 4 × the initial
 	// Rows×Cols count).
 	MaxTiles int
-
-	// SplitFactor: a tile splits when its load exceeds SplitFactor ×
-	// the mean live-tile load (default 2).
-	SplitFactor float64
-
-	// MergeFactor: two sibling leaves merge when their combined load is
-	// below MergeFactor × the mean live-tile load (default 0.5).
-	MergeFactor float64
 }
+
+// The repartition policy's load thresholds: a tile splits when its load
+// exceeds splitFactor × the mean live-tile load, and two sibling leaves
+// merge when their combined load is below mergeFactor × the mean.
+const (
+	splitFactor = 2
+	mergeFactor = 0.5
+)
 
 func (o *Options) withDefaults() (Options, error) {
 	out := *o
@@ -133,13 +133,7 @@ func (o *Options) withDefaults() (Options, error) {
 	if r.MaxTiles == 0 {
 		r.MaxTiles = 4 * out.Rows * out.Cols
 	}
-	if r.SplitFactor == 0 {
-		r.SplitFactor = 2
-	}
-	if r.MergeFactor == 0 {
-		r.MergeFactor = 0.5
-	}
-	if r.Interval < 1 || r.MaxTiles < out.Rows*out.Cols || r.SplitFactor <= 1 || r.MergeFactor < 0 {
+	if r.Interval < 1 || r.MaxTiles < out.Rows*out.Cols {
 		return out, fmt.Errorf("shard: invalid Repartition options %+v", *r)
 	}
 	return out, nil
@@ -198,11 +192,6 @@ type queryInfo struct {
 	// for that kind: the union of the replicas' local top-k. Empty for
 	// other kinds.
 	cands []core.ObjectID
-
-	// committed is the last committed answer in ascending ObjectID
-	// order; empty until the first commit. Never-committed and
-	// committed-empty coincide, exactly as they do observably in core.
-	committed []core.ObjectID
 }
 
 // covHas reports whether sorted coverage contains tile t.
@@ -431,9 +420,6 @@ func (e *Engine) tileOptions(rect geo.Rect) core.Options {
 	if region, ok := rect.Expand(e.halo).Intersect(o.Bounds); ok {
 		o.Region = region
 	}
-	// Tile engines are replicas behind this router: the router owns the
-	// commit/recover protocol, so tiles skip auto-commit snapshots.
-	o.Replica = true
 	return o
 }
 

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"slices"
 	"sort"
 	"testing"
 
@@ -204,7 +203,7 @@ func TestPredictiveAcrossTiles(t *testing.T) {
 // TestCommitRecoverProtocol smoke-tests the out-of-sync protocol on the
 // merged answers.
 func TestCommitRecoverProtocol(t *testing.T) {
-	e := newTestShard(t, 2, 2)
+	e := core.NewProtocol(newTestShard(t, 2, 2))
 	e.ReportObject(core.ObjectUpdate{ID: 1, Kind: core.Moving, Loc: geo.Pt(2, 2)})
 	e.ReportObject(core.ObjectUpdate{ID: 2, Kind: core.Moving, Loc: geo.Pt(8, 8)})
 	e.ReportQuery(core.QueryUpdate{ID: 1, Kind: core.Range, Region: geo.R(1, 1, 9, 9)})
@@ -260,38 +259,6 @@ func TestCommitRecoverProtocol(t *testing.T) {
 	}
 }
 
-// TestSeedCommittedMatchesCore seeds a committed answer holding a
-// duplicate into a single engine and a sharded one: both must keep the
-// seed as a set, so the committed answer, its checksum, and the recovery
-// diff agree.
-func TestSeedCommittedMatchesCore(t *testing.T) {
-	opt := core.Options{Bounds: geo.R(0, 0, 10, 10), GridN: 8}
-	sh, err := NewN(opt, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sh.Close() })
-	for _, p := range []core.Processor{core.MustNewEngine(opt), sh} {
-		p.ReportObject(core.ObjectUpdate{ID: 5, Kind: core.Moving, Loc: geo.Pt(5, 5)})
-		p.ReportQuery(core.QueryUpdate{ID: 1, Kind: core.Range, Region: geo.R(4, 4, 6, 6)})
-		p.Step(0)
-		p.SeedCommitted(1, []core.ObjectID{3, 3, 5})
-
-		ca, _ := p.CommittedAnswer(1)
-		if !idsEqual(ca, []core.ObjectID{3, 5}) {
-			t.Fatalf("%T: committed = %v, want [3 5]", p, ca)
-		}
-		cs, _ := p.CommittedChecksum(1)
-		if want := core.ChecksumIDs([]core.ObjectID{3, 5}); cs != want {
-			t.Fatalf("%T: committed checksum = %x, want %x", p, cs, want)
-		}
-		rec, _ := p.Recover(1)
-		if want := []core.Update{{Query: 1, Object: 3, Positive: false}}; !slices.Equal(rec, want) {
-			t.Fatalf("%T: recovery = %v, want %v", p, rec, want)
-		}
-	}
-}
-
 // TestQueryMoveAcrossTiles moves a range query's region from one tile
 // to another; members must be swapped with proper updates and the old
 // tile's replica torn down.
@@ -320,11 +287,27 @@ func TestQueryMoveAcrossTiles(t *testing.T) {
 	}
 }
 
+// TestRegisterAndMoveInOneBatch registers a range query and moves it
+// off its first region in the same batch. The registration's positive
+// and the move's negative net out, so the merged answer is empty, as
+// the single engine's is.
+func TestRegisterAndMoveInOneBatch(t *testing.T) {
+	e := newTestShard(t, 2, 2)
+	e.ReportObject(core.ObjectUpdate{ID: 1, Kind: core.Moving, Loc: geo.Pt(1, 1)})
+	e.Step(0)
+	e.ReportQuery(core.QueryUpdate{ID: 1, Kind: core.Range, Region: geo.R(0, 0, 2, 2), T: 1})
+	e.ReportQuery(core.QueryUpdate{ID: 1, Kind: core.Range, Region: geo.R(6, 6, 8, 8), T: 1})
+	e.Step(1)
+	if got := answerOf(t, e, 1); len(got) != 0 {
+		t.Fatalf("answer = %v, want empty", got)
+	}
+}
+
 // TestUnknownQueryKindRejectedAtRouter mirrors the core engine: an
 // unknown kind must not register, and on an existing query must not
 // commit or mutate anything.
 func TestUnknownQueryKindRejectedAtRouter(t *testing.T) {
-	e := newTestShard(t, 2, 2)
+	e := core.NewProtocol(newTestShard(t, 2, 2))
 	e.ReportQuery(core.QueryUpdate{ID: 1, Kind: core.QueryKind(99)})
 	e.Step(0)
 	if e.NumQueries() != 0 {

@@ -18,18 +18,14 @@ func (e *Engine) ReportQuery(u core.QueryUpdate) {
 	e.qryBuf = append(e.qryBuf, u)
 }
 
-// Pending returns the number of buffered, not yet processed reports.
-func (e *Engine) Pending() int { return len(e.objBuf) + len(e.qryBuf) }
-
 // mergeState is the scratch state of one router Step: the KNN queries
-// needing a global re-rank, the queries and objects removed in this
-// batch, the fold's reusable buffers, and the merged output. It lives
-// on the Engine and is reset, not reallocated, every step.
+// needing a global re-rank, the queries removed in this batch, the
+// fold's reusable buffers, and the merged output. It lives on the
+// Engine and is reset, not reallocated, every step.
 type mergeState struct {
 	knnDirty map[core.QueryID]struct{}
 
 	removedQrys map[core.QueryID]*queryInfo
-	removedObjs map[core.ObjectID]struct{}
 
 	// resetQrys are queries whose merge state restarted from empty this
 	// step (a kind change, or a removal followed by a re-registration
@@ -54,12 +50,10 @@ func (e *Engine) beginMerge(out []core.Update) *mergeState {
 	if m.knnDirty == nil {
 		m.knnDirty = make(map[core.QueryID]struct{})
 		m.removedQrys = make(map[core.QueryID]*queryInfo)
-		m.removedObjs = make(map[core.ObjectID]struct{})
 		m.resetQrys = make(map[core.QueryID]struct{})
 	} else {
 		clear(m.knnDirty)
 		clear(m.removedQrys)
-		clear(m.removedObjs)
 		clear(m.resetQrys)
 	}
 	m.out = out
@@ -72,16 +66,12 @@ func (e *Engine) beginMerge(out []core.Update) *mergeState {
 // the contract; the returned slice is freshly allocated and in the
 // canonical order of core.SortUpdates.
 func (e *Engine) Step(now float64) []core.Update {
-	return e.stepAppend(nil, now)
+	return e.StepAppend(nil, now)
 }
 
 // StepAppend is Step appending into a caller-owned buffer; see
 // core.Engine.StepAppend for the contract.
-func (e *Engine) StepAppend(dst []core.Update, now float64) []core.Update {
-	return e.stepAppend(dst, now)
-}
-
-func (e *Engine) stepAppend(out []core.Update, now float64) []core.Update {
+func (e *Engine) StepAppend(out []core.Update, now float64) []core.Update {
 	base := len(out)
 	begin := e.m.tracer.Begin()
 	e.now = now
@@ -141,7 +131,6 @@ func (e *Engine) routeObjects(m *mergeState) {
 			e.tiles[info.tile].ReportObject(core.ObjectUpdate{ID: u.ID, Remove: true})
 			e.objCount[info.tile]--
 			delete(e.objs, u.ID)
-			m.removedObjs[u.ID] = struct{}{}
 			e.markCandidateQueries(m, u.ID)
 			continue
 		}
@@ -228,54 +217,35 @@ func (e *Engine) routeQueries(m *mergeState) {
 }
 
 // applyQueryUpdate registers or moves one query at the router: it
-// mirrors the core engine's auto-commit semantics, recomputes the
-// replication coverage for the new definition, and forwards the update
-// to every tile that holds — or must now hold — a replica. Range
-// replicas receive the region clipped to their tile's halo-expanded
-// extent (membership of owned objects is invariant under the clip, see
-// clipRegion), so a tile's spatial index never registers interest far
-// outside its own region.
+// recomputes the replication coverage for the new definition and
+// forwards the update to every tile that holds — or must now hold — a
+// replica. Range replicas receive the region clipped to their tile's
+// halo-expanded extent (membership of owned objects is invariant under
+// the clip, see clipRegion), so a tile's spatial index never registers
+// interest far outside its own region.
 func (e *Engine) applyQueryUpdate(m *mergeState, u core.QueryUpdate) {
 	qi, exists := e.qrys[u.ID]
 	switch {
 	case !exists:
+		// If the same ID was removed earlier in this batch, old replicas
+		// may still stream stale negatives: mark the reset. A fresh ID
+		// has no old replica, so its negatives all count.
 		qi = &queryInfo{id: u.ID, kind: u.Kind}
 		e.qrys[u.ID] = qi
-		// A fresh registration auto-commits its (empty) answer, as core
-		// does. If the same ID was removed earlier in this batch, old
-		// replicas may still stream stale negatives: mark the reset.
-		qi.committed = qi.committed[:0]
-		m.resetQrys[u.ID] = struct{}{}
+		if _, removed := m.removedQrys[u.ID]; removed {
+			m.resetQrys[u.ID] = struct{}{}
+		}
 	case qi.kind != u.Kind:
 		// Kind change: core tears the query down silently (no negative
-		// updates) and starts fresh, committing the empty answer. The
-		// replicas handle the change themselves; only the merge state
-		// resets here. Stale replicas outside the new coverage are
-		// removed below.
+		// updates) and starts fresh. The replicas handle the change
+		// themselves; only the merge state resets here. Stale replicas
+		// outside the new coverage are removed below.
 		e.detachCandidates(qi)
 		qi.answer = qi.answer[:0]
 		qi.cands = qi.cands[:0]
 		qi.radius = 0
 		qi.kind = u.Kind
-		qi.committed = qi.committed[:0]
 		m.resetQrys[u.ID] = struct{}{}
-	default:
-		// Hearing from a query's client proves it consumed the stream:
-		// auto-commit. The snapshot mirrors core's phase ordering — the
-		// pre-step answer minus the objects removed earlier in this
-		// batch (core's phase 1 retracts those before phase 2 commits).
-		// The snapshot is a memcopy of the sorted answer: moving queries
-		// auto-commit every tick.
-		e.commitNow(qi)
-		if len(m.removedObjs) > 0 {
-			kept := qi.committed[:0]
-			for _, o := range qi.committed {
-				if _, removed := m.removedObjs[o]; !removed {
-					kept = append(kept, o)
-				}
-			}
-			qi.committed = kept
-		}
 	}
 
 	qi.t = u.T

@@ -50,10 +50,10 @@ type Tile interface {
 }
 
 // TileFactory constructs the transport for one tile. New passes the
-// tile index and the per-tile core options: the global Bounds, Replica
-// set, and Region set to the tile's rectangle grown by the halo and
-// clipped to those bounds; internal/cluster installs a factory that
-// binds tiles to worker processes.
+// tile index and the per-tile core options: the global Bounds, and
+// Region set to the tile's rectangle grown by the halo and clipped to
+// those bounds; internal/cluster installs a factory that binds tiles to
+// worker processes.
 type TileFactory func(tile int, opt core.Options) (Tile, error)
 
 // localTile is one in-process tile: its engine and the goroutine

@@ -117,7 +117,7 @@ func buildFuzzMessage(sel byte, a, b uint64, x, y, z, tm float64, flag bool, n u
 			Bounds: geo.Rect{MinX: x, MinY: y, MaxX: x + z, MaxY: y + z},
 			GridN:  uint32(n%128) + 1, PredictiveHorizon: tm,
 			Region:   geo.Rect{MinX: x, MinY: y, MaxX: x + z/2, MaxY: y + z/2},
-			MaxSpeed: z, Replica: flag,
+			MaxSpeed: z,
 		}
 	case 14, 15:
 		objs := make([]core.ObjectUpdate, 0, k)
@@ -197,7 +197,7 @@ func FuzzDecode(f *testing.F) {
 		ClusterHello{Worker: 2, Incarnation: 3},
 		ClusterAssign{
 			Tile: 1, Epoch: 4, Bounds: geo.R(0, 0, 2, 2), GridN: 16, PredictiveHorizon: 50,
-			Region: geo.R(0, 0, 1, 2), MaxSpeed: 0.25, Replica: true,
+			Region: geo.R(0, 0, 1, 2), MaxSpeed: 0.25,
 		},
 		ClusterStep{
 			Tile: 1, Epoch: 4, Time: 5,

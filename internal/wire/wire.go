@@ -193,8 +193,7 @@ type ClusterHello struct {
 // coordinator's exactly or the merged stream would diverge; Region is
 // the tile's sub-rectangle of Bounds (zero value: the full bounds) so
 // a remote tile builds the same tile-local grid the coordinator's
-// router assumes, and Replica marks the engine as a router-owned
-// replica that skips per-report committed-answer snapshots.
+// router assumes.
 type ClusterAssign struct {
 	Tile  uint32
 	Epoch uint64 // current tile epoch; stamped on all subsequent frames
@@ -204,7 +203,6 @@ type ClusterAssign struct {
 	PredictiveHorizon float64
 	Region            geo.Rect // tile bounds + halo; zero = full Bounds
 	MaxSpeed          float64  // swept-region routing bound (0: disabled)
-	Replica           bool
 }
 
 // ClusterStep is the payload of MsgClusterStep: the reports routed to
@@ -575,7 +573,6 @@ func appendMessage(b []byte, m Message) []byte {
 			b = appendF64(b, v)
 		}
 		b = appendF64(b, m.MaxSpeed)
-		b = appendBool(b, m.Replica)
 		b = appendClusterSum(b, start)
 	case ClusterStep:
 		start := len(b)
@@ -834,7 +831,6 @@ func decodeMessage(t MsgType, payload []byte) (Message, error) {
 		m.PredictiveHorizon = d.f64()
 		m.Region = geo.Rect{MinX: d.f64(), MinY: d.f64(), MaxX: d.f64(), MaxY: d.f64()}
 		m.MaxSpeed = d.f64()
-		m.Replica = d.bool()
 		return m, d.finish()
 	case MsgClusterStep:
 		d.verifyClusterSum()
