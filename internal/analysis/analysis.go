@@ -1,6 +1,6 @@
 // Package analysis is the engine's static-analysis suite: a small,
 // dependency-free reimplementation of the golang.org/x/tools/go/analysis
-// vocabulary (Analyzer, Pass, Diagnostic) plus the five project-specific
+// vocabulary (Analyzer, Pass, Diagnostic) plus the eight project-specific
 // analyzers that mechanically enforce the invariants the paper's update
 // contract rests on (see DESIGN.md, "Mechanically enforced invariants"):
 //
@@ -16,8 +16,6 @@
 //     validation has passed (the applyQueryUpdate bug class).
 //   - golifecycle: no fire-and-forget goroutines — every `go` statement
 //     needs a provable join/stop path visible from the launch site.
-//   - wiresym: wire frame codecs must read and write the same top-level
-//     fields in the same order on the encode and decode sides.
 //   - atomicmix: no field accessed both via sync/atomic and plainly; no
 //     obs instrument resolved inside a loop.
 //   - allowaudit: every //lint:allow suppression must be well-formed
@@ -86,7 +84,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism, MapOrder, LockSend, ErrAdrift, ValidateFirst,
-		GoLifecycle, WireSym, AtomicMix, AllowAudit,
+		GoLifecycle, AtomicMix, AllowAudit,
 	}
 }
 

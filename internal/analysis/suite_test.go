@@ -35,10 +35,6 @@ func TestGoLifecycle(t *testing.T) {
 	analysistest.Run(t, analysis.GoLifecycle, "golifecycle")
 }
 
-func TestWireSym(t *testing.T) {
-	analysistest.Run(t, analysis.WireSym, "wiresym")
-}
-
 func TestAtomicMix(t *testing.T) {
 	analysistest.Run(t, analysis.AtomicMix, "atomicmix")
 }

@@ -15,15 +15,15 @@ import (
 // one encoding per message, which is what makes the server's update
 // streams reproducible and the out-of-sync checksum handshake sound.
 func FuzzRoundTrip(f *testing.F) {
-	for sel := byte(0); sel < 18; sel++ {
+	for sel := byte(0); sel < 20; sel++ {
 		f.Add(sel, uint64(1), uint64(2), 0.5, 1.5, -0.25, 42.0, false, uint(3))
 	}
 	f.Add(byte(1), uint64(9), uint64(8), -1.0, 2.0, 0.5, -3.0, true, uint(17))
 	f.Add(byte(14), uint64(7), uint64(3), 0.0, 1.0, 0.25, 9.0, true, uint(5))
 	// Dedicated corners for the cluster control frames: a retirement at
 	// the tile/epoch extremes, and an assignment with a non-default halo
-	// region, speed bound, and replica flag — the fields whose ordering
-	// the resync checksum (and the wiresym analyzer) guards.
+	// region and speed bound. Their layout is pinned by
+	// TestFrameBytesPinned; this round trip checks that it decodes back.
 	f.Add(byte(11), uint64(1)<<32-1, ^uint64(0), 0.0, 0.0, 0.0, 0.0, false, uint(0))
 	f.Add(byte(13), uint64(5), uint64(1), 0.125, 0.25, 0.5, 75.0, true, uint(63))
 
@@ -66,7 +66,7 @@ func buildFuzzMessage(sel byte, a, b uint64, x, y, z, tm float64, flag bool, n u
 		Region: geo.Rect{MinX: x, MinY: y, MaxX: x + z, MaxY: y + z},
 		Focal:  geo.Pt(y, x), K: int(b % 64), T1: tm, T2: tm + z, T: tm, Remove: flag,
 	}
-	switch sel % 18 {
+	switch sel % 20 {
 	case 0:
 		return ObjectReport{Update: core.ObjectUpdate{
 			ID: core.ObjectID(a), Kind: core.ObjectKind(n % 3),
@@ -95,7 +95,7 @@ func buildFuzzMessage(sel byte, a, b uint64, x, y, z, tm float64, flag bool, n u
 				Positive: flag != (i%2 == 0),
 			})
 		}
-		if sel%18 == 7 {
+		if sel%20 == 7 {
 			return UpdateBatch{Time: tm, Updates: us}
 		}
 		return RecoveryDiff{Time: tm, Updates: us}
@@ -137,7 +137,7 @@ func buildFuzzMessage(sel byte, a, b uint64, x, y, z, tm float64, flag bool, n u
 			q.ID = core.QueryID(b + uint64(i))
 			qrys = append(qrys, q)
 		}
-		if sel%18 == 14 {
+		if sel%20 == 14 {
 			return ClusterStep{Tile: uint32(n), Epoch: a, Time: tm, Objects: objs, Queries: qrys}
 		}
 		return ClusterResync{
@@ -158,10 +158,9 @@ func buildFuzzMessage(sel byte, a, b uint64, x, y, z, tm float64, flag bool, n u
 		}
 	case 17:
 		return ClusterResyncAck{Tile: uint32(a), Epoch: b, Checksum: a ^ b}
+	case 18:
+		return StatsRequest{}
 	default:
-		if flag {
-			return StatsRequest{}
-		}
 		return StatsResponse{
 			Stats: core.Stats{
 				Steps: a, ObjectReports: b, QueryReports: a ^ b,
@@ -243,6 +242,9 @@ func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := NewReader(bytes.NewReader(data)).Read()
 		if err != nil {
+			if msg != nil {
+				t.Fatalf("rejected frame returned a message: %v", err)
+			}
 			return // rejected input is fine; panics are not
 		}
 		// Accepted: must round-trip. Compare the canonical encodings rather

@@ -436,204 +436,281 @@ func (r *Reader) readPayload(n int) ([]byte, error) {
 	return buf, nil
 }
 
-// --- encoding helpers -----------------------------------------------------
+// --- codec ----------------------------------------------------------------
 
-func appendU64(b []byte, v uint64) []byte {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], v)
-	return append(b, tmp[:]...)
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	return append(b, tmp[:]...)
-}
-
-func appendF64(b []byte, v float64) []byte { return appendU64(b, math.Float64bits(v)) }
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-type decoder struct {
-	b   []byte
+// codec encodes or decodes one payload. Each frame type names its fields
+// once, in wire order, in its code method; the field helpers below either
+// append a field to b (enc) or consume it from b into the field, so the
+// encoder and the decoder cannot disagree on a layout. Decoding keeps the
+// first error in err, after which every helper is a no-op. Encoding never
+// writes to the frame it codes.
+type codec struct {
+	enc bool
+	b   []byte // encoding: the payload so far; decoding: the payload
+	// off counts the bytes of b decoded. Advancing an int rather than
+	// re-slicing b stores one word per field, with no GC write barrier.
+	off int
 	err error
 }
 
-func (d *decoder) u64() uint64 {
-	if d.err != nil || len(d.b) < 8 {
-		d.fail()
-		return 0
+var errTruncated = errors.New("wire: truncated payload")
+
+// next consumes the next n payload bytes, or returns nil and records a
+// truncation.
+func (c *codec) next(n int) []byte {
+	if c.err != nil || len(c.b)-c.off < n {
+		if c.err == nil {
+			c.err = errTruncated
+		}
+		return nil
 	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
+	c.off += n
+	return c.b[c.off-n : c.off]
 }
 
-func (d *decoder) u32() uint32 {
-	if d.err != nil || len(d.b) < 4 {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v
-}
-
-func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *decoder) u8() uint8 {
-	if d.err != nil || len(d.b) < 1 {
-		d.fail()
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *decoder) bool() bool { return d.u8() != 0 }
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = errors.New("wire: truncated payload")
+func u64[T ~uint64](c *codec, v *T) {
+	if c.enc {
+		c.b = binary.LittleEndian.AppendUint64(c.b, uint64(*v))
+	} else if p := c.next(8); p != nil {
+		*v = T(binary.LittleEndian.Uint64(p))
 	}
 }
 
-func (d *decoder) finish() error {
-	if d.err != nil {
-		return d.err
+func u32[T ~uint32](c *codec, v *T) {
+	if c.enc {
+		c.b = binary.LittleEndian.AppendUint32(c.b, uint32(*v))
+	} else if p := c.next(4); p != nil {
+		*v = T(binary.LittleEndian.Uint32(p))
 	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("wire: %d trailing bytes in payload", len(d.b))
-	}
-	return nil
 }
 
-func appendMessage(b []byte, m Message) []byte {
-	switch m := m.(type) {
-	case ObjectReport:
-		b = appendObjectUpdate(b, m.Update)
-	case QueryReport:
-		b = appendQueryUpdate(b, m.Update)
-	case Commit:
-		b = appendU64(b, uint64(m.Query))
-		b = appendU64(b, m.Checksum)
-	case CommitAck:
-		b = appendU64(b, uint64(m.Query))
-		b = appendU64(b, m.Checksum)
-	case StatsRequest:
-		// empty payload
-	case Heartbeat:
-		b = appendF64(b, m.Time)
-	case StatsResponse:
-		for _, v := range []uint64{
-			m.Stats.Steps, m.Stats.ObjectReports, m.Stats.QueryReports,
-			m.Stats.PositiveUpdates, m.Stats.NegativeUpdates,
-			m.Stats.KNNRecomputes, m.Stats.CandidateChecks, m.Stats.RegionEvalCells,
-		} {
-			b = appendU64(b, v)
+func u8[T ~uint8](c *codec, v *T) {
+	if c.enc {
+		c.b = append(c.b, uint8(*v))
+	} else if p := c.next(1); p != nil {
+		*v = T(p[0])
+	}
+}
+
+func (c *codec) f64(v *float64) {
+	if c.enc {
+		c.b = binary.LittleEndian.AppendUint64(c.b, math.Float64bits(*v))
+	} else if p := c.next(8); p != nil {
+		*v = math.Float64frombits(binary.LittleEndian.Uint64(p))
+	}
+}
+
+// bool codes one byte: 1 for true; any nonzero byte decodes as true.
+func (c *codec) bool(v *bool) {
+	if c.enc {
+		var b byte
+		if *v {
+			b = 1
 		}
-		b = appendU32(b, m.Objects)
-		b = appendU32(b, m.Queries)
-		b = appendF64(b, m.Uptime)
-	case Wakeup:
-		b = appendQueryUpdate(b, m.Update)
-		b = appendU64(b, m.Checksum)
-	case UpdateBatch:
-		b = appendUpdateBatch(b, m)
-	case RecoveryDiff:
-		b = appendUpdateBatch(b, UpdateBatch(m))
-	case FullAnswer:
-		b = appendU64(b, uint64(m.Query))
-		b = appendF64(b, m.Time)
-		b = appendU32(b, uint32(len(m.Objects)))
-		for _, id := range m.Objects {
-			b = appendU64(b, uint64(id))
-		}
-	case ClusterHello:
-		start := len(b)
-		b = appendU32(b, m.Worker)
-		b = appendU64(b, m.Incarnation)
-		b = appendClusterSum(b, start)
-	case ClusterAssign:
-		start := len(b)
-		b = appendU32(b, m.Tile)
-		b = appendU64(b, m.Epoch)
-		for _, v := range []float64{m.Bounds.MinX, m.Bounds.MinY, m.Bounds.MaxX, m.Bounds.MaxY} {
-			b = appendF64(b, v)
-		}
-		b = appendU32(b, m.GridN)
-		b = appendF64(b, m.PredictiveHorizon)
-		for _, v := range []float64{m.Region.MinX, m.Region.MinY, m.Region.MaxX, m.Region.MaxY} {
-			b = appendF64(b, v)
-		}
-		b = appendF64(b, m.MaxSpeed)
-		b = appendClusterSum(b, start)
-	case ClusterStep:
-		start := len(b)
-		b = appendU32(b, m.Tile)
-		b = appendU64(b, m.Epoch)
-		b = appendF64(b, m.Time)
-		b = appendReports(b, m.Objects, m.Queries)
-		b = appendClusterSum(b, start)
-	case ClusterStepResult:
-		start := len(b)
-		b = appendU32(b, m.Tile)
-		b = appendU64(b, m.Epoch)
-		b = appendF64(b, m.Time)
-		b = appendU32(b, uint32(len(m.Updates)))
-		for _, u := range m.Updates {
-			b = appendU64(b, uint64(u.Query))
-			b = appendU64(b, uint64(u.Object))
-			b = appendBool(b, u.Positive)
-		}
-		b = appendU64(b, m.KNNRecomputes)
-		b = appendU64(b, m.CandidateChecks)
-		b = appendU64(b, m.RegionEvalCells)
-		b = appendClusterSum(b, start)
-	case ClusterResync:
-		start := len(b)
-		b = appendU32(b, m.Tile)
-		b = appendU64(b, m.Epoch)
-		b = appendBool(b, m.HasStep)
-		b = appendF64(b, m.LastStep)
-		b = appendReports(b, m.Objects, m.Queries)
-		b = appendClusterSum(b, start)
-	case ClusterResyncAck:
-		start := len(b)
-		b = appendU32(b, m.Tile)
-		b = appendU64(b, m.Epoch)
-		b = appendU64(b, m.Checksum)
-		b = appendClusterSum(b, start)
-	case ClusterRetire:
-		start := len(b)
-		b = appendU32(b, m.Tile)
-		b = appendU64(b, m.Epoch)
-		b = appendClusterSum(b, start)
+		c.b = append(c.b, b)
+	} else if p := c.next(1); p != nil {
+		*v = p[0] != 0
+	}
+}
+
+// int codes an int (a kNN query's K) as a uint32.
+func (c *codec) int(v *int) {
+	if c.enc {
+		c.b = binary.LittleEndian.AppendUint32(c.b, uint32(*v))
+	} else if p := c.next(4); p != nil {
+		*v = int(binary.LittleEndian.Uint32(p))
+	}
+}
+
+func (c *codec) point(p *geo.Point) {
+	c.f64(&p.X)
+	c.f64(&p.Y)
+}
+
+func (c *codec) rect(r *geo.Rect) {
+	c.f64(&r.MinX)
+	c.f64(&r.MinY)
+	c.f64(&r.MaxX)
+	c.f64(&r.MaxY)
+}
+
+// Minimum wire sizes of list elements, by which count bounds a list.
+const (
+	updateSize      = 8 + 8 + 1
+	waypointSize    = 3 * 8
+	objectUpdateMin = 8 + 1 + 5*8 + 1 + 4 // without waypoints
+	queryUpdateSize = 8 + 1 + 6*8 + 4 + 3*8 + 1
+)
+
+// count codes the length of a list as a uint32; the caller then codes
+// each element of *s. Decoding rejects a count the rest of the payload
+// cannot hold at minSize bytes per element before it allocates, then
+// sizes *s to the count (leaving an empty list nil).
+func count[T any](c *codec, s *[]T, minSize int, what string) {
+	n := uint32(len(*s))
+	u32(c, &n)
+	switch {
+	case c.enc || c.err != nil || n == 0:
+	case int(n) > (len(c.b)-c.off)/minSize:
+		c.err = fmt.Errorf("wire: %s count exceeds payload", what)
 	default:
-		panic(fmt.Sprintf("wire: cannot encode %T", m))
+		*s = make([]T, n)
 	}
-	return b
 }
 
-// appendReports encodes an object-report list followed by a
-// query-report list (the shared tail of ClusterStep and ClusterResync).
-func appendReports(b []byte, objs []core.ObjectUpdate, qrys []core.QueryUpdate) []byte {
-	b = appendU32(b, uint32(len(objs)))
-	for _, u := range objs {
-		b = appendObjectUpdate(b, u)
+func (c *codec) updates(us *[]core.Update) {
+	count(c, us, updateSize, "update")
+	for i := range *us {
+		u := &(*us)[i]
+		u64(c, &u.Query)
+		u64(c, &u.Object)
+		c.bool(&u.Positive)
 	}
-	b = appendU32(b, uint32(len(qrys)))
-	for _, u := range qrys {
-		b = appendQueryUpdate(b, u)
-	}
-	return b
 }
+
+func (c *codec) objectUpdate(u *core.ObjectUpdate) {
+	u64(c, &u.ID)
+	u8(c, &u.Kind)
+	c.point(&u.Loc)
+	c.f64(&u.Vel.DX)
+	c.f64(&u.Vel.DY)
+	c.f64(&u.T)
+	c.bool(&u.Remove)
+	count(c, &u.Waypoints, waypointSize, "waypoint")
+	for i := range u.Waypoints {
+		c.point(&u.Waypoints[i].P)
+		c.f64(&u.Waypoints[i].T)
+	}
+}
+
+func (c *codec) queryUpdate(u *core.QueryUpdate) {
+	u64(c, &u.ID)
+	u8(c, &u.Kind)
+	c.rect(&u.Region)
+	c.point(&u.Focal)
+	c.int(&u.K)
+	c.f64(&u.T1)
+	c.f64(&u.T2)
+	c.f64(&u.T)
+	c.bool(&u.Remove)
+}
+
+// reports codes an object-report list followed by a query-report list
+// (the shared tail of ClusterStep and ClusterResync).
+func (c *codec) reports(objs *[]core.ObjectUpdate, qrys *[]core.QueryUpdate) {
+	count(c, objs, objectUpdateMin, "object report")
+	for i := range *objs {
+		c.objectUpdate(&(*objs)[i])
+	}
+	count(c, qrys, queryUpdateSize, "query report")
+	for i := range *qrys {
+		c.queryUpdate(&(*qrys)[i])
+	}
+}
+
+// --- frame layouts ----------------------------------------------------------
+
+func (m *ObjectReport) code(c *codec) { c.objectUpdate(&m.Update) }
+func (m *QueryReport) code(c *codec)  { c.queryUpdate(&m.Update) }
+func (*StatsRequest) code(*codec)     {}
+func (m *Heartbeat) code(c *codec)    { c.f64(&m.Time) }
+
+func (m *Commit) code(c *codec) {
+	u64(c, &m.Query)
+	u64(c, &m.Checksum)
+}
+
+func (m *CommitAck) code(c *codec) { (*Commit)(m).code(c) }
+
+func (m *Wakeup) code(c *codec) {
+	c.queryUpdate(&m.Update)
+	u64(c, &m.Checksum)
+}
+
+func (m *UpdateBatch) code(c *codec) {
+	c.f64(&m.Time)
+	c.updates(&m.Updates)
+}
+
+func (m *RecoveryDiff) code(c *codec) { (*UpdateBatch)(m).code(c) }
+
+func (m *FullAnswer) code(c *codec) {
+	u64(c, &m.Query)
+	c.f64(&m.Time)
+	count(c, &m.Objects, 8, "answer")
+	for i := range m.Objects {
+		u64(c, &m.Objects[i])
+	}
+}
+
+func (m *StatsResponse) code(c *codec) {
+	s := &m.Stats
+	for _, v := range [...]*uint64{&s.Steps, &s.ObjectReports, &s.QueryReports,
+		&s.PositiveUpdates, &s.NegativeUpdates,
+		&s.KNNRecomputes, &s.CandidateChecks, &s.RegionEvalCells} {
+		u64(c, v)
+	}
+	u32(c, &m.Objects)
+	u32(c, &m.Queries)
+	c.f64(&m.Uptime)
+}
+
+func (m *ClusterHello) code(c *codec) {
+	u32(c, &m.Worker)
+	u64(c, &m.Incarnation)
+}
+
+func (m *ClusterAssign) code(c *codec) {
+	u32(c, &m.Tile)
+	u64(c, &m.Epoch)
+	c.rect(&m.Bounds)
+	u32(c, &m.GridN)
+	c.f64(&m.PredictiveHorizon)
+	c.rect(&m.Region)
+	c.f64(&m.MaxSpeed)
+}
+
+func (m *ClusterStep) code(c *codec) {
+	u32(c, &m.Tile)
+	u64(c, &m.Epoch)
+	c.f64(&m.Time)
+	c.reports(&m.Objects, &m.Queries)
+}
+
+func (m *ClusterStepResult) code(c *codec) {
+	u32(c, &m.Tile)
+	u64(c, &m.Epoch)
+	c.f64(&m.Time)
+	c.updates(&m.Updates)
+	u64(c, &m.KNNRecomputes)
+	u64(c, &m.CandidateChecks)
+	u64(c, &m.RegionEvalCells)
+}
+
+func (m *ClusterResync) code(c *codec) {
+	u32(c, &m.Tile)
+	u64(c, &m.Epoch)
+	c.bool(&m.HasStep)
+	c.f64(&m.LastStep)
+	c.reports(&m.Objects, &m.Queries)
+}
+
+func (m *ClusterResyncAck) code(c *codec) {
+	u32(c, &m.Tile)
+	u64(c, &m.Epoch)
+	u64(c, &m.Checksum)
+}
+
+func (m *ClusterRetire) code(c *codec) {
+	u32(c, &m.Tile)
+	u64(c, &m.Epoch)
+}
+
+// --- cluster payload checksum ---------------------------------------------
+
+// sealed reports whether frames of type t end in an FNV-1a checksum of
+// the rest of their payload: the cluster control frames do.
+func (t MsgType) sealed() bool { return t >= MsgClusterHello && t <= MsgClusterRetire }
 
 // FNV-1a 64-bit, the cluster frames' payload integrity check. Inlined
 // rather than hash/fnv so encoding stays allocation-free.
@@ -651,290 +728,142 @@ func fnv1a(b []byte) uint64 {
 	return h
 }
 
-// appendClusterSum seals a cluster payload with the FNV-1a checksum of
-// everything appended since start.
-func appendClusterSum(b []byte, start int) []byte {
-	return appendU64(b, fnv1a(b[start:]))
+// seal appends the checksum of everything encoded from start on.
+func (c *codec) seal(start int) {
+	sum := fnv1a(c.b[start:])
+	u64(c, &sum)
 }
 
-// verifyClusterSum checks and strips the trailing payload checksum of a
-// cluster frame before field decoding begins.
-func (d *decoder) verifyClusterSum() {
-	if d.err != nil {
+// unseal verifies and strips the trailing checksum before the fields are
+// decoded.
+func (c *codec) unseal() {
+	if len(c.b) < 8 {
+		c.err = errTruncated
 		return
 	}
-	if len(d.b) < 8 {
-		d.fail()
+	body := c.b[:len(c.b)-8]
+	if fnv1a(body) != binary.LittleEndian.Uint64(c.b[len(body):]) {
+		c.err = ErrClusterChecksum
 		return
 	}
-	body, sum := d.b[:len(d.b)-8], binary.LittleEndian.Uint64(d.b[len(d.b)-8:])
-	if fnv1a(body) != sum {
-		d.err = ErrClusterChecksum
-		return
-	}
-	d.b = body
+	c.b = body
 }
 
-func appendObjectUpdate(b []byte, u core.ObjectUpdate) []byte {
-	b = appendU64(b, uint64(u.ID))
-	b = append(b, byte(u.Kind))
-	b = appendF64(b, u.Loc.X)
-	b = appendF64(b, u.Loc.Y)
-	b = appendF64(b, u.Vel.DX)
-	b = appendF64(b, u.Vel.DY)
-	b = appendF64(b, u.T)
-	b = appendBool(b, u.Remove)
-	b = appendU32(b, uint32(len(u.Waypoints)))
-	for _, w := range u.Waypoints {
-		b = appendF64(b, w.P.X)
-		b = appendF64(b, w.P.Y)
-		b = appendF64(b, w.T)
+// --- messages ---------------------------------------------------------------
+
+func appendMessage(b []byte, m Message) []byte {
+	c := codec{enc: true, b: b}
+	switch m := m.(type) {
+	case ObjectReport:
+		m.code(&c)
+	case QueryReport:
+		m.code(&c)
+	case Commit:
+		m.code(&c)
+	case Wakeup:
+		m.code(&c)
+	case UpdateBatch:
+		m.code(&c)
+	case RecoveryDiff:
+		m.code(&c)
+	case FullAnswer:
+		m.code(&c)
+	case CommitAck:
+		m.code(&c)
+	case StatsRequest:
+		m.code(&c)
+	case StatsResponse:
+		m.code(&c)
+	case Heartbeat:
+		m.code(&c)
+	case ClusterHello:
+		m.code(&c)
+	case ClusterAssign:
+		m.code(&c)
+	case ClusterStep:
+		m.code(&c)
+	case ClusterStepResult:
+		m.code(&c)
+	case ClusterResync:
+		m.code(&c)
+	case ClusterResyncAck:
+		m.code(&c)
+	case ClusterRetire:
+		m.code(&c)
+	default:
+		panic(fmt.Sprintf("wire: cannot encode %T", m))
 	}
-	return b
+	if m.msgType().sealed() {
+		c.seal(len(b))
+	}
+	return c.b
 }
 
-// objectUpdateMin is the wire size of a waypoint-free object update;
-// list decoders use it to reject hostile counts before allocating.
-const objectUpdateMin = 8 + 1 + 4*8 + 8 + 1 + 4
-
-func decodeObjectUpdate(d *decoder) core.ObjectUpdate {
-	var u core.ObjectUpdate
-	u.ID = core.ObjectID(d.u64())
-	u.Kind = core.ObjectKind(d.u8())
-	u.Loc = geo.Pt(d.f64(), d.f64())
-	u.Vel = geo.Vec(d.f64(), d.f64())
-	u.T = d.f64()
-	u.Remove = d.bool()
-	n := int(d.u32())
-	if d.err == nil && n > len(d.b)/24 {
-		d.err = errors.New("wire: waypoint count exceeds payload")
-		return u
-	}
-	if d.err == nil && n > 0 {
-		u.Waypoints = make([]geo.TimedPoint, 0, n)
-		for i := 0; i < n; i++ {
-			u.Waypoints = append(u.Waypoints, geo.TimedPoint{
-				P: geo.Pt(d.f64(), d.f64()), T: d.f64(),
-			})
-		}
-	}
-	return u
+// decoded decodes a zero M through its code method. It returns the
+// value, not a Message, and code is a static method expression, so the
+// whole call inlines and the frame escapes only when decodeMessage boxes
+// it: one allocation per fixed-size frame.
+func decoded[M any](c *codec, code func(*M, *codec)) M {
+	var v M
+	code(&v, c)
+	return v
 }
 
-func appendQueryUpdate(b []byte, u core.QueryUpdate) []byte {
-	b = appendU64(b, uint64(u.ID))
-	b = append(b, byte(u.Kind))
-	for _, v := range []float64{u.Region.MinX, u.Region.MinY, u.Region.MaxX, u.Region.MaxY,
-		u.Focal.X, u.Focal.Y} {
-		b = appendF64(b, v)
-	}
-	b = appendU32(b, uint32(u.K))
-	b = appendF64(b, u.T1)
-	b = appendF64(b, u.T2)
-	b = appendF64(b, u.T)
-	b = appendBool(b, u.Remove)
-	return b
-}
-
-func decodeQueryUpdate(d *decoder) core.QueryUpdate {
-	var u core.QueryUpdate
-	u.ID = core.QueryID(d.u64())
-	u.Kind = core.QueryKind(d.u8())
-	u.Region = geo.Rect{MinX: d.f64(), MinY: d.f64(), MaxX: d.f64(), MaxY: d.f64()}
-	u.Focal = geo.Pt(d.f64(), d.f64())
-	u.K = int(d.u32())
-	u.T1 = d.f64()
-	u.T2 = d.f64()
-	u.T = d.f64()
-	u.Remove = d.bool()
-	return u
-}
-
-func appendUpdateBatch(b []byte, m UpdateBatch) []byte {
-	b = appendF64(b, m.Time)
-	b = appendU32(b, uint32(len(m.Updates)))
-	for _, u := range m.Updates {
-		b = appendU64(b, uint64(u.Query))
-		b = appendU64(b, uint64(u.Object))
-		b = appendBool(b, u.Positive)
-	}
-	return b
-}
-
+// decodeMessage decodes one payload of type t. Every error returns a nil
+// Message.
 func decodeMessage(t MsgType, payload []byte) (Message, error) {
-	d := &decoder{b: payload}
+	c := codec{b: payload}
+	if t.sealed() {
+		c.unseal()
+	}
+	var m Message
 	switch t {
 	case MsgObjectReport:
-		m := ObjectReport{Update: decodeObjectUpdate(d)}
-		return m, d.finish()
+		m = decoded(&c, (*ObjectReport).code)
 	case MsgQueryReport:
-		m := QueryReport{Update: decodeQueryUpdate(d)}
-		return m, d.finish()
+		m = decoded(&c, (*QueryReport).code)
 	case MsgCommit:
-		m := Commit{Query: core.QueryID(d.u64()), Checksum: d.u64()}
-		return m, d.finish()
-	case MsgCommitAck:
-		m := CommitAck{Query: core.QueryID(d.u64()), Checksum: d.u64()}
-		return m, d.finish()
-	case MsgStatsRequest:
-		return StatsRequest{}, d.finish()
-	case MsgHeartbeat:
-		m := Heartbeat{Time: d.f64()}
-		return m, d.finish()
-	case MsgStatsResponse:
-		var m StatsResponse
-		m.Stats.Steps = d.u64()
-		m.Stats.ObjectReports = d.u64()
-		m.Stats.QueryReports = d.u64()
-		m.Stats.PositiveUpdates = d.u64()
-		m.Stats.NegativeUpdates = d.u64()
-		m.Stats.KNNRecomputes = d.u64()
-		m.Stats.CandidateChecks = d.u64()
-		m.Stats.RegionEvalCells = d.u64()
-		m.Objects = d.u32()
-		m.Queries = d.u32()
-		m.Uptime = d.f64()
-		return m, d.finish()
+		m = decoded(&c, (*Commit).code)
 	case MsgWakeup:
-		m := Wakeup{Update: decodeQueryUpdate(d), Checksum: d.u64()}
-		return m, d.finish()
+		m = decoded(&c, (*Wakeup).code)
 	case MsgUpdateBatch:
-		m, err := decodeUpdateBatch(d)
-		return m, err
+		m = decoded(&c, (*UpdateBatch).code)
 	case MsgRecoveryDiff:
-		m, err := decodeUpdateBatch(d)
-		return RecoveryDiff(m), err
+		m = decoded(&c, (*RecoveryDiff).code)
 	case MsgFullAnswer:
-		var m FullAnswer
-		m.Query = core.QueryID(d.u64())
-		m.Time = d.f64()
-		n := int(d.u32())
-		if d.err == nil && n > len(d.b)/8 {
-			return nil, errors.New("wire: answer count exceeds payload")
-		}
-		m.Objects = make([]core.ObjectID, 0, n)
-		for i := 0; i < n; i++ {
-			m.Objects = append(m.Objects, core.ObjectID(d.u64()))
-		}
-		return m, d.finish()
+		m = decoded(&c, (*FullAnswer).code)
+	case MsgCommitAck:
+		m = decoded(&c, (*CommitAck).code)
+	case MsgStatsRequest:
+		m = decoded(&c, (*StatsRequest).code)
+	case MsgStatsResponse:
+		m = decoded(&c, (*StatsResponse).code)
+	case MsgHeartbeat:
+		m = decoded(&c, (*Heartbeat).code)
 	case MsgClusterHello:
-		d.verifyClusterSum()
-		m := ClusterHello{Worker: d.u32(), Incarnation: d.u64()}
-		return m, d.finish()
+		m = decoded(&c, (*ClusterHello).code)
 	case MsgClusterAssign:
-		d.verifyClusterSum()
-		var m ClusterAssign
-		m.Tile = d.u32()
-		m.Epoch = d.u64()
-		m.Bounds = geo.Rect{MinX: d.f64(), MinY: d.f64(), MaxX: d.f64(), MaxY: d.f64()}
-		m.GridN = d.u32()
-		m.PredictiveHorizon = d.f64()
-		m.Region = geo.Rect{MinX: d.f64(), MinY: d.f64(), MaxX: d.f64(), MaxY: d.f64()}
-		m.MaxSpeed = d.f64()
-		return m, d.finish()
+		m = decoded(&c, (*ClusterAssign).code)
 	case MsgClusterStep:
-		d.verifyClusterSum()
-		var m ClusterStep
-		m.Tile = d.u32()
-		m.Epoch = d.u64()
-		m.Time = d.f64()
-		m.Objects, m.Queries = decodeReports(d)
-		return m, d.finish()
+		m = decoded(&c, (*ClusterStep).code)
 	case MsgClusterStepResult:
-		d.verifyClusterSum()
-		var m ClusterStepResult
-		m.Tile = d.u32()
-		m.Epoch = d.u64()
-		m.Time = d.f64()
-		n := int(d.u32())
-		if d.err == nil && n > len(d.b)/17 {
-			d.err = errors.New("wire: update count exceeds payload")
-			return m, d.finish()
-		}
-		if d.err == nil {
-			m.Updates = make([]core.Update, 0, n)
-			for i := 0; i < n; i++ {
-				m.Updates = append(m.Updates, core.Update{
-					Query:    core.QueryID(d.u64()),
-					Object:   core.ObjectID(d.u64()),
-					Positive: d.bool(),
-				})
-			}
-		}
-		m.KNNRecomputes = d.u64()
-		m.CandidateChecks = d.u64()
-		m.RegionEvalCells = d.u64()
-		return m, d.finish()
+		m = decoded(&c, (*ClusterStepResult).code)
 	case MsgClusterResync:
-		d.verifyClusterSum()
-		var m ClusterResync
-		m.Tile = d.u32()
-		m.Epoch = d.u64()
-		m.HasStep = d.bool()
-		m.LastStep = d.f64()
-		m.Objects, m.Queries = decodeReports(d)
-		return m, d.finish()
-	case MsgClusterRetire:
-		d.verifyClusterSum()
-		m := ClusterRetire{Tile: d.u32(), Epoch: d.u64()}
-		return m, d.finish()
+		m = decoded(&c, (*ClusterResync).code)
 	case MsgClusterResyncAck:
-		d.verifyClusterSum()
-		m := ClusterResyncAck{Tile: d.u32(), Epoch: d.u64(), Checksum: d.u64()}
-		return m, d.finish()
+		m = decoded(&c, (*ClusterResyncAck).code)
+	case MsgClusterRetire:
+		m = decoded(&c, (*ClusterRetire).code)
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)
 	}
-}
-
-// decodeReports decodes the object/query report lists shared by
-// ClusterStep and ClusterResync, rejecting hostile counts before any
-// allocation.
-func decodeReports(d *decoder) ([]core.ObjectUpdate, []core.QueryUpdate) {
-	n := int(d.u32())
-	if d.err == nil && n > len(d.b)/objectUpdateMin {
-		d.err = errors.New("wire: object report count exceeds payload")
-		return nil, nil
+	if c.err == nil && c.off != len(c.b) {
+		c.err = fmt.Errorf("wire: %d trailing bytes in payload", len(c.b)-c.off)
 	}
-	var objs []core.ObjectUpdate
-	if d.err == nil && n > 0 {
-		objs = make([]core.ObjectUpdate, 0, n)
-		for i := 0; i < n; i++ {
-			objs = append(objs, decodeObjectUpdate(d))
-		}
+	if c.err != nil {
+		return nil, c.err
 	}
-	const queryUpdateMin = 8 + 1 + 6*8 + 4 + 3*8 + 1
-	n = int(d.u32())
-	if d.err == nil && n > len(d.b)/queryUpdateMin {
-		d.err = errors.New("wire: query report count exceeds payload")
-		return objs, nil
-	}
-	var qrys []core.QueryUpdate
-	if d.err == nil && n > 0 {
-		qrys = make([]core.QueryUpdate, 0, n)
-		for i := 0; i < n; i++ {
-			qrys = append(qrys, decodeQueryUpdate(d))
-		}
-	}
-	return objs, qrys
-}
-
-func decodeUpdateBatch(d *decoder) (UpdateBatch, error) {
-	var m UpdateBatch
-	m.Time = d.f64()
-	n := int(d.u32())
-	if d.err == nil && n > len(d.b)/17 {
-		return m, errors.New("wire: update count exceeds payload")
-	}
-	m.Updates = make([]core.Update, 0, n)
-	for i := 0; i < n; i++ {
-		m.Updates = append(m.Updates, core.Update{
-			Query:    core.QueryID(d.u64()),
-			Object:   core.ObjectID(d.u64()),
-			Positive: d.bool(),
-		})
-	}
-	return m, d.finish()
+	return m, nil
 }
 
 // EncodedSize returns the wire size in bytes of a message, including the

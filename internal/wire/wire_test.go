@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 
@@ -245,17 +246,18 @@ func TestBitFlippedFramesNeverPanic(t *testing.T) {
 
 func TestAbsurdCountsRejected(t *testing.T) {
 	// An UpdateBatch claiming more updates than the payload can hold must
-	// fail before allocating.
-	payload := appendF64(nil, 1.0)
-	payload = appendU32(payload, 1<<30)
+	// fail before allocating, and like every decode error return no
+	// message.
+	payload := binary.LittleEndian.AppendUint64(nil, math.Float64bits(1.0))
+	payload = binary.LittleEndian.AppendUint32(payload, 1<<30)
 	var frame []byte
 	var lenBuf [4]byte
 	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(payload)))
 	frame = append(frame, lenBuf[:]...)
 	frame = append(frame, byte(MsgUpdateBatch))
 	frame = append(frame, payload...)
-	if _, err := NewReader(bytes.NewReader(frame)).Read(); err == nil {
-		t.Error("absurd update count should fail")
+	if m, err := NewReader(bytes.NewReader(frame)).Read(); err == nil || m != nil {
+		t.Errorf("absurd update count: got %v, %v; want nil and an error", m, err)
 	}
 }
 
@@ -370,5 +372,36 @@ func TestWriteBufferedByteIdentical(t *testing.T) {
 	}
 	if _, err := r.Read(); !errors.Is(err, io.EOF) {
 		t.Fatalf("expected clean EOF after %d frames, got %v", len(msgs), err)
+	}
+}
+
+// TestShortClusterPayloadRejected: a cluster payload too short to hold
+// its checksum is truncated, not a checksum mismatch, and yields no
+// message.
+func TestShortClusterPayloadRejected(t *testing.T) {
+	frame := []byte{3, 0, 0, 0, byte(MsgClusterRetire), 1, 2, 3}
+	m, err := NewReader(bytes.NewReader(frame)).Read()
+	if m != nil || err == nil || errors.Is(err, ErrClusterChecksum) {
+		t.Errorf("got %v, %v; want nil and a truncation error", m, err)
+	}
+}
+
+type brokenStream struct{}
+
+var errBroken = errors.New("broken stream")
+
+func (brokenStream) Write([]byte) (int, error) { return 0, errBroken }
+
+// TestWriteErrorsSurface: a failing stream surfaces from Write, whether
+// the frame overflows the writer's buffer (payload write) or fits in it
+// (flush).
+func TestWriteErrorsSurface(t *testing.T) {
+	for _, m := range []Message{
+		FullAnswer{Query: 1, Objects: make([]core.ObjectID, 1000)},
+		Heartbeat{Time: 1},
+	} {
+		if err := NewWriter(brokenStream{}).Write(m); !errors.Is(err, errBroken) {
+			t.Errorf("Write(%T) on a broken stream = %v", m, err)
+		}
 	}
 }
