@@ -1,156 +1,166 @@
 // Command cqp-lint runs the project's static-analysis suite (package
-// cqp/internal/analysis) over module packages.
+// cqp/internal/analysis) as a go vet tool:
 //
-// Standalone:
+//	go build -o cqp-lint ./cmd/cqp-lint
+//	go vet -vettool=$PWD/cqp-lint ./...
 //
-//	cqp-lint [-checks determinism,maporder,...] [-list] [-json] ./...
-//
-// exits 1 when findings remain after //lint:allow filtering, printing
-// each as file:line:col: [analyzer] message — or, under -json, as a
-// JSON array of {file, line, col, analyzer, message} objects on stdout
-// for editor and CI integration. Exit status is 0 for a clean tree, 1
-// for findings, 2 for usage or load errors.
-//
-// As a vet tool it speaks the cmd/go unitchecker protocol, so the same
-// binary plugs into the build cache:
-//
-//	go vet -vettool=$(which cqp-lint) ./...
-//
-// In that mode cmd/go hands the tool a JSON .cfg per package (file
-// lists plus export data for every dependency) and expects diagnostics
-// on stderr with exit status 2.
+// It speaks cmd/go's unitchecker protocol. cmd/go probes the tool with
+// -V=full and -flags, then hands it a JSON .cfg per package (file lists
+// plus export data for every dependency). Findings that survive
+// //lint:allow filtering go to stderr as file:line:col: [analyzer]
+// message, and exit status 2 marks a package with findings.
 package main
 
 import (
+	"crypto/sha256"
 	"encoding/json"
-	"flag"
 	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"cqp/internal/analysis"
-	"cqp/internal/analysis/driver"
 )
 
 func main() {
-	// cmd/go probes vet tools with `-V=full` before anything else; a
-	// lone .cfg argument is the per-package invocation that follows.
 	args := os.Args[1:]
-	if len(args) == 1 && args[0] == "-V=full" {
+	switch {
+	case len(args) == 1 && args[0] == "-V=full":
 		printVersion()
-		return
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		// cmd/go asks the tool for its flag schema; the suite takes no
-		// per-run flags in vettool mode.
+	case len(args) == 1 && args[0] == "-flags":
+		// The suite takes no per-run flags.
 		fmt.Println("[]")
-		return
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
+	case len(args) == 1 && strings.HasSuffix(args[0], ".cfg"):
 		os.Exit(unitcheckerMain(args[0]))
-	}
-
-	checks := flag.String("checks", "", "comma-separated analyzer names to run (default: all)")
-	list := flag.Bool("list", false, "list analyzers and exit")
-	asJSON := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: cqp-lint [flags] ./... | ./dir ...\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-
-	if *list {
-		for _, a := range analysis.All() {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-
-	modDir, err := findModuleDir()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cqp-lint:", err)
+	default:
+		fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(which cqp-lint) [packages]")
 		os.Exit(2)
 	}
-	cfg := &driver.Config{ModulePath: "cqp", ModuleDir: modDir}
-	if *checks != "" {
-		as, err := analysis.ByName(strings.Split(*checks, ","))
+}
+
+// vetConfig is the part of the JSON configuration cmd/go writes for
+// each package (see cmd/go/internal/work: the unitchecker protocol)
+// that the tool consumes.
+type vetConfig struct {
+	Compiler                  string
+	ImportPath                string
+	GoFiles                   []string
+	ImportMap                 map[string]string
+	PackageFile               map[string]string
+	VetxOnly                  bool
+	VetxOutput                string
+	SucceedOnTypecheckFailure bool
+}
+
+// printVersion answers cmd/go's `-V=full` probe. The build ID must
+// change when the binary changes (it keys the vet result cache), so it
+// is a content hash of the executable.
+func printVersion() {
+	prog := filepath.Base(os.Args[0])
+	h := sha256.New()
+	if exe, err := os.Executable(); err == nil {
+		if f, err := os.Open(exe); err == nil {
+			io.Copy(h, f)
+			f.Close()
+		}
+	}
+	fmt.Printf("%s version devel comments-go-here buildID=%02x\n", prog, h.Sum(nil))
+}
+
+// unitcheckerMain handles one per-package vet invocation. Exit status 0
+// means no findings, 2 means findings (printed to stderr) — the
+// convention cmd/go expects from vet tools.
+func unitcheckerMain(cfgFile string) int {
+	cfg, err := readVetConfig(cfgFile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cqp-lint:", err)
+		return 1
+	}
+	// The suite exports no cross-package facts, but the protocol
+	// requires the facts file to exist before cmd/go will cache the
+	// result.
+	defer func() {
+		if cfg.VetxOutput != "" {
+			os.WriteFile(cfg.VetxOutput, []byte{}, 0o666)
+		}
+	}()
+	if cfg.VetxOnly {
+		return 0
+	}
+
+	// Lint scope is shipped code: drop _test.go files. The in-package
+	// test variant then reduces to the plain package; the external
+	// _test package reduces to nothing.
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, name := range cfg.GoFiles {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
 		if err != nil {
+			if cfg.SucceedOnTypecheckFailure {
+				return 0
+			}
 			fmt.Fprintln(os.Stderr, "cqp-lint:", err)
-			os.Exit(2)
+			return 1
 		}
-		cfg.Analyzers = as
+		files = append(files, f)
 	}
-	findings, err := cfg.Run(patterns)
+	if len(files) == 0 {
+		return 0
+	}
+
+	compiler := cfg.Compiler
+	if compiler == "" {
+		compiler = "gc"
+	}
+	imp := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
+		if canonical, ok := cfg.ImportMap[path]; ok {
+			path = canonical
+		}
+		file, ok := cfg.PackageFile[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
+	pkg, info, err := analysis.TypeCheck(cfg.ImportPath, fset, files, imp)
+	if err != nil {
+		if cfg.SucceedOnTypecheckFailure {
+			return 0
+		}
+		fmt.Fprintln(os.Stderr, "cqp-lint:", err)
+		return 1
+	}
+
+	findings, err := analysis.Lint(fset, files, pkg, info)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cqp-lint:", err)
-		os.Exit(2)
+		return 1
 	}
-	for i := range findings {
-		if r, err := filepath.Rel(modDir, findings[i].Pos.Filename); err == nil && !strings.HasPrefix(r, "..") {
-			findings[i].Pos.Filename = r
-		}
-	}
-	if *asJSON {
-		if err := writeJSON(os.Stdout, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "cqp-lint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+	for _, f := range findings {
+		fmt.Fprintln(os.Stderr, f)
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "cqp-lint: %d finding(s)\n", len(findings))
-		os.Exit(1)
+		return 2
 	}
+	return 0
 }
 
-// jsonFinding is the stable machine-readable finding shape; the struct
-// keeps the output schema independent of driver.Finding's layout.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// writeJSON emits findings as a JSON array — `[]`, never `null`, on a
-// clean run, so consumers can iterate unconditionally.
-func writeJSON(w *os.File, findings []driver.Finding) error {
-	out := make([]jsonFinding, 0, len(findings))
-	for _, f := range findings {
-		out = append(out, jsonFinding{
-			File: f.Pos.Filename, Line: f.Pos.Line, Col: f.Pos.Column,
-			Analyzer: f.Analyzer, Message: f.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// findModuleDir walks up from the working directory to the go.mod.
-func findModuleDir() (string, error) {
-	dir, err := os.Getwd()
+func readVetConfig(path string) (*vetConfig, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod found above the working directory")
-		}
-		dir = parent
+	var cfg vetConfig
+	if err := json.Unmarshal(data, &cfg); err != nil {
+		return nil, fmt.Errorf("parsing %s: %w", path, err)
 	}
+	return &cfg, nil
 }

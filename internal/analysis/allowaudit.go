@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/token"
+	"strings"
 )
 
 // AllowAudit keeps the suppression ledger honest: every //lint:allow
@@ -16,10 +17,9 @@ import (
 // Staleness is decided by re-running every sibling analyzer unfiltered
 // and checking that a raw finding by the named analyzer lands on the
 // annotation's line or the line directly below it — exactly the span
-// the driver's filter covers. The determinism analyzer is re-run only
-// inside its production scope (DeterministicPackages), mirroring the
-// driver, so a determinism allow outside that scope is correctly
-// reported as suppressing nothing.
+// Lint's filter covers. Each sibling is re-run only where appliesTo lets
+// Lint run it, so a determinism allow outside DeterministicPackages is
+// correctly reported as suppressing nothing.
 var AllowAudit = &Analyzer{
 	Name: "allowaudit",
 	Doc: "flag suppressions that no longer suppress anything: every " +
@@ -34,14 +34,17 @@ func init() { AllowAudit.Run = runAllowAudit }
 
 func runAllowAudit(pass *Pass) error {
 	known := make(map[string]bool)
+	var names []string
 	for _, a := range All() {
 		known[a.Name] = true
+		names = append(names, a.Name)
 	}
 
 	// Parse every annotation, malformed ones included.
 	type sited struct {
-		allow Allow
-		tok   token.Pos
+		analyzer string
+		pos      token.Position
+		tok      token.Pos
 	}
 	var wellFormed []sited
 	for _, f := range pass.Files {
@@ -50,23 +53,16 @@ func runAllowAudit(pass *Pass) error {
 				if !allowAnyRe.MatchString(cm.Text) {
 					continue
 				}
-				m := AllowRe.FindStringSubmatch(cm.Text)
-				if m == nil || !ReasonOK(m[2]) {
+				m := allowRe.FindStringSubmatch(cm.Text)
+				if m == nil || !reasonOK(m[2]) {
 					pass.Reportf(cm.Pos(), "reason-less //lint:allow: the format is `//lint:allow <analyzer> <reason>` — a suppression without a stated reason is indistinguishable from a silenced finding")
 					continue
 				}
 				if !known[m[1]] {
-					pass.Reportf(cm.Pos(), "unknown analyzer %q in //lint:allow: it suppresses nothing (known: see cqp-lint -list)", m[1])
+					pass.Reportf(cm.Pos(), "unknown analyzer %q in //lint:allow: it suppresses nothing (known: %s)", m[1], strings.Join(names, ", "))
 					continue
 				}
-				wellFormed = append(wellFormed, sited{
-					allow: Allow{
-						Pos:      pass.Fset.Position(cm.Pos()),
-						Analyzer: m[1],
-						Reason:   m[2],
-					},
-					tok: cm.Pos(),
-				})
+				wellFormed = append(wellFormed, sited{analyzer: m[1], pos: pass.Fset.Position(cm.Pos()), tok: cm.Pos()})
 			}
 		}
 	}
@@ -78,10 +74,7 @@ func runAllowAudit(pass *Pass) error {
 	// findings by (analyzer, file, line).
 	hits := make(map[string]map[string]map[int]bool)
 	for _, a := range All() {
-		if a.Name == "allowaudit" {
-			continue
-		}
-		if a == Determinism && !DeterministicPackages[pass.Pkg.Path()] {
+		if a == AllowAudit || !appliesTo(a, pass.Pkg.Path()) {
 			continue
 		}
 		name := a.Name
@@ -112,11 +105,11 @@ func runAllowAudit(pass *Pass) error {
 	}
 
 	for _, s := range wellFormed {
-		lines := hits[s.allow.Analyzer][s.allow.Pos.Filename]
-		if lines[s.allow.Pos.Line] || lines[s.allow.Pos.Line+1] {
+		lines := hits[s.analyzer][s.pos.Filename]
+		if lines[s.pos.Line] || lines[s.pos.Line+1] {
 			continue
 		}
-		pass.Reportf(s.tok, "stale //lint:allow %s: no %s finding on this line or the line below — the hazard was fixed (delete the annotation) or the annotation drifted from the code it excused", s.allow.Analyzer, s.allow.Analyzer)
+		pass.Reportf(s.tok, "stale //lint:allow %s: no %s finding on this line or the line below — the hazard was fixed (delete the annotation) or the annotation drifted from the code it excused", s.analyzer, s.analyzer)
 	}
 	return nil
 }

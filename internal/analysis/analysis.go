@@ -31,7 +31,8 @@
 //
 //	//lint:allow <analyzer> <reason>
 //
-// The reason is mandatory; the driver rejects bare allows.
+// The reason is mandatory: Lint ignores a bare allow, and allowaudit
+// reports it. cmd/cqp-lint runs Lint over every package as a go vet tool.
 package analysis
 
 import (
@@ -48,7 +49,8 @@ type Analyzer struct {
 	// annotations. Lower-case, no spaces.
 	Name string
 
-	// Doc is the one-paragraph description shown by cqp-lint -list.
+	// Doc is the one-paragraph description of what the analyzer
+	// enforces.
 	Doc string
 
 	// Run applies the analyzer to one package, reporting findings
@@ -64,8 +66,8 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Report delivers one finding. The driver attaches the analyzer
-	// name and resolves the position.
+	// Report delivers one finding. Lint attaches the analyzer name,
+	// resolves the position, and applies the //lint:allow filter.
 	Report func(Diagnostic)
 }
 
@@ -88,22 +90,19 @@ func All() []*Analyzer {
 	}
 }
 
-// ByName resolves a comma-separated analyzer name list; unknown names
-// return an error.
-func ByName(names []string) ([]*Analyzer, error) {
-	byName := make(map[string]*Analyzer)
-	for _, a := range All() {
-		byName[a.Name] = a
+// TypeCheck typechecks one package's files under the import path,
+// recording the types.Info maps the analyzers read.
+func TypeCheck(path string, fset *token.FileSet, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Implicits:  make(map[ast.Node]types.Object),
 	}
-	var out []*Analyzer
-	for _, n := range names {
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q", n)
-		}
-		out = append(out, a)
-	}
-	return out, nil
+	conf := types.Config{Importer: imp}
+	pkg, err := conf.Check(path, fset, files, info)
+	return pkg, info, err
 }
 
 // --- shared helpers --------------------------------------------------------

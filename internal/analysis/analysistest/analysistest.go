@@ -2,7 +2,7 @@
 // compares its diagnostics against `// want` expectations embedded in
 // the fixture source — the same contract as
 // golang.org/x/tools/go/analysis/analysistest, reimplemented on the
-// project's own driver so it works in a hermetic build environment.
+// standard library so it works in a hermetic build environment.
 //
 // A fixture lives in testdata/src/<name>/ under the calling test's
 // package directory. Each line that should produce a diagnostic carries
@@ -13,11 +13,17 @@
 //
 // The test fails if a diagnostic has no matching expectation on its
 // line, or an expectation goes unmatched. Fixtures are typechecked for
-// real (they may import module packages such as cqp/internal/wire), so
-// a fixture that does not compile fails the test with the type error.
+// real by the standard library's source importer, which resolves module
+// packages such as cqp/internal/wire too, so a fixture that does not
+// compile fails the test with the type error.
 package analysistest
 
 import (
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -26,8 +32,14 @@ import (
 	"testing"
 
 	"cqp/internal/analysis"
-	"cqp/internal/analysis/driver"
 )
+
+func init() {
+	// The source importer consults build.Default; with cgo enabled it
+	// would try to resolve the cgo halves of net/os/user and fail in a
+	// toolchain-only container. The pure-Go variants typecheck fine.
+	build.Default.CgoEnabled = false
+}
 
 var (
 	wantRe   = regexp.MustCompile(`//\s*want\s+(.+)$`)
@@ -42,36 +54,22 @@ type expectation struct {
 }
 
 // Run loads testdata/src/<fixture> (relative to the test's working
-// directory), applies the analyzer, and enforces the `// want`
-// expectations.
+// directory) under the import path <fixture>, applies the analyzer, and
+// enforces the `// want` expectations.
 func Run(t *testing.T, a *analysis.Analyzer, fixture string) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", fixture)
-	modDir, modPath := findModule(t)
-
-	rel, err := filepath.Rel(modDir, mustAbs(t, dir))
+	fset := token.NewFileSet()
+	files := parseDir(t, fset, dir)
+	pkg, info, err := analysis.TypeCheck(fixture, fset, files, importer.ForCompiler(fset, "source", nil))
 	if err != nil {
-		t.Fatalf("fixture %s is outside the module: %v", dir, err)
-	}
-	importPath := modPath + "/" + filepath.ToSlash(rel)
-
-	l := driver.NewLoader(modPath, modDir)
-	pkg, err := l.LoadDir(dir, importPath)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", fixture, err)
+		t.Fatalf("typechecking fixture %s: %v", fixture, err)
 	}
 
-	wants := collectWants(t, dir)
-
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Pkg,
-		TypesInfo: pkg.Info,
-	}
+	wants := collectWants(t, fset, files)
+	pass := &analysis.Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}
 	pass.Report = func(d analysis.Diagnostic) {
-		pos := pkg.Fset.Position(d.Pos)
+		pos := fset.Position(d.Pos)
 		file := filepath.Base(pos.Filename)
 		for _, e := range wants[file][pos.Line] {
 			if !e.matched && e.re.MatchString(d.Message) {
@@ -96,43 +94,57 @@ func Run(t *testing.T, a *analysis.Analyzer, fixture string) {
 	}
 }
 
-// collectWants scans the fixture's non-test .go files for `// want`
-// comments, keyed by base filename and line.
-func collectWants(t *testing.T, dir string) map[string]map[int][]*expectation {
+// parseDir parses the non-test .go files of dir with comments, in name
+// order.
+func parseDir(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
 	t.Helper()
-	out := make(map[string]map[int][]*expectation)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("reading fixture dir: %v", err)
 	}
+	var files []*ast.File
 	for _, ent := range entries {
 		name := ent.Name()
 		if ent.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(dir, name))
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, line := range strings.Split(string(data), "\n") {
-			m := wantRe.FindStringSubmatch(line)
-			if m == nil {
-				continue
-			}
-			lineNo := i + 1
-			for _, q := range quotedRe.FindAllString(m[1], -1) {
-				pat, err := unquote(q)
-				if err != nil {
-					t.Fatalf("%s:%d: bad want pattern %s: %v", name, lineNo, q, err)
+		files = append(files, f)
+	}
+	return files
+}
+
+// collectWants gathers the files' `// want` comments, keyed by base
+// filename and line.
+func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) map[string]map[int][]*expectation {
+	t.Helper()
+	out := make(map[string]map[int][]*expectation)
+	for _, f := range files {
+		for _, cg := range f.Comments {
+			for _, cm := range cg.List {
+				m := wantRe.FindStringSubmatch(cm.Text)
+				if m == nil {
+					continue
 				}
-				re, err := regexp.Compile(pat)
-				if err != nil {
-					t.Fatalf("%s:%d: bad want regexp %s: %v", name, lineNo, q, err)
+				pos := fset.Position(cm.Pos())
+				name := filepath.Base(pos.Filename)
+				for _, q := range quotedRe.FindAllString(m[1], -1) {
+					pat, err := unquote(q)
+					if err != nil {
+						t.Fatalf("%s:%d: bad want pattern %s: %v", name, pos.Line, q, err)
+					}
+					re, err := regexp.Compile(pat)
+					if err != nil {
+						t.Fatalf("%s:%d: bad want regexp %s: %v", name, pos.Line, q, err)
+					}
+					if out[name] == nil {
+						out[name] = make(map[int][]*expectation)
+					}
+					out[name][pos.Line] = append(out[name][pos.Line], &expectation{re: re, raw: q})
 				}
-				if out[name] == nil {
-					out[name] = make(map[int][]*expectation)
-				}
-				out[name][lineNo] = append(out[name][lineNo], &expectation{re: re, raw: q})
 			}
 		}
 	}
@@ -144,38 +156,4 @@ func unquote(q string) (string, error) {
 		return strings.Trim(q, "`"), nil
 	}
 	return strconv.Unquote(q)
-}
-
-// findModule walks up from the working directory to the enclosing
-// go.mod and returns its directory and module path.
-func findModule(t *testing.T) (dir, path string) {
-	t.Helper()
-	dir, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if data, err := os.ReadFile(filepath.Join(dir, "go.mod")); err == nil {
-			first := strings.SplitN(string(data), "\n", 2)[0]
-			f := strings.Fields(first)
-			if len(f) == 2 && f[0] == "module" {
-				return dir, f[1]
-			}
-			t.Fatalf("malformed go.mod in %s", dir)
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			t.Fatal("no go.mod above working directory")
-		}
-		dir = parent
-	}
-}
-
-func mustAbs(t *testing.T, p string) string {
-	t.Helper()
-	abs, err := filepath.Abs(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return abs
 }

@@ -6,23 +6,7 @@ import (
 	"strings"
 )
 
-// DeterministicPackages are the packages whose behavior must be a pure
-// function of their inputs: the evaluation engines, the spatial index,
-// the geometry kernel, and the durable store. Replaying the same report
-// stream through them must produce bit-identical update streams,
-// checksums, and on-disk state — the property the paper's incremental
-// update contract, the differential shard test, and crash recovery all
-// rest on. Wall-clock time enters the system exclusively at the edges
-// (internal/server assigns timestamps; clients report them).
-var DeterministicPackages = map[string]bool{
-	"cqp/internal/core":       true,
-	"cqp/internal/shard":      true,
-	"cqp/internal/grid":       true,
-	"cqp/internal/geo":        true,
-	"cqp/internal/repository": true,
-}
-
-// Determinism forbids wall-clock and ambient-entropy reads. The driver
+// Determinism forbids wall-clock and ambient-entropy reads. Lint
 // scopes it to DeterministicPackages; run directly (tests) it applies
 // to whatever package it is handed.
 var Determinism = &Analyzer{

@@ -32,5 +32,5 @@ func (b *box) fixedLongAgo() {
 func bare() {}
 
 // A typoed analyzer name suppresses nothing.
-//lint:allow maporedr iteration order does not matter here // want `unknown analyzer "maporedr"`
+//lint:allow maporedr iteration order does not matter here // want `unknown analyzer "maporedr" in //lint:allow: it suppresses nothing \(known: determinism, maporder, locksend, erradrift, validatefirst, golifecycle, atomicmix, allowaudit\)`
 func typo() {}
