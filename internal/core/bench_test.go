@@ -121,6 +121,56 @@ func BenchmarkStepSteadyState(b *testing.B) {
 	b.ReportMetric(moves, "moves/op")
 }
 
+// The repeated-report shape is ingest-flood's measured step: 20K objects
+// against 200 range queries, with a flooded server's inbox handing the
+// engine 50K object reports, about 2.5 per object, in every batch.
+const repObjects, repQueries, repReports = 20000, 200, 50000
+
+// repeatedEngine builds the repeated-report population and returns it
+// with each object's current location, indexed by ObjectID-1.
+func repeatedEngine(objects, queries int) (*Engine, *rand.Rand, []geo.Point) {
+	e, rng := benchEngine(objects, queries, Range)
+	locs := make([]geo.Point, objects)
+	for i := range locs {
+		locs[i] = e.objs[ObjectID(i+1)].loc
+	}
+	return e, rng, locs
+}
+
+// stepRepeated applies one flooded step: reports cycle through the
+// population from where the previous step stopped, each moving its object
+// a small random distance, so every object reports two or three times.
+func stepRepeated(e *Engine, rng *rand.Rand, locs []geo.Point, reports, tick int) {
+	for n := 0; n < reports; n++ {
+		i := (tick*reports + n) % len(locs)
+		p := &locs[i]
+		p.X = min(max(p.X+(rng.Float64()-0.5)*0.004, 0), 1)
+		p.Y = min(max(p.Y+(rng.Float64()-0.5)*0.004, 0), 1)
+		e.ReportObject(ObjectUpdate{ID: ObjectID(i + 1), Kind: Moving, Loc: *p, T: float64(tick)})
+	}
+	e.Step(float64(tick))
+}
+
+// BenchmarkStepRepeatedReports measures a step whose batch repeats
+// objects: each object is indexed and joined once however often it
+// reported. -short runs it at a tenth of the scale.
+func BenchmarkStepRepeatedReports(b *testing.B) {
+	objects, queries, reports := repObjects, repQueries, repReports
+	if testing.Short() {
+		objects, reports = objects/10, reports/10
+	}
+	e, rng, locs := repeatedEngine(objects, queries)
+	for i := 0; i < 5; i++ {
+		stepRepeated(e, rng, locs, reports, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stepRepeated(e, rng, locs, reports, 5+i)
+	}
+	b.ReportMetric(float64(reports), "reports/op")
+}
+
 // TestStepSteadyStateAllocs pins the allocation count of a steady-state
 // Step so regressions fail loudly rather than silently eroding the flat
 // grid's gains. The budget covers the per-Step contract allocation (the
@@ -146,10 +196,30 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 			stepChurn(e, rng, objects, moves, float64(tick))
 			tick++
 		})
-		const budget = 50
-		t.Logf("steady-state Step: %.1f allocs/tick (budget %d)", avg, budget)
-		if avg > budget {
-			t.Errorf("steady-state Step allocates %.1f times per tick; budget is %d", avg, budget)
-		}
+		checkStepAllocs(t, avg)
 	})
+	t.Run("repeated", func(t *testing.T) {
+		e, rng, locs := repeatedEngine(repObjects, repQueries)
+		// Objects drifting across cells keep growing cell slabs for
+		// tens of steps; 10 warm-up steps read about 110 allocs/tick.
+		for i := 0; i < 60; i++ {
+			stepRepeated(e, rng, locs, repReports, i)
+		}
+		tick := 60
+		avg := testing.AllocsPerRun(5, func() {
+			stepRepeated(e, rng, locs, repReports, tick)
+			tick++
+		})
+		checkStepAllocs(t, avg)
+	})
+}
+
+// checkStepAllocs holds a steady-state tick to the Step allocation budget.
+func checkStepAllocs(t *testing.T, avg float64) {
+	t.Helper()
+	const budget = 50
+	t.Logf("steady-state Step: %.1f allocs/tick (budget %d)", avg, budget)
+	if avg > budget {
+		t.Errorf("steady-state Step allocates %.1f times per tick; budget is %d", avg, budget)
+	}
 }

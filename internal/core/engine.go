@@ -141,6 +141,10 @@ type objectState struct {
 	waypoints []geo.TimedPoint // trajectory representation, when reported
 	t         float64
 
+	gridLoc geo.Point // where the grid indexes the point entry, once indexed
+	indexed bool
+	step    uint64 // the Step in which the object last joined the moved list
+
 	// swept is the grid-registered trajectory bounding box of a predictive
 	// object; the zero Rect when not registered.
 	swept      geo.Rect
@@ -218,12 +222,12 @@ type Engine struct {
 	// within a few Steps and is then only resliced. None of this state
 	// carries semantics between Steps — each buffer is reset (length
 	// zero or cleared) before use.
-	movedBuf []movedObj    // phase-1 changed-object list
-	join     joinScratch   // phase-3 gather findings and callbacks (see join.go)
-	dirtyBuf []QueryID     // sorted dirty-kNN drain
-	qidBuf   []*queryState // removeObject's sorted QList drain
-	hBuf     []int32       // answer-member snapshot for drop scans et al.
-	diffBuf  []geo.Rect    // region-difference pieces
+	movedBuf []*objectState // phase-1 changed-object list, one entry per object
+	join     joinScratch    // phase-3 gather findings and callbacks (see join.go)
+	dirtyBuf []QueryID      // sorted dirty-kNN drain
+	qidBuf   []*queryState  // removeObject's sorted QList drain
+	hBuf     []int32        // answer-member snapshot for drop scans et al.
+	diffBuf  []geo.Rect     // region-difference pieces
 	knnBuf   []grid.Neighbor
 	knnDrop  []int32 // recomputeKNN's retracted member handles
 	knnAdd   []int32 // recomputeKNN's admitted member handles
@@ -433,10 +437,13 @@ func (e *Engine) stepAppend(out []Update, now float64) []Update {
 	e.now = now
 	e.stats.Steps++
 
-	// Phase 1: apply object reports to the grid and the object table,
-	// recording which objects changed for the join phase.
+	// Phase 1: apply every object report to the object table in arrival
+	// order, without touching the grid. Only an object's state at the
+	// step boundary enters the join, so an object joins the moved list
+	// on its first accepted report of the step and never again.
 	moved := e.movedBuf[:0]
-	for _, u := range e.objBuf {
+	for i := range e.objBuf {
+		u := &e.objBuf[i]
 		e.stats.ObjectReports++
 		if u.Remove {
 			e.removeObject(u.ID, &out)
@@ -448,7 +455,7 @@ func (e *Engine) stepAppend(out []Update, now float64) []Update {
 				continue // reject malformed trajectories; keep prior state
 			}
 		}
-		if ExceedsMaxSpeed(u, e.opt.MaxSpeed) {
+		if ExceedsMaxSpeed(*u, e.opt.MaxSpeed) {
 			continue // reject over-speed predictive motion; keep prior state
 		}
 		os, exists := e.objs[u.ID]
@@ -456,25 +463,30 @@ func (e *Engine) stepAppend(out []Update, now float64) []Update {
 			os = &objectState{id: u.ID}
 			e.allocObjHandle(os)
 			e.objs[u.ID] = os
-			os.kind = u.Kind
-			os.loc = u.Loc
-			os.vel = u.Vel
-			os.waypoints = u.Waypoints
-			os.t = u.T
-			e.g.InsertObject(okeyH(os.h), u.Loc)
-			e.registerSwept(os)
-			moved = append(moved, movedObj{os: os, isNew: true, oldLoc: u.Loc})
+		}
+		if os.step != e.stats.Steps {
+			os.step = e.stats.Steps
+			moved = append(moved, os)
+		}
+		os.kind, os.loc, os.vel, os.waypoints, os.t = u.Kind, u.Loc, u.Vel, u.Waypoints, u.T
+	}
+
+	// Index pass: each object live at the step boundary is indexed once,
+	// at its last accepted state. An object removed later in the batch
+	// has lost its handle, memberships and grid entries already.
+	live := moved[:0]
+	for _, os := range moved {
+		if e.objsByH[os.h] != os {
 			continue
 		}
-		old := os.loc
-		os.kind = u.Kind
-		os.vel = u.Vel
-		os.waypoints = u.Waypoints
-		os.t = u.T
-		os.loc = u.Loc
-		e.g.MoveObject(okeyH(os.h), old, u.Loc)
+		if os.indexed {
+			e.g.MoveObject(okeyH(os.h), os.gridLoc, os.loc)
+		} else {
+			e.g.InsertObject(okeyH(os.h), os.loc)
+		}
+		os.gridLoc, os.indexed = os.loc, true
 		e.registerSwept(os)
-		moved = append(moved, movedObj{os: os, oldLoc: old})
+		live = append(live, os)
 	}
 
 	// Phases 2–4 are the query-update join: query re-registrations,
@@ -489,18 +501,10 @@ func (e *Engine) stepAppend(out []Update, now float64) []Update {
 	// trajectory candidates.
 	e.queryPhase(&out)
 
-	// Phase 3: object-driven evaluation. For every changed object, first
-	// re-check its existing memberships against the (possibly moved)
-	// queries, then probe the grid cells at its new position for candidate
-	// queries it newly satisfies.
-	live := moved[:0]
-	for _, m := range moved {
-		// Skip objects that were removed later in the same batch: their
-		// state is stale and their memberships were already retracted.
-		if cur, ok := e.objs[m.os.id]; ok && cur == m.os {
-			live = append(live, m)
-		}
-	}
+	// Phase 3: object-driven evaluation. For every distinct live changed
+	// object, first re-check its existing memberships against the
+	// (possibly moved) queries, then probe the grid cell at its new
+	// position for candidate queries it newly satisfies.
 	e.objectJoinPhase(live, &out)
 
 	// Phase 4: recompute the answer of every dirty kNN query exactly and
@@ -626,7 +630,9 @@ func (e *Engine) removeObject(id ObjectID, out *[]Update) {
 		}
 		e.setMember(qs, os, false, out)
 	}
-	e.g.RemoveObject(okeyH(os.h), os.loc)
+	if os.indexed {
+		e.g.RemoveObject(okeyH(os.h), os.gridLoc)
+	}
 	if os.sweptValid {
 		e.g.RemoveRegion(okeyH(os.h), os.swept)
 	}
@@ -732,12 +738,4 @@ func (e *Engine) applyQueryUpdate(u QueryUpdate, out *[]Update) {
 	case PredictiveRange:
 		e.applyPredictiveUpdate(qs, u.Region, u.T1, u.T2, out)
 	}
-}
-
-// movedObj records one object changed in phase 1 of a Step, queued for
-// the phase-3 join.
-type movedObj struct {
-	os     *objectState
-	isNew  bool
-	oldLoc geo.Point
 }

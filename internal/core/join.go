@@ -13,11 +13,12 @@ import (
 //     kind changes follow arrival order. The incremental
 //     evaluation itself is applyRangeUpdate (rangeq.go) and
 //     applyPredictiveUpdate (predictive.go).
-//   - Phase 3 (objectJoinPhase) joins every moved object against the
-//     registered queries in two passes: a read-only gather over the grid
-//     and answer sets as phase 2 left them, recording membership
-//     proposals and kNN dirty marks in engine-owned scratch, then a
-//     serial apply of those findings.
+//   - Phase 3 (objectJoinPhase) joins each distinct moved object once,
+//     at its state at the step boundary, against the registered queries
+//     in two passes: a read-only gather over the grid and answer sets as
+//     phase 2 left them, recording membership proposals and kNN dirty
+//     marks in engine-owned scratch, then a serial apply of those
+//     findings.
 //   - Phase 4 (knnPhase) re-searches every dirty kNN query exactly, in
 //     ascending QueryID order (recomputeKNN, knn.go).
 //
@@ -148,7 +149,7 @@ func (e *Engine) queryPhase(out *[]Update) {
 // objectJoinPhase joins every changed object against the registered
 // queries: membership re-checks plus grid candidate probes, all gathered
 // before any is applied.
-func (e *Engine) objectJoinPhase(live []movedObj, out *[]Update) {
+func (e *Engine) objectJoinPhase(live []*objectState, out *[]Update) {
 	if len(live) == 0 {
 		return
 	}
@@ -161,8 +162,8 @@ func (e *Engine) objectJoinPhase(live []movedObj, out *[]Update) {
 		j.qStamp = make([]uint32, len(e.qrysByH))
 		j.stampCur = 0
 	}
-	for i := range live {
-		e.gatherMovedObject(live[i].os)
+	for _, os := range live {
+		e.gatherMovedObject(os)
 	}
 	e.applyObjectJoins(out)
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"slices"
+
+	"cqp/internal/geo"
 )
 
 // EvalFromScratch computes the ground-truth answer of query q by brute
@@ -72,6 +74,7 @@ func (e *Engine) EvalFromScratch(q QueryID) ([]ObjectID, bool) {
 // Invariants checked:
 //   - QList/OList symmetry: o ∈ q.answer ⇔ q ∈ o.queries;
 //   - every answer references live objects and vice versa;
+//   - the grid indexes each live object exactly once, at its location;
 //   - with deep: every non-kNN answer equals the brute-force oracle, and
 //     every kNN answer is a valid k-nearest set (distance-equivalent to
 //     the oracle, allowing ties to differ).
@@ -104,6 +107,19 @@ func (e *Engine) CheckConsistency(deep bool) error {
 				return fmt.Errorf("object %d claims membership in query %d but is not in its answer", oid, qs.id)
 			}
 		}
+		n := 0
+		e.g.VisitObjectsInCell(e.g.CellIndex(os.loc), func(k uint64, p geo.Point) bool {
+			if k == okeyH(os.h) && p == os.loc {
+				n++
+			}
+			return true
+		})
+		if n != 1 {
+			return fmt.Errorf("object %d is indexed %d times at its location %v", oid, n, os.loc)
+		}
+	}
+	if n := e.g.NumObjects(); n != len(e.objs) {
+		return fmt.Errorf("grid indexes %d objects, engine holds %d", n, len(e.objs))
 	}
 	for qid, qs := range e.qrys {
 		if qs.h < 0 || int(qs.h) >= len(e.qrysByH) || e.qrysByH[qs.h] != qs {

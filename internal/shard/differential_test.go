@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -234,6 +236,118 @@ func runDifferential(t *testing.T, seed int64, rows, cols, steps int) {
 				if ra[i] != rb[i] {
 					t.Fatalf("seed %d step %d: Recover(%d) single=%v sharded=%v", seed, step, id, ra, rb)
 				}
+			}
+		}
+	}
+}
+
+// TestDifferentialRepeatedReports is the differential over batches that
+// repeat objects, as a flooded server's inbox does: every object sends 2–4
+// reports per step, interleaved with the other objects', and they cross
+// tiles inside the batch (A→B→A, A→B→C), remove and re-add objects, and
+// change kinds. Only each object's state at the step boundary counts, so
+// a single engine and shard.NewN(opt, 4), both through core.Protocol,
+// must agree on every answer and committed answer after every step, and
+// each stream must replay into its subscribers' answers.
+func TestDifferentialRepeatedReports(t *testing.T) {
+	for _, seed := range []int64{1, 2, 7, 42} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runRepeatedDifferential(t, seed, 80) })
+	}
+}
+
+func runRepeatedDifferential(t *testing.T, seed int64, steps int) {
+	const objects, queries = 40, 15
+	rng := rand.New(rand.NewSource(seed))
+	ps := protocolPair(t, core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: 2 + rng.Intn(10), PredictiveHorizon: 50})
+	// inTile draws a point in one quadrant, the tile of a 2×2 split.
+	inTile := func(tile int) geo.Point {
+		return geo.Pt((float64(tile%2)+rng.Float64())/2, (float64(tile/2)+rng.Float64())/2)
+	}
+	randPoint := func() geo.Point { return inTile(rng.Intn(4)) }
+	randRegion := func() geo.Rect { return geo.RectAt(randPoint(), 0.05+rng.Float64()*0.4) }
+	clients := [2]map[core.QueryID]map[core.ObjectID]struct{}{{}, {}} // replayed answers per stream
+	for q := core.QueryID(1); q <= queries; q++ {
+		u := randShardQueryUpdate(rng, q, core.QueryKind(q%3), 0, randRegion, randPoint)
+		for i, p := range ps {
+			p.ReportQuery(u)
+			clients[i][q] = map[core.ObjectID]struct{}{}
+		}
+	}
+
+	home := make([]int, objects+1) // each object's tile at the last step boundary
+	for step := 1; step <= steps; step++ {
+		now := float64(step)
+		// Report k of object o goes out in round k, so one object's
+		// reports are spread over the batch between other objects'.
+		var rounds [4][]core.ObjectUpdate
+		for o := 1; o <= objects; o++ {
+			n := 2 + rng.Intn(3)
+			for k := 0; k < n; k++ {
+				id := core.ObjectID(o)
+				kind := core.ObjectKind(rng.Intn(3))
+				loc := randPoint()
+				if k == n-1 && rng.Float64() < 0.5 {
+					loc = inTile(home[o]) // A→B→A: back to the tile it started in
+				}
+				u := core.ObjectUpdate{ID: id, Kind: kind, Loc: loc, Vel: geo.Vec(rng.Float64()*0.1-0.05, 0), T: now}
+				if kind == core.Predictive && rng.Float64() < 0.3 {
+					u.Waypoints = randWaypoints(rng, loc, now)
+				}
+				if rng.Float64() < 0.1 {
+					u = core.ObjectUpdate{ID: id, Remove: true, T: now}
+				} else if k == n-1 {
+					home[o] = int(2*min(loc.Y, 0.99))*2 + int(2*min(loc.X, 0.99))
+				}
+				rounds[k] = append(rounds[k], u)
+			}
+		}
+		for _, round := range rounds {
+			for _, u := range round {
+				for _, p := range ps {
+					p.ReportObject(u)
+				}
+			}
+		}
+		if q := core.QueryID(1 + rng.Intn(queries)); rng.Float64() < 0.5 {
+			u := randShardQueryUpdate(rng, q, core.QueryKind(q%3), now, randRegion, randPoint)
+			for _, p := range ps {
+				p.ReportQuery(u)
+			}
+		}
+
+		for i, p := range ps {
+			for _, u := range p.Step(now) {
+				c := clients[i][u.Query]
+				if _, in := c[u.Object]; in == u.Positive {
+					t.Fatalf("seed %d step %d: %s stream does not replay: %v (member=%v)", seed, step, pairNames[i], u, in)
+				}
+				if u.Positive {
+					c[u.Object] = struct{}{}
+				} else {
+					delete(c, u.Object)
+				}
+			}
+		}
+		for q := core.QueryID(1); q <= queries; q++ {
+			a, _ := ps[0].Answer(q)
+			b, _ := ps[1].Answer(q)
+			if !slices.Equal(a, b) {
+				t.Fatalf("seed %d step %d: query %d answers diverge\ncore:  %v\nshard: %v", seed, step, q, a, b)
+			}
+			for i := range ps {
+				if len(clients[i][q]) != len(a) {
+					t.Fatalf("seed %d step %d: query %d %s replay holds %d, answer %d", seed, step, q, pairNames[i], len(clients[i][q]), len(a))
+				}
+			}
+			a, _ = ps[0].CommittedAnswer(q)
+			b, _ = ps[1].CommittedAnswer(q)
+			if !slices.Equal(a, b) {
+				t.Fatalf("seed %d step %d: query %d committed answers diverge\ncore:  %v\nshard: %v", seed, step, q, a, b)
+			}
+		}
+		if q := core.QueryID(1 + rng.Intn(queries)); rng.Float64() < 0.3 {
+			for _, p := range ps {
+				p.Commit(q)
 			}
 		}
 	}
