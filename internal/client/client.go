@@ -249,7 +249,7 @@ func (c *Client) ReportObject(u core.ObjectUpdate) error {
 // RegisterQuery registers (or moves) a continuous query and subscribes
 // this connection to its updates. Mirroring the server's implicit commit
 // on hearing from a query, the current answer becomes the client's commit
-// snapshot.
+// snapshot; a kind change first empties the answer, as the server does.
 func (c *Client) RegisterQuery(u core.QueryUpdate) error {
 	if u.Remove {
 		return c.RemoveQuery(u.ID)
@@ -263,6 +263,10 @@ func (c *Client) RegisterQuery(u core.QueryUpdate) error {
 			snapshot: make(map[core.ObjectID]struct{}),
 		}
 		c.queries[u.ID] = v
+	} else if v.def.Kind != u.Kind {
+		// A kind change re-registers the query: the server tears the old
+		// one down silently and streams the new answer from empty.
+		clear(v.answer)
 	}
 	v.def = u
 	v.snapshot = copySet(v.answer)

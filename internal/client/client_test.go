@@ -334,3 +334,36 @@ func TestOnAppliedHook(t *testing.T) {
 		}
 	}
 }
+
+// TestKindChangeResetsAnswer re-registers a kNN query as a range query.
+// The server drops the kNN answer silently, so the client must too, and
+// converge to the range answer alone.
+func TestKindChangeResetsAnswer(t *testing.T) {
+	s := startServer(t)
+	c, err := client.Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	c.ReportObject(core.ObjectUpdate{ID: 1, Kind: core.Moving, Loc: geo.Pt(1, 1)})
+	c.ReportObject(core.ObjectUpdate{ID: 2, Kind: core.Moving, Loc: geo.Pt(9, 9)})
+	c.RegisterQuery(core.QueryUpdate{ID: 1, Kind: core.KNN, Focal: geo.Pt(1, 1), K: 1})
+	converge := func(want core.ObjectID) {
+		t.Helper()
+		for i := 0; i < 100; i++ {
+			s.Evaluate()
+			if a, _ := c.Answer(1); len(a) == 1 && a[0] == want {
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		a, _ := c.Answer(1)
+		sa, _ := s.Answer(1)
+		t.Fatalf("client answer %v never converged to [%d]; server answer %v", a, want, sa)
+	}
+	converge(1)
+
+	c.RegisterQuery(core.QueryUpdate{ID: 1, Kind: core.Range, Region: geo.R(8, 8, 10, 10)})
+	converge(2)
+}

@@ -712,9 +712,7 @@ func (e *Engine) registerSwept(os *objectState) {
 // before any state is touched: an invalid report must not re-register an
 // existing query or overwrite its timestamp.
 func (e *Engine) applyQueryUpdate(u QueryUpdate, out *[]Update) {
-	switch u.Kind {
-	case Range, KNN, PredictiveRange:
-	default:
+	if !u.Kind.Valid() {
 		return
 	}
 	qs, exists := e.qrys[u.ID]

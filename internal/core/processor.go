@@ -10,9 +10,9 @@ package core
 //   - ReportObject and ReportQuery buffer reports; Step applies every
 //     buffered report as one bulk evaluation at the given time and
 //     returns the incremental (Q, ±A) updates in canonical order (see
-//     SortUpdates). Feeding the same report stream to any Processor
-//     yields a bit-identical update stream — the reproducibility the
-//     differential shard tests rely on.
+//     SortUpdates). Fed the same Protocol-normalized batches (one net
+//     report per query), every Processor yields equal answers, which the
+//     differential shard tests check; the streams themselves may differ.
 //   - Replaying the update stream against a query's previously reported
 //     answer always yields exactly its current Answer.
 //

@@ -8,13 +8,16 @@ import "slices"
 // beside the processor's current one; a reconnecting client receives
 // the committed→current diff (Recover) instead of the whole answer.
 //
-// Reports pass straight through to the inner processor. Protocol also
-// records them, and Step and StepAppend apply the implicit commit of
-// moving queries before the inner step runs, once per query per batch:
+// Object reports pass straight through to the inner processor. Query
+// reports are netted: Protocol folds a batch's reports of one query
+// into one net report — the last report, preceded by a removal if any
+// report in the batch removed the query or changed its kind — and
+// forwards the net reports in first-arrival order at Step, so every
+// Processor reads the same canonical batch. A report with an unknown
+// kind is dropped, as every processor ignores it. Before the inner step
+// runs, each net report applies the implicit commit of moving queries:
 //
 //   - a removal forgets the query's committed answer;
-//   - a report with an unknown kind is ignored, as every processor
-//     ignores it;
 //   - a first registration or a kind change commits the empty answer;
 //   - any other report commits the answer as of the last completed step,
 //     minus the objects that have a removal report in this batch.
@@ -28,12 +31,18 @@ type Protocol struct {
 
 	committed map[QueryID]*committedAnswer
 
-	// The current batch as far as the commit rule reads it, reset by
-	// every step: the query reports, the removed objects, and the
-	// queries the rule has already applied to.
-	qryBuf  []QueryUpdate
+	// The current batch as far as the protocol reads it, reset by every
+	// step: the net query reports in first-arrival order, their index by
+	// query, and the removed objects.
+	slots   []netReport
+	slotOf  map[QueryID]int
 	removed []ObjectID
-	touched map[QueryID]struct{}
+}
+
+// netReport is one query's net report in the current batch.
+type netReport struct {
+	last    QueryUpdate // the last report: a removal or of a known kind
+	removed bool        // a report removed the query or changed its kind
 }
 
 // committedAnswer is one registered query's protocol state.
@@ -49,7 +58,7 @@ func NewProtocol(p Processor) *Protocol {
 	return &Protocol{
 		Processor: p,
 		committed: make(map[QueryID]*committedAnswer),
-		touched:   make(map[QueryID]struct{}),
+		slotOf:    make(map[QueryID]int),
 	}
 }
 
@@ -61,41 +70,57 @@ func (p *Protocol) ReportObject(u ObjectUpdate) {
 	p.Processor.ReportObject(u)
 }
 
-// ReportQuery buffers a query report in the inner processor.
+// ReportQuery folds a query report into the query's net report for the
+// next step.
 func (p *Protocol) ReportQuery(u QueryUpdate) {
-	p.qryBuf = append(p.qryBuf, u)
-	p.Processor.ReportQuery(u)
+	if !u.Remove && !u.Kind.Valid() {
+		return
+	}
+	i, seen := p.slotOf[u.ID]
+	if !seen {
+		i = len(p.slots)
+		p.slotOf[u.ID] = i
+		p.slots = append(p.slots, netReport{})
+	}
+	s := &p.slots[i]
+	// After a removal the flag is already set, so the kind comparison
+	// only ever sees two registration or movement reports.
+	s.removed = s.removed || u.Remove || seen && s.last.Kind != u.Kind
+	s.last = u
 }
 
-// Step applies the batch's implicit commits, then steps the inner
-// processor.
+// Step forwards the net query reports, applying their implicit
+// commits, then steps the inner processor.
 func (p *Protocol) Step(now float64) []Update {
-	p.autoCommit()
+	p.flush()
 	return p.Processor.Step(now)
 }
 
 // StepAppend is Step into a caller-owned buffer.
 func (p *Protocol) StepAppend(dst []Update, now float64) []Update {
-	p.autoCommit()
+	p.flush()
 	return p.Processor.StepAppend(dst, now)
 }
 
-// autoCommit applies the commit rule to the buffered query reports in
-// arrival order and resets the batch.
-func (p *Protocol) autoCommit() {
-	if len(p.qryBuf) > 0 {
+// flush applies the commit rule to the net query reports in arrival
+// order, forwards them to the inner processor, and resets the batch.
+func (p *Protocol) flush() {
+	if len(p.slots) > 0 {
 		slices.Sort(p.removed)
-		for _, u := range p.qryBuf {
-			switch {
-			case u.Remove:
+		for _, s := range p.slots {
+			u := s.last
+			if s.removed {
 				delete(p.committed, u.ID)
-			case u.Kind == Range || u.Kind == KNN || u.Kind == PredictiveRange:
+				p.Processor.ReportQuery(QueryUpdate{ID: u.ID, Remove: true, T: u.T})
+			}
+			if !u.Remove {
 				p.commitReport(u)
+				p.Processor.ReportQuery(u)
 			}
 		}
-		clear(p.touched)
+		p.slots = p.slots[:0]
+		clear(p.slotOf)
 	}
-	p.qryBuf = p.qryBuf[:0]
 	p.removed = p.removed[:0]
 }
 
@@ -103,23 +128,20 @@ func (p *Protocol) autoCommit() {
 // report of a known kind.
 func (p *Protocol) commitReport(u QueryUpdate) {
 	c, ok := p.committed[u.ID]
-	_, seen := p.touched[u.ID]
 	switch {
 	case !ok:
 		p.committed[u.ID] = &committedAnswer{kind: u.Kind}
 	case c.kind != u.Kind:
 		c.kind, c.ids = u.Kind, c.ids[:0]
-	case !seen:
+	default:
 		// The processor has not stepped this batch yet, so Answer is the
-		// answer as of the last completed step. A later report of the
-		// same query in this batch would commit it again unchanged.
+		// answer as of the last completed step.
 		ids, _ := p.Processor.Answer(u.ID)
 		c.ids = slices.DeleteFunc(ids, func(o ObjectID) bool {
 			_, found := slices.BinarySearch(p.removed, o)
 			return found
 		})
 	}
-	p.touched[u.ID] = struct{}{}
 }
 
 // Commit records that q's client provably received the stream so far:

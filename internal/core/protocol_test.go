@@ -115,4 +115,47 @@ func TestProtocolAutoCommitRule(t *testing.T) {
 	p.ReportQuery(QueryUpdate{ID: 1, Kind: Range, Region: geo.R(0, 0, 4, 4)})
 	p.Step(5)
 	committed()
+
+	// A report of an unknown kind displaces nothing: the move before it
+	// in the batch stands and commits.
+	p.ReportQuery(QueryUpdate{ID: 1, Kind: Range, Region: geo.R(0, 0, 2.5, 2.5)})
+	p.ReportQuery(QueryUpdate{ID: 1, Kind: QueryKind(9), Region: geo.R(0, 0, 4, 4)})
+	p.Step(6)
+	committed(2, 3)
+	if ans, _ := p.Answer(1); len(ans) != 1 || ans[0] != 2 {
+		t.Fatalf("answer = %v, want [2]", ans)
+	}
+}
+
+// TestProtocolNetBatchReplays sends a predictive query's move, its
+// removal and its re-registration in one batch. The batch reads as a
+// removal and a fresh registration, so the step's stream rebuilds the
+// new query's answer from empty, as a client that dropped the query
+// replays it.
+func TestProtocolNetBatchReplays(t *testing.T) {
+	p := NewProtocol(MustNewEngine(Options{Bounds: geo.R(0, 0, 10, 10), GridN: 8, PredictiveHorizon: 100}))
+	p.ReportObject(ObjectUpdate{ID: 1, Kind: Predictive, Loc: geo.Pt(0, 5), Vel: geo.Vec(0.5, 0)})
+	p.ReportQuery(QueryUpdate{ID: 1, Kind: PredictiveRange, Region: geo.R(8, 8, 9, 9), T1: 8, T2: 12})
+	p.Step(0)
+
+	p.ReportQuery(QueryUpdate{ID: 1, Kind: PredictiveRange, Region: geo.R(4, 4, 6, 6), T1: 8, T2: 12, T: 1})
+	p.ReportQuery(QueryUpdate{ID: 1, Remove: true, T: 1})
+	p.ReportQuery(QueryUpdate{ID: 1, Kind: PredictiveRange, Region: geo.R(8, 8, 9, 9), T1: 8, T2: 12, T: 1})
+	view := map[ObjectID]struct{}{}
+	for _, u := range p.Step(1) {
+		if u.Positive {
+			view[u.Object] = struct{}{}
+		} else {
+			delete(view, u.Object)
+		}
+	}
+	ans, _ := p.Answer(1)
+	if len(view) != len(ans) {
+		t.Fatalf("stream replays to %v, answer %v", view, ans)
+	}
+	for _, o := range ans {
+		if _, ok := view[o]; !ok {
+			t.Fatalf("stream replays to %v, answer %v", view, ans)
+		}
+	}
 }

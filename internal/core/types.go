@@ -98,6 +98,10 @@ func (k QueryKind) String() string {
 	}
 }
 
+// Valid reports whether k is a known query kind. Every processor
+// ignores a registration or movement report of any other kind.
+func (k QueryKind) Valid() bool { return k <= PredictiveRange }
+
 // Update is one element of the incremental answer stream: a positive
 // update adds Object to Query's answer, a negative update removes it.
 type Update struct {

@@ -64,7 +64,9 @@ func TestProtocolMultiMoveBatch(t *testing.T) {
 // query IDs, and several reports of one query per batch.
 func TestProtocolDifferential(t *testing.T) {
 	t.Run("seed-committed", testSeedCommitted)
-	for _, seed := range []int64{1, 2, 7, 42} {
+	t.Run("kind-change-then-move", testKindChangeThenMove)
+	t.Run("kind-change-reverted", testKindChangeReverted)
+	for _, seed := range []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 42} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runProtocolDifferential(t, seed, 150) })
 	}
 }
@@ -97,6 +99,53 @@ func testSeedCommitted(t *testing.T) {
 	}
 }
 
+// testKindChangeThenMove changes a kNN query to a range and moves the
+// range in the same batch: the batch reads as its last report, a fresh
+// range query over an empty region.
+func testKindChangeThenMove(t *testing.T) {
+	for i, p := range protocolPair(t, core.Options{Bounds: geo.R(0, 0, 10, 10), GridN: 8}) {
+		p.ReportObject(core.ObjectUpdate{ID: 1, Kind: core.Moving, Loc: geo.Pt(1, 1)})
+		p.ReportQuery(core.QueryUpdate{ID: 1, Kind: core.KNN, Focal: geo.Pt(1, 1), K: 1})
+		p.Step(0)
+
+		p.ReportQuery(core.QueryUpdate{ID: 1, Kind: core.Range, Region: geo.R(0, 0, 2, 2), T: 1})
+		p.ReportQuery(core.QueryUpdate{ID: 1, Kind: core.Range, Region: geo.R(6, 6, 8, 8), T: 1})
+		if upd := p.Step(1); len(upd) != 0 {
+			t.Fatalf("%s: updates = %v, want none", pairNames[i], upd)
+		}
+		if ans, _ := p.Answer(1); len(ans) != 0 {
+			t.Fatalf("%s: answer = %v, want empty", pairNames[i], ans)
+		}
+	}
+}
+
+// testKindChangeReverted changes a kNN query to a range and back to kNN
+// in one batch. The client drops its answer on each kind change, so the
+// batch still tears the query down: the committed answer is empty and
+// the step's stream rebuilds the answer from empty.
+func testKindChangeReverted(t *testing.T) {
+	for i, p := range protocolPair(t, core.Options{Bounds: geo.R(0, 0, 10, 10), GridN: 8}) {
+		p.ReportObject(core.ObjectUpdate{ID: 1, Kind: core.Moving, Loc: geo.Pt(1, 1)})
+		p.ReportObject(core.ObjectUpdate{ID: 2, Kind: core.Moving, Loc: geo.Pt(9, 9)})
+		p.ReportQuery(core.QueryUpdate{ID: 1, Kind: core.KNN, Focal: geo.Pt(1, 1), K: 1})
+		p.Step(0)
+		p.Commit(1)
+
+		p.ReportQuery(core.QueryUpdate{ID: 1, Kind: core.Range, Region: geo.R(8, 8, 10, 10), T: 1})
+		p.ReportQuery(core.QueryUpdate{ID: 1, Kind: core.KNN, Focal: geo.Pt(1, 1), K: 1, T: 1})
+		upd := p.Step(1)
+		if want := []core.Update{{Query: 1, Object: 1, Positive: true}}; !slices.Equal(upd, want) {
+			t.Fatalf("%s: updates = %v, want %v", pairNames[i], upd, want)
+		}
+		if ans, _ := p.Answer(1); !slices.Equal(ans, []core.ObjectID{1}) {
+			t.Fatalf("%s: answer = %v, want [1]", pairNames[i], ans)
+		}
+		if ca, _ := p.CommittedAnswer(1); len(ca) != 0 {
+			t.Fatalf("%s: committed = %v, want empty", pairNames[i], ca)
+		}
+	}
+}
+
 func runProtocolDifferential(t *testing.T, seed int64, steps int) {
 	rng := rand.New(rand.NewSource(seed))
 	ps := protocolPair(t, core.Options{
@@ -109,15 +158,34 @@ func runProtocolDifferential(t *testing.T, seed int64, steps int) {
 			p.ReportObject(u)
 		}
 	}
-	reportQuery := func(u core.QueryUpdate) {
-		for _, p := range ps {
-			p.ReportQuery(u)
-		}
-	}
-
 	const maxObjects, maxQueries = 70, 20
 	objects := map[core.ObjectID]core.ObjectKind{}
 	queries := map[core.QueryID]core.QueryKind{}
+	// Each processor's stream replays into a client's view of every
+	// query, dropped on removal and restarted empty on a kind change, as
+	// internal/client's views are.
+	var views [2]map[core.QueryID]map[core.ObjectID]struct{}
+	for i := range views {
+		views[i] = map[core.QueryID]map[core.ObjectID]struct{}{}
+	}
+	// reportQuery sends u to both processors and records it in queries.
+	reportQuery := func(u core.QueryUpdate) {
+		k, ok := queries[u.ID]
+		for i, p := range ps {
+			switch {
+			case u.Remove:
+				delete(views[i], u.ID)
+			case !ok || k != u.Kind:
+				views[i][u.ID] = map[core.ObjectID]struct{}{}
+			}
+			p.ReportQuery(u)
+		}
+		if u.Remove {
+			delete(queries, u.ID)
+		} else {
+			queries[u.ID] = u.Kind
+		}
+	}
 	var retired []core.QueryID // removed query IDs, open for re-registration
 	nextO, nextQ := core.ObjectID(1), core.QueryID(1)
 	randPoint := func() geo.Point { return geo.Pt(rng.Float64(), rng.Float64()) }
@@ -141,58 +209,41 @@ func runProtocolDifferential(t *testing.T, seed int64, steps int) {
 				reportObject(core.ObjectUpdate{ID: id, Kind: objects[id], Loc: randPoint(), T: now})
 			}
 		}
-		// A query may report several times in one batch, but a kind
-		// change or a removal is the query's only report in its batch:
-		// the router's merge ignores the retractions of a query reset
-		// mid-batch (see mergeState.resetQrys), so answers diverge
-		// otherwise. Removed IDs re-register in a later batch for the
-		// same reason.
-		reusable := len(retired)
-		touched := map[core.QueryID]struct{}{} // reported this batch
-		reset := map[core.QueryID]struct{}{}   // no further report this batch
+		// A query may report several times in one batch: moves, kind
+		// changes, a removal, and a re-registration of a removed ID.
 		for n := rng.Intn(6); n > 0; n-- {
 			switch r := rng.Float64(); {
 			case len(queries) == 0 || (len(queries) < maxQueries && r < 0.25):
 				id := nextQ
-				if reusable > 0 && rng.Float64() < 0.5 {
-					i := rng.Intn(reusable)
+				if len(retired) > 0 && rng.Float64() < 0.5 {
+					i := rng.Intn(len(retired))
 					id = retired[i]
 					retired = slices.Delete(retired, i, i+1)
-					reusable--
 				} else {
 					nextQ++
 				}
-				queries[id] = core.QueryKind(rng.Intn(3))
-				touched[id] = struct{}{}
-				reportQuery(randShardQueryUpdate(rng, id, queries[id], now, randRegion, randPoint))
+				reportQuery(randShardQueryUpdate(rng, id, core.QueryKind(rng.Intn(3)), now, randRegion, randPoint))
 			case r < 0.35:
-				id := pickUntouched(rng, queries, touched)
-				if id == 0 {
-					continue
-				}
-				delete(queries, id)
+				id := pickQuery(rng, queries)
 				retired = append(retired, id)
-				touched[id], reset[id] = struct{}{}, struct{}{}
 				reportQuery(core.QueryUpdate{ID: id, Remove: true, T: now})
 			case r < 0.45:
-				id := pickUntouched(rng, queries, touched)
-				if id == 0 {
-					continue
-				}
-				queries[id] = core.QueryKind((int(queries[id]) + 1 + rng.Intn(2)) % 3)
-				touched[id], reset[id] = struct{}{}, struct{}{}
-				reportQuery(randShardQueryUpdate(rng, id, queries[id], now, randRegion, randPoint))
+				id := pickQuery(rng, queries)
+				kind := core.QueryKind((int(queries[id]) + 1 + rng.Intn(2)) % 3)
+				reportQuery(randShardQueryUpdate(rng, id, kind, now, randRegion, randPoint))
 			default:
-				id := pickUntouched(rng, queries, reset)
-				if id == 0 {
-					continue
-				}
-				touched[id] = struct{}{}
+				id := pickQuery(rng, queries)
 				reportQuery(randShardQueryUpdate(rng, id, queries[id], now, randRegion, randPoint))
 			}
 		}
-		for _, p := range ps {
-			p.Step(now)
+		for i, p := range ps {
+			for _, u := range p.Step(now) {
+				if v, ok := views[i][u.Query]; ok && u.Positive {
+					v[u.Object] = struct{}{}
+				} else if ok {
+					delete(v, u.Object)
+				}
+			}
 		}
 
 		for q := core.QueryID(1); q < nextQ; q++ {
@@ -200,6 +251,17 @@ func runProtocolDifferential(t *testing.T, seed int64, steps int) {
 			b, bok := ps[1].Answer(q)
 			if aok != bok || !slices.Equal(a, b) {
 				t.Fatalf("seed %d step %d: query %d answers diverge\ncore:  %v (%v)\nshard: %v (%v)", seed, step, q, a, aok, b, bok)
+			}
+			for i, v := range views {
+				held := 0
+				for _, o := range a {
+					if _, in := v[q][o]; in {
+						held++
+					}
+				}
+				if held != len(a) || len(v[q]) != len(a) {
+					t.Fatalf("seed %d step %d: query %d %s replay holds %v, answer %v", seed, step, q, pairNames[i], v[q], a)
+				}
 			}
 			a, aok = ps[0].CommittedAnswer(q)
 			b, bok = ps[1].CommittedAnswer(q)

@@ -29,10 +29,10 @@ type mergeState struct {
 
 	// resetQrys are queries whose merge state restarted from empty this
 	// step (a kind change, or a removal followed by a re-registration
-	// under the same ID). Tile streams may still carry phase-1 negatives
-	// emitted by the old replicas before the teardown reached them;
-	// those refer to the old incarnation's membership and must not fold
-	// into the fresh membership (see fold).
+	// under the same ID). After core.Protocol, a reset query's only
+	// report in its batch is that fresh registration, so its negatives
+	// all come from the old incarnation (say, a removed object re-added
+	// in another tile) and must not fold into the fresh membership.
 	resetQrys map[core.QueryID]struct{}
 
 	// Scratch reused by every absorb round: per-batch read cursors, one
@@ -207,9 +207,7 @@ func (e *Engine) routeQueries(m *mergeState) {
 			m.removedQrys[u.ID] = qi
 			continue
 		}
-		switch u.Kind {
-		case core.Range, core.KNN, core.PredictiveRange:
-		default:
+		if !u.Kind.Valid() {
 			continue // mirror core: unknown kind, no side effects
 		}
 		e.applyQueryUpdate(m, u)
