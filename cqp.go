@@ -97,7 +97,7 @@ type (
 	ShardRepartitionOptions = shard.RepartitionOptions
 	// Options configures an Engine.
 	Options = core.Options
-	// Stats aggregates engine activity counters.
+	// Stats is the engine's per-phase work ledger.
 	Stats = core.Stats
 	// ObjectID identifies an object.
 	ObjectID = core.ObjectID

@@ -130,6 +130,7 @@ func runClusterDifferential(t *testing.T, cfg clusterDiffConfig) {
 	// Every report and step goes through the protocol layer, which the
 	// committed-answer and recovery assertions read.
 	pref, pcl := core.NewProtocol(ref), core.NewProtocol(cl)
+	var ledger core.Stats // the cluster's ledger after the previous step
 	stepBoth := func(step int) {
 		t.Helper()
 		now := w.step(func(ou *core.ObjectUpdate, qu *core.QueryUpdate) {
@@ -147,6 +148,18 @@ func runClusterDifferential(t *testing.T, cfg clusterDiffConfig) {
 		if !updatesEqual(a, b) {
 			t.Fatalf("seed %d step %d: merged streams diverge (fallback tiles: %d)\nsharded: %v\ncluster: %v",
 				cfg.seed, step, cl.TilesInFallback(), a, b)
+		}
+		// Each step's whole ledger delta crosses the wire, and a rebuilt
+		// backend's journal replay is never counted: the cluster's ledger
+		// never decreases and equals the in-process router's.
+		got := cl.Stats()
+		if !ledgerNonDecreasing(ledger, got) {
+			t.Fatalf("seed %d step %d: cluster ledger went backwards\nbefore: %+v\nafter:  %+v", cfg.seed, step, ledger, got)
+		}
+		ledger = got
+		if want := ref.Stats(); got != want {
+			t.Fatalf("seed %d step %d: ledgers diverge (fallback tiles: %d)\nsharded: %+v\ncluster: %+v",
+				cfg.seed, step, cl.TilesInFallback(), want, got)
 		}
 		for _, q := range w.queryIDs() {
 			ra, ok1 := pref.Answer(q)
@@ -215,4 +228,16 @@ func runClusterDifferential(t *testing.T, cfg clusterDiffConfig) {
 	if cfg.after != nil {
 		cfg.after(cl)
 	}
+}
+
+// ledgerNonDecreasing reports whether every counter of cur is at least
+// its value in prev.
+func ledgerNonDecreasing(prev, cur core.Stats) bool {
+	p, c := prev.Counters(), cur.Counters()
+	for i := range p {
+		if *c[i] < *p[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -53,7 +53,8 @@ type clusterTile struct {
 	remoteInc uint64 // incarnation the worker backend was built under
 	fb        *core.Engine
 	fbBuf     []core.Update
-	work      core.Stats
+	fbPrev    core.Stats // fb's ledger before the in-flight fallback step
+	work      core.Stats // sum of every absorbed step's ledger delta
 
 	// inFallback records whether the most recent step ran on fb. It is
 	// what TilesInFallback counts, from scrapes on other goroutines.
@@ -113,6 +114,13 @@ func (t *clusterTile) StepBegin(now float64) {
 	// in-process tile's worker so fallback tiles still step in parallel;
 	// the fbc handoff orders the buffer both ways.
 	t.stepRemote = false
+	t.stageFallback()
+	go func() { t.fbc <- t.stepFallback() }()
+}
+
+// stageFallback hands the staged reports to the fallback engine,
+// rebuilding it from the journal first if needed.
+func (t *clusterTile) stageFallback() {
 	t.ensureFallback()
 	for _, u := range t.objStage {
 		t.fb.ReportObject(u)
@@ -120,21 +128,30 @@ func (t *clusterTile) StepBegin(now float64) {
 	for _, u := range t.qryStage {
 		t.fb.ReportQuery(u)
 	}
-	go func(eng *core.Engine, now float64) {
-		begin := t.cl.m.tracer.Begin()
-		t.fbBuf = eng.StepAppend(t.fbBuf[:0], now)
-		t.lastNs = t.cl.m.tracer.Since(begin)
-		t.fbc <- t.fbBuf
-	}(t.fb, now)
+	// Taken after the rebuild: its journal replay is not this step's work.
+	t.fbPrev = t.fb.Stats()
+}
+
+// stepFallback evaluates the staged step on the fallback engine.
+func (t *clusterTile) stepFallback() []core.Update {
+	begin := t.cl.m.tracer.Begin()
+	t.fbBuf = t.fb.StepAppend(t.fbBuf[:0], t.stepNow)
+	t.lastNs = t.cl.m.tracer.Since(begin)
+	return t.fbBuf
+}
+
+// absorbFallback completes a fallback step: the journal absorbs the
+// staged reports and the tile's ledger the step's work.
+func (t *clusterTile) absorbFallback(out []core.Update) []core.Update {
+	t.fold()
+	t.work.Add(t.fb.Stats().Since(t.fbPrev))
+	t.inFallback.Store(true)
+	return out
 }
 
 func (t *clusterTile) StepWait() []core.Update {
 	if !t.stepRemote {
-		out := <-t.fbc
-		t.fold()
-		t.work = t.fb.Stats()
-		t.inFallback.Store(true)
-		return out
+		return t.absorbFallback(<-t.fbc)
 	}
 	for {
 		select {
@@ -144,11 +161,7 @@ func (t *clusterTile) StepWait() []core.Update {
 				continue
 			}
 			t.fold()
-			t.work = core.Stats{
-				KNNRecomputes:   res.KNNRecomputes,
-				CandidateChecks: res.CandidateChecks,
-				RegionEvalCells: res.RegionEvalCells,
-			}
+			t.work.Add(res.Work)
 			t.lastNs = 0
 			t.inFallback.Store(false)
 			return res.Updates
@@ -159,30 +172,17 @@ func (t *clusterTile) StepWait() []core.Update {
 			// one the worker would have returned — even if its result was
 			// already in flight (it is discarded by the epoch gate later).
 			t.remote = false
-			t.ensureFallback()
-			for _, u := range t.objStage {
-				t.fb.ReportObject(u)
-			}
-			for _, u := range t.qryStage {
-				t.fb.ReportQuery(u)
-			}
-			begin := t.cl.m.tracer.Begin()
-			t.fbBuf = t.fb.StepAppend(t.fbBuf[:0], t.stepNow)
-			t.lastNs = t.cl.m.tracer.Since(begin)
-			t.fold()
-			t.work = t.fb.Stats()
-			t.inFallback.Store(true)
-			return t.fbBuf
+			t.stageFallback()
+			return t.absorbFallback(t.stepFallback())
 		}
 	}
 }
 
 func (t *clusterTile) StepNanos() int64 { return t.lastNs }
 
-// WorkStats returns the backend's evaluation-work counters. They are
-// best-effort across failovers: a rebuilt backend re-counts the replay
-// work, so unlike the update stream they are not bit-stable under
-// faults.
+// WorkStats returns the tile's work ledger: the sum of the per-step
+// deltas of whichever backend ran each step. A rebuild's journal replay
+// is not counted, so the ledger never decreases across failovers.
 func (t *clusterTile) WorkStats() core.Stats { return t.work }
 
 // Close retires the tile: it leaves the coordinator's tile table, so

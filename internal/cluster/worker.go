@@ -74,13 +74,11 @@ func ServeWorker(conn net.Conn) error {
 			for _, u := range m.Queries {
 				t.eng.ReportQuery(u)
 			}
+			prev := t.eng.Stats()
 			t.buf = t.eng.StepAppend(t.buf[:0], m.Time)
-			st := t.eng.Stats()
 			err := w.Write(wire.ClusterStepResult{
 				Tile: m.Tile, Epoch: m.Epoch, Time: m.Time, Updates: t.buf,
-				KNNRecomputes:   st.KNNRecomputes,
-				CandidateChecks: st.CandidateChecks,
-				RegionEvalCells: st.RegionEvalCells,
+				Work: t.eng.Stats().Since(prev),
 			})
 			if err != nil {
 				return err

@@ -370,7 +370,7 @@ func (e *Engine) NumObjects() int { return len(e.objs) }
 // NumQueries returns the number of registered queries.
 func (e *Engine) NumQueries() int { return len(e.qrys) }
 
-// Stats returns a copy of the engine's activity counters.
+// Stats returns a copy of the engine's work ledger.
 func (e *Engine) Stats() Stats { return e.stats }
 
 // Bounds returns the monitored space.
@@ -428,11 +428,7 @@ func (e *Engine) StepAppend(dst []Update, now float64) []Update {
 func (e *Engine) stepAppend(out []Update, now float64) []Update {
 	base := len(out)
 	begin := e.m.tracer.Begin()
-	prevPos := e.stats.PositiveUpdates
-	prevNeg := e.stats.NegativeUpdates
-	prevKNN := e.stats.KNNRecomputes
-	nObjReports := len(e.objBuf)
-	nQryReports := len(e.qryBuf)
+	prev := e.stats
 
 	e.now = now
 	e.stats.Steps++
@@ -486,6 +482,7 @@ func (e *Engine) stepAppend(out []Update, now float64) []Update {
 		}
 		os.gridLoc, os.indexed = os.loc, true
 		e.registerSwept(os)
+		e.stats.ObjectsIndexed++
 		live = append(live, os)
 	}
 
@@ -510,7 +507,7 @@ func (e *Engine) stepAppend(out []Update, now float64) []Update {
 	// Phase 4: recompute the answer of every dirty kNN query exactly and
 	// emit the membership diff, in query order so the grid's region
 	// maintenance and the recompute stats are replay-stable.
-	nDirty := e.knnPhase(&out)
+	e.knnPhase(&out)
 
 	e.m.tracer.End(e.m.joinLatency, joinBegin)
 
@@ -524,17 +521,12 @@ func (e *Engine) stepAppend(out []Update, now float64) []Update {
 	// Metrics epilogue: pure atomic adds against pre-resolved
 	// instruments (detached ones when no registry was configured), so
 	// this block allocates nothing and never branches on "metrics on".
-	// Emission counters come from the Stats deltas so the two views
-	// cannot drift apart.
+	// The work counters publish the step's ledger delta.
 	m := e.m
-	m.steps.Inc()
-	m.objectReports.Add(uint64(nObjReports))
-	m.queryReports.Add(uint64(nQryReports))
-	m.movedObjects.Add(uint64(len(live)))
-	m.dirtyKNN.Add(uint64(nDirty))
-	m.posUpdates.Add(e.stats.PositiveUpdates - prevPos)
-	m.negUpdates.Add(e.stats.NegativeUpdates - prevNeg)
-	m.knnRecomputes.Add(e.stats.KNNRecomputes - prevKNN)
+	delta := e.stats.Since(prev)
+	for i, p := range delta.Counters() {
+		m.ledger[i].Add(*p)
+	}
 	m.movedHighWater.SetMax(int64(cap(e.movedBuf)))
 	m.lastEmitted.Set(int64(emitted))
 	m.objects.Set(int64(len(e.objs)))

@@ -172,6 +172,7 @@ func (e *Engine) objectJoinPhase(live []*objectState, out *[]Update) {
 // membership proposals (deduplicated by setMember).
 func (e *Engine) applyObjectJoins(out *[]Update) {
 	j := &e.join
+	e.stats.JoinFindings += uint64(len(j.props) + len(j.dirty))
 	for _, qh := range j.dirty {
 		e.dirtyKNN[e.qrysByH[qh].id] = struct{}{}
 	}
@@ -230,10 +231,9 @@ func (e *Engine) gatherMovedObject(os *objectState) {
 
 // knnPhase drains the dirty-kNN set in ascending QueryID order,
 // re-searching each query exactly and emitting its membership diff.
-// Returns the number of dirty marks drained.
-func (e *Engine) knnPhase(out *[]Update) int {
+func (e *Engine) knnPhase(out *[]Update) {
 	if len(e.dirtyKNN) == 0 {
-		return 0
+		return
 	}
 	dirty := e.dirtyBuf[:0]
 	for qid := range e.dirtyKNN {
@@ -247,5 +247,4 @@ func (e *Engine) knnPhase(out *[]Update) int {
 			e.recomputeKNN(qs, out)
 		}
 	}
-	return len(dirty)
 }

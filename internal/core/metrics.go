@@ -8,11 +8,11 @@ import "cqp/internal/obs"
 // only atomic adds and stays inside the steady-state allocation
 // budget (TestStepSteadyStateAllocsWithMetrics pins this).
 //
-// Metrics mirror (and never replace) the Stats counters: Stats is the
-// engine's own cumulative view, metrics are the externally scraped
-// one. When several engines share one registry — the sharded engine
-// resolves these same names once per tile — the counters aggregate
-// across all of them.
+// The work counters are the Stats ledger itself, published: each Step
+// adds its ledger delta to the counter bound in newEngineMetrics, so the
+// scraped view cannot drift from Stats. When several engines share one
+// registry — the sharded engine resolves these same names once per
+// tile — the counters aggregate across all of them.
 type engineMetrics struct {
 	tracer *obs.Tracer
 
@@ -20,14 +20,7 @@ type engineMetrics struct {
 	stepUpdates *obs.Histogram // updates emitted per Step
 	joinLatency *obs.Histogram // the query-update join, phases 2–4 (see join.go)
 
-	steps         *obs.Counter
-	objectReports *obs.Counter
-	queryReports  *obs.Counter
-	movedObjects  *obs.Counter // changed objects entering the join phase
-	dirtyKNN      *obs.Counter // kNN queries recomputed exactly
-	posUpdates    *obs.Counter
-	negUpdates    *obs.Counter
-	knnRecomputes *obs.Counter
+	ledger [numCounters]*obs.Counter // in Stats.Counters order
 
 	// Scratch-slab high-water marks: the retained working-set sizes
 	// that make steady-state Steps allocation-stable. A mark that keeps
@@ -45,17 +38,21 @@ func newEngineMetrics(reg *obs.Registry, clock obs.Clock) *engineMetrics {
 		stepLatency:    reg.Histogram("engine.step_ns", obs.DurationBuckets),
 		stepUpdates:    reg.Histogram("engine.step_updates", obs.SizeBuckets),
 		joinLatency:    reg.Histogram("engine.join_ns", obs.DurationBuckets),
-		steps:          reg.Counter("engine.steps"),
-		objectReports:  reg.Counter("engine.reports.objects"),
-		queryReports:   reg.Counter("engine.reports.queries"),
-		movedObjects:   reg.Counter("engine.moved_objects"),
-		dirtyKNN:       reg.Counter("engine.knn.dirty"),
-		posUpdates:     reg.Counter("engine.updates.positive"),
-		negUpdates:     reg.Counter("engine.updates.negative"),
-		knnRecomputes:  reg.Counter("engine.knn.recomputes"),
 		movedHighWater: reg.Gauge("engine.scratch.moved_cap"),
 		lastEmitted:    reg.Gauge("engine.last_emitted"),
 		objects:        reg.Gauge("engine.objects"),
 		qrySet:         reg.Gauge("engine.queries"),
+		ledger: [numCounters]*obs.Counter{ // in Stats.Counters order
+			reg.Counter("engine.steps"),
+			reg.Counter("engine.reports.objects"),
+			reg.Counter("engine.moved_objects"),
+			reg.Counter("engine.reports.queries"),
+			reg.Counter("engine.region_cells"),
+			reg.Counter("engine.candidate_checks"),
+			reg.Counter("engine.join.findings"),
+			reg.Counter("engine.knn.recomputes"),
+			reg.Counter("engine.updates.positive"),
+			reg.Counter("engine.updates.negative"),
+		},
 	}
 }

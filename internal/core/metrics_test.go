@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"cqp/internal/geo"
@@ -180,8 +181,8 @@ func TestMetricsDoNotAffectUpdates(t *testing.T) {
 		}
 	}
 
-	// The mirrored counters must agree exactly with the Stats they
-	// shadow.
+	// Every ledger counter is published under its engine.* name and
+	// agrees exactly with Stats.
 	st := inst.Stats()
 	checks := []struct {
 		name string
@@ -189,14 +190,42 @@ func TestMetricsDoNotAffectUpdates(t *testing.T) {
 	}{
 		{"engine.steps", st.Steps},
 		{"engine.reports.objects", st.ObjectReports},
+		{"engine.moved_objects", st.ObjectsIndexed},
 		{"engine.reports.queries", st.QueryReports},
+		{"engine.region_cells", st.RegionEvalCells},
+		{"engine.candidate_checks", st.CandidateChecks},
+		{"engine.join.findings", st.JoinFindings},
+		{"engine.knn.recomputes", st.KNNRecomputes},
 		{"engine.updates.positive", st.PositiveUpdates},
 		{"engine.updates.negative", st.NegativeUpdates},
-		{"engine.knn.recomputes", st.KNNRecomputes},
+	}
+	if len(checks) != len(st.Counters()) {
+		t.Fatalf("checking %d metrics for %d ledger counters", len(checks), len(st.Counters()))
 	}
 	for _, c := range checks {
 		if got := reg.Counter(c.name).Value(); got != c.want {
-			t.Errorf("%s = %d, want %d (Stats mirror drifted)", c.name, got, c.want)
+			t.Errorf("%s = %d, want %d (ledger publication drifted)", c.name, got, c.want)
 		}
+	}
+}
+
+// TestLedgerCountersCoverStats requires Stats.Counters to list every
+// Stats field exactly once, so a counter added to the ledger is
+// published, summed and carried by the cluster frame.
+func TestLedgerCountersCoverStats(t *testing.T) {
+	var s Stats
+	seen := make(map[*uint64]int)
+	for _, p := range s.Counters() {
+		seen[p]++
+	}
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		p := v.Field(i).Addr().Interface().(*uint64)
+		if seen[p] != 1 {
+			t.Errorf("Stats.%s appears %d times in Counters", v.Type().Field(i).Name, seen[p])
+		}
+	}
+	if v.NumField() != len(seen) {
+		t.Errorf("Counters lists %d distinct counters, Stats has %d fields", len(seen), v.NumField())
 	}
 }

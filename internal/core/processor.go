@@ -42,7 +42,7 @@ type Processor interface {
 	// AnswerChecksum returns the order-independent checksum of q's
 	// current answer.
 	AnswerChecksum(q QueryID) (uint64, bool)
-	// Stats returns a copy of the processor's activity counters.
+	// Stats returns a copy of the processor's work ledger.
 	Stats() Stats
 	// NumObjects returns the number of registered objects.
 	NumObjects() int

@@ -196,15 +196,60 @@ type Snapshot struct {
 	Objects []ObjectID
 }
 
-// Stats aggregates engine activity counters since construction. All
-// counters are monotonically increasing.
+// Stats is the engine's work ledger: what each phase of Step did since
+// construction, counted where the work happens. All counters are
+// monotonically increasing. The engine.* metrics publish its per-step
+// delta, the shard router sums tile ledgers with AddWork, and the
+// cluster frame carries it whole, so a counter added here needs no edit
+// in any other layer.
 type Stats struct {
 	Steps           uint64 // Step invocations
-	ObjectReports   uint64 // object updates applied
-	QueryReports    uint64 // query updates applied
+	ObjectReports   uint64 // phase 1: object updates applied
+	ObjectsIndexed  uint64 // phase 1: live objects indexed and joined, once each per step
+	QueryReports    uint64 // phase 2: query updates applied
+	RegionEvalCells uint64 // phase 2: cells evaluated, only A_new − A_old for a moved range
+	CandidateChecks uint64 // phases 2–3: object↔query predicate evaluations
+	JoinFindings    uint64 // phase 3: membership proposals and kNN dirty marks gathered
+	KNNRecomputes   uint64 // phase 4: exact kNN re-searches performed
 	PositiveUpdates uint64 // (Q, +A) tuples emitted
 	NegativeUpdates uint64 // (Q, −A) tuples emitted
-	KNNRecomputes   uint64 // exact kNN re-searches performed
-	CandidateChecks uint64 // object↔query predicate evaluations
-	RegionEvalCells uint64 // cells visited by range diff evaluation
+}
+
+const numCounters = 10 // Stats fields
+
+// Counters returns a pointer to every ledger counter in one fixed order:
+// the order the engine.* metrics are bound in and the cluster frame
+// carries them.
+func (s *Stats) Counters() [numCounters]*uint64 {
+	return [...]*uint64{&s.Steps, &s.ObjectReports, &s.ObjectsIndexed,
+		&s.QueryReports, &s.RegionEvalCells, &s.CandidateChecks,
+		&s.JoinFindings, &s.KNNRecomputes,
+		&s.PositiveUpdates, &s.NegativeUpdates}
+}
+
+// Add adds every counter of d to s.
+func (s *Stats) Add(d Stats) {
+	dst, src := s.Counters(), d.Counters()
+	for i, p := range dst {
+		*p += *src[i]
+	}
+}
+
+// Since returns the ledger delta from an earlier reading prev of the
+// same ledger to s.
+func (s Stats) Since(prev Stats) Stats {
+	cur, old := s.Counters(), prev.Counters()
+	for i, p := range cur {
+		*p -= *old[i]
+	}
+	return s
+}
+
+// AddWork adds w's evaluation work to s: every counter except the step,
+// report and update counts, which a router that splits one stream over
+// several engines keeps for itself.
+func (s *Stats) AddWork(w Stats) {
+	w.Steps, w.ObjectReports, w.QueryReports = 0, 0, 0
+	w.PositiveUpdates, w.NegativeUpdates = 0, 0
+	s.Add(w)
 }

@@ -27,26 +27,18 @@ func (e *Engine) AnswerChecksum(q core.QueryID) (uint64, bool) {
 	return core.ChecksumIDs(qi.answer), true
 }
 
-// Stats returns the router's activity counters. Step, report, and
-// update counts are the router's own (they match the single-engine
-// counts for the same workload); the work counters — kNN recomputes,
-// candidate checks, region cells visited — are summed over the live
-// tile engines plus the final tallies of tiles retired by
-// repartitioning, exposing the actual evaluation work done across
-// shards.
+// Stats returns the router's work ledger. Step, report, and update
+// counts are the router's own (they match the single-engine counts for
+// the same workload); every work counter is the sum over the live tile
+// engines plus the final ledgers of tiles retired by repartitioning,
+// exposing the actual evaluation work done across shards.
 func (e *Engine) Stats() core.Stats {
 	s := e.stats
-	s.KNNRecomputes += e.retiredWork.KNNRecomputes
-	s.CandidateChecks += e.retiredWork.CandidateChecks
-	s.RegionEvalCells += e.retiredWork.RegionEvalCells
+	s.AddWork(e.retiredWork)
 	for _, t := range e.tiles {
-		if t == nil {
-			continue
+		if t != nil {
+			s.AddWork(t.WorkStats())
 		}
-		ws := t.WorkStats()
-		s.KNNRecomputes += ws.KNNRecomputes
-		s.CandidateChecks += ws.CandidateChecks
-		s.RegionEvalCells += ws.RegionEvalCells
 	}
 	return s
 }

@@ -290,7 +290,7 @@ type Engine struct {
 	merge    mergeState      // step scratch, reused across Steps
 
 	stats       core.Stats
-	retiredWork core.Stats // work counters of retired tiles (see Stats)
+	retiredWork core.Stats // summed ledgers of retired tiles (see Stats)
 	m           *shardMetrics
 
 	closeOnce sync.Once
@@ -457,13 +457,10 @@ func (e *Engine) deactivateTile(id int) {
 	}
 }
 
-// destroyTile accumulates a deactivated tile's work counters and closes
-// its transport.
+// destroyTile keeps a deactivated tile's work ledger and closes its
+// transport.
 func (e *Engine) destroyTile(id int) {
-	ws := e.tiles[id].WorkStats()
-	e.retiredWork.KNNRecomputes += ws.KNNRecomputes
-	e.retiredWork.CandidateChecks += ws.CandidateChecks
-	e.retiredWork.RegionEvalCells += ws.RegionEvalCells
+	e.retiredWork.Add(e.tiles[id].WorkStats())
 	e.tiles[id].Close()
 	e.tiles[id] = nil
 }

@@ -40,9 +40,8 @@ type Tile interface {
 	// nanoseconds (0 when no clock drives the tile); the router's
 	// step-skew histogram reads it after StepWait.
 	StepNanos() int64
-	// WorkStats returns the tile backend's evaluation-work counters
-	// (kNN recomputes, candidate checks, region cells); the router sums
-	// them into Stats. Remote tiles may return the last reported values.
+	// WorkStats returns the tile's cumulative work ledger, never
+	// decreasing; the router adds its work counters into Stats.
 	WorkStats() core.Stats
 	// Close releases the tile's resources; the tile must not be used
 	// afterwards.

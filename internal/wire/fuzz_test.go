@@ -154,7 +154,12 @@ func buildFuzzMessage(sel byte, a, b uint64, x, y, z, tm float64, flag bool, n u
 		}
 		return ClusterStepResult{
 			Tile: uint32(n), Epoch: a, Time: tm, Updates: us,
-			KNNRecomputes: a % 97, CandidateChecks: b % 89, RegionEvalCells: (a + b) % 83,
+			Work: core.Stats{
+				Steps: a, ObjectReports: b, ObjectsIndexed: a ^ b,
+				QueryReports: a + b, RegionEvalCells: a - b, CandidateChecks: a * 3,
+				JoinFindings: b * 5, KNNRecomputes: uint64(n),
+				PositiveUpdates: a % 97, NegativeUpdates: b % 89,
+			},
 		}
 	case 17:
 		return ClusterResyncAck{Tile: uint32(a), Epoch: b, Checksum: a ^ b}
@@ -205,8 +210,8 @@ func FuzzDecode(f *testing.F) {
 		},
 		ClusterStepResult{
 			Tile: 1, Epoch: 4, Time: 5,
-			Updates:       []core.Update{{Query: 2, Object: 1, Positive: true}},
-			KNNRecomputes: 6, CandidateChecks: 7, RegionEvalCells: 8,
+			Updates: []core.Update{{Query: 2, Object: 1, Positive: true}},
+			Work:    core.Stats{Steps: 1, CandidateChecks: 7, JoinFindings: 8},
 		},
 		ClusterResync{
 			Tile: 1, Epoch: 5, HasStep: true, LastStep: 5,

@@ -55,8 +55,10 @@ var pinnedFrames = []struct {
 	}, "b00000000e010000000400000000000000000000000000144001000000010000000000000001000000000000e03f000000000000e03f00000000000000000000000000000000000000000000144000000000000100000002000000000000000000000000000000000000000000000000000000000000f03f000000000000f03f000000000000000000000000000000000000000000000000000000000000000000000000000000000000144000b606d599575b7191"},
 	{ClusterStepResult{
 		Tile: 1, Epoch: 4, Time: 5, Updates: []core.Update{{Query: 2, Object: 1, Positive: true}},
-		KNNRecomputes: 6, CandidateChecks: 7, RegionEvalCells: 8,
-	}, "490000000f01000000040000000000000000000000000014400100000002000000000000000100000000000000010600000000000000070000000000000008000000000000008cd04d2528e8db79"},
+		Work: core.Stats{Steps: 1, ObjectReports: 2, ObjectsIndexed: 3, QueryReports: 4,
+			RegionEvalCells: 5, CandidateChecks: 6, JoinFindings: 7, KNNRecomputes: 8,
+			PositiveUpdates: 9, NegativeUpdates: 10},
+	}, "810000000f01000000040000000000000000000000000014400100000002000000000000000100000000000000010100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000006ee7af78f1bdd826"},
 	{ClusterResync{
 		Tile: 1, Epoch: 5, HasStep: true, LastStep: 5,
 		Objects: []core.ObjectUpdate{{ID: 1, Remove: true, T: 5}},

@@ -83,7 +83,7 @@ const (
 	// one tile and evaluate it at the carried time.
 	MsgClusterStep
 	// MsgClusterStepResult (worker→coordinator): one tile evaluation's
-	// incremental updates plus the engine's cumulative work counters.
+	// incremental updates plus the engine's work-ledger delta for it.
 	MsgClusterStepResult
 	// MsgClusterResync (coordinator→worker): rebuild a tile engine from
 	// the carried compacted state (latest report per object, live query
@@ -217,18 +217,15 @@ type ClusterStep struct {
 }
 
 // ClusterStepResult is the payload of MsgClusterStepResult: one tile
-// evaluation's incremental updates. The work counters are the tile
-// engine's cumulative totals, letting the coordinator aggregate
-// cross-process Stats without extra round trips.
+// evaluation's incremental updates and the tile engine's work-ledger
+// delta for that evaluation, which the coordinator accumulates into the
+// tile's ledger without extra round trips.
 type ClusterStepResult struct {
 	Tile    uint32
 	Epoch   uint64
 	Time    float64
 	Updates []core.Update
-
-	KNNRecomputes   uint64
-	CandidateChecks uint64
-	RegionEvalCells uint64
+	Work    core.Stats
 }
 
 // ClusterResync is the payload of MsgClusterResync: the compacted
@@ -643,6 +640,8 @@ func (m *FullAnswer) code(c *codec) {
 	}
 }
 
+// StatsResponse is client-facing: it keeps a fixed set of ledger
+// counters, so deployed clients decode it whatever the ledger gains.
 func (m *StatsResponse) code(c *codec) {
 	s := &m.Stats
 	for _, v := range [...]*uint64{&s.Steps, &s.ObjectReports, &s.QueryReports,
@@ -682,9 +681,9 @@ func (m *ClusterStepResult) code(c *codec) {
 	u64(c, &m.Epoch)
 	c.f64(&m.Time)
 	c.updates(&m.Updates)
-	u64(c, &m.KNNRecomputes)
-	u64(c, &m.CandidateChecks)
-	u64(c, &m.RegionEvalCells)
+	for _, v := range m.Work.Counters() {
+		u64(c, v)
+	}
 }
 
 func (m *ClusterResync) code(c *codec) {
