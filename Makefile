@@ -57,10 +57,10 @@ cover:
 vet:
 	$(GO) vet ./...
 
-# The project's own static-analysis suite (see DESIGN.md, "Mechanically
-# enforced invariants"), run as go vet's tool over the module and the
-# nested benchmark module. Exits nonzero on any finding not covered by a
-# //lint:allow annotation.
+# The project's own static-analysis suite: seven analyzers, each kept
+# for a mutation that fails lint and no test (DESIGN.md §9), run as go
+# vet's tool over the module and the nested benchmark module. Exits
+# nonzero on any finding not covered by a //lint:allow annotation.
 lint:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/cqp-lint" ./cmd/cqp-lint && \

@@ -37,24 +37,12 @@ func main() {
 		writeTO   = flag.Duration("write-timeout", 5*time.Second, "per-frame write deadline (<0 = none)")
 		heartbeat = flag.Duration("heartbeat", 15*time.Second, "server→client heartbeat period (0 = off)")
 		outbox    = flag.Int("outbox", 256, "per-session outbound queue depth; size it from the sheds the serve-bulk and ingest-flood benchmark workloads report")
-		outboxPol = flag.String("outbox-policy", "shed", "full-outbox behavior: shed (disconnect, heal via wakeup) | drop-newest (drop the frame, heal via commit checksum)")
 		maxFrame  = flag.Uint("max-frame", 1<<20, "largest accepted inbound frame in bytes")
 
 		metricsAddr = flag.String("metrics", "", "serve a JSON metrics snapshot and pprof on this address (e.g. :6060; empty = off)")
 		metricsLog  = flag.Duration("metrics-log", 0, "log a metrics snapshot this often (0 = off; implies metrics collection)")
 	)
 	flag.Parse()
-
-	var policy cqp.OutboxPolicy
-	switch *outboxPol {
-	case "shed":
-		policy = cqp.ShedSession
-	case "drop-newest":
-		policy = cqp.DropNewest
-	default:
-		fmt.Fprintf(os.Stderr, "cqp-server: unknown -outbox-policy %q (shed|drop-newest)\n", *outboxPol)
-		os.Exit(2)
-	}
 
 	var reg *cqp.MetricsRegistry
 	if *metricsAddr != "" || *metricsLog > 0 {
@@ -75,7 +63,6 @@ func main() {
 		WriteTimeout:      *writeTO,
 		HeartbeatInterval: *heartbeat,
 		OutboxSize:        *outbox,
-		OutboxPolicy:      policy,
 		MaxFrame:          uint32(*maxFrame),
 		Metrics:           reg,
 	})

@@ -1,8 +1,9 @@
 // Package analysis is the engine's static-analysis suite: a small,
 // dependency-free reimplementation of the golang.org/x/tools/go/analysis
-// vocabulary (Analyzer, Pass, Diagnostic) plus the eight project-specific
-// analyzers that mechanically enforce the invariants the paper's update
-// contract rests on (see DESIGN.md, "Mechanically enforced invariants"):
+// vocabulary (Analyzer, Pass, Diagnostic) plus the project-specific
+// analyzers. Each one stays because a recorded mutation of the code it
+// guards fails make lint and no test (see DESIGN.md, "Mechanically
+// enforced invariants"):
 //
 //   - determinism: no wall-clock or ambient-entropy reads inside the
 //     deterministic packages (core, shard, grid, geo, repository).
@@ -12,12 +13,9 @@
 //     operation or a blocking I/O call (the session/outbox deadlock
 //     shape).
 //   - erradrift: no discarded errors on the repository/wire write paths.
-//   - validatefirst: no receiver-state mutation before parameter
-//     validation has passed (the applyQueryUpdate bug class).
 //   - golifecycle: no fire-and-forget goroutines — every `go` statement
 //     needs a provable join/stop path visible from the launch site.
-//   - atomicmix: no field accessed both via sync/atomic and plainly; no
-//     obs instrument resolved inside a loop.
+//   - atomicmix: no obs instrument resolved inside a loop.
 //   - allowaudit: every //lint:allow suppression must be well-formed
 //     and still suppress a live finding.
 //
@@ -85,8 +83,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // All returns every analyzer in the suite, in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Determinism, MapOrder, LockSend, ErrAdrift, ValidateFirst,
-		GoLifecycle, AtomicMix, AllowAudit,
+		Determinism, MapOrder, LockSend, ErrAdrift, GoLifecycle,
+		AtomicMix, AllowAudit,
 	}
 }
 

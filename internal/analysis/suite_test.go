@@ -27,10 +27,6 @@ func TestErrAdrift(t *testing.T) {
 	analysistest.Run(t, analysis.ErrAdrift, "erradrift")
 }
 
-func TestValidateFirst(t *testing.T) {
-	analysistest.Run(t, analysis.ValidateFirst, "validatefirst")
-}
-
 func TestGoLifecycle(t *testing.T) {
 	analysistest.Run(t, analysis.GoLifecycle, "golifecycle")
 }

@@ -28,9 +28,11 @@ func (b *box) fixedLongAgo() {
 
 // A suppression without a reason is indistinguishable from a silenced
 // finding; the trailing comment below is not a reason.
+//
 //lint:allow maporder // want `reason-less //lint:allow`
 func bare() {}
 
 // A typoed analyzer name suppresses nothing.
-//lint:allow maporedr iteration order does not matter here // want `unknown analyzer "maporedr" in //lint:allow: it suppresses nothing \(known: determinism, maporder, locksend, erradrift, validatefirst, golifecycle, atomicmix, allowaudit\)`
+//
+//lint:allow maporedr iteration order does not matter here // want `unknown analyzer "maporedr" in //lint:allow: it suppresses nothing \(known: determinism, maporder, locksend, erradrift, golifecycle, atomicmix, allowaudit\)`
 func typo() {}

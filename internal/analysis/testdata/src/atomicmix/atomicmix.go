@@ -1,39 +1,8 @@
-// Fixture for the atomicmix analyzer: no field may be accessed both
-// via sync/atomic and plainly, and no obs instrument may be resolved
-// inside a loop.
+// Fixture for the atomicmix analyzer: no obs instrument may be
+// resolved inside a loop.
 package atomicmix
 
-import (
-	"sync/atomic"
-
-	"cqp/internal/obs"
-)
-
-type counters struct {
-	hits  uint64        // accessed via atomic.AddUint64 — must stay atomic everywhere
-	safe  atomic.Uint64 // typed atomic: the mix is inexpressible
-	plain int           // never touched atomically
-}
-
-func (c *counters) bump() {
-	atomic.AddUint64(&c.hits, 1)
-}
-
-// plainRead races with bump: the mixed access the analyzer exists for.
-func (c *counters) plainRead() uint64 {
-	return c.hits // want `field hits is accessed with sync/atomic elsewhere`
-}
-
-// atomicRead uses the atomic API throughout: fine.
-func (c *counters) atomicRead() uint64 {
-	return atomic.LoadUint64(&c.hits)
-}
-
-// typedAndPlain: typed atomics and untouched fields are never flagged.
-func (c *counters) typedAndPlain() {
-	c.safe.Add(1)
-	c.plain++
-}
+import "cqp/internal/obs"
 
 // metrics resolves its instruments once, at construction time — the
 // internal/obs hot-path contract.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -102,6 +104,21 @@ func TestRangeBasicLifecycle(t *testing.T) {
 	}
 	if e.NumQueries() != 0 {
 		t.Fatalf("NumQueries = %d", e.NumQueries())
+	}
+
+	// Regions whose far edge is huge or infinite reach the last cells:
+	// their max corner must not wrap around to cell 0.
+	e.ReportObject(ObjectUpdate{ID: 11, Kind: Moving, Loc: geo.Pt(9, 5)})
+	e.ReportQuery(QueryUpdate{ID: 2, Kind: Range, Region: geo.R(5, 0, math.Inf(1), 10)})
+	e.ReportQuery(QueryUpdate{ID: 3, Kind: Range, Region: geo.R(5, 0, 1e300, 10)})
+	e.Step(5)
+	for q := QueryID(2); q <= 3; q++ {
+		if got, _ := e.Answer(q); !slices.Equal(got, []ObjectID{10, 11}) {
+			t.Fatalf("query %d: answer %v, want [10 11]", q, got)
+		}
+	}
+	if err := e.CheckConsistency(true); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -256,45 +273,68 @@ func TestStationaryObjectsAndPendingCount(t *testing.T) {
 
 // TestUnknownQueryKindNoSideEffects: an update with an unrecognized
 // kind must be rejected before any state is touched — in particular it
-// must not auto-commit an existing query's answer or overwrite its
-// timestamp, and the query must keep working afterwards.
+// must not re-register an existing query, auto-commit its answer or
+// overwrite its timestamp, and the query must keep working afterwards.
+// Protocol drops unknown kinds before the engine sees them, so the test
+// runs both through Protocol and on the bare engine, whose own guard in
+// applyQueryUpdate is otherwise unreached.
 func TestUnknownQueryKindNoSideEffects(t *testing.T) {
-	eng := newTestEngine(t)
-	e := NewProtocol(eng)
+	for _, wrap := range []struct {
+		name string
+		wrap func(*Engine) Processor
+	}{
+		{"protocol", func(e *Engine) Processor { return NewProtocol(e) }},
+		{"bare", func(e *Engine) Processor { return e }},
+	} {
+		t.Run(wrap.name, func(t *testing.T) {
+			eng := newTestEngine(t)
+			e := wrap.wrap(eng)
+			pr, _ := e.(*Protocol)
 
-	// An unknown kind must not register a query at all.
-	e.ReportQuery(QueryUpdate{ID: 7, Kind: QueryKind(99)})
-	e.Step(0)
-	if e.NumQueries() != 0 {
-		t.Fatal("unknown kind registered a query")
-	}
+			// An unknown kind must not register a query at all.
+			e.ReportQuery(QueryUpdate{ID: 7, Kind: QueryKind(99)})
+			e.Step(0)
+			if e.NumQueries() != 0 {
+				t.Fatal("unknown kind registered a query")
+			}
 
-	e.ReportObject(ObjectUpdate{ID: 1, Kind: Moving, Loc: geo.Pt(2, 2), T: 1})
-	e.ReportQuery(QueryUpdate{ID: 1, Kind: Range, Region: geo.R(1, 1, 3, 3), T: 1})
-	e.Step(1)
-	// Registration committed the then-empty answer; the object joined
-	// afterwards, so the answer is uncommitted.
-	if got, _ := e.Answer(1); len(got) != 1 {
-		t.Fatalf("answer = %v", got)
-	}
-	if ca, _ := e.CommittedAnswer(1); len(ca) != 0 {
-		t.Fatalf("committed = %v before the probe", ca)
-	}
+			e.ReportObject(ObjectUpdate{ID: 1, Kind: Moving, Loc: geo.Pt(2, 2), T: 1})
+			e.ReportQuery(QueryUpdate{ID: 1, Kind: Range, Region: geo.R(1, 1, 3, 3), T: 1})
+			e.Step(1)
+			// Registration committed the then-empty answer; the object
+			// joined afterwards, so the answer is uncommitted.
+			if got, _ := e.Answer(1); len(got) != 1 {
+				t.Fatalf("answer = %v", got)
+			}
+			if pr != nil {
+				if ca, _ := pr.CommittedAnswer(1); len(ca) != 0 {
+					t.Fatalf("committed = %v before the probe", ca)
+				}
+			}
 
-	e.ReportQuery(QueryUpdate{ID: 1, Kind: QueryKind(99), T: 2})
-	e.Step(2)
-	if ca, _ := e.CommittedAnswer(1); len(ca) != 0 {
-		t.Fatalf("unknown-kind update auto-committed: %v", ca)
-	}
+			e.ReportQuery(QueryUpdate{ID: 1, Kind: QueryKind(99), T: 2})
+			if got := e.Step(2); len(got) != 0 {
+				t.Fatalf("unknown-kind update emitted %v", got)
+			}
+			if got, _ := e.Answer(1); len(got) != 1 {
+				t.Fatalf("unknown-kind update changed the answer to %v", got)
+			}
+			if pr != nil {
+				if ca, _ := pr.CommittedAnswer(1); len(ca) != 0 {
+					t.Fatalf("unknown-kind update auto-committed: %v", ca)
+				}
+			}
 
-	// The query still evaluates normally.
-	e.ReportObject(ObjectUpdate{ID: 1, Kind: Moving, Loc: geo.Pt(9, 9), T: 3})
-	got := e.Step(3)
-	want := []Update{{Query: 1, Object: 1, Positive: false}}
-	if !updatesEqual(got, want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	if err := eng.CheckConsistency(true); err != nil {
-		t.Fatal(err)
+			// The query still evaluates normally.
+			e.ReportObject(ObjectUpdate{ID: 1, Kind: Moving, Loc: geo.Pt(9, 9), T: 3})
+			got := e.Step(3)
+			want := []Update{{Query: 1, Object: 1, Positive: false}}
+			if !updatesEqual(got, want) {
+				t.Fatalf("got %v want %v", got, want)
+			}
+			if err := eng.CheckConsistency(true); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

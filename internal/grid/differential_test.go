@@ -41,9 +41,16 @@ func newModel(bounds geo.Rect, n int) *modelGrid {
 }
 
 func (g *modelGrid) cellCoords(p geo.Point) (cx, cy int) {
-	cx = clamp(int((p.X-g.bounds.MinX)/g.cellW), 0, g.n-1)
-	cy = clamp(int((p.Y-g.bounds.MinY)/g.cellH), 0, g.n-1)
-	return cx, cy
+	return g.axisCell((p.X - g.bounds.MinX) / g.cellW), g.axisCell((p.Y - g.bounds.MinY) / g.cellH)
+}
+
+// axisCell clamps a coordinate in cell units to a cell in [0, n-1],
+// NaN to 0, before the int conversion can overflow.
+func (g *modelGrid) axisCell(f float64) int {
+	if !(f > 0) {
+		return 0
+	}
+	return int(min(f, float64(g.n-1)))
 }
 
 func (g *modelGrid) cellIndex(p geo.Point) int {

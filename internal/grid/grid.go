@@ -104,21 +104,21 @@ func (g *Grid) CellIndex(p geo.Point) int {
 }
 
 func (g *Grid) cellCoords(p geo.Point) (cx, cy int) {
-	cx = int((p.X - g.bounds.MinX) / g.cellW)
-	cy = int((p.Y - g.bounds.MinY) / g.cellH)
-	cx = clamp(cx, 0, g.n-1)
-	cy = clamp(cy, 0, g.n-1)
-	return cx, cy
+	return g.axisCell((p.X - g.bounds.MinX) / g.cellW), g.axisCell((p.Y - g.bounds.MinY) / g.cellH)
 }
 
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
+// axisCell clamps a coordinate measured in cells to [0, n-1] before it
+// converts to int: a float beyond int's range (1e300, +Inf) converts to
+// an unspecified value, so clamping afterwards could not tell it from a
+// coordinate below the bounds. NaN maps to cell 0.
+func (g *Grid) axisCell(f float64) int {
+	if f >= float64(g.n-1) {
+		return g.n - 1
 	}
-	if v > hi {
-		return hi
+	if f > 0 {
+		return int(f)
 	}
-	return v
+	return 0
 }
 
 // CellRect returns the spatial extent of cell ci.

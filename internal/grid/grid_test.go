@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -44,6 +45,11 @@ func TestCellIndex(t *testing.T) {
 		{geo.Pt(5, 5), 15},
 		// The far edge belongs to the last cell.
 		{geo.Pt(1, 1), 15},
+		// Huge and infinite coordinates clamp to the far edge; NaN maps
+		// to cell 0.
+		{geo.Pt(1e300, 1e300), 15},
+		{geo.Pt(math.Inf(1), 0.5), 11},
+		{geo.Pt(math.NaN(), math.NaN()), 0},
 	}
 	for _, tc := range tests {
 		if got := g.CellIndex(tc.p); got != tc.want {

@@ -89,44 +89,25 @@ func TestWriterBatchedDrainByteIdentical(t *testing.T) {
 	}
 }
 
-// TestOutboxPolicies pins the two full-outbox behaviors at the send()
-// layer: ShedSession kills the session and counts a shed; DropNewest
-// drops the frame, counts it, and keeps the session alive.
+// TestOutboxPolicies pins the full-outbox behavior at the send()
+// layer: an overflowing frame kills the session and counts a shed.
 func TestOutboxPolicies(t *testing.T) {
-	mk := func(policy OutboxPolicy) (*Server, *session, *obs.Registry) {
-		reg := obs.NewRegistry()
-		s := &Server{m: newServerMetrics(reg), logger: quietLogger(), outboxPolicy: policy}
-		local, _ := net.Pipe()
-		sess := &session{
-			conn:       local,
-			w:          wire.NewWriter(local),
-			outbox:     make(chan wire.Message, 1), // writer never drains it
-			writerDone: make(chan struct{}),
-		}
-		return s, sess, reg
+	reg := obs.NewRegistry()
+	s := &Server{m: newServerMetrics(reg), logger: quietLogger()}
+	local, _ := net.Pipe()
+	sess := &session{
+		conn:       local,
+		w:          wire.NewWriter(local),
+		outbox:     make(chan wire.Message, 1), // writer never drains it
+		writerDone: make(chan struct{}),
 	}
 
-	s, sess, reg := mk(ShedSession)
 	s.send(sess, wire.Heartbeat{Time: 1}) // fills the outbox
 	s.send(sess, wire.Heartbeat{Time: 2}) // overflows → shed
 	if got := reg.Counter("server.sheds").Value(); got != 1 {
 		t.Errorf("sheds = %d, want 1", got)
 	}
 	if !sess.isDead() {
-		t.Error("ShedSession left the session alive")
-	}
-
-	s, sess, reg = mk(DropNewest)
-	s.send(sess, wire.Heartbeat{Time: 1})
-	s.send(sess, wire.Heartbeat{Time: 2}) // overflows → dropped
-	s.send(sess, wire.Heartbeat{Time: 3}) // still full → dropped again
-	if got := reg.Counter("server.outbox_dropped").Value(); got != 2 {
-		t.Errorf("outbox_dropped = %d, want 2", got)
-	}
-	if got := reg.Counter("server.sheds").Value(); got != 0 {
-		t.Errorf("sheds = %d, want 0 under DropNewest", got)
-	}
-	if sess.isDead() {
-		t.Error("DropNewest killed the session")
+		t.Error("a full outbox left the session alive")
 	}
 }

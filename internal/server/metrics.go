@@ -20,14 +20,13 @@ type serverMetrics struct {
 	bytesIn   *obs.Counter
 	bytesOut  *obs.Counter
 
-	sheds         *obs.Counter   // sessions shed on outbox overflow
-	outboxDropped *obs.Counter   // frames dropped under OutboxPolicy DropNewest
-	writeBatch    *obs.Histogram // frames coalesced per writer flush
-	evaluations   *obs.Counter   // bulk evaluation ticks
-	ingestStalls  *obs.Counter   // read-loop waits on an inbox one step ahead
-	evalLatency   *obs.Histogram // full evaluate-and-enqueue duration
-	streamed      *obs.Counter   // updates enqueued to subscribers
-	rtt           *obs.Histogram // heartbeat round trips
+	sheds        *obs.Counter   // sessions shed on outbox overflow
+	writeBatch   *obs.Histogram // frames coalesced per writer flush
+	evaluations  *obs.Counter   // bulk evaluation ticks
+	ingestStalls *obs.Counter   // read-loop waits on an inbox one step ahead
+	evalLatency  *obs.Histogram // full evaluate-and-enqueue duration
+	streamed     *obs.Counter   // updates enqueued to subscribers
+	rtt          *obs.Histogram // heartbeat round trips
 
 	commits     *obs.Counter // committed client acknowledgments
 	recoveries  *obs.Counter // wakeups healed with an incremental diff
@@ -36,23 +35,22 @@ type serverMetrics struct {
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	return &serverMetrics{
-		tracer:        obs.NewTracer(obs.WallClock),
-		total:         reg.Counter("server.sessions_total"),
-		framesIn:      reg.Counter("server.frames_in"),
-		framesOut:     reg.Counter("server.frames_out"),
-		bytesIn:       reg.Counter("server.bytes_in"),
-		bytesOut:      reg.Counter("server.bytes_out"),
-		sheds:         reg.Counter("server.sheds"),
-		outboxDropped: reg.Counter("server.outbox_dropped"),
-		writeBatch:    reg.Histogram("server.write_batch_frames", obs.SizeBuckets),
-		evaluations:   reg.Counter("server.evaluations"),
-		ingestStalls:  reg.Counter("server.ingest_stalls"),
-		evalLatency:   reg.Histogram("server.eval_ns", obs.DurationBuckets),
-		streamed:      reg.Counter("server.updates.streamed"),
-		rtt:           reg.Histogram("server.heartbeat_rtt_ns", obs.DurationBuckets),
-		commits:       reg.Counter("server.commits"),
-		recoveries:    reg.Counter("server.recoveries"),
-		fullAnswers:   reg.Counter("server.full_answers"),
+		tracer:       obs.NewTracer(obs.WallClock),
+		total:        reg.Counter("server.sessions_total"),
+		framesIn:     reg.Counter("server.frames_in"),
+		framesOut:    reg.Counter("server.frames_out"),
+		bytesIn:      reg.Counter("server.bytes_in"),
+		bytesOut:     reg.Counter("server.bytes_out"),
+		sheds:        reg.Counter("server.sheds"),
+		writeBatch:   reg.Histogram("server.write_batch_frames", obs.SizeBuckets),
+		evaluations:  reg.Counter("server.evaluations"),
+		ingestStalls: reg.Counter("server.ingest_stalls"),
+		evalLatency:  reg.Histogram("server.eval_ns", obs.DurationBuckets),
+		streamed:     reg.Counter("server.updates.streamed"),
+		rtt:          reg.Histogram("server.heartbeat_rtt_ns", obs.DurationBuckets),
+		commits:      reg.Counter("server.commits"),
+		recoveries:   reg.Counter("server.recoveries"),
+		fullAnswers:  reg.Counter("server.full_answers"),
 	}
 }
 

@@ -56,28 +56,6 @@ const (
 	DefaultMaxFrame = 1 << 20
 )
 
-// OutboxPolicy selects what happens when a session's outbox is full at
-// enqueue time. The benchmark's serve-bulk and ingest-flood workloads
-// (BENCHMARK.json) count sessions that hit a full outbox, and these
-// policies are the two ways to spend that headroom.
-type OutboxPolicy int
-
-const (
-	// ShedSession (the default) disconnects the slow client. A shed
-	// client is simply an out-of-sync client: the wakeup protocol heals
-	// it on reconnect. This bounds per-session memory strictly and
-	// matches the paper's failure model.
-	ShedSession OutboxPolicy = iota
-
-	// DropNewest drops the frame but keeps the session connected. The
-	// skipped updates surface as a checksum mismatch on the client's
-	// next commit or wakeup, healing through the full-answer path.
-	// Suits deployments where reconnect storms cost more than the
-	// occasional full-answer heal; dropped frames are counted in
-	// server.outbox_dropped.
-	DropNewest
-)
-
 // Config parameterizes a Server.
 type Config struct {
 	// Engine configures the underlying query processor. Required.
@@ -142,11 +120,6 @@ type Config struct {
 	// evaluations a slow client may fall behind.
 	OutboxSize int
 
-	// OutboxPolicy selects the full-outbox behavior: ShedSession (the
-	// zero value) disconnects the client, DropNewest drops the frame
-	// and keeps the session.
-	OutboxPolicy OutboxPolicy
-
 	// MaxFrame caps inbound frame payloads. Defaults to DefaultMaxFrame.
 	MaxFrame uint32
 
@@ -185,7 +158,6 @@ type Server struct {
 	writeTimeout time.Duration
 	heartbeat    time.Duration
 	outboxSize   int
-	outboxPolicy OutboxPolicy
 	maxFrame     uint32
 	start        time.Time
 
@@ -291,7 +263,6 @@ func Listen(addr string, cfg Config) (*Server, error) {
 		writeTimeout: writeTimeout,
 		heartbeat:    cfg.HeartbeatInterval,
 		outboxSize:   outboxSize,
-		outboxPolicy: cfg.OutboxPolicy,
 		maxFrame:     maxFrame,
 		start:        time.Now(),
 		closed:       make(chan struct{}),
@@ -486,10 +457,10 @@ func (s *Server) step() int {
 
 // send enqueues a message on a session's outbox; the session's writer
 // goroutine performs the actual (deadline-bounded) write, so evaluation
-// never blocks on a slow peer. A full outbox applies the configured
-// OutboxPolicy: shed the client (disconnect; it recovers through the
-// wakeup protocol) or drop the frame (the client heals through the
-// commit checksum handshake). Caller holds s.mu.
+// never blocks on a slow peer. A full outbox sheds the client: it is
+// disconnected and recovers through the wakeup protocol, an
+// out-of-sync client as in the paper's failure model. Caller holds
+// s.mu.
 func (s *Server) send(sess *session, m wire.Message) {
 	if s.draining || sess.isDead() {
 		return
@@ -497,10 +468,6 @@ func (s *Server) send(sess *session, m wire.Message) {
 	select {
 	case sess.outbox <- m:
 	default:
-		if s.outboxPolicy == DropNewest {
-			s.m.outboxDropped.Inc()
-			return
-		}
 		s.m.sheds.Inc()
 		s.logger.Printf("server: shedding slow client %v (outbox full)", sess.conn.RemoteAddr())
 		sess.markDead()

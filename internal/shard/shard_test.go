@@ -305,23 +305,42 @@ func TestRegisterAndMoveInOneBatch(t *testing.T) {
 
 // TestUnknownQueryKindRejectedAtRouter mirrors the core engine: an
 // unknown kind must not register, and on an existing query must not
-// commit or mutate anything.
+// commit or mutate anything. Protocol drops unknown kinds first, so the
+// test runs both through Protocol and on the bare router, whose own
+// guard in the query phase is otherwise unreached.
 func TestUnknownQueryKindRejectedAtRouter(t *testing.T) {
-	e := core.NewProtocol(newTestShard(t, 2, 2))
-	e.ReportQuery(core.QueryUpdate{ID: 1, Kind: core.QueryKind(99)})
-	e.Step(0)
-	if e.NumQueries() != 0 {
-		t.Fatal("unknown kind should not register")
-	}
+	for _, wrap := range []struct {
+		name string
+		wrap func(*Engine) core.Processor
+	}{
+		{"protocol", func(e *Engine) core.Processor { return core.NewProtocol(e) }},
+		{"bare", func(e *Engine) core.Processor { return e }},
+	} {
+		t.Run(wrap.name, func(t *testing.T) {
+			e := wrap.wrap(newTestShard(t, 2, 2))
+			e.ReportQuery(core.QueryUpdate{ID: 1, Kind: core.QueryKind(99)})
+			e.Step(0)
+			if e.NumQueries() != 0 {
+				t.Fatal("unknown kind should not register")
+			}
 
-	e.ReportObject(core.ObjectUpdate{ID: 1, Kind: core.Moving, Loc: geo.Pt(2, 2), T: 1})
-	e.ReportQuery(core.QueryUpdate{ID: 1, Kind: core.Range, Region: geo.R(1, 1, 3, 3), T: 1})
-	e.Step(1)
-	e.ReportQuery(core.QueryUpdate{ID: 1, Kind: core.QueryKind(99), T: 2})
-	e.Step(2)
-	ca, ok := e.CommittedAnswer(1)
-	if !ok || len(ca) != 0 {
-		t.Fatalf("unknown-kind update must not auto-commit; committed = %v", ca)
+			e.ReportObject(core.ObjectUpdate{ID: 1, Kind: core.Moving, Loc: geo.Pt(2, 2), T: 1})
+			e.ReportQuery(core.QueryUpdate{ID: 1, Kind: core.Range, Region: geo.R(1, 1, 3, 3), T: 1})
+			e.Step(1)
+			e.ReportQuery(core.QueryUpdate{ID: 1, Kind: core.QueryKind(99), T: 2})
+			if got := e.Step(2); len(got) != 0 {
+				t.Fatalf("unknown-kind update emitted %v", got)
+			}
+			if got := answerOf(t, e, 1); !idsEqual(got, []core.ObjectID{1}) {
+				t.Fatalf("unknown-kind update changed the answer to %v", got)
+			}
+			if pr, ok := e.(*core.Protocol); ok {
+				ca, ok := pr.CommittedAnswer(1)
+				if !ok || len(ca) != 0 {
+					t.Fatalf("unknown-kind update must not auto-commit; committed = %v", ca)
+				}
+			}
+		})
 	}
 }
 

@@ -18,18 +18,6 @@ type (
 	Event = client.Event
 	// EventKind discriminates Events.
 	EventKind = client.EventKind
-	// OutboxPolicy selects a session's full-outbox behavior.
-	OutboxPolicy = server.OutboxPolicy
-)
-
-// Full-outbox behaviors for ServerConfig.OutboxPolicy.
-const (
-	// ShedSession disconnects a client whose outbox is full; it heals
-	// later through the wakeup recovery protocol.
-	ShedSession = server.ShedSession
-	// DropNewest drops the overflowing frame and keeps the session; the
-	// gap heals at the client's next commit-checksum exchange.
-	DropNewest = server.DropNewest
 )
 
 // Client event kinds.

@@ -318,8 +318,8 @@ func runPipelineThroughServer(t *testing.T, batches [][]trace.Record, direct *cq
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	// Convergence was purely incremental: nothing shed, dropped or healed.
-	for _, name := range []string{"server.sheds", "server.outbox_dropped", "server.full_answers"} {
+	// Convergence was purely incremental: nothing shed or healed.
+	for _, name := range []string{"server.sheds", "server.full_answers"} {
 		if got := counter(name); got != 0 {
 			t.Errorf("%s = %d, want 0", name, got)
 		}
