@@ -37,10 +37,12 @@ chaos-cluster:
 
 # Short fuzz passes over the wire protocol: hostile input to the
 # decoder, then structured messages through the encode→decode→encode
-# round trip.
+# round trip; then seeded scenarios through the single and the sharded
+# engine.
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/wire/
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=30s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz=FuzzScenario -fuzztime=30s ./internal/shard/
 
 # Coverage with a committed floor: fails when total statement coverage
 # drops below COVER_BASELINE. Raise the baseline when coverage durably

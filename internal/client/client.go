@@ -180,6 +180,31 @@ type Client struct {
 	closedCh chan struct{}
 }
 
+// writeTimeout bounds one frame write, as the server's
+// DefaultWriteTimeout bounds its own: a server that stops reading fails
+// the write instead of wedging every caller waiting on c.mu.
+var writeTimeout = 5 * time.Second
+
+// send builds and writes one frame under c.mu, so frames go out in the
+// order of the state changes they reflect. A failed write closes the
+// connection, as the writer keeps the error: the read loop reports it.
+func (c *Client) send(build func() (wire.Message, error)) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	m, err := build()
+	if err != nil {
+		return err
+	}
+	c.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	//lint:allow locksend c.mu orders frames like the state they reflect; the write deadline set above bounds how long a stalled server can hold it
+	if err = c.w.Write(m); err != nil {
+		c.conn.Close()
+		return err
+	}
+	c.m.framesOut.Inc()
+	return nil
+}
+
 // Dial connects to a server with default options.
 func Dial(addr string) (*Client, error) { return DialOptions(addr, Options{}) }
 
@@ -236,14 +261,7 @@ func (c *Client) Close() error {
 
 // ReportObject sends an object report.
 func (c *Client) ReportObject(u core.ObjectUpdate) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	//lint:allow locksend c.mu is what serializes callers on the shared wire.Writer; the conn carries a write deadline, so a stalled server errors the write rather than wedging the client
-	err := c.w.Write(wire.ObjectReport{Update: u})
-	if err == nil {
-		c.m.framesOut.Inc()
-	}
-	return err
+	return c.send(func() (wire.Message, error) { return wire.ObjectReport{Update: u}, nil })
 }
 
 // RegisterQuery registers (or moves) a continuous query and subscribes
@@ -254,41 +272,31 @@ func (c *Client) RegisterQuery(u core.QueryUpdate) error {
 	if u.Remove {
 		return c.RemoveQuery(u.ID)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.queries[u.ID]
-	if !ok {
-		v = &queryView{
-			answer:   make(map[core.ObjectID]struct{}),
-			snapshot: make(map[core.ObjectID]struct{}),
+	return c.send(func() (wire.Message, error) {
+		v, ok := c.queries[u.ID]
+		if !ok {
+			v = &queryView{
+				answer:   make(map[core.ObjectID]struct{}),
+				snapshot: make(map[core.ObjectID]struct{}),
+			}
+			c.queries[u.ID] = v
+		} else if v.def.Kind != u.Kind {
+			// A kind change re-registers the query: the server tears the old
+			// one down silently and streams the new answer from empty.
+			clear(v.answer)
 		}
-		c.queries[u.ID] = v
-	} else if v.def.Kind != u.Kind {
-		// A kind change re-registers the query: the server tears the old
-		// one down silently and streams the new answer from empty.
-		clear(v.answer)
-	}
-	v.def = u
-	v.snapshot = copySet(v.answer)
-	//lint:allow locksend c.mu serializes writers on the shared wire.Writer; writes are deadline-bounded
-	err := c.w.Write(wire.QueryReport{Update: u})
-	if err == nil {
-		c.m.framesOut.Inc()
-	}
-	return err
+		v.def = u
+		v.snapshot = copySet(v.answer)
+		return wire.QueryReport{Update: u}, nil
+	})
 }
 
 // RemoveQuery deregisters a query.
 func (c *Client) RemoveQuery(id core.QueryID) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.queries, id)
-	//lint:allow locksend c.mu serializes writers on the shared wire.Writer; writes are deadline-bounded
-	err := c.w.Write(wire.QueryReport{Update: core.QueryUpdate{ID: id, Remove: true}})
-	if err == nil {
-		c.m.framesOut.Inc()
-	}
-	return err
+	return c.send(func() (wire.Message, error) {
+		delete(c.queries, id)
+		return wire.QueryReport{Update: core.QueryUpdate{ID: id, Remove: true}}, nil
+	})
 }
 
 // Commit acknowledges the stream of query q: the current answer becomes
@@ -297,19 +305,14 @@ func (c *Client) RemoveQuery(id core.QueryID) error {
 // paper's explicit commit messages); moving queries commit implicitly by
 // reporting.
 func (c *Client) Commit(q core.QueryID) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.queries[q]
-	if !ok {
-		return fmt.Errorf("client: commit of unknown query %d", q)
-	}
-	v.snapshot = copySet(v.answer)
-	//lint:allow locksend c.mu serializes writers on the shared wire.Writer; writes are deadline-bounded
-	err := c.w.Write(wire.Commit{Query: q, Checksum: checksumSet(v.answer)})
-	if err == nil {
-		c.m.framesOut.Inc()
-	}
-	return err
+	return c.send(func() (wire.Message, error) {
+		v, ok := c.queries[q]
+		if !ok {
+			return nil, fmt.Errorf("client: commit of unknown query %d", q)
+		}
+		v.snapshot = copySet(v.answer)
+		return wire.Commit{Query: q, Checksum: checksumSet(v.answer)}, nil
+	})
 }
 
 // Answer returns the current answer of q in ascending order, or ok=false
@@ -332,14 +335,7 @@ func (c *Client) Answer(q core.QueryID) ([]core.ObjectID, bool) {
 // RequestStats asks the server for its statistics; the response arrives
 // as an EventStats on the Events channel.
 func (c *Client) RequestStats() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	//lint:allow locksend c.mu serializes writers on the shared wire.Writer; writes are deadline-bounded
-	err := c.w.Write(wire.StatsRequest{})
-	if err == nil {
-		c.m.framesOut.Inc()
-	}
-	return err
+	return c.send(func() (wire.Message, error) { return wire.StatsRequest{}, nil })
 }
 
 // Drop severs the connection without closing the client, simulating the
@@ -385,8 +381,10 @@ func (c *Client) Reconnect(addr string) error {
 		}})
 	}
 	for _, wk := range wakeups {
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if err := c.w.Write(wk.m); err != nil {
 			c.mu.Unlock()
+			conn.Close() // no read loop runs on it; the next Reconnect replaces it
 			return fmt.Errorf("client: send wakeup: %w", err)
 		}
 		c.m.framesOut.Inc()
@@ -495,14 +493,11 @@ func (c *Client) apply(msg wire.Message) {
 	case wire.CommitAck:
 		ev = Event{Kind: EventCommitted, Query: m.Query}
 	case wire.Heartbeat:
+		c.mu.Unlock()
 		// Echo so the server's read deadline sees a live peer; invisible
 		// to the application. A write failure here is the read loop's
 		// problem to notice.
-		//lint:allow locksend c.mu serializes writers on the shared wire.Writer; writes are deadline-bounded
-		if err := c.w.Write(wire.Heartbeat{Time: m.Time}); err == nil {
-			c.m.framesOut.Inc()
-		}
-		c.mu.Unlock()
+		c.send(func() (wire.Message, error) { return wire.Heartbeat{Time: m.Time}, nil })
 		return
 	case wire.StatsResponse:
 		ev = Event{Kind: EventStats, Time: m.Uptime, Stats: &ServerStats{

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cqp/internal/faultnet"
+	"cqp/internal/shard"
 )
 
 // TestChaosWorkerKills murders live worker processes at scripted points
@@ -17,7 +18,7 @@ func TestChaosWorkerKills(t *testing.T) {
 	kills := map[int]int{5: 0, 6: 1, 12: 0, 13: 0, 25: 1, 26: 0}
 	runClusterDifferential(t, clusterDiffConfig{
 		seed: 3, rows: 2, cols: 2, workers: 2, steps: 40, settle: true,
-		disturb: func(step int, cl *Cluster) {
+		before: func(step int, _ *shard.Engine, cl *Cluster) {
 			if slot, ok := kills[step]; ok {
 				cl.KillWorker(slot)
 			}
@@ -56,7 +57,7 @@ func TestChaosFaultStorms(t *testing.T) {
 			runClusterDifferential(t, clusterDiffConfig{
 				seed: 9, rows: 2, cols: 2, workers: 2, steps: 42, settle: true,
 				spawner: &PipeSpawner{WrapConn: func(c net.Conn) net.Conn { return in.Wrap(c) }},
-				disturb: func(step int, cl *Cluster) {
+				before: func(step int, _ *shard.Engine, cl *Cluster) {
 					last = cl
 					switch step {
 					case stormStart:
@@ -77,25 +78,43 @@ func TestChaosFaultStorms(t *testing.T) {
 }
 
 // TestChaosMetrics runs a kill-and-heal pass and checks the cluster
-// instruments moved the way the story says: deaths counted as restarts,
-// recoveries as resyncs, and no tile left in fallback.
+// instruments moved the way the story says: the killed worker's tiles
+// fell back in the step the kill hit, deaths counted as restarts,
+// recoveries as resyncs, and no tile left in fallback. The respawn is
+// held until that step has run: a supervisor that respawned and
+// resynced within its 1 ms backoff would otherwise let the step run
+// remote on the fresh worker.
 func TestChaosMetrics(t *testing.T) {
-	var sawFallback bool
+	sp := &heldSpawner{from: 2}
+	var killed, sawFallback bool
 	var last *Cluster
 	runClusterDifferential(t, clusterDiffConfig{
-		seed: 5, rows: 2, cols: 2, workers: 2, steps: 30, settle: true,
-		disturb: func(step int, cl *Cluster) {
+		seed: 5, rows: 2, cols: 2, workers: 2, steps: 30, settle: true, spawner: sp,
+		before: func(step int, _ *shard.Engine, cl *Cluster) {
 			last = cl
-			if step == 10 {
-				cl.KillWorker(0)
+			if step != 10 {
+				return
 			}
-			if cl.TilesInFallback() > 0 {
-				sawFallback = true
+			// A heartbeat timeout on a loaded box may have the slot down
+			// for a moment; the drill kills a live worker.
+			for deadline := time.Now().Add(5 * time.Second); cl.NumWorkersUp() < 2 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			sp.hold.Store(true)
+			killed = cl.KillWorker(0)
+		},
+		afterStep: func(step int, cl *Cluster) {
+			if step == 10 {
+				sawFallback = cl.TilesInFallback() > 0
+				sp.hold.Store(false)
 			}
 		},
 	})
+	if !killed {
+		t.Fatal("KillWorker(0) found no live worker at step 10")
+	}
 	if !sawFallback {
-		t.Fatal("kill at step 10 never put a tile in fallback")
+		t.Fatal("kill at step 10 put no tile in fallback in that step")
 	}
 	if got := last.m.restarts.Value(); got == 0 {
 		t.Error("cluster.worker.restarts never incremented")

@@ -6,28 +6,40 @@ import (
 	"time"
 
 	"cqp/internal/core"
-	"cqp/internal/geo"
 	"cqp/internal/obs"
 	"cqp/internal/shard"
+	"cqp/internal/testutil/scenario"
 )
+
+// clusterVocab is the differential vocabulary the cluster suites draw
+// from: moving, predictive and trajectory objects, range, kNN and
+// predictive queries, removals, kind changes, and the reports every
+// processor must reject.
+const clusterVocab = scenario.Velocity | scenario.Waypoints | scenario.Malformed | scenario.OverSpeed |
+	scenario.KNN | scenario.ObjectRemovals | scenario.QueryRemovals | scenario.KindChanges
 
 // TestDifferentialClusterVsSharded is the cluster's central correctness
 // property: the coordinator with worker-process tiles must produce a
 // merged update stream BIT-IDENTICAL to the in-process sharded engine's
 // for the same workload — same updates in the same order every step —
-// plus identical answers, committed answers, and recovery diffs. The
-// workers here are in-process over net.Pipe, so the only difference
-// under test is the transport.
+// plus identical answers, committed answers, recovery diffs and work
+// ledgers. The workers here are in-process over net.Pipe, so the only
+// difference under test is the transport. The literal scenarios run
+// through a two-worker cluster over the tiling each was written for.
 func TestDifferentialClusterVsSharded(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7, 42} {
 		for _, cfg := range [][3]int{{2, 2, 2}, {1, 4, 3}, {2, 2, 1}} {
-			seed, cfg := seed, cfg
 			t.Run(fmt.Sprintf("seed=%d/grid=%dx%d/workers=%d", seed, cfg[0], cfg[1], cfg[2]), func(t *testing.T) {
 				runClusterDifferential(t, clusterDiffConfig{
 					seed: seed, rows: cfg[0], cols: cfg[1], workers: cfg[2], steps: 80,
 				})
 			})
 		}
+	}
+	for _, s := range scenario.Scripts() {
+		t.Run(s.Name, func(t *testing.T) {
+			runClusterDifferential(t, clusterDiffConfig{src: s, rows: s.Rows, cols: s.Cols, workers: 2})
+		})
 	}
 }
 
@@ -38,18 +50,22 @@ type clusterDiffConfig struct {
 	workers int
 	steps   int
 
+	// src overrides the seeded clusterVocab generator (the literal
+	// scenarios).
+	src scenario.Source
+
 	// spawner overrides the default fault-free PipeSpawner (the chaos
 	// suites install a fault-wrapped one).
 	spawner Spawner
 
-	// disturb, when set, runs before each step — the chaos suites kill
-	// workers and toggle fault scenarios here.
-	disturb func(step int, cl *Cluster)
+	// before, when set, runs before each step with both routers — the
+	// chaos suites kill workers and toggle fault scenarios here, and the
+	// repartition suite queues identical splits and merges on both so
+	// their partitions stay in lockstep.
+	before func(step int, ref *shard.Engine, cl *Cluster)
 
-	// disturbBoth, when set, runs before each step with both engines —
-	// the repartition suite queues identical splits and merges on the
-	// reference and the cluster so their partitions stay in lockstep.
-	disturbBoth func(step int, ref *shard.Engine, cl *Cluster)
+	// afterStep, when set, runs after each step's checks.
+	afterStep func(step int, cl *Cluster)
 
 	// settle, when set, requires the cluster to fully return to remote
 	// operation after the scripted steps (all workers up, no tiles in
@@ -69,15 +85,16 @@ type clusterDiffConfig struct {
 	scrape bool
 }
 
+// runClusterDifferential drives the scenario through a single engine,
+// the in-process sharded engine and the cluster: streams and ledgers of
+// the last two must be identical at every step.
 func runClusterDifferential(t *testing.T, cfg clusterDiffConfig) {
 	t.Helper()
-	w := newWorkload(cfg.seed)
-	copt := core.Options{
-		Bounds:            geo.R(0, 0, 1, 1),
-		GridN:             1 + w.rng.Intn(12),
-		PredictiveHorizon: 50,
+	src := cfg.src
+	if src == nil {
+		src = scenario.NewGen(cfg.seed, clusterVocab)
 	}
-	sopt := shard.Options{Core: copt, Rows: cfg.rows, Cols: cfg.cols}
+	sopt := shard.Options{Core: src.Options(), Rows: cfg.rows, Cols: cfg.cols}
 	ref, err := shard.New(sopt)
 	if err != nil {
 		t.Fatal(err)
@@ -127,98 +144,19 @@ func runClusterDifferential(t *testing.T, cfg clusterDiffConfig) {
 		t.Fatalf("after New: %d/%d workers up", up, cfg.workers)
 	}
 
-	// Every report and step goes through the protocol layer, which the
-	// committed-answer and recovery assertions read.
-	pref, pcl := core.NewProtocol(ref), core.NewProtocol(cl)
-	var ledger core.Stats // the cluster's ledger after the previous step
-	stepBoth := func(step int) {
-		t.Helper()
-		now := w.step(func(ou *core.ObjectUpdate, qu *core.QueryUpdate) {
-			if ou != nil {
-				pref.ReportObject(*ou)
-				pcl.ReportObject(*ou)
-			}
-			if qu != nil {
-				pref.ReportQuery(*qu)
-				pcl.ReportQuery(*qu)
-			}
-		})
-		a := pref.Step(now)
-		b := pcl.Step(now)
-		if !updatesEqual(a, b) {
-			t.Fatalf("seed %d step %d: merged streams diverge (fallback tiles: %d)\nsharded: %v\ncluster: %v",
-				cfg.seed, step, cl.TilesInFallback(), a, b)
-		}
-		// Each step's whole ledger delta crosses the wire, and a rebuilt
-		// backend's journal replay is never counted: the cluster's ledger
-		// never decreases and equals the in-process router's.
-		got := cl.Stats()
-		if !ledgerNonDecreasing(ledger, got) {
-			t.Fatalf("seed %d step %d: cluster ledger went backwards\nbefore: %+v\nafter:  %+v", cfg.seed, step, ledger, got)
-		}
-		ledger = got
-		if want := ref.Stats(); got != want {
-			t.Fatalf("seed %d step %d: ledgers diverge (fallback tiles: %d)\nsharded: %+v\ncluster: %+v",
-				cfg.seed, step, cl.TilesInFallback(), want, got)
-		}
-		for _, q := range w.queryIDs() {
-			ra, ok1 := pref.Answer(q)
-			ca, ok2 := pcl.Answer(q)
-			if ok1 != ok2 || !idsEqualTest(ra, ca) {
-				t.Fatalf("seed %d step %d: query %d answers diverge\nsharded: %v (%v)\ncluster: %v (%v)",
-					cfg.seed, step, q, ra, ok1, ca, ok2)
-			}
-		}
-		// Exercise the protocol surface identically on both sides.
-		if len(w.queries) > 0 && w.rng.Float64() < 0.2 {
-			q := w.pickQuery()
-			if x, y := pref.Commit(q), pcl.Commit(q); x != y {
-				t.Fatalf("seed %d step %d: Commit(%d) sharded=%v cluster=%v", cfg.seed, step, q, x, y)
-			}
-			rc, _ := pref.CommittedChecksum(q)
-			cc, _ := pcl.CommittedChecksum(q)
-			if rc != cc {
-				t.Fatalf("seed %d step %d: committed checksums diverge for %d", cfg.seed, step, q)
-			}
-		}
-		if len(w.queries) > 0 && w.rng.Float64() < 0.1 {
-			q := w.pickQuery()
-			ra, _ := pref.Recover(q)
-			ca, _ := pcl.Recover(q)
-			if !updatesEqual(ra, ca) {
-				t.Fatalf("seed %d step %d: Recover(%d) diverges\nsharded: %v\ncluster: %v", cfg.seed, step, q, ra, ca)
-			}
-		}
+	run := scenario.Config{
+		Steps: cfg.steps, Procs: []core.Processor{ref, cl}, SameStream: true, Ledger: true,
 	}
-
-	for step := 0; step < cfg.steps; step++ {
-		if cfg.disturb != nil {
-			cfg.disturb(step, cl)
-		}
-		if cfg.disturbBoth != nil {
-			cfg.disturbBoth(step, ref, cl)
-		}
-		stepBoth(step)
+	if cfg.before != nil {
+		run.Before = func(step int) { cfg.before(step, ref, cl) }
 	}
-
+	if cfg.afterStep != nil {
+		run.After = func(step int, _ [][]core.Update) { cfg.afterStep(step, cl) }
+	}
 	if cfg.settle {
-		deadline := time.Now().Add(15 * time.Second)
-		step := cfg.steps
-		for cl.TilesInFallback() > 0 || cl.NumWorkersUp() < cfg.workers {
-			if time.Now().After(deadline) {
-				t.Fatalf("cluster did not heal: %d tiles in fallback, %d/%d workers up",
-					cl.TilesInFallback(), cl.NumWorkersUp(), cfg.workers)
-			}
-			stepBoth(step)
-			step++
-			time.Sleep(2 * time.Millisecond)
-		}
-		// A healed cluster keeps the stream identical fully remote.
-		for i := 0; i < 10; i++ {
-			stepBoth(step)
-			step++
-		}
+		run.Settle = func() bool { return cl.TilesInFallback() == 0 && cl.NumWorkersUp() == cfg.workers }
 	}
+	scenario.Run(t, src, run)
 
 	if cfg.scrape {
 		if got, want := reg.Snapshot()["cluster.tiles.fallback"], int64(cl.TilesInFallback()); got != want {
@@ -228,16 +166,4 @@ func runClusterDifferential(t *testing.T, cfg clusterDiffConfig) {
 	if cfg.after != nil {
 		cfg.after(cl)
 	}
-}
-
-// ledgerNonDecreasing reports whether every counter of cur is at least
-// its value in prev.
-func ledgerNonDecreasing(prev, cur core.Stats) bool {
-	p, c := prev.Counters(), cur.Counters()
-	for i := range p {
-		if *c[i] < *p[i] {
-			return false
-		}
-	}
-	return true
 }

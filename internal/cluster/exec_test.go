@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"cqp/internal/shard"
 	"cqp/internal/testutil/leakcheck"
 )
 
@@ -44,7 +45,7 @@ func TestExecSIGKILLBetweenSteps(t *testing.T) {
 	runClusterDifferential(t, clusterDiffConfig{
 		seed: 6, rows: 2, cols: 2, workers: 2, steps: 32, settle: true,
 		spawner: spawner,
-		disturb: func(step int, cl *Cluster) {
+		before: func(step int, _ *shard.Engine, cl *Cluster) {
 			if slot, ok := kills[step]; ok && cl.KillWorker(slot) {
 				killed++ // SIGKILL: execProcess.Kill never asks nicely
 			}
@@ -72,7 +73,7 @@ func TestExecWorkerRespawnIncarnations(t *testing.T) {
 	runClusterDifferential(t, clusterDiffConfig{
 		seed: 8, rows: 1, cols: 2, workers: 1, steps: 24, settle: true,
 		spawner: spawner,
-		disturb: func(step int, cl *Cluster) {
+		before: func(step int, _ *shard.Engine, cl *Cluster) {
 			if step >= 6 && kills < 2 && cl.KillWorker(0) {
 				kills++
 			}

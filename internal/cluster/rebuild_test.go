@@ -2,11 +2,11 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"testing"
 
 	"cqp/internal/core"
-	"cqp/internal/geo"
+	"cqp/internal/testutil/scenario"
 )
 
 // TestJournalRebuildReproducesEngine pins the property the whole
@@ -20,109 +20,91 @@ import (
 func TestJournalRebuildReproducesEngine(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7} {
 		for _, rebuildAt := range []int{1, 13, 40} {
-			seed, rebuildAt := seed, rebuildAt
 			t.Run(fmt.Sprintf("seed=%d/rebuild=%d", seed, rebuildAt), func(t *testing.T) {
-				runJournalRebuild(t, seed, rebuildAt, 70)
+				// No rejected reports: the router filters them before a
+				// tile's journal sees them.
+				g := scenario.NewGen(seed, clusterVocab&^(scenario.Malformed|scenario.OverSpeed)|scenario.MultiReport)
+				j := &journaled{Engine: core.MustNewEngine(g.Options()), opt: g.Options(), rebuildAt: rebuildAt,
+					objs: map[core.ObjectID]core.ObjectUpdate{}, qrys: map[core.QueryID]core.QueryUpdate{}}
+				scenario.Run(t, g, scenario.Config{
+					Steps: 70, SameStream: true, Procs: []core.Processor{core.MustNewEngine(g.Options()), j},
+				})
 			})
 		}
 	}
 }
 
-func runJournalRebuild(t *testing.T, seed int64, rebuildAt, steps int) {
-	copt := core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: 8, PredictiveHorizon: 50}
-	live := core.MustNewEngine(copt)
-	var twin *core.Engine
+// journaled is a core.Engine that keeps the compacted journal exactly
+// as clusterTile.fold does, and that at step rebuildAt is replaced by an
+// engine rebuilt from its journal by the worker/fallback procedure:
+// replay the journal in ascending ID order, then one discarded step at
+// the last step time.
+type journaled struct {
+	*core.Engine
+	opt       core.Options
+	rebuildAt int
+	steps     int
+	last      float64
+	objs      map[core.ObjectID]core.ObjectUpdate
+	qrys      map[core.QueryID]core.QueryUpdate
+	pendObjs  []core.ObjectUpdate
+	pendQrys  []core.QueryUpdate
+}
 
-	jObjs := make(map[core.ObjectID]core.ObjectUpdate)
-	jQrys := make(map[core.QueryID]core.QueryUpdate)
-	w := newWorkload(seed)
+func (j *journaled) ReportObject(u core.ObjectUpdate) {
+	j.pendObjs = append(j.pendObjs, u)
+	j.Engine.ReportObject(u)
+}
 
-	for step := 0; step < steps; step++ {
-		var objs []core.ObjectUpdate
-		var qrys []core.QueryUpdate
-		now := w.step(func(ou *core.ObjectUpdate, qu *core.QueryUpdate) {
-			if ou != nil {
-				objs = append(objs, *ou)
-			}
-			if qu != nil {
-				qrys = append(qrys, *qu)
-			}
-		})
+func (j *journaled) ReportQuery(u core.QueryUpdate) {
+	j.pendQrys = append(j.pendQrys, u)
+	j.Engine.ReportQuery(u)
+}
 
-		if step == rebuildAt {
-			twin = rebuildFromJournal(t, copt, jObjs, jQrys, now-1, step > 0)
+func (j *journaled) Step(now float64) []core.Update {
+	if j.steps == j.rebuildAt {
+		j.Engine = core.MustNewEngine(j.opt)
+		for _, id := range sortedKeys(j.objs) {
+			j.Engine.ReportObject(j.objs[id])
 		}
+		for _, id := range sortedKeys(j.qrys) {
+			j.Engine.ReportQuery(j.qrys[id])
+		}
+		if j.steps > 0 {
+			j.Engine.StepAppend(nil, j.last)
+		}
+		for _, u := range j.pendObjs {
+			j.Engine.ReportObject(u)
+		}
+		for _, u := range j.pendQrys {
+			j.Engine.ReportQuery(u)
+		}
+	}
+	for _, u := range j.pendObjs {
+		fold(j.objs, u.ID, u, u.Remove)
+	}
+	for _, u := range j.pendQrys {
+		fold(j.qrys, u.ID, u, u.Remove)
+	}
+	j.pendObjs, j.pendQrys = j.pendObjs[:0], j.pendQrys[:0]
+	j.steps++
+	j.last = now
+	return j.Engine.Step(now)
+}
 
-		for _, u := range objs {
-			live.ReportObject(u)
-			if twin != nil {
-				twin.ReportObject(u)
-			}
-		}
-		for _, u := range qrys {
-			live.ReportQuery(u)
-			if twin != nil {
-				twin.ReportQuery(u)
-			}
-		}
-		a := live.Step(now)
-		if twin != nil {
-			b := twin.Step(now)
-			if !updatesEqual(a, b) {
-				t.Fatalf("seed %d step %d: rebuilt engine batch diverges\nlive:    %v\nrebuilt: %v", seed, step, a, b)
-			}
-			for _, q := range w.queryIDs() {
-				la, ok1 := live.Answer(q)
-				ta, ok2 := twin.Answer(q)
-				if ok1 != ok2 || !idsEqualTest(la, ta) {
-					t.Fatalf("seed %d step %d: query %d answers diverge\nlive:    %v (%v)\nrebuilt: %v (%v)", seed, step, q, la, ok1, ta, ok2)
-				}
-			}
-		}
-
-		// Fold the journal exactly as clusterTile.fold does.
-		for _, u := range objs {
-			if u.Remove {
-				delete(jObjs, u.ID)
-			} else {
-				jObjs[u.ID] = u
-			}
-		}
-		for _, u := range qrys {
-			if u.Remove {
-				delete(jQrys, u.ID)
-			} else {
-				jQrys[u.ID] = u
-			}
-		}
+func fold[K comparable, V any](journal map[K]V, id K, u V, remove bool) {
+	if remove {
+		delete(journal, id)
+	} else {
+		journal[id] = u
 	}
 }
 
-// rebuildFromJournal is the worker/fallback rebuild procedure: replay
-// the compacted journal in ascending ID order, then one discarded step
-// at the last step time.
-func rebuildFromJournal(t *testing.T, opt core.Options, jObjs map[core.ObjectID]core.ObjectUpdate,
-	jQrys map[core.QueryID]core.QueryUpdate, lastStep float64, hasStep bool) *core.Engine {
-	t.Helper()
-	eng := core.MustNewEngine(opt)
-	oids := make([]core.ObjectID, 0, len(jObjs))
-	for id := range jObjs {
-		oids = append(oids, id)
+func sortedKeys[K core.ObjectID | core.QueryID, V any](m map[K]V) []K {
+	ids := make([]K, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
 	}
-	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
-	for _, id := range oids {
-		eng.ReportObject(jObjs[id])
-	}
-	qids := make([]core.QueryID, 0, len(jQrys))
-	for id := range jQrys {
-		qids = append(qids, id)
-	}
-	sort.Slice(qids, func(i, j int) bool { return qids[i] < qids[j] })
-	for _, id := range qids {
-		eng.ReportQuery(jQrys[id])
-	}
-	if hasStep {
-		eng.StepAppend(nil, lastStep)
-	}
-	return eng
+	slices.Sort(ids)
+	return ids
 }

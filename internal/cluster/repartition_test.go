@@ -60,7 +60,7 @@ func TestDifferentialRepartitionCluster(t *testing.T) {
 			var last *Cluster
 			runClusterDifferential(t, clusterDiffConfig{
 				seed: seed, rows: 2, cols: 2, workers: 2, steps: 60, settle: true, scrape: true,
-				disturbBoth: func(step int, ref *shard.Engine, cl *Cluster) {
+				before: func(step int, ref *shard.Engine, cl *Cluster) {
 					switch step {
 					case 7, 15, 23:
 						splitMid(t, ref)
@@ -127,7 +127,7 @@ func TestMergeRetiresFallbackGauge(t *testing.T) {
 	runClusterDifferential(t, clusterDiffConfig{
 		seed: 5, rows: 2, cols: 2, workers: 1, steps: 14, settle: true,
 		spawner: sp,
-		disturbBoth: func(step int, ref *shard.Engine, cl *Cluster) {
+		before: func(step int, ref *shard.Engine, cl *Cluster) {
 			switch step {
 			case 3:
 				splitMid(t, ref)

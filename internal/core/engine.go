@@ -104,27 +104,41 @@ func (o *Options) withDefaults() (Options, error) {
 // engines'.
 func (o Options) Normalized() (Options, error) { return o.withDefaults() }
 
-// ExceedsMaxSpeed reports whether an object update violates a predictive
-// speed cap: a Predictive report whose velocity magnitude, or any
-// waypoint leg, is faster than maxSpeed. A non-positive maxSpeed never
-// rejects. Exported because the shard router must mirror the engines'
-// acceptance decision exactly — a report rejected by a tile engine must
-// not move the router's ownership table either.
-func ExceedsMaxSpeed(u ObjectUpdate, maxSpeed float64) bool {
-	if maxSpeed <= 0 || u.Kind != Predictive || u.Remove {
+// AcceptObject reports whether an object report that is not a removal
+// is accepted: its trajectory, if any, is well formed, and a Predictive
+// report's velocity and waypoint legs are no faster than maxSpeed (a
+// non-positive maxSpeed caps nothing). A rejected report leaves the
+// object's prior state in place. This is the one acceptance rule: the
+// engine applies it, and the shard router applies it before routing,
+// so a report a tile engine rejects never moves the router's ownership
+// table either.
+func AcceptObject(u *ObjectUpdate, maxSpeed float64) bool {
+	if len(u.Waypoints) == 0 && (maxSpeed <= 0 || u.Kind != Predictive) {
+		return true
+	}
+	return acceptMotion(u, maxSpeed)
+}
+
+// acceptMotion is AcceptObject's slow path, out of line so the common
+// case inlines at its call sites.
+func acceptMotion(u *ObjectUpdate, maxSpeed float64) bool {
+	if len(u.Waypoints) > 0 && !(geo.Trajectory{Start: u.Loc, T0: u.T, Waypoints: u.Waypoints}).Valid() {
 		return false
 	}
-	if len(u.Waypoints) > 0 {
-		prev := geo.TimedPoint{P: u.Loc, T: u.T}
-		for _, wp := range u.Waypoints {
-			if dt := wp.T - prev.T; dt > 0 && wp.P.Dist(prev.P) > maxSpeed*dt {
-				return true
-			}
-			prev = wp
+	if maxSpeed <= 0 || u.Kind != Predictive {
+		return true
+	}
+	if len(u.Waypoints) == 0 {
+		return !(u.Vel.Len() > maxSpeed)
+	}
+	prev := geo.TimedPoint{P: u.Loc, T: u.T}
+	for _, wp := range u.Waypoints {
+		if dt := wp.T - prev.T; dt > 0 && wp.P.Dist(prev.P) > maxSpeed*dt {
+			return false
 		}
-		return false
+		prev = wp
 	}
-	return u.Vel.Len() > maxSpeed
+	return true
 }
 
 // objectState is the engine's record of one object: the paper's object
@@ -445,14 +459,8 @@ func (e *Engine) stepAppend(out []Update, now float64) []Update {
 			e.removeObject(u.ID, &out)
 			continue
 		}
-		if len(u.Waypoints) > 0 {
-			tr := geo.Trajectory{Start: u.Loc, T0: u.T, Waypoints: u.Waypoints}
-			if !tr.Valid() {
-				continue // reject malformed trajectories; keep prior state
-			}
-		}
-		if ExceedsMaxSpeed(*u, e.opt.MaxSpeed) {
-			continue // reject over-speed predictive motion; keep prior state
+		if !AcceptObject(u, e.opt.MaxSpeed) {
+			continue // keep prior state
 		}
 		os, exists := e.objs[u.ID]
 		if !exists {

@@ -19,9 +19,9 @@ func (e *Engine) EvalFromScratch(q QueryID) ([]ObjectID, bool) {
 	var out []ObjectID
 	switch qs.kind {
 	case Range:
-		for oid, os := range e.objs {
-			if qs.region.Contains(os.loc) {
-				out = append(out, oid)
+		for _, os := range e.objsByH {
+			if os != nil && qs.region.Contains(os.loc) {
+				out = append(out, os.id)
 			}
 		}
 	case KNN:
@@ -30,8 +30,10 @@ func (e *Engine) EvalFromScratch(q QueryID) ([]ObjectID, bool) {
 			d  float64
 		}
 		cands := make([]cand, 0, len(e.objs))
-		for oid, os := range e.objs {
-			cands = append(cands, cand{oid, qs.focal.Dist(os.loc)})
+		for _, os := range e.objsByH {
+			if os != nil {
+				cands = append(cands, cand{os.id, qs.focal.Dist(os.loc)})
+			}
 		}
 		slices.SortFunc(cands, func(a, b cand) int {
 			if a.d != b.d {
@@ -56,9 +58,9 @@ func (e *Engine) EvalFromScratch(q QueryID) ([]ObjectID, bool) {
 			out = append(out, c.id)
 		}
 	case PredictiveRange:
-		for oid, os := range e.objs {
-			if e.predictedIntersects(os, qs.region, qs.t1, qs.t2) {
-				out = append(out, oid)
+		for _, os := range e.objsByH {
+			if os != nil && e.predictedIntersects(os, qs.region, qs.t1, qs.t2) {
+				out = append(out, os.id)
 			}
 		}
 	}

@@ -1,13 +1,13 @@
 package shard
 
 import (
-	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"cqp/internal/core"
-	"cqp/internal/geo"
 	"cqp/internal/obs"
+	"cqp/internal/testutil/scenario"
 )
 
 // atomicFakeClock is a deterministic obs.Clock safe for the sharded
@@ -26,15 +26,10 @@ func atomicFakeClock() obs.Clock {
 // live clock, skew and queue-depth histograms all recording) yields
 // bit-identical merged update streams, step by step.
 func TestShardMetricsDoNotAffectUpdates(t *testing.T) {
-	copt := core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: 8, PredictiveHorizon: 50}
-	bare, err := New(Options{Core: copt, Rows: 2, Cols: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bare.Close()
-
+	// Range and predictive queries only: no kNN settling sub-steps.
+	g := scenario.NewGen(99, scenario.Velocity|scenario.ObjectRemovals|scenario.Repeats)
 	reg := obs.NewRegistry()
-	icopt := copt
+	icopt := g.Options()
 	icopt.Metrics = reg
 	icopt.Clock = atomicFakeClock()
 	inst, err := New(Options{Core: icopt, Rows: 2, Cols: 2})
@@ -43,46 +38,13 @@ func TestShardMetricsDoNotAffectUpdates(t *testing.T) {
 	}
 	defer inst.Close()
 
-	rngA := rand.New(rand.NewSource(99))
-	rngB := rand.New(rand.NewSource(99))
-	const objects = 300
-	report := func(p core.Processor, rng *rand.Rand, tick float64) {
-		// Fresh uniform points: with a 2×2 grid most moves cross tiles,
-		// so the migration path is exercised hard.
-		for n := 0; n < 40; n++ {
-			p.ReportObject(core.ObjectUpdate{
-				ID: core.ObjectID(1 + rng.Intn(objects)), Kind: core.Moving,
-				Loc: geo.Pt(rng.Float64(), rng.Float64()), T: tick,
-			})
-		}
-	}
-	for q := 1; q <= 20; q++ {
-		u := core.QueryUpdate{ID: core.QueryID(q), Kind: core.Range,
-			Region: geo.RectAt(geo.Pt(rngA.Float64(), rngA.Float64()), 0.3)}
-		// Keep the rngs in lockstep: one draw pair feeds both engines.
-		rngB.Float64()
-		rngB.Float64()
-		bare.ReportQuery(u)
-		inst.ReportQuery(u)
-	}
-
 	totalEmitted := 0
 	const steps = 40
-	for tick := 1; tick <= steps; tick++ {
-		report(bare, rngA, float64(tick))
-		report(inst, rngB, float64(tick))
-		a := bare.Step(float64(tick))
-		b := inst.Step(float64(tick))
-		if len(a) != len(b) {
-			t.Fatalf("tick %d: %d updates bare vs %d instrumented", tick, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("tick %d update %d: %v bare vs %v instrumented", tick, i, a[i], b[i])
-			}
-		}
-		totalEmitted += len(b)
-	}
+	scenario.Run(t, g, scenario.Config{
+		Steps: steps, SameStream: true,
+		Procs: []core.Processor{newScenarioShard(t, g, 2, 2), inst},
+		After: func(_ int, streams [][]core.Update) { totalEmitted += len(streams[2]) },
+	})
 
 	// The router-level counters must reflect the observed traffic
 	// exactly where the contract is exact, and be plausible elsewhere.
@@ -98,8 +60,8 @@ func TestShardMetricsDoNotAffectUpdates(t *testing.T) {
 	if got := reg.Counter("shard.migrations").Value(); got == 0 {
 		t.Error("shard.migrations = 0: uniform re-placement on a 2x2 grid must migrate objects")
 	}
-	if got := reg.Gauge("shard.tile_objects_max").Value(); got <= 0 || got > objects {
-		t.Errorf("shard.tile_objects_max = %d, want within (0, %d]", got, objects)
+	if got, n := reg.Gauge("shard.tile_objects_max").Value(), int64(inst.NumObjects()); got <= 0 || got > n {
+		t.Errorf("shard.tile_objects_max = %d, want within (0, %d]", got, n)
 	}
 	// The tile engines resolve the same engine.* names against the
 	// shared registry, so engine.steps aggregates across all four tiles:
@@ -118,61 +80,31 @@ func TestShardMetricsDoNotAffectUpdates(t *testing.T) {
 	}
 }
 
+// appendStepper steps its engine through StepAppend into one reused
+// buffer behind a sentinel prefix, which must survive every step.
+type appendStepper struct {
+	*Engine
+	t   *testing.T
+	buf []core.Update
+}
+
+var sentinel = core.Update{Query: 999, Object: 999, Positive: true}
+
+func (a *appendStepper) Step(now float64) []core.Update {
+	a.buf = a.StepAppend(append(a.buf[:0], sentinel), now)
+	if a.buf[0] != sentinel {
+		a.t.Fatalf("t=%v: prefix clobbered: %v", now, a.buf[0])
+	}
+	return slices.Clone(a.buf[1:])
+}
+
 // TestShardStepAppendMatchesStep pins the sharded StepAppend contract:
 // identical workloads through Step and through StepAppend with a reused
 // buffer produce identical streams, and the dst prefix is preserved.
 func TestShardStepAppendMatchesStep(t *testing.T) {
-	copt := core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: 8}
-	a, err := New(Options{Core: copt, Rows: 2, Cols: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := New(Options{Core: copt, Rows: 2, Cols: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	rngA := rand.New(rand.NewSource(5))
-	rngB := rand.New(rand.NewSource(5))
-	for q := 1; q <= 10; q++ {
-		u := core.QueryUpdate{ID: core.QueryID(q), Kind: core.Range,
-			Region: geo.RectAt(geo.Pt(rngA.Float64(), rngA.Float64()), 0.25)}
-		rngB.Float64()
-		rngB.Float64()
-		a.ReportQuery(u)
-		b.ReportQuery(u)
-	}
-
-	sentinel := core.Update{Query: 999, Object: 999, Positive: true}
-	var buf []core.Update
-	for tick := 1; tick <= 20; tick++ {
-		for n := 0; n < 30; n++ {
-			oa := core.ObjectUpdate{
-				ID: core.ObjectID(1 + rngA.Intn(100)), Kind: core.Moving,
-				Loc: geo.Pt(rngA.Float64(), rngA.Float64()), T: float64(tick),
-			}
-			a.ReportObject(oa)
-			b.ReportObject(core.ObjectUpdate{
-				ID: core.ObjectID(1 + rngB.Intn(100)), Kind: core.Moving,
-				Loc: geo.Pt(rngB.Float64(), rngB.Float64()), T: float64(tick),
-			})
-		}
-		want := a.Step(float64(tick))
-		buf = append(buf[:0], sentinel)
-		buf = b.StepAppend(buf, float64(tick))
-		if buf[0] != sentinel {
-			t.Fatalf("tick %d: prefix clobbered: %v", tick, buf[0])
-		}
-		got := buf[1:]
-		if len(got) != len(want) {
-			t.Fatalf("tick %d: StepAppend emitted %d, Step emitted %d", tick, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("tick %d update %d: StepAppend %v vs Step %v", tick, i, got[i], want[i])
-			}
-		}
-	}
+	g := scenario.NewGen(5, scenario.Velocity|scenario.KNN|scenario.ObjectRemovals|scenario.Repeats)
+	scenario.Run(t, g, scenario.Config{
+		Steps: 20, SameStream: true,
+		Procs: []core.Processor{newScenarioShard(t, g, 2, 2), &appendStepper{Engine: newScenarioShard(t, g, 2, 2), t: t}},
+	})
 }

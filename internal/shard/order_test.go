@@ -1,11 +1,12 @@
 package shard
 
 import (
-	"math/rand"
+	"cmp"
+	"slices"
 	"testing"
 
 	"cqp/internal/core"
-	"cqp/internal/geo"
+	"cqp/internal/testutil/scenario"
 )
 
 // This file pins the sharded engine's half of the reproducibility
@@ -15,112 +16,28 @@ import (
 // races), the sharded stream equals the single-space engine's stream
 // element for element — not merely as a multiset.
 
-type reporter interface {
-	ReportObject(core.ObjectUpdate)
-	ReportQuery(core.QueryUpdate)
-	Step(float64) []core.Update
-}
-
-// driveShardWorkload feeds a deterministic mixed workload (moving,
-// predictive and trajectory objects with removals; range and predictive
-// queries that move every few steps) to every engine in engs, returning
-// one stream per engine. Uniform positions make a large fraction of the
-// moves cross-tile.
-func driveShardWorkload(seed int64, steps int, engs ...reporter) [][][]core.Update {
-	rng := rand.New(rand.NewSource(seed))
-	streams := make([][][]core.Update, len(engs))
-
-	for q := core.QueryID(1); q <= 12; q++ {
-		u := core.QueryUpdate{ID: q, T: 0}
-		if q%2 == 0 {
-			u.Kind = core.Range
-			u.Region = geo.RectAt(geo.Pt(rng.Float64(), rng.Float64()), 0.05+rng.Float64()*0.3)
-		} else {
-			u.Kind = core.PredictiveRange
-			u.Region = geo.RectAt(geo.Pt(rng.Float64(), rng.Float64()), 0.2)
-			u.T1, u.T2 = 5, 25
-		}
-		for _, e := range engs {
-			e.ReportQuery(u)
-		}
-	}
-
-	for step := 0; step < steps; step++ {
-		now := float64(step + 1)
-		for n := 0; n < 40; n++ {
-			u := core.ObjectUpdate{
-				ID:   core.ObjectID(1 + rng.Intn(90)),
-				Kind: core.ObjectKind(rng.Intn(3)),
-				Loc:  geo.Pt(rng.Float64(), rng.Float64()),
-				Vel:  geo.Vec(rng.Float64()*0.06-0.03, rng.Float64()*0.06-0.03),
-				T:    now,
-			}
-			if rng.Float64() < 0.04 {
-				u = core.ObjectUpdate{ID: u.ID, Remove: true, T: now}
-			}
-			for _, e := range engs {
-				e.ReportObject(u)
-			}
-		}
-		if step%5 == 4 {
-			// Move a query region; same kind, so every retraction is
-			// attributable identically in both engines.
-			q := core.QueryID(2 + 2*core.QueryID(rng.Intn(6)))
-			u := core.QueryUpdate{
-				ID: q, Kind: core.Range, T: now,
-				Region: geo.RectAt(geo.Pt(rng.Float64(), rng.Float64()), 0.05+rng.Float64()*0.3),
-			}
-			for _, e := range engs {
-				e.ReportQuery(u)
-			}
-		}
-		for i, e := range engs {
-			streams[i] = append(streams[i], e.Step(now))
-		}
-	}
-	return streams
-}
-
-func streamsIdentical(a, b [][]core.Update) (int, bool) {
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return i, false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return i, false
-			}
-		}
-	}
-	return 0, true
-}
-
-func mustSharded(t *testing.T, rows, cols int) *Engine {
-	t.Helper()
-	e, err := New(Options{
-		Core: core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: 8},
-		Rows: rows, Cols: cols,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
-	return e
-}
+// orderVocab is a mixed workload whose every update is attributable
+// identically under both architectures: dense batches in which each
+// object reports 2–4 times under a random kind — stationary, moving,
+// predictive, with trajectories — and is removed and re-added; range
+// and predictive queries that register and move, never re-kinded,
+// removed or kNN. Most of the moves cross a tile.
+const orderVocab = scenario.Velocity | scenario.Waypoints | scenario.ObjectRemovals | scenario.Repeats
 
 // TestShardStepCanonicalOrder asserts the sharded engine's Step output
 // is in core.SortUpdates order.
 func TestShardStepCanonicalOrder(t *testing.T) {
-	e := mustSharded(t, 2, 2)
-	streams := driveShardWorkload(17, 40, e)[0]
-	for i, s := range streams {
-		for j := 1; j < len(s); j++ {
-			a, b := s[j-1], s[j]
-			if a.Query > b.Query || (a.Query == b.Query && a.Object > b.Object) {
-				t.Fatalf("step %d emitted out of canonical order: %v", i, s)
+	g := scenario.NewGen(17, orderVocab)
+	scenario.Run(t, g, scenario.Config{
+		Steps: 40, Procs: []core.Processor{newScenarioShard(t, g, 2, 2)},
+		After: func(step int, streams [][]core.Update) {
+			if s := streams[1]; !slices.IsSortedFunc(s, func(a, b core.Update) int {
+				return cmp.Or(cmp.Compare(a.Query, b.Query), cmp.Compare(a.Object, b.Object))
+			}) {
+				t.Fatalf("step %d emitted out of canonical order: %v", step, s)
 			}
-		}
-	}
+		},
+	})
 }
 
 // TestShardStreamReproducible runs the identical workload through two
@@ -128,35 +45,11 @@ func TestShardStepCanonicalOrder(t *testing.T) {
 // streams: tile goroutine scheduling and map iteration must not leak
 // into the merged output.
 func TestShardStreamReproducible(t *testing.T) {
-	a := mustSharded(t, 2, 2)
-	b := mustSharded(t, 2, 2)
-	streams := driveShardWorkload(23, 40, a, b)
-	if step, same := streamsIdentical(streams[0], streams[1]); !same {
-		t.Fatalf("two runs of the same workload diverged at step %d:\nfirst:  %v\nsecond: %v",
-			step, streams[0][step], streams[1][step])
-	}
-}
-
-// netStream collapses same-step transients: consecutive updates for the
-// same (Query, Object) pair in a canonically sorted stream alternate
-// sign (membership flips back and forth within the step), so the net
-// effect is the last update when the count is odd and nothing when it
-// is even. The single engine reports transients (−O then +O when an
-// object leaves and re-enters an answer inside one step); the sharded
-// merge nets them by construction. Both replay to the same answer.
-func netStream(us []core.Update) []core.Update {
-	var out []core.Update
-	for i := 0; i < len(us); {
-		j := i
-		for j < len(us) && us[j].Query == us[i].Query && us[j].Object == us[i].Object {
-			j++
-		}
-		if (j-i)%2 == 1 {
-			out = append(out, us[j-1])
-		}
-		i = j
-	}
-	return out
+	g := scenario.NewGen(23, orderVocab)
+	scenario.Run(t, g, scenario.Config{
+		Steps: 40, SameStream: true,
+		Procs: []core.Processor{newScenarioShard(t, g, 2, 2), newScenarioShard(t, g, 2, 2)},
+	})
 }
 
 // TestShardStreamMatchesSingle is the strongest form of the differential
@@ -166,17 +59,13 @@ func netStream(us []core.Update) []core.Update {
 // single-space engine's — element for element after netting same-step
 // transients, which are the one documented representational difference.
 func TestShardStreamMatchesSingle(t *testing.T) {
-	single := core.MustNewEngine(core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: 8})
-	sharded := mustSharded(t, 2, 2)
-	streams := driveShardWorkload(29, 40, single, sharded)
-	a := make([][]core.Update, len(streams[0]))
-	b := make([][]core.Update, len(streams[1]))
-	for i := range streams[0] {
-		a[i] = netStream(streams[0][i])
-		b[i] = netStream(streams[1][i])
-	}
-	if step, same := streamsIdentical(a, b); !same {
-		t.Fatalf("sharded stream diverged from single at step %d:\nsingle:  %v\nsharded: %v",
-			step, a[step], b[step])
-	}
+	g := scenario.NewGen(29, orderVocab)
+	scenario.Run(t, g, scenario.Config{
+		Steps: 40, Procs: []core.Processor{newScenarioShard(t, g, 2, 2)},
+		After: func(step int, streams [][]core.Update) {
+			if a, b := scenario.Net(streams[0]), scenario.Net(streams[1]); !slices.Equal(a, b) {
+				t.Fatalf("sharded stream diverged from single at step %d:\nsingle:  %v\nsharded: %v", step, a, b)
+			}
+		},
+	})
 }

@@ -1,212 +1,67 @@
 package shard
 
 import (
-	"math/rand"
 	"slices"
 	"testing"
 
 	"cqp/internal/core"
 	"cqp/internal/geo"
 	"cqp/internal/obs"
+	"cqp/internal/testutil/scenario"
 )
 
 // TestDifferentialRepartitionMidRun extends the five-seed differential
-// property to repartitioning: the same randomized workload runs through
-// a fixed 2×2 shard engine, one that is split and merged mid-run by the
-// manual hooks (hottest tile split, coldest sibling pair merged), and
-// one driven by the automatic load policy. All three merged update
+// property to repartitioning: the same randomized hotspot workload runs
+// through a fixed 2×2 shard engine, one that is split and merged mid-run
+// by the manual hooks (hottest tile split, coldest sibling pair merged),
+// and one driven by the automatic load policy. All three merged update
 // streams must be BIT-IDENTICAL at every step — a repartition may never
 // show a seam — and the answers must match a single core engine's.
+// The last case moves its predictive objects, which pins the born
+// tiles' share of a kNN query's coverage in handoff.
 func TestDifferentialRepartitionMidRun(t *testing.T) {
-	for _, seed := range []int64{1, 2, 7, 42, 1234} {
-		seed := seed
-		t.Run("", func(t *testing.T) { runRepartitionDifferential(t, seed, 100) })
-	}
-}
-
-func runRepartitionDifferential(t *testing.T, seed int64, steps int) {
-	rng := rand.New(rand.NewSource(seed))
-	copt := core.Options{
-		Bounds:            geo.R(0, 0, 1, 1),
-		GridN:             1 + rng.Intn(12),
-		PredictiveHorizon: 50,
-	}
-	single := core.MustNewEngine(copt)
-	fixed := MustNew(Options{Core: copt, Rows: 2, Cols: 2})
-	defer fixed.Close()
-	manual := MustNew(Options{Core: copt, Rows: 2, Cols: 2})
-	defer manual.Close()
-	// The policy engine gets its own registry so the test can read the
-	// split/merge counters; metrics never affect the stream. With no
-	// Clock the policy scores queue-depth EWMAs, which are a pure
-	// function of the reports — so its stream stays deterministic.
-	reg := obs.NewRegistry()
-	mopt := copt
-	mopt.Metrics = reg
-	auto := MustNew(Options{
-		Core: mopt, Rows: 2, Cols: 2,
-		Repartition: RepartitionOptions{Enable: true, Interval: 5, MaxTiles: 12},
-	})
-	defer auto.Close()
-
-	// Every report and step goes through the protocol layer, which the
-	// committed-answer assertions read.
-	procs := []*core.Protocol{
-		core.NewProtocol(single), core.NewProtocol(fixed),
-		core.NewProtocol(manual), core.NewProtocol(auto),
-	}
-
-	const (
-		maxObjects = 70
-		maxQueries = 20
-	)
-	objects := map[core.ObjectID]core.ObjectKind{}
-	queryKinds := map[core.QueryID]core.QueryKind{}
-	nextO, nextQ := core.ObjectID(1), core.QueryID(1)
-
-	randPoint := func() geo.Point { return geo.Pt(rng.Float64(), rng.Float64()) }
-	randRegion := func() geo.Rect { return geo.RectAt(randPoint(), 0.02+rng.Float64()*0.4) }
-	hotspot := func() geo.Point {
-		// Half the moves land in one corner tile: a genuinely hot tile
-		// for the split policy to find.
-		return geo.Pt(rng.Float64()*0.2, rng.Float64()*0.2)
-	}
-
-	now := 0.0
-	for step := 0; step < steps; step++ {
-		now += 1
-
-		for n := rng.Intn(12); n > 0; n-- {
-			switch {
-			case len(objects) == 0 || (len(objects) < maxObjects && rng.Float64() < 0.3):
-				kind := core.ObjectKind(rng.Intn(3))
-				id := nextO
-				nextO++
-				objects[id] = kind
-				loc := randPoint()
-				if rng.Float64() < 0.5 {
-					loc = hotspot()
-				}
-				u := core.ObjectUpdate{ID: id, Kind: kind, Loc: loc, T: now}
-				for _, p := range procs {
-					p.ReportObject(u)
-				}
-			case rng.Float64() < 0.08:
-				id := pickObject(rng, objects)
-				delete(objects, id)
-				u := core.ObjectUpdate{ID: id, Remove: true, T: now}
-				for _, p := range procs {
-					p.ReportObject(u)
-				}
-			default:
-				id := pickObject(rng, objects)
-				loc := randPoint()
-				if rng.Float64() < 0.5 {
-					loc = hotspot()
-				}
-				u := core.ObjectUpdate{ID: id, Kind: objects[id], Loc: loc, T: now}
-				for _, p := range procs {
-					p.ReportObject(u)
-				}
+	const hot = churnVocab | scenario.Hotspot
+	for _, c := range []struct {
+		seed  int64
+		vocab scenario.Vocab
+	}{{1, hot}, {2, hot}, {7, hot}, {42, hot}, {1234, hot}, {1, hot | scenario.Velocity}} {
+		t.Run("", func(t *testing.T) {
+			g := scenario.NewGen(c.seed, c.vocab)
+			fixed := newScenarioShard(t, g, 2, 2)
+			manual := newScenarioShard(t, g, 2, 2)
+			// The policy engine gets its own registry so the test can read
+			// the split/merge counters; metrics never affect the stream.
+			// With no Clock the policy scores queue-depth EWMAs, which are
+			// a pure function of the reports — so its stream stays
+			// deterministic.
+			reg := obs.NewRegistry()
+			mopt := g.Options()
+			mopt.Metrics = reg
+			auto := MustNew(Options{
+				Core: mopt, Rows: 2, Cols: 2,
+				Repartition: RepartitionOptions{Enable: true, Interval: 5, MaxTiles: 12},
+			})
+			defer auto.Close()
+			scenario.Run(t, g, scenario.Config{
+				Steps: 100, Procs: []core.Processor{fixed, manual, auto}, SameStream: true,
+				// Mid-run repartitions on the manual engine only: split the
+				// hottest tile, merge the coldest sibling pair.
+				Before: func(step int) {
+					if step%7 == 3 {
+						splitHottest(t, manual)
+					}
+					if step%11 == 8 {
+						mergeColdest(t, manual)
+					}
+				},
+			})
+			if manual.NumTiles() < 3 {
+				t.Fatalf("manual engine never grew past %d tiles; repartitions did not run", manual.NumTiles())
 			}
-		}
-		for n := rng.Intn(3); n > 0; n-- {
-			switch {
-			case len(queryKinds) == 0 || (len(queryKinds) < maxQueries && rng.Float64() < 0.4):
-				kind := core.QueryKind(rng.Intn(3))
-				id := nextQ
-				nextQ++
-				queryKinds[id] = kind
-				u := randShardQueryUpdate(rng, id, kind, now, randRegion, randPoint)
-				for _, p := range procs {
-					p.ReportQuery(u)
-				}
-			case rng.Float64() < 0.1:
-				id := pickQuery(rng, queryKinds)
-				delete(queryKinds, id)
-				u := core.QueryUpdate{ID: id, Remove: true, T: now}
-				for _, p := range procs {
-					p.ReportQuery(u)
-				}
+			if reg.Flatten()["shard.tile_splits"] == 0 {
+				t.Fatalf("hotspot workload never triggered the split policy: %v tiles", auto.NumTiles())
 			}
-		}
-
-		// Mid-run repartitions on the manual engine only: split the
-		// hottest tile, merge the coldest sibling pair.
-		if step%7 == 3 {
-			splitHottest(t, manual)
-		}
-		if step%11 == 8 {
-			mergeColdest(t, manual)
-		}
-
-		upds := make([][]core.Update, len(procs))
-		for i, p := range procs {
-			upds[i] = p.Step(now)
-		}
-
-		// Streams of all three sharded engines are bit-identical: the
-		// fixed engine is the reference, manual and auto must match it
-		// exactly — same updates, same order, every step.
-		for i := 2; i < len(procs); i++ {
-			if !slices.Equal(upds[1], upds[i]) {
-				t.Fatalf("seed %d step %d: repartitioned stream diverges from fixed\nfixed: %v\ngot:   %v",
-					seed, step, upds[1], upds[i])
-			}
-		}
-
-		for qid := range queryKinds {
-			want, ok := single.Answer(qid)
-			if !ok {
-				t.Fatalf("seed %d step %d: query %d lost in single", seed, step, qid)
-			}
-			for i := 1; i < len(procs); i++ {
-				got, ok := procs[i].Answer(qid)
-				if !ok || !idsEqual(want, got) {
-					t.Fatalf("seed %d step %d: query %d answers diverge (engine %d)\nwant %v\ngot  %v",
-						seed, step, qid, i, want, got)
-				}
-			}
-			wc, _ := procs[0].CommittedAnswer(qid)
-			for _, p := range procs[1:] {
-				gc, _ := p.CommittedAnswer(qid)
-				if !idsEqual(wc, gc) {
-					t.Fatalf("seed %d step %d: query %d committed answers diverge\nwant %v\ngot  %v",
-						seed, step, qid, wc, gc)
-				}
-			}
-		}
-
-		// Exercise the protocol surface identically across engines.
-		if rng.Float64() < 0.15 && len(queryKinds) > 0 {
-			id := pickQuery(rng, queryKinds)
-			for _, p := range procs {
-				p.Commit(id)
-			}
-			want, _ := procs[0].CommittedChecksum(id)
-			for _, p := range procs[1:] {
-				if got, _ := p.CommittedChecksum(id); got != want {
-					t.Fatalf("seed %d step %d: committed checksum diverges for %d", seed, step, id)
-				}
-			}
-		}
-		if rng.Float64() < 0.1 && len(queryKinds) > 0 {
-			id := pickQuery(rng, queryKinds)
-			want, _ := procs[0].Recover(id)
-			for _, p := range procs[1:] {
-				if got, _ := p.Recover(id); !slices.Equal(want, got) {
-					t.Fatalf("seed %d step %d: Recover(%d) diverges across engines", seed, step, id)
-				}
-			}
-		}
-	}
-
-	if manual.NumTiles() < 3 {
-		t.Fatalf("manual engine never grew past %d tiles; repartitions did not run", manual.NumTiles())
-	}
-	flat := reg.Flatten()
-	if flat["shard.tile_splits"] == 0 {
-		t.Fatalf("hotspot workload never triggered the split policy: %v tiles", auto.NumTiles())
+		})
 	}
 }
 
@@ -283,7 +138,7 @@ func TestHaloCrossingQueryAcrossSplit(t *testing.T) {
 
 	before, _ := e.Answer(1)
 	want := []core.ObjectID{1, 2, 3, 4}
-	if !idsEqual(before, want) {
+	if !slices.Equal(before, want) {
 		t.Fatalf("answer before split: %v, want %v", before, want)
 	}
 
@@ -295,7 +150,7 @@ func TestHaloCrossingQueryAcrossSplit(t *testing.T) {
 		t.Fatalf("split leaked into the merged stream: %v", upd)
 	}
 	after, _ := e.Answer(1)
-	if !idsEqual(after, want) {
+	if !slices.Equal(after, want) {
 		t.Fatalf("answer after split: %v, want %v", after, want)
 	}
 
@@ -308,7 +163,7 @@ func TestHaloCrossingQueryAcrossSplit(t *testing.T) {
 		}
 	}
 	twin, _ := e.Answer(2)
-	if !idsEqual(twin, want) {
+	if !slices.Equal(twin, want) {
 		t.Fatalf("fresh query after split: %v, want %v", twin, want)
 	}
 }

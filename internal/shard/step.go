@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"cqp/internal/core"
-	"cqp/internal/geo"
 )
 
 // ReportObject buffers an object update for the next Step.
@@ -19,13 +18,14 @@ func (e *Engine) ReportQuery(u core.QueryUpdate) {
 }
 
 // mergeState is the scratch state of one router Step: the KNN queries
-// needing a global re-rank, the queries removed in this batch, the
-// fold's reusable buffers, and the merged output. It lives on the
+// needing a global re-rank, the queries and objects removed in this
+// batch, the fold's reusable buffers, and the merged output. It lives on the
 // Engine and is reset, not reallocated, every step.
 type mergeState struct {
 	knnDirty map[core.QueryID]struct{}
 
 	removedQrys map[core.QueryID]*queryInfo
+	removedObjs map[core.ObjectID]struct{}
 
 	// resetQrys are queries whose merge state restarted from empty this
 	// step (a kind change, or a removal followed by a re-registration
@@ -50,10 +50,12 @@ func (e *Engine) beginMerge(out []core.Update) *mergeState {
 	if m.knnDirty == nil {
 		m.knnDirty = make(map[core.QueryID]struct{})
 		m.removedQrys = make(map[core.QueryID]*queryInfo)
+		m.removedObjs = make(map[core.ObjectID]struct{})
 		m.resetQrys = make(map[core.QueryID]struct{})
 	} else {
 		clear(m.knnDirty)
 		clear(m.removedQrys)
+		clear(m.removedObjs)
 		clear(m.resetQrys)
 	}
 	m.out = out
@@ -131,23 +133,12 @@ func (e *Engine) routeObjects(m *mergeState) {
 			e.tiles[info.tile].ReportObject(core.ObjectUpdate{ID: u.ID, Remove: true})
 			e.objCount[info.tile]--
 			delete(e.objs, u.ID)
+			m.removedObjs[u.ID] = struct{}{}
 			e.markCandidateQueries(m, u.ID)
 			continue
 		}
-		if len(u.Waypoints) > 0 {
-			// Mirror the core engine's validation: a malformed trajectory
-			// is rejected wholesale, keeping the prior state — it must
-			// not trigger a migration.
-			tr := geo.Trajectory{Start: u.Loc, T0: u.T, Waypoints: u.Waypoints}
-			if !tr.Valid() {
-				continue
-			}
-		}
-		// Mirror the engine-side MaxSpeed rejection: a too-fast
-		// predictive report must not migrate or re-home the object
-		// either, or routing table and tile state would diverge.
-		if core.ExceedsMaxSpeed(u, maxSpeed) {
-			continue
+		if !core.AcceptObject(&u, maxSpeed) {
+			continue // the tiles would reject it: no migration either
 		}
 		clamped := e.clampToBounds(u.Loc)
 		if info, ok := e.objs[u.ID]; ok {
@@ -419,17 +410,20 @@ func (e *Engine) fold(m *mergeState, qi *queryInfo, live bool, runs [][]core.Upd
 // transition applies one net membership change found by fold. For a
 // Range or PredictiveRange query it is a merged update. For a KNN query
 // it moves the object in or out of the candidate index, and settleKNN
-// diffs the answer afterwards — except for a query removed in this
-// batch, which still streams the phase-1 negatives of its departed
-// answer members, as the single engine does.
+// diffs the answer afterwards. A query removed in this batch streams
+// only the phase-1 negatives of the answer members removed in it, as
+// the single engine does; a member's migration retracts it from the old
+// tile's replica, which must not surface as a negative, or the stream
+// would depend on where the tile seams lie.
 func (e *Engine) transition(m *mergeState, qi *queryInfo, live bool, o core.ObjectID, in bool) {
 	switch {
-	case qi.kind != core.KNN:
-		m.out = append(m.out, core.Update{Query: qi.id, Object: o, Positive: in})
 	case !live:
-		if _, was := slices.BinarySearch(qi.answer, o); was && !in {
+		_, was := slices.BinarySearch(qi.answer, o)
+		if _, removed := m.removedObjs[o]; was && removed && !in {
 			m.out = append(m.out, core.Update{Query: qi.id, Object: o, Positive: false})
 		}
+	case qi.kind != core.KNN:
+		m.out = append(m.out, core.Update{Query: qi.id, Object: o, Positive: in})
 	case in:
 		e.addCandidate(o, qi.id)
 	default:
