@@ -177,6 +177,25 @@ func TestObjectAndQueryMoveSameStep(t *testing.T) {
 	}
 }
 
+// TestObjectMovesOutsideBoundsIntoQuery: an object that moves past
+// Bounds is clamped into an edge cell, and the phase-3 probe there must
+// still admit it into a query that reaches past Bounds too.
+func TestObjectMovesOutsideBoundsIntoQuery(t *testing.T) {
+	e := MustNewEngine(Options{Bounds: geo.R(0, 0, 10, 10), GridN: 4})
+	e.ReportQuery(QueryUpdate{ID: 1, Kind: Range, Region: geo.R(5, 0, 20, 10)})
+	e.ReportObject(ObjectUpdate{ID: 7, Kind: Moving, Loc: geo.Pt(1, 1)})
+	if got := e.Step(0); len(got) != 0 {
+		t.Fatalf("object outside the query: got %v", got)
+	}
+	e.ReportObject(ObjectUpdate{ID: 7, Kind: Moving, Loc: geo.Pt(11, 5), T: 1})
+	if got, want := e.Step(1), []Update{{1, 7, true}}; !updatesEqual(got, want) {
+		t.Fatalf("object moved past Bounds into the query: got %v want %v", got, want)
+	}
+	if err := e.CheckConsistency(true); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestObjectRemoval(t *testing.T) {
 	e := newTestEngine(t)
 	e.ReportObject(ObjectUpdate{ID: 1, Kind: Moving, Loc: geo.Pt(3, 3)})

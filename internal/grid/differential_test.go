@@ -2,6 +2,7 @@ package grid
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -68,6 +69,27 @@ func (g *modelGrid) cellRect(ci int) geo.Rect {
 	}
 }
 
+// clipRect is cellRect with the edges on the boundary of the space
+// pushed out to infinity: out-of-bounds geometry clamps into the edge
+// cells, and the clips stored there reach it.
+func (g *modelGrid) clipRect(ci int) geo.Rect {
+	r, inf := g.cellRect(ci), math.Inf(1)
+	cx, cy, last := ci%g.n, ci/g.n, g.n-1
+	if cx == 0 {
+		r.MinX = -inf
+	}
+	if cx == last {
+		r.MaxX = inf
+	}
+	if cy == 0 {
+		r.MinY = -inf
+	}
+	if cy == last {
+		r.MaxY = inf
+	}
+	return r
+}
+
 func (g *modelGrid) cellRange(r geo.Rect) (x1, y1, x2, y2 int, ok bool) {
 	if !r.Valid() {
 		return 0, 0, 0, 0, false
@@ -131,7 +153,7 @@ func (g *modelGrid) insertRegion(id uint64, r geo.Rect) {
 			if c.regions == nil {
 				c.regions = make(map[uint64]geo.Rect)
 			}
-			clip, _ := r.Intersect(g.cellRect(ci))
+			clip, _ := r.Intersect(g.clipRect(ci))
 			if _, dup := c.regions[id]; !dup {
 				g.regions++
 			}

@@ -132,6 +132,28 @@ func (g *Grid) CellRect(ci int) geo.Rect {
 	}
 }
 
+// clipRect is the extent of cell (cx, cy) with the grid's outer edges
+// pushed out to infinity. A point outside the bounds is clamped into an
+// edge cell, so the clip stored there must reach it; and a region wholly
+// outside the bounds, clamped onto the edge cells, keeps a clip of its
+// own there rather than an empty one.
+func (g *Grid) clipRect(cx, cy int) geo.Rect {
+	r := g.CellRect(cy*g.n + cx)
+	if cx == 0 {
+		r.MinX = math.Inf(-1)
+	}
+	if cx == g.n-1 {
+		r.MaxX = math.Inf(1)
+	}
+	if cy == 0 {
+		r.MinY = math.Inf(-1)
+	}
+	if cy == g.n-1 {
+		r.MaxY = math.Inf(1)
+	}
+	return r
+}
+
 // cellRange returns the inclusive cell-coordinate range covering r's
 // clamped image. A rect lying partly or wholly outside the bounds
 // clamps componentwise onto the boundary cells instead of vanishing —
@@ -224,8 +246,8 @@ func (g *Grid) MoveObject(id uint64, old, new geo.Point) (oldCell, newCell int) 
 // InsertRegion registers a region entry (a query, or the swept bounding
 // box of a predictive object's trajectory) in every cell it overlaps,
 // storing the clipped region per cell as in the paper's query entry
-// (QID, region∩cell). Re-inserting an id refreshes its clip in cells it
-// already occupies.
+// (QID, region∩cell), edge cells reaching past the bounds (clipRect).
+// Re-inserting an id refreshes its clip in cells it already occupies.
 func (g *Grid) InsertRegion(id uint64, r geo.Rect) {
 	x1, y1, x2, y2, ok := g.cellRange(r)
 	if !ok {
@@ -234,7 +256,7 @@ func (g *Grid) InsertRegion(id uint64, r geo.Rect) {
 	for cy := y1; cy <= y2; cy++ {
 		for cx := x1; cx <= x2; cx++ {
 			ci := int32(cy*g.n + cx)
-			clip, _ := r.Intersect(g.CellRect(int(ci)))
+			clip, _ := r.Intersect(g.clipRect(cx, cy))
 			c := &g.cells[ci]
 			if slot, ok := g.regIdx.get(id, ci); ok {
 				c.regs[slot].clip = clip

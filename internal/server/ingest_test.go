@@ -2,7 +2,10 @@ package server
 
 import (
 	"bytes"
+	"io"
 	"net"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -52,19 +55,27 @@ func objectReport(i int) wire.ObjectReport {
 	}}
 }
 
-// sendReports writes object reports [from, to) on conn in one flush.
+// sendReports writes object reports [from, to) on conn in one write.
 func sendReports(t *testing.T, conn net.Conn, from, to int) {
 	t.Helper()
-	w := wire.NewWriter(conn)
+	if _, err := conn.Write(reportFrames(t, from, to)); err != nil {
+		t.Error(err)
+	}
+}
+
+// reportFrames returns object reports [from, to) encoded back to back.
+func reportFrames(tb testing.TB, from, to int) []byte {
+	var frames bytes.Buffer
+	w := wire.NewWriter(&frames)
 	for i := from; i < to; i++ {
 		if err := w.WriteBuffered(objectReport(i)); err != nil {
-			t.Error(err)
-			return
+			tb.Fatal(err)
 		}
 	}
 	if err := w.Flush(); err != nil {
-		t.Error(err)
+		tb.Fatal(err)
 	}
+	return frames.Bytes()
 }
 
 // waitCounter polls c until it reaches want.
@@ -191,42 +202,131 @@ func TestCommitAnswersLastCompletedStep(t *testing.T) {
 	evaluateUntil(t, s, func() bool { ans, _ := c.Answer(1); return len(ans) == 2 })
 }
 
-// TestIngestObjectReportAllocs pins the per-frame ingest path — decode
-// plus handleMessage, with the byte accounting the read loop does — in
-// steady state, once the inbox has grown to a step's worth of reports.
-// The one allocation left is the decoded message's interface box.
+// readAll runs the read loop until r reaches the end of its stream.
+func readAll(tb testing.TB, s *Server, sess *session, r *wire.Reader) {
+	if err := s.readLoop(sess, r); err != io.EOF {
+		tb.Fatalf("read loop ended with %v, want EOF", err)
+	}
+}
+
+// TestIngestObjectReportAllocs pins the production ingest path —
+// readLoop decoding object reports into the session's run and flushing
+// runs into the inbox, with its byte accounting — at zero allocations,
+// once the run and the inbox have grown to a step's worth of reports.
 func TestIngestObjectReportAllocs(t *testing.T) {
 	s := startServer(t, Config{})
-	const runs = 1000
-	var frames bytes.Buffer
-	w := wire.NewWriter(&frames)
-	for i := 0; i < 2*(runs+1); i++ {
-		if err := w.WriteBuffered(objectReport(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r := wire.NewReader(&frames)
+	const frames = 5000
+	raw := reportFrames(t, 0, frames)
+	var in bytes.Buffer
+	r := wire.NewReader(&in)
+	sess := &session{}
 	ingest := func() {
-		msg, err := r.Read()
-		if err != nil {
+		in.Write(raw)
+		readAll(t, s, sess, r)
+	}
+	// AllocsPerRun ingests twice (a warm-up and the measured run). The
+	// next step swaps the spare buffer, grown to that much by the first
+	// step, back in as the inbox.
+	ingest()
+	ingest()
+	s.Evaluate()
+	s.Evaluate()
+	if allocs := testing.AllocsPerRun(1, ingest); allocs != 0 {
+		t.Fatalf("ingesting %d ObjectReport frames allocates %.0f times, want 0", frames, allocs)
+	}
+}
+
+// TestIngestRunMatchesPerFrame: object reports interleaved with query
+// reports, a wakeup, a commit and a heartbeat, arriving in one flush and
+// ingested in runs, leave the inbox, the subscriptions, the frame and
+// byte counts and the engine exactly as the same bytes read one frame at
+// a time do. The wakeup of an unknown query evaluates the inbox, so a
+// report still held in a run when it arrived would show.
+func TestIngestRunMatchesPerFrame(t *testing.T) {
+	var msgs []wire.Message
+	reports := func(from, to int) {
+		for i := from; i < to; i++ {
+			msgs = append(msgs, objectReport(i))
+		}
+	}
+	const lead = 150 // more than two runs, and more than two buffer fills
+	reports(0, lead)
+	msgs = append(msgs, wire.ObjectReport{Update: core.ObjectUpdate{
+		ID: 900, Kind: core.Predictive, Loc: geo.Pt(1, 1), Vel: geo.Vec(0.1, 0),
+		Waypoints: []geo.TimedPoint{{P: geo.Pt(2, 1), T: 10}},
+	}})
+	msgs = append(msgs, wire.QueryReport{Update: core.QueryUpdate{ID: 1, Kind: core.Range, Region: geo.R(0, 0, 5, 5)}})
+	reports(10, 20)
+	msgs = append(msgs, wire.Wakeup{Update: core.QueryUpdate{ID: 5, Kind: core.Range, Region: geo.R(0, 0, 2, 2)}})
+	reports(30, 35)
+	msgs = append(msgs, wire.Commit{Query: 1, Checksum: 7}, wire.Heartbeat{Time: 0})
+	msgs = append(msgs, wire.ObjectReport{Update: core.ObjectUpdate{ID: 3, Remove: true}})
+	msgs = append(msgs, wire.QueryReport{Update: core.QueryUpdate{ID: 2, Kind: core.KNN, Focal: geo.Pt(5, 5), K: 3}})
+	reports(20, 40)
+
+	var wantObjs []core.ObjectUpdate
+	var wantQrys []core.QueryUpdate
+	var frames [][]byte
+	var all []byte
+	for _, m := range msgs {
+		switch m := m.(type) {
+		case wire.Wakeup:
+			wantObjs, wantQrys = nil, nil // its step evaluates the inbox
+		case wire.ObjectReport:
+			wantObjs = append(wantObjs, m.Update)
+		case wire.QueryReport:
+			wantQrys = append(wantQrys, m.Update)
+		}
+		var buf bytes.Buffer
+		if err := wire.NewWriter(&buf).Write(m); err != nil {
 			t.Fatal(err)
 		}
-		s.m.framesIn.Inc()
-		s.m.bytesIn.Add(uint64(r.FrameSize()))
-		s.handleMessage(nil, msg)
+		frames = append(frames, buf.Bytes())
+		all = append(all, buf.Bytes()...)
 	}
-	// One step's worth of reports lands in the spare buffer, and the next
-	// step swaps that grown buffer back in as the inbox.
-	for range runs + 1 {
-		ingest()
+
+	// ingest returns what a server's read loop made of chunks, fed to it
+	// one at a time.
+	type ingested struct {
+		objs            []core.ObjectUpdate
+		qrys            []core.QueryUpdate
+		subs            []core.QueryID
+		framesIn, bytes uint64
+		evaluated       int // objects in the engine
 	}
-	s.Evaluate()
-	s.Evaluate()
-	if allocs := testing.AllocsPerRun(runs, ingest); allocs > 1 {
-		t.Fatalf("ingest allocates %.0f times per ObjectReport frame, budget 1", allocs)
+	ingest := func(chunks [][]byte) ingested {
+		s := startServer(t, Config{})
+		sess := &session{outbox: make(chan wire.Message, 4)}
+		var in bytes.Buffer
+		r := wire.NewReader(&in)
+		for _, c := range chunks {
+			in.Write(c)
+			readAll(t, s, sess, r)
+		}
+		evaluated := s.NumObjects()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		got := ingested{objs: s.objs, qrys: s.qrys,
+			framesIn: s.m.framesIn.Value(), bytes: s.m.bytesIn.Value(), evaluated: evaluated}
+		for q, owner := range s.subs {
+			if owner != sess {
+				t.Errorf("query %d subscribed to another session", q)
+			}
+			got.subs = append(got.subs, q)
+		}
+		slices.Sort(got.subs)
+		return got
+	}
+	perFrame := ingest(frames)
+	runs := ingest([][]byte{all})
+	want := ingested{objs: wantObjs, qrys: wantQrys, subs: []core.QueryID{1, 2, 5},
+		framesIn: uint64(len(msgs)), bytes: uint64(len(all)),
+		evaluated: lead + 1} // every object reported before the wakeup
+	if !reflect.DeepEqual(perFrame, want) {
+		t.Fatalf("per-frame ingest:\n got %+v\nwant %+v", perFrame, want)
+	}
+	if !reflect.DeepEqual(runs, perFrame) {
+		t.Fatalf("ingest in runs:\n got %+v\nwant %+v", runs, perFrame)
 	}
 }
 
@@ -245,13 +345,18 @@ func TestEvaluateSteadyStateAllocs(t *testing.T) {
 	s.mu.Unlock()
 	s.handleMessage(sess, wire.QueryReport{Update: core.QueryUpdate{ID: 1, Kind: core.Range, Region: geo.R(4, 4, 6, 6)}})
 	// The object alternates in and out of the query: one update per tick.
-	moves := [2]wire.Message{
-		wire.ObjectReport{Update: core.ObjectUpdate{ID: 1, Kind: core.Moving, Loc: geo.Pt(5, 5)}},
-		wire.ObjectReport{Update: core.ObjectUpdate{ID: 1, Kind: core.Moving, Loc: geo.Pt(9, 9)}},
+	var moves [2][]byte
+	for i, loc := range []geo.Point{geo.Pt(5, 5), geo.Pt(9, 9)} {
+		var frame bytes.Buffer
+		wire.NewWriter(&frame).Write(wire.ObjectReport{Update: core.ObjectUpdate{ID: 1, Kind: core.Moving, Loc: loc}})
+		moves[i] = frame.Bytes()
 	}
+	var in bytes.Buffer
+	r := wire.NewReader(&in)
 	tick := 0
 	step := func() {
-		s.handleMessage(sess, moves[tick%2])
+		in.Write(moves[tick%2])
+		readAll(t, s, sess, r)
 		tick++
 		if n := s.Evaluate(); n != 1 {
 			t.Fatalf("tick %d produced %d updates, want 1", tick, n)
@@ -264,5 +369,30 @@ func TestEvaluateSteadyStateAllocs(t *testing.T) {
 	const budget = 4
 	if allocs := testing.AllocsPerRun(200, step); allocs > budget {
 		t.Fatalf("a steady-state tick allocates %.0f times, budget %d", allocs, budget)
+	}
+}
+
+// BenchmarkIngestRun times the read loop's ingest path: pre-encoded
+// ObjectReport frames decoded unboxed into runs and appended to the
+// inbox. One op is one frame.
+func BenchmarkIngestRun(b *testing.B) {
+	s := startServer(b, Config{})
+	const chunk = 4096 // frames per readLoop pass
+	raw := reportFrames(b, 0, chunk)
+	size := len(raw) / chunk
+	var in bytes.Buffer
+	r := wire.NewReader(&in)
+	sess := &session{}
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for left := b.N; left > 0; left -= chunk {
+		in.Write(raw[:min(left, chunk)*size])
+		readAll(b, s, sess, r)
+		b.StopTimer()
+		s.mu.Lock()
+		s.objs = s.objs[:0]
+		s.mu.Unlock()
+		b.StartTimer()
 	}
 }

@@ -176,6 +176,9 @@ type session struct {
 	outboxOnce sync.Once // guards close(outbox); callers hold Server.mu
 	writerDone chan struct{}
 
+	run      []core.ObjectUpdate // the read loop's reports not yet in the inbox
+	runBytes int                 // their frames' size, header included
+
 	mu   sync.Mutex
 	dead bool
 }
@@ -486,19 +489,14 @@ func (s *Server) send(sess *session, m wire.Message) {
 // is set once per batch and bounds the whole drain.
 func (s *Server) sessionWriter(sess *session) {
 	defer close(sess.writerDone)
-	open := true
-	for open {
-		m, ok := <-sess.outbox
-		if !ok {
-			break
-		}
+	for m := range sess.outbox {
 		frames := 0
 		var bytes uint64
 		failed := false
 		if s.writeTimeout > 0 && !sess.isDead() {
 			sess.conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 		}
-		for {
+		for ok := true; ok; {
 			if !sess.isDead() && !failed {
 				if err := sess.w.WriteBuffered(m); err != nil {
 					sess.markDead()
@@ -509,17 +507,11 @@ func (s *Server) sessionWriter(sess *session) {
 				}
 			}
 			// Greedy, non-blocking drain: batch whatever else is already
-			// queued; a closed outbox ends the outer loop after the flush.
+			// queued; a closed outbox ends the range loop after the flush.
 			select {
 			case m, ok = <-sess.outbox:
-				if !ok {
-					open = false
-				}
 			default:
 				ok = false
-			}
-			if !ok {
-				break
 			}
 		}
 		if frames > 0 && !failed && !sess.isDead() {
@@ -584,41 +576,95 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.mu.Unlock()
 		<-sess.writerDone
 	}()
-	r := wire.NewReaderLimit(conn, s.maxFrame)
-	for {
-		if s.readTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.readTimeout))
-		}
-		msg, err := r.Read()
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, os.ErrDeadlineExceeded) {
-				select {
-				case <-s.closed:
-				default:
-					s.logger.Printf("server: read from %v: %v", conn.RemoteAddr(), err)
-				}
-			}
-			return
-		}
-		s.m.framesIn.Inc()
-		s.m.bytesIn.Add(uint64(r.FrameSize()))
-		if stepDone := s.handleMessage(sess, msg); stepDone != nil {
-			s.m.ingestStalls.Inc()
-			select {
-			case <-stepDone:
-			case <-s.closed:
-			}
+	err := s.readLoop(sess, wire.NewReaderLimit(conn, s.maxFrame))
+	if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, os.ErrDeadlineExceeded) {
+		select {
+		case <-s.closed:
+		default:
+			s.logger.Printf("server: read from %v: %v", conn.RemoteAddr(), err)
 		}
 	}
 }
 
-// handleMessage applies one inbound frame. A report only joins the
-// inbox; once the inbox holds as many reports as the running step
-// evaluates, handleMessage returns that step's stepDone, and the read
-// loop waits on it before reading the next frame (one step ahead).
+// runCap bounds a run (below the 69 reports a 4 KB read buffer holds).
+const runCap = 64
+
+// readLoop reads sess's frames until a read fails, and returns that
+// error. Object reports are decoded unboxed into sess.run, which joins
+// the inbox once no whole frame is left in r's buffer or the run is
+// full. Any other frame flushes the run first, to keep arrival order.
+func (s *Server) readLoop(sess *session, r *wire.Reader) error {
+	var u core.ObjectUpdate
+	for {
+		if n := len(sess.run); n == runCap || n > 0 && !r.FrameBuffered() {
+			s.flushRun(sess)
+		}
+		if len(sess.run) == 0 && s.readTimeout > 0 { // the read may block
+			sess.conn.SetReadDeadline(time.Now().Add(s.readTimeout))
+		}
+		msg, err := r.ReadObject(&u)
+		if msg == nil && err == nil {
+			sess.run = append(sess.run, u)
+			sess.runBytes += r.FrameSize()
+			continue
+		}
+		s.flushRun(sess)
+		if err != nil {
+			return err
+		}
+		s.m.framesIn.Inc()
+		s.m.bytesIn.Add(uint64(r.FrameSize()))
+		s.await(s.handleMessage(sess, msg))
+	}
+}
+
+// flushRun appends sess.run to the inbox, and archives it, under one mu
+// per pass. During a step a pass takes only the reports that bring the
+// inbox level with that step (at least one), so the bound stays the
+// per-report one of backlog, and the rest waits for the step to end.
+// frames_in counts each pass, bytes_in the whole run.
+func (s *Server) flushRun(sess *session) {
+	for len(sess.run) > 0 {
+		s.mu.Lock()
+		n := len(sess.run)
+		if s.stepDone != nil {
+			n = min(n, max(1, s.inflight-len(s.objs)-len(s.qrys)))
+		}
+		s.objs = append(s.objs, sess.run[:n]...)
+		for i := 0; i < n && s.repo != nil; i++ {
+			s.persistObjectReport(sess.run[i])
+		}
+		stepDone := s.backlog()
+		s.mu.Unlock()
+		s.m.framesIn.Add(uint64(n))
+		sess.run = sess.run[:copy(sess.run, sess.run[n:])]
+		s.await(stepDone)
+	}
+	s.m.bytesIn.Add(uint64(sess.runBytes))
+	sess.runBytes = 0
+}
+
+// await waits on a running step's stepDone (nil: no wait), or until
+// Close.
+func (s *Server) await(stepDone <-chan struct{}) {
+	if stepDone == nil {
+		return
+	}
+	s.m.ingestStalls.Inc()
+	select {
+	case <-stepDone:
+	case <-s.closed:
+	}
+}
+
+// handleMessage applies one inbound frame other than an object report
+// (flushRun ingests those). A query report only joins the inbox; once
+// the inbox holds as many reports as the running step evaluates,
+// handleMessage returns that step's stepDone, and the read loop waits on
+// it before reading the next frame (one step ahead).
 func (s *Server) handleMessage(sess *session, msg wire.Message) <-chan struct{} {
 	switch msg.(type) {
-	case wire.ObjectReport, wire.QueryReport, wire.Heartbeat:
+	case wire.QueryReport, wire.Heartbeat:
 	default: // the rest read the processor
 		s.stepMu.Lock()
 		defer s.stepMu.Unlock()
@@ -626,12 +672,6 @@ func (s *Server) handleMessage(sess *session, msg wire.Message) <-chan struct{} 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch m := msg.(type) {
-	case wire.ObjectReport:
-		s.objs = append(s.objs, m.Update)
-		if s.repo != nil {
-			s.persistObjectReport(m.Update)
-		}
-		return s.backlog()
 	case wire.QueryReport:
 		s.qrys = append(s.qrys, m.Update)
 		if m.Update.Remove {

@@ -17,7 +17,7 @@ import (
 
 func quietLogger() *log.Logger { return log.New(io.Discard, "", 0) }
 
-func startServer(t *testing.T, cfg Config) *Server {
+func startServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	if cfg.Engine.Bounds.Empty() {
 		cfg.Engine = core.Options{Bounds: geo.R(0, 0, 10, 10), GridN: 8}

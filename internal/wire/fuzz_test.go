@@ -246,11 +246,30 @@ func FuzzDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := NewReader(bytes.NewReader(data)).Read()
+		// The unboxed entry accepts and rejects alike, and decodes the
+		// same message. An object report overwrites every field of a
+		// destination that held an earlier report; any other message
+		// leaves it alone.
+		u := core.ObjectUpdate{ID: 9, Remove: true, Waypoints: []geo.TimedPoint{{T: 1}}}
+		unboxed, uerr := NewReader(bytes.NewReader(data)).ReadObject(&u)
+		if (err == nil) != (uerr == nil) {
+			t.Fatalf("Read error %v, ReadObject error %v", err, uerr)
+		}
 		if err != nil {
 			if msg != nil {
 				t.Fatalf("rejected frame returned a message: %v", err)
 			}
 			return // rejected input is fine; panics are not
+		}
+		if _, ok := msg.(ObjectReport); ok == (unboxed != nil) {
+			t.Fatalf("Read decoded %T, ReadObject returned %T", msg, unboxed)
+		} else if ok {
+			unboxed = ObjectReport{Update: u}
+		} else if u.ID != 9 || len(u.Waypoints) != 1 {
+			t.Fatalf("ReadObject of a %T wrote its destination: %+v", msg, u)
+		}
+		if want, got := frameBytes(t, msg), frameBytes(t, unboxed); !bytes.Equal(want, got) {
+			t.Fatalf("ReadObject decoded %x, Read decoded %x", got, want)
 		}
 		// Accepted: must round-trip. Compare the canonical encodings rather
 		// than the structs — NaN payloads are legal on the wire but are not
@@ -272,4 +291,14 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("round trip changed encoding:\n first %x\nsecond %x", first, buf2.Bytes())
 		}
 	})
+}
+
+// frameBytes returns m's frame.
+func frameBytes(t *testing.T, m Message) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := NewWriter(&buf).Write(m); err != nil {
+		t.Fatalf("encode %T: %v", m, err)
+	}
+	return buf.Bytes()
 }

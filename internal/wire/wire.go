@@ -376,6 +376,19 @@ func NewReaderLimit(r io.Reader, maxFrame uint32) *Reader {
 // Read decodes the next message. It returns io.EOF at a clean end of
 // stream.
 func (r *Reader) Read() (Message, error) {
+	var u core.ObjectUpdate
+	m, err := r.ReadObject(&u)
+	if m == nil && err == nil {
+		return ObjectReport{Update: u}, nil
+	}
+	return m, err
+}
+
+// ReadObject decodes the next message as Read does, except that an
+// ObjectReport is decoded into *u, with no interface box, and returned
+// as a nil Message. Any other message leaves *u as it was; an error
+// leaves it undefined. It returns io.EOF at a clean end of stream.
+func (r *Reader) ReadObject(u *core.ObjectUpdate) (Message, error) {
 	header := r.header[:]
 	if _, err := io.ReadFull(r.r, header); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -392,12 +405,24 @@ func (r *Reader) Read() (Message, error) {
 		return nil, fmt.Errorf("wire: read payload: %w", err)
 	}
 	r.size = len(header) + len(payload)
-	return decodeMessage(MsgType(header[4]), payload)
+	return decodeMessage(MsgType(header[4]), payload, u)
+}
+
+// FrameBuffered reports whether a whole frame sits in the read buffer,
+// so that the next Read or ReadObject returns without reading the
+// stream.
+func (r *Reader) FrameBuffered() bool {
+	n := r.r.Buffered()
+	if n < len(r.header) {
+		return false
+	}
+	h, _ := r.r.Peek(len(r.header))
+	return uint64(n) >= uint64(len(r.header))+uint64(binary.LittleEndian.Uint32(h))
 }
 
 // FrameSize returns the size in bytes, header included, of the frame the
-// last Read consumed whole (whether or not it decoded): EncodedSize of
-// that message, without encoding it again.
+// last Read or ReadObject consumed whole (whether or not it decoded):
+// EncodedSize of that message, without encoding it again.
 func (r *Reader) FrameSize() int { return r.size }
 
 // readPayload returns the next n payload bytes. Buffers up to
@@ -808,9 +833,9 @@ func decoded[M any](c *codec, code func(*M, *codec)) M {
 	return v
 }
 
-// decodeMessage decodes one payload of type t. Every error returns a nil
-// Message.
-func decodeMessage(t MsgType, payload []byte) (Message, error) {
+// decodeMessage decodes one payload of type t. An ObjectReport is
+// decoded into *u and returns a nil Message, as does every error.
+func decodeMessage(t MsgType, payload []byte, u *core.ObjectUpdate) (Message, error) {
 	c := codec{b: payload}
 	if t.sealed() {
 		c.unseal()
@@ -818,7 +843,8 @@ func decodeMessage(t MsgType, payload []byte) (Message, error) {
 	var m Message
 	switch t {
 	case MsgObjectReport:
-		m = decoded(&c, (*ObjectReport).code)
+		*u = core.ObjectUpdate{} // an empty waypoint list decodes as nil
+		c.objectUpdate(u)
 	case MsgQueryReport:
 		m = decoded(&c, (*QueryReport).code)
 	case MsgCommit:
