@@ -9,6 +9,7 @@ import (
 	"cqp/internal/client"
 	"cqp/internal/core"
 	"cqp/internal/geo"
+	"cqp/internal/obs"
 	"cqp/internal/server"
 )
 
@@ -366,4 +367,55 @@ func TestKindChangeResetsAnswer(t *testing.T) {
 
 	c.RegisterQuery(core.QueryUpdate{ID: 1, Kind: core.Range, Region: geo.R(8, 8, 10, 10)})
 	converge(2)
+}
+
+// TestSlowConsumerDoesNotBlockAnswerOrCommit streams more events than
+// the 64-event buffer holds to a client whose consumer does not read.
+// The read loop waits to deliver the next event, but not under the
+// client's lock: Answer and Commit from another goroutine must return.
+func TestSlowConsumerDoesNotBlockAnswerOrCommit(t *testing.T) {
+	s := startServer(t)
+	reg := obs.NewRegistry()
+	c, err := client.DialOptions(s.Addr().String(), client.Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	feed, err := client.Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer feed.Close()
+	c.RegisterQuery(core.QueryUpdate{ID: 1, Kind: core.Range, Region: geo.R(0, 0, 2, 2)})
+	// Object 7 enters or leaves the query every step: an event a step.
+	for i := 0; i < 70; i++ {
+		feed.ReportObject(core.ObjectUpdate{ID: 7, Kind: core.Moving, Loc: geo.Pt(1+float64(i%2)*5, 1), T: float64(i)})
+		feed.RequestStats()
+		wait(t, feed, client.EventStats)
+		s.Evaluate()
+	}
+	for deadline := time.Now().Add(5 * time.Second); reg.Counter("client.frames_in").Value() < 65; {
+		if time.Now().After(deadline) {
+			t.Fatalf("client.frames_in = %d, want more than the buffer's 64", reg.Counter("client.frames_in").Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond) // the 65th delivery blocks
+	done := make(chan error, 1)
+	go func() {
+		c.Answer(1)
+		done <- c.Commit(1)
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("Answer or Commit blocked behind an undelivered event")
+	}
+	go func() {
+		for range c.Events() {
+		}
+	}()
 }

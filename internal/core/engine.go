@@ -105,23 +105,25 @@ func (o *Options) withDefaults() (Options, error) {
 func (o Options) Normalized() (Options, error) { return o.withDefaults() }
 
 // AcceptObject reports whether an object report that is not a removal
-// is accepted: its trajectory, if any, is well formed, and a Predictive
-// report's velocity and waypoint legs are no faster than maxSpeed (a
-// non-positive maxSpeed caps nothing). A rejected report leaves the
-// object's prior state in place. This is the one acceptance rule: the
-// engine applies it, and the shard router applies it before routing,
-// so a report a tile engine rejects never moves the router's ownership
-// table either.
+// is accepted: no location, velocity, time or waypoint holds a NaN (a
+// NaN has no grid cell, so it would break the index), its trajectory,
+// if any, is well formed, and a Predictive report's velocity and
+// waypoint legs are no faster than maxSpeed (a non-positive maxSpeed
+// caps nothing). ±Inf coordinates are accepted: the grid clamps them
+// into an edge cell. A rejected report leaves the object's prior state
+// in place. This is the one acceptance rule: the engine applies it, and
+// the shard router applies it before routing, so a report a tile engine
+// rejects never moves the router's ownership table either.
 func AcceptObject(u *ObjectUpdate, maxSpeed float64) bool {
-	if len(u.Waypoints) == 0 && (maxSpeed <= 0 || u.Kind != Predictive) {
-		return true
+	// A value holding a NaN is the one value unequal to itself.
+	if u.Loc != u.Loc || u.Vel != u.Vel || u.T != u.T {
+		return false
 	}
-	return acceptMotion(u, maxSpeed)
-}
-
-// acceptMotion is AcceptObject's slow path, out of line so the common
-// case inlines at its call sites.
-func acceptMotion(u *ObjectUpdate, maxSpeed float64) bool {
+	for _, wp := range u.Waypoints {
+		if wp != wp {
+			return false
+		}
+	}
 	if len(u.Waypoints) > 0 && !(geo.Trajectory{Start: u.Loc, T0: u.T, Waypoints: u.Waypoints}).Valid() {
 		return false
 	}

@@ -196,6 +196,52 @@ func TestObjectMovesOutsideBoundsIntoQuery(t *testing.T) {
 	}
 }
 
+// TestNaNReportRejected pins that a report holding a NaN anywhere is
+// rejected, leaving the object's prior state in place: a NaN location
+// has no grid cell, so an accepted one was counted but never indexed.
+func TestNaNReportRejected(t *testing.T) {
+	nan := math.NaN()
+	for _, u := range []ObjectUpdate{
+		{ID: 2, Kind: Moving, Loc: geo.Pt(nan, 5)},
+		{ID: 2, Kind: Moving, Loc: geo.Pt(5, nan)},
+		{ID: 2, Kind: Predictive, Loc: geo.Pt(5, 5), Vel: geo.Vec(nan, 0)},
+		{ID: 2, Kind: Moving, Loc: geo.Pt(5, 5), T: nan},
+		{ID: 2, Kind: Predictive, Loc: geo.Pt(5, 5), Waypoints: []geo.TimedPoint{{P: geo.Pt(6, 6), T: 1}, {P: geo.Pt(nan, 6), T: 2}}},
+		{ID: 2, Kind: Predictive, Loc: geo.Pt(5, 5), Waypoints: []geo.TimedPoint{{P: geo.Pt(6, 6), T: nan}}},
+	} {
+		e := MustNewEngine(Options{Bounds: geo.R(0, 0, 10, 10), GridN: 4})
+		e.ReportQuery(QueryUpdate{ID: 1, Kind: Range, Region: geo.R(0, 0, 10, 10)})
+		e.ReportObject(u)
+		e.Step(0)
+		if n := e.NumObjects(); n != 0 {
+			t.Errorf("%+v: NumObjects = %d, want the report rejected", u, n)
+		}
+		if err := e.CheckConsistency(true); err != nil {
+			t.Errorf("%+v: %v", u, err)
+		}
+		// A NaN report of a known object keeps its prior state.
+		e.ReportObject(ObjectUpdate{ID: 2, Kind: Moving, Loc: geo.Pt(1, 1), T: 1})
+		e.Step(1)
+		e.ReportObject(u)
+		if got := e.Step(2); len(got) != 0 {
+			t.Errorf("%+v: a rejected report streamed %v", u, got)
+		}
+		if ans, _ := e.Answer(1); !slices.Equal(ans, []ObjectID{2}) {
+			t.Errorf("%+v: answer %v, want [2]", u, ans)
+		}
+	}
+	// ±Inf stays accepted: the grid clamps it into an edge cell.
+	e := MustNewEngine(Options{Bounds: geo.R(0, 0, 10, 10), GridN: 4})
+	e.ReportObject(ObjectUpdate{ID: 2, Kind: Moving, Loc: geo.Pt(math.Inf(1), math.Inf(-1))})
+	e.Step(0)
+	if n := e.NumObjects(); n != 1 {
+		t.Errorf("an infinite location: NumObjects = %d, want 1", n)
+	}
+	if err := e.CheckConsistency(true); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestObjectRemoval(t *testing.T) {
 	e := newTestEngine(t)
 	e.ReportObject(ObjectUpdate{ID: 1, Kind: Moving, Loc: geo.Pt(3, 3)})

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"slices"
-
-	"cqp/internal/geo"
-)
+import "cqp/internal/geo"
 
 // This file is the query-update join: phases 2–4 of a Step.
 //
@@ -229,8 +225,12 @@ func (e *Engine) gatherMovedObject(os *objectState) {
 // ---------------------------------------------------------------------------
 // Phase 4: dirty-kNN re-evaluation.
 
-// knnPhase drains the dirty-kNN set in ascending QueryID order,
-// re-searching each query exactly and emitting its membership diff.
+// knnPhase drains the dirty-kNN set, re-searching each query exactly
+// and emitting its membership diff. The drain order is the map's, and
+// needs no sort: a re-search reads only the object slabs, which no
+// re-search writes (it moves its query's region entries), so each
+// query's diff is the same in any order; the canonical sort orders the
+// stream, and the ledger counts are sums.
 func (e *Engine) knnPhase(out *[]Update) {
 	if len(e.dirtyKNN) == 0 {
 		return
@@ -239,7 +239,6 @@ func (e *Engine) knnPhase(out *[]Update) {
 	for qid := range e.dirtyKNN {
 		dirty = append(dirty, qid)
 	}
-	slices.Sort(dirty)
 	clear(e.dirtyKNN)
 	e.dirtyBuf = dirty
 	for _, qid := range dirty {

@@ -19,8 +19,8 @@ import "slices"
 //
 //   - a removal forgets the query's committed answer;
 //   - a first registration or a kind change commits the empty answer;
-//   - any other report commits the answer as of the last completed step,
-//     minus the objects that have a removal report in this batch.
+//   - any other report commits the answer as of the last completed step:
+//     the answer its client held when it reported.
 //
 // The rule reads nothing but Answer, so every Processor configuration
 // commits the same answers. Every report must go through the Protocol,
@@ -31,12 +31,10 @@ type Protocol struct {
 
 	committed map[QueryID]*committedAnswer
 
-	// The current batch as far as the protocol reads it, reset by every
-	// step: the net query reports in first-arrival order, their index by
-	// query, and the removed objects.
-	slots   []netReport
-	slotOf  map[QueryID]int
-	removed []ObjectID
+	// The current batch's net query reports in first-arrival order and
+	// their index by query, reset by every step.
+	slots  []netReport
+	slotOf map[QueryID]int
 }
 
 // netReport is one query's net report in the current batch.
@@ -60,14 +58,6 @@ func NewProtocol(p Processor) *Protocol {
 		committed: make(map[QueryID]*committedAnswer),
 		slotOf:    make(map[QueryID]int),
 	}
-}
-
-// ReportObject buffers an object update in the inner processor.
-func (p *Protocol) ReportObject(u ObjectUpdate) {
-	if u.Remove {
-		p.removed = append(p.removed, u.ID)
-	}
-	p.Processor.ReportObject(u)
 }
 
 // ReportQuery folds a query report into the query's net report for the
@@ -105,23 +95,19 @@ func (p *Protocol) StepAppend(dst []Update, now float64) []Update {
 // flush applies the commit rule to the net query reports in arrival
 // order, forwards them to the inner processor, and resets the batch.
 func (p *Protocol) flush() {
-	if len(p.slots) > 0 {
-		slices.Sort(p.removed)
-		for _, s := range p.slots {
-			u := s.last
-			if s.removed {
-				delete(p.committed, u.ID)
-				p.Processor.ReportQuery(QueryUpdate{ID: u.ID, Remove: true, T: u.T})
-			}
-			if !u.Remove {
-				p.commitReport(u)
-				p.Processor.ReportQuery(u)
-			}
+	for _, s := range p.slots {
+		u := s.last
+		if s.removed {
+			delete(p.committed, u.ID)
+			p.Processor.ReportQuery(QueryUpdate{ID: u.ID, Remove: true, T: u.T})
 		}
-		p.slots = p.slots[:0]
-		clear(p.slotOf)
+		if !u.Remove {
+			p.commitReport(u)
+			p.Processor.ReportQuery(u)
+		}
 	}
-	p.removed = p.removed[:0]
+	p.slots = p.slots[:0]
+	clear(p.slotOf)
 }
 
 // commitReport applies the commit rule to one registration or movement
@@ -136,11 +122,7 @@ func (p *Protocol) commitReport(u QueryUpdate) {
 	default:
 		// The processor has not stepped this batch yet, so Answer is the
 		// answer as of the last completed step.
-		ids, _ := p.Processor.Answer(u.ID)
-		c.ids = slices.DeleteFunc(ids, func(o ObjectID) bool {
-			_, found := slices.BinarySearch(p.removed, o)
-			return found
-		})
+		c.ids, _ = p.Processor.Answer(u.ID)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"cqp/internal/geo"
@@ -88,12 +89,17 @@ func TestProtocolAutoCommitRule(t *testing.T) {
 	p.Step(0)
 	committed() // a first registration commits the empty answer
 
-	// A move commits the answer as of the last step, minus the object
-	// removed in the same batch.
+	// A move commits the answer as of the last step, the one its client
+	// held when it reported: with the object removed in the same batch,
+	// whose removal the client cannot know of. Recovery retracts it.
 	p.ReportObject(ObjectUpdate{ID: 1, Remove: true})
 	p.ReportQuery(QueryUpdate{ID: 1, Kind: Range, Region: geo.R(0, 0, 2.5, 2.5)})
 	p.Step(1)
-	committed(2, 3)
+	committed(1, 2, 3)
+	if diff, _ := p.Recover(1); !slices.Equal(diff, []Update{{Query: 1, Object: 1}, {Query: 1, Object: 3}}) {
+		t.Fatalf("recovery = %v, want [(Q1, -O1) (Q1, -O3)]", diff)
+	}
+	committed(2)
 
 	// A kind change commits the empty answer, however many reports follow.
 	p.ReportQuery(QueryUpdate{ID: 1, Kind: KNN, Focal: geo.Pt(2, 2), K: 1})

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -65,73 +63,6 @@ func evaluateUntil(t *testing.T, s *Server, pred func() bool) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatal("server did not settle")
-}
-
-func TestEndToEndRangeQuery(t *testing.T) {
-	s := startServer(t, Config{})
-	c, err := client.Dial(s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if err := c.ReportObject(core.ObjectUpdate{ID: 1, Kind: core.Moving, Loc: geo.Pt(3, 3)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RegisterQuery(core.QueryUpdate{ID: 1, Kind: core.Range, Region: geo.R(2, 2, 4, 4)}); err != nil {
-		t.Fatal(err)
-	}
-	evaluateUntil(t, s, func() bool { return s.NumObjects() == 1 && s.NumQueries() == 1 })
-	// The registration evaluation produced one positive update.
-	ev := waitEvent(t, c, client.EventUpdates)
-	if len(ev.Updates) != 1 || !ev.Updates[0].Positive || ev.Updates[0].Object != 1 {
-		t.Fatalf("updates = %v", ev.Updates)
-	}
-	ans, ok := c.Answer(1)
-	if !ok || len(ans) != 1 || ans[0] != 1 {
-		t.Fatalf("client answer = %v %v", ans, ok)
-	}
-
-	// Object leaves: negative update arrives.
-	c.ReportObject(core.ObjectUpdate{ID: 1, Kind: core.Moving, Loc: geo.Pt(9, 9), T: 1})
-	evaluateUntil(t, s, func() bool { st := s.Stats(); return st.NegativeUpdates >= 1 })
-	ev = waitEvent(t, c, client.EventUpdates)
-	if len(ev.Updates) != 1 || ev.Updates[0].Positive {
-		t.Fatalf("updates = %v", ev.Updates)
-	}
-	if ans, _ := c.Answer(1); len(ans) != 0 {
-		t.Fatalf("answer after departure = %v", ans)
-	}
-}
-
-func TestCommitMatchesSilently(t *testing.T) {
-	s := startServer(t, Config{})
-	c, err := client.Dial(s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	c.ReportObject(core.ObjectUpdate{ID: 1, Kind: core.Moving, Loc: geo.Pt(5, 5)})
-	c.RegisterQuery(core.QueryUpdate{ID: 1, Kind: core.Range, Region: geo.R(4, 4, 6, 6)})
-	evaluateUntil(t, s, func() bool { return s.NumQueries() == 1 })
-	waitEvent(t, c, client.EventUpdates)
-
-	// A commit with the up-to-date answer must NOT trigger a full-answer
-	// fallback. Verify by committing then confirming the next event is a
-	// routine update, not a FullAnswer.
-	if err := c.Commit(1); err != nil {
-		t.Fatal(err)
-	}
-	c.ReportObject(core.ObjectUpdate{ID: 2, Kind: core.Moving, Loc: geo.Pt(5.5, 5.5), T: 1})
-	evaluateUntil(t, s, func() bool { st := s.Stats(); return st.PositiveUpdates >= 2 })
-	ev := waitEvent(t, c, client.EventUpdates)
-	for _, u := range ev.Updates {
-		if u.Object == 2 && u.Positive {
-			return
-		}
-	}
-	t.Fatalf("expected +2 update, got %v", ev.Updates)
 }
 
 func TestOutOfSyncRecoveryDiff(t *testing.T) {
@@ -311,34 +242,6 @@ func TestTickerDrivenServer(t *testing.T) {
 	}
 }
 
-func TestMultipleClientsIsolation(t *testing.T) {
-	s := startServer(t, Config{})
-	addr := s.Addr().String()
-	c1, _ := client.Dial(addr)
-	defer c1.Close()
-	c2, _ := client.Dial(addr)
-	defer c2.Close()
-
-	c1.RegisterQuery(core.QueryUpdate{ID: 1, Kind: core.Range, Region: geo.R(0, 0, 2, 2)})
-	c2.RegisterQuery(core.QueryUpdate{ID: 2, Kind: core.Range, Region: geo.R(8, 8, 10, 10)})
-	c1.ReportObject(core.ObjectUpdate{ID: 1, Kind: core.Moving, Loc: geo.Pt(1, 1)})
-	c1.ReportObject(core.ObjectUpdate{ID: 2, Kind: core.Moving, Loc: geo.Pt(9, 9)})
-	evaluateUntil(t, s, func() bool { return s.NumObjects() == 2 && s.NumQueries() == 2 })
-
-	ev1 := waitEvent(t, c1, client.EventUpdates)
-	for _, u := range ev1.Updates {
-		if u.Query != 1 {
-			t.Fatalf("client 1 received foreign update %v", u)
-		}
-	}
-	ev2 := waitEvent(t, c2, client.EventUpdates)
-	for _, u := range ev2.Updates {
-		if u.Query != 2 {
-			t.Fatalf("client 2 received foreign update %v", u)
-		}
-	}
-}
-
 func TestStationaryCatalogSurvivesRestart(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "repo")
 	s := startServer(t, Config{RepositoryDir: dir})
@@ -378,89 +281,6 @@ func TestStationaryCatalogSurvivesRestart(t *testing.T) {
 	s3 := startServer(t, Config{RepositoryDir: dir})
 	if s3.NumObjects() != 0 {
 		t.Fatalf("catalog resurrection: %d objects", s3.NumObjects())
-	}
-}
-
-// TestConcurrentClientsStress hammers the server with several concurrent
-// clients that report, subscribe, commit, drop, and recover while the
-// ticker evaluates, then verifies every surviving client converges to the
-// server's answers. Run with -race to exercise the locking.
-func TestConcurrentClientsStress(t *testing.T) {
-	s := startServer(t, Config{Interval: 2 * time.Millisecond})
-	addr := s.Addr().String()
-
-	const (
-		numClients = 8
-		numObjects = 30
-		steps      = 40
-	)
-	var wg sync.WaitGroup
-	errs := make(chan error, numClients)
-	for ci := 0; ci < numClients; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			c, err := client.Dial(addr)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer c.Close()
-			// Drain events concurrently.
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for range c.Events() {
-				}
-			}()
-
-			rng := rand.New(rand.NewSource(int64(ci)))
-			q := core.QueryID(ci + 1)
-			if err := c.RegisterQuery(core.QueryUpdate{
-				ID: q, Kind: core.Range,
-				Region: geo.RectAt(geo.Pt(rng.Float64()*10, rng.Float64()*10), 3),
-			}); err != nil {
-				errs <- err
-				return
-			}
-			base := core.ObjectID(ci*numObjects + 1)
-			for step := 0; step < steps; step++ {
-				id := base + core.ObjectID(rng.Intn(numObjects))
-				if err := c.ReportObject(core.ObjectUpdate{
-					ID: id, Kind: core.Moving,
-					Loc: geo.Pt(rng.Float64()*10, rng.Float64()*10),
-					T:   float64(step),
-				}); err != nil {
-					errs <- err
-					return
-				}
-				switch rng.Intn(10) {
-				case 0:
-					if err := c.Commit(q); err != nil {
-						errs <- err
-						return
-					}
-				case 1:
-					c.Drop()
-					// Wait for the read loop to notice, then recover.
-					time.Sleep(5 * time.Millisecond)
-					if err := c.Reconnect(addr); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}
-			c.Close()
-			<-done
-		}(ci)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if s.NumQueries() != numClients {
-		t.Fatalf("queries registered: %d", s.NumQueries())
 	}
 }
 

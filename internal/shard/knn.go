@@ -71,9 +71,11 @@ func (e *Engine) settleKNNQueries(m *mergeState, now float64) {
 	for qid := range m.knnDirty {
 		dirty = append(dirty, qid)
 	}
-	// Query order, not map order: settling replicates queries into tiles
-	// and sub-steps them, so the settle sequence must be replay-stable.
-	slices.Sort(dirty)
+	// Map order needs no sort: a settle sub-steps only the tiles it
+	// replicates its own query into, which then register that replica
+	// alone, and its candidates come from its own replicas. So each
+	// query's diff and work are the same in any order; the stream is
+	// sorted canonically, and the ledger counts are sums.
 	for _, qid := range dirty {
 		qi, ok := e.qrys[qid]
 		if !ok || qi.kind != core.KNN {

@@ -2,19 +2,22 @@
 // processors. A Source yields batches of reports — Gen draws them from
 // a seed and a vocabulary of report shapes, a Script plays literal ones
 // — and Run feeds each batch in lockstep to a reference core.Engine and
-// to every processor under test, each wrapped in core.Protocol. After
-// every step it checks the paper's invariant and the §3.3 protocol:
+// to every target under test: processors, each wrapped in
+// core.Protocol, and Targets that keep their Protocol out of reach, such
+// as a server and its clients over TCP (package overtcp). After every
+// step it checks the paper's invariant and the §3.3 protocol:
 //
 //   - each stream replays onto its client's views: no duplicate
 //     positive, no negative for an absent member (except the retractions
 //     of a query the batch removed or re-kinded, which the client has
-//     dropped), and every view equals the processor's Answer;
-//   - NumObjects, NumQueries, Answer, CommittedAnswer and
-//     CommittedChecksum agree with the reference for every query ID the
-//     run has reported, and so do the batch's Commit and Recover calls;
+//     dropped), and every view equals the target's Answer;
+//   - NumObjects, NumQueries and Answer agree with the reference for
+//     every query ID the run has reported, and so do CommittedAnswer and
+//     CommittedChecksum where the target has them, and the batch's
+//     Commit and Recover calls;
 //   - the reference passes CheckConsistency(true), whose answers are
 //     the brute-force EvalFromScratch oracle's;
-//   - where the configuration asks, the processors under test emit
+//   - where the configuration asks, the targets under test emit
 //     bit-identical streams, and their work ledgers are equal and never
 //     decrease.
 //
@@ -41,11 +44,34 @@ type Batch struct {
 	// processor after the step; their results must agree.
 	Commit  []core.QueryID
 	Recover []core.QueryID
-	// Check, if set, runs after the step on every processor with the
+	// Check, if set, runs after the step on every target with the
 	// stream it emitted, before the protocol calls; a lockstep protocol
-	// call made here must be made on every processor alike.
-	Check func(p *core.Protocol, stream []core.Update) error
+	// call made here must be made on every target alike.
+	Check func(p Target, stream []core.Update) error
 }
+
+// Target is what the driver plays a batch to and checks. *core.Protocol
+// is one; so is a server and its clients, which keep their Protocol on
+// the server side of a socket.
+type Target interface {
+	ReportObject(core.ObjectUpdate)
+	ReportQuery(core.QueryUpdate)
+	Step(now float64) []core.Update
+	Answer(core.QueryID) ([]core.ObjectID, bool)
+	NumObjects() int
+	NumQueries() int
+	Commit(core.QueryID) bool
+	Recover(core.QueryID) ([]core.Update, bool)
+}
+
+// committer is a Target that exposes its committed answers.
+type committer interface {
+	CommittedAnswer(core.QueryID) ([]core.ObjectID, bool)
+	CommittedChecksum(core.QueryID) (uint64, bool)
+}
+
+// ledgered is a Target that exposes its work ledger.
+type ledgered interface{ Stats() core.Stats }
 
 // Source yields a run's batches.
 type Source interface {
@@ -65,17 +91,22 @@ type Config struct {
 	// Procs are the processors under test, built with the source's
 	// options and fresh: Run wraps each in core.Protocol.
 	Procs []core.Processor
-	// SameStream requires every processor under test to emit the same
-	// stream, update for update, at every step.
+	// Targets are further targets under test, fresh, driven after Procs
+	// as they are.
+	Targets []Target
+	// SameStream requires every target under test to emit the same
+	// stream as the first, update for update, at every step. A target of
+	// Targets is held to that stream without the updates of the queries
+	// the batch removed: a server drops those with their subscriptions.
 	SameStream bool
-	// Ledger requires the processors' work ledgers to be equal after
-	// every step and never to decrease.
+	// Ledger requires the work ledgers of the targets under test that
+	// have one to be equal after every step and never to decrease.
 	Ledger bool
 	// Before runs before step's reports are sent: splits, merges,
 	// worker kills, fault toggles.
 	Before func(step int)
 	// After runs after step's checks with every stream, the reference's
-	// first.
+	// first, then the processors', then the targets'.
 	After func(step int, streams [][]core.Update)
 	// Settle, if set, keeps the run stepping on fresh batches after
 	// Steps, of a source that never runs dry, until it has reported true
@@ -88,8 +119,8 @@ const (
 	settleSteps   = 10
 )
 
-// Run drives src through a reference core.Engine and cfg.Procs and
-// fails t at the first check that does not hold.
+// Run drives src through a reference core.Engine, cfg.Procs and
+// cfg.Targets, and fails t at the first check that does not hold.
 func Run(t testing.TB, src Source, cfg Config) {
 	t.Helper()
 	if err := run(src, cfg); err != nil {
@@ -101,7 +132,7 @@ func Run(t testing.TB, src Source, cfg Config) {
 type driver struct {
 	cfg   Config
 	ref   *core.Engine
-	ps    []*core.Protocol // the reference first
+	ps    []Target // the reference's Protocol, then Procs', then Targets
 	views []map[core.QueryID]map[core.ObjectID]struct{}
 	kinds map[core.QueryID]core.QueryKind // registered queries, as a client sees them
 	maxQ  core.QueryID                    // the highest query ID reported
@@ -116,6 +147,9 @@ func run(src Source, cfg Config) error {
 	d := &driver{cfg: cfg, ref: ref, kinds: map[core.QueryID]core.QueryKind{}}
 	for _, p := range append([]core.Processor{ref}, cfg.Procs...) {
 		d.ps = append(d.ps, core.NewProtocol(p))
+	}
+	d.ps = append(d.ps, cfg.Targets...)
+	for range d.ps {
 		d.views = append(d.views, map[core.QueryID]map[core.ObjectID]struct{}{})
 	}
 	step := 0
@@ -185,9 +219,16 @@ func (d *driver) step(step int, b Batch) error {
 		}
 	}
 	if d.cfg.SameStream {
+		want := streams[1]
 		for i := 2; i < len(streams); i++ {
-			if !slices.Equal(streams[1], streams[i]) {
-				return fail("streams diverge\nprocessor 1: %v\nprocessor %d: %v", streams[1], i, streams[i])
+			if i == 1+len(d.cfg.Procs) {
+				want = slices.DeleteFunc(slices.Clone(want), func(u core.Update) bool {
+					_, live := d.kinds[u.Query]
+					return reset[u.Query] && !live
+				})
+			}
+			if !slices.Equal(want, streams[i]) {
+				return fail("streams diverge\nprocessor 1: %v\nprocessor %d: %v", want, i, streams[i])
 			}
 		}
 	}
@@ -208,13 +249,15 @@ func (d *driver) step(step int, b Batch) error {
 	}
 	for _, q := range b.Commit {
 		want := d.ps[0].Commit(q)
-		wsum, _ := d.ps[0].CommittedChecksum(q)
+		wsum, _ := d.ps[0].(committer).CommittedChecksum(q)
 		for i, p := range d.ps[1:] {
 			if got := p.Commit(q); got != want {
 				return fail("processor %d: Commit(%d) = %v, reference %v", i+1, q, got, want)
 			}
-			if sum, _ := p.CommittedChecksum(q); sum != wsum {
-				return fail("processor %d: committed checksum of %d diverges after Commit", i+1, q)
+			if c, ok := p.(committer); ok {
+				if sum, _ := c.CommittedChecksum(q); sum != wsum {
+					return fail("processor %d: committed checksum of %d diverges after Commit", i+1, q)
+				}
 			}
 		}
 	}
@@ -310,28 +353,32 @@ func (d *driver) agree(i int) error {
 		if held != len(v) || held != len(got) {
 			return fmt.Errorf("query %d: replayed view %v, answer %v", q, v, got)
 		}
-		if i == 0 {
+		c, ok := p.(committer)
+		if i == 0 || !ok {
 			continue
 		}
-		want, wok := ref.CommittedAnswer(q)
-		if got, ok := p.CommittedAnswer(q); ok != wok || !slices.Equal(got, want) {
+		rc := ref.(committer)
+		want, wok := rc.CommittedAnswer(q)
+		if got, ok := c.CommittedAnswer(q); ok != wok || !slices.Equal(got, want) {
 			return fmt.Errorf("query %d: committed answer %v (%v), reference %v (%v)", q, got, ok, want, wok)
 		}
-		wsum, _ := ref.CommittedChecksum(q)
-		if sum, _ := p.CommittedChecksum(q); sum != wsum {
+		wsum, _ := rc.CommittedChecksum(q)
+		if sum, _ := c.CommittedChecksum(q); sum != wsum {
 			return fmt.Errorf("query %d: committed checksum diverges", q)
 		}
 	}
 	return nil
 }
 
-// ledger checks that the processors under test keep equal ledgers that
+// ledger checks that the targets under test keep equal ledgers that
 // never decrease.
 func (d *driver) ledger() error {
-	got := d.ps[1].Stats()
+	got := d.ps[1].(ledgered).Stats()
 	for i, p := range d.ps[2:] {
-		if s := p.Stats(); s != got {
-			return fmt.Errorf("ledgers diverge\nprocessor 1: %+v\nprocessor %d: %+v", got, i+2, s)
+		if l, ok := p.(ledgered); ok {
+			if s := l.Stats(); s != got {
+				return fmt.Errorf("ledgers diverge\nprocessor 1: %+v\nprocessor %d: %+v", got, i+2, s)
+			}
 		}
 	}
 	prev, cur := d.ledg.Counters(), got.Counters()

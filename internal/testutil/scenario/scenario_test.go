@@ -13,7 +13,7 @@ import (
 // same batches must pass every check, bit-identical streams and
 // ledgers included.
 func TestCoreAgainstCore(t *testing.T) {
-	for _, vocab := range []Vocab{0, All, All &^ (Repeats | MultiReport)} {
+	for _, vocab := range []Vocab{0, All &^ NaNs, All &^ (Repeats | MultiReport | NaNs), All} {
 		for _, seed := range []int64{1, 2, 3} {
 			t.Run(fmt.Sprintf("vocab=%#x/seed=%d", vocab, seed), func(t *testing.T) {
 				g := NewGen(seed, vocab)
