@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race flake chaos chaos-cluster fuzz cover bench benchmark vet lint fmt examples clean
+.PHONY: all build test race flake chaos fuzz cover bench benchmark vet lint fmt examples clean
 
 all: build vet lint test
 
@@ -20,20 +20,12 @@ race:
 # test cache, which would otherwise hide an intermittent failure behind
 # one cached pass. CI runs the same packages at -count=5.
 flake:
-	$(GO) test -race -count=50 ./internal/cluster/ ./internal/shard/ ./internal/server/ ./internal/client/
+	$(GO) test -race -count=50 ./internal/shard/ ./internal/server/ ./internal/client/
 
 # The seeded fault-injection convergence test (see DESIGN.md, "Failure
 # model & recovery").
 chaos:
 	$(GO) test -race -run TestChaosConvergence -count=1 -v ./internal/server/
-
-# The multi-process cluster's fault drills under the race detector:
-# differential bit-identity against the in-process engine, scripted
-# worker murders (including real SIGKILLed processes), and seeded
-# faultnet storms, all required to heal completely (see DESIGN.md,
-# "Cluster failure model").
-chaos-cluster:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestChaos|TestExec' -v ./internal/cluster/
 
 # Short fuzz passes over the wire protocol: hostile input to the
 # decoder, then structured messages through the encode→decode→encode

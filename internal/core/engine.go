@@ -97,11 +97,9 @@ func (o *Options) withDefaults() (Options, error) {
 }
 
 // Normalized returns the options with every default applied, validated
-// exactly as NewEngine validates them. Layers that derive engine
-// parameters — the shard router computing predictive routing bounds
-// from PredictiveHorizon, the cluster coordinator building worker
-// assignments — normalize once so their view never drifts from the
-// engines'.
+// exactly as NewEngine validates them. The shard router, which
+// computes predictive routing bounds from PredictiveHorizon, normalizes
+// once so its view never drifts from the engines'.
 func (o Options) Normalized() (Options, error) { return o.withDefaults() }
 
 // AcceptObject reports whether an object report that is not a removal

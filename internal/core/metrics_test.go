@@ -211,7 +211,7 @@ func TestMetricsDoNotAffectUpdates(t *testing.T) {
 
 // TestLedgerCountersCoverStats requires Stats.Counters to list every
 // Stats field exactly once, so a counter added to the ledger is
-// published, summed and carried by the cluster frame.
+// published and summed.
 func TestLedgerCountersCoverStats(t *testing.T) {
 	var s Stats
 	seen := make(map[*uint64]int)

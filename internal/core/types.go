@@ -199,9 +199,8 @@ type Snapshot struct {
 // Stats is the engine's work ledger: what each phase of Step did since
 // construction, counted where the work happens. All counters are
 // monotonically increasing. The engine.* metrics publish its per-step
-// delta, the shard router sums tile ledgers with AddWork, and the
-// cluster frame carries it whole, so a counter added here needs no edit
-// in any other layer.
+// delta and the shard router sums tile ledgers with AddWork, so a
+// counter added here needs no edit in any other layer.
 type Stats struct {
 	Steps           uint64 // Step invocations
 	ObjectReports   uint64 // phase 1: object updates applied
@@ -218,8 +217,7 @@ type Stats struct {
 const numCounters = 10 // Stats fields
 
 // Counters returns a pointer to every ledger counter in one fixed order:
-// the order the engine.* metrics are bound in and the cluster frame
-// carries them.
+// the order the engine.* metrics are bound in.
 func (s *Stats) Counters() [numCounters]*uint64 {
 	return [...]*uint64{&s.Steps, &s.ObjectReports, &s.ObjectsIndexed,
 		&s.QueryReports, &s.RegionEvalCells, &s.CandidateChecks,

@@ -106,14 +106,9 @@ func blockedStep(t *testing.T, batch int) (*Server, *obs.Registry, *gatedProcess
 	}
 	t.Cleanup(func() { conn.Close() })
 	sendReports(t, conn, 0, batch)
-	// Wait on the inbox itself: frames_in counts a frame before it is
-	// handled, and the step must take all batch reports.
-	for deadline := time.Now().Add(5 * time.Second); s.inboxLen() < batch; {
-		if time.Now().After(deadline) {
-			t.Fatalf("inbox holds %d reports, want %d", s.inboxLen(), batch)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// frames_in counts a report once it is in the inbox, so the step
+	// takes all batch reports.
+	waitCounter(t, "server.frames_in", reg.Counter("server.frames_in"), uint64(batch))
 	evaluated := make(chan int, 1)
 	go func() { evaluated <- s.Evaluate() }()
 	<-p.entered
@@ -147,6 +142,48 @@ func TestIngestContinuesDuringStep(t *testing.T) {
 	<-evaluated
 	waitCounter(t, "server.frames_in", framesIn, 4*batch)
 	evaluateUntil(t, s, func() bool { return s.Stats().ObjectReports == 4*batch })
+}
+
+// TestFramesInCountsAppliedFrames: frames_in counts a frame once it is
+// applied, so a caller that sees frames_in reach n may step on the n
+// frames. A query report held back by the server lock is not counted.
+func TestFramesInCountsAppliedFrames(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := startServer(t, Config{Metrics: reg})
+	framesIn := reg.Counter("server.frames_in")
+	conn, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		if len(s.sessions) == 1 {
+			break // the read loop is running; keep the lock
+		}
+		s.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatal("session never registered")
+		}
+	}
+	q := wire.QueryReport{Update: core.QueryUpdate{ID: 1, Kind: core.Range, Region: geo.R(0, 0, 10, 10)}}
+	if err := wire.NewWriter(conn).Write(q); err != nil {
+		s.mu.Unlock()
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if got := framesIn.Value(); got != 0 {
+			n := len(s.qrys)
+			s.mu.Unlock()
+			t.Fatalf("frames_in = %d with %d query reports in the inbox", got, n)
+		}
+	}
+	s.mu.Unlock()
+	waitCounter(t, "server.frames_in", framesIn, 1)
+	s.Evaluate()
+	if _, ok := s.Answer(1); !ok {
+		t.Fatal("query 1 unknown after frames_in counted its report and a step ran")
+	}
 }
 
 // TestCloseReturnsWhileIngestStalled: Close does not wait for the step a

@@ -75,8 +75,8 @@ type Config struct {
 	// Processor, when non-nil, is used as the query processor instead of
 	// constructing one from Engine/Shards (which are then ignored). The
 	// server wraps every processor in core.Protocol and takes ownership:
-	// Close closes it if it implements io.Closer. cmd/cqp-cluster injects
-	// the multi-process cluster coordinator (internal/cluster) here.
+	// Close closes it if it implements io.Closer. It carries a processor
+	// the server does not build itself, such as the tests' gated one.
 	Processor core.Processor
 
 	// Interval is the bulk-evaluation period Δt (the paper evaluates
@@ -612,9 +612,10 @@ func (s *Server) readLoop(sess *session, r *wire.Reader) error {
 		if err != nil {
 			return err
 		}
-		s.m.framesIn.Inc()
+		stepDone := s.handleMessage(sess, msg)
+		s.m.framesIn.Inc() // after the frame is applied: a barrier
 		s.m.bytesIn.Add(uint64(r.FrameSize()))
-		s.await(s.handleMessage(sess, msg))
+		s.await(stepDone)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"cqp/internal/cluster"
 	"cqp/internal/core"
 	"cqp/internal/server"
 	"cqp/internal/shard"
@@ -101,38 +100,6 @@ func TestConcurrentClientsStress(t *testing.T) {
 func TestShardedServerEndToEnd(t *testing.T) {
 	g := scenario.NewGen(3, scenario.Repeats|scenario.KNN|scenario.QueryRemovals)
 	runTCP(t, g, server.Config{Processor: newRouter(t, g)}, 30, newRouter(t, g))
-}
-
-// TestInjectedClusterProcessor plays a scenario through a server whose
-// processor is the multi-process cluster coordinator (workers over
-// net.Pipe), killing a worker mid-run: the clients must see what a
-// direct 2×2 router streams, through the failover and until the
-// cluster has healed.
-func TestInjectedClusterProcessor(t *testing.T) {
-	g := scenario.NewGen(5, scenario.Repeats|scenario.KNN)
-	cl, err := cluster.New(cluster.Config{
-		Shard:             shard.Options{Core: g.Options(), Rows: 2, Cols: 2},
-		Workers:           2,
-		Spawner:           &cluster.PipeSpawner{},
-		HeartbeatInterval: 5 * time.Millisecond,
-		HeartbeatTimeout:  60 * time.Millisecond,
-		Backoff:           cluster.Backoff{Initial: time.Millisecond, Max: 20 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scenario.Run(t, g, scenario.Config{
-		Steps:      10,
-		Procs:      []core.Processor{newRouter(t, g)},
-		Targets:    []scenario.Target{overtcp.New(t, g, server.Config{Processor: cl}, 2)},
-		SameStream: true,
-		Before: func(step int) {
-			if step == 4 {
-				cl.KillWorker(0)
-			}
-		},
-		Settle: func() bool { return cl.TilesInFallback() == 0 && cl.NumWorkersUp() == 2 },
-	})
 }
 
 // newRouter builds a 2×2 router over src's options, closed when the

@@ -6,8 +6,7 @@ import "cqp/internal/obs"
 // They are bound once in New against the same registry (and clock) the
 // tile engines receive through Options.Core, so one scrape sees both
 // views: the aggregated per-tile "engine.*" metrics and the router's
-// own "shard.*" merge and balance metrics. Cluster runs resolve the
-// same names, so their coordinators aggregate into the same series.
+// own "shard.*" merge and balance metrics.
 type shardMetrics struct {
 	tracer *obs.Tracer
 

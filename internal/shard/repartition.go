@@ -232,9 +232,8 @@ func (e *Engine) mergeNow(m *mergeState, p int) {
 }
 
 // mustAttach attaches a tile for node n, panicking on factory failure:
-// a repartition runs mid-step and has no error path. The in-process
-// factory is infallible; cluster tile construction is too (a dead
-// worker just starts the tile in fallback).
+// a repartition runs mid-step and has no error path. A factory given
+// options that New already validated does not fail.
 func (e *Engine) mustAttach(n int) int {
 	id, err := e.attachTile(n)
 	if err != nil {

@@ -307,11 +307,9 @@ func New(opt Options) (*Engine, error) {
 // NewWithTiles constructs a sharded engine whose tile transports come
 // from factory; a nil factory yields the in-process tiles New uses.
 // The factory receives each tile's core options with Region already set
-// to the tile's halo-expanded rectangle. internal/cluster passes a
-// factory binding tiles to worker processes: the router's routing and
-// merge logic is byte-for-byte the same either way, which is what keeps
-// the cluster's merged update stream bit-identical to the in-process
-// engine's.
+// to the tile's halo-expanded rectangle. The router's routing and
+// merge logic is the same whatever the factory, so the merged update
+// stream is too.
 func NewWithTiles(opt Options, factory TileFactory) (*Engine, error) {
 	o, err := opt.withDefaults()
 	if err != nil {

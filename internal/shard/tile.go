@@ -5,20 +5,18 @@ import (
 	"cqp/internal/obs"
 )
 
-// Tile is the router's transport to one tile engine. The in-process
+// Tile is the router's transport to one tile engine. The default
 // implementation (localTile) drives a core.Engine on a dedicated worker
-// goroutine; internal/cluster implements the same contract over the
-// wire protocol against tile-worker processes, which is what lets the
-// router's merge logic — and therefore the canonical merged update
-// stream — stay byte-for-byte identical across deployments.
+// goroutine; a TileFactory passed to NewWithTiles supplies another, as
+// the benchmark's traced tiles do to record each tile step. The merge
+// logic, and therefore the canonical merged update stream, is the same
+// whichever transport the tiles use.
 //
 // The router calls ReportObject/ReportQuery to buffer reports, then
 // broadcasts an evaluation with StepBegin on every participating tile
 // followed by StepWait on each; the two-phase split is what runs tiles
-// in parallel. A Tile must never fail a step: a transport that loses
-// its backend is expected to absorb the failure internally (the cluster
-// tile falls back to an in-process engine) and still return the exact
-// batch a healthy backend would have produced.
+// in parallel. A Tile must never fail a step: StepWait returns the
+// exact batch its engine produced.
 //
 // Like the engines, a Tile's step cycle is driven by one goroutine (the
 // router); StepBegin/StepWait calls are never concurrent for one tile.
@@ -51,8 +49,7 @@ type Tile interface {
 // TileFactory constructs the transport for one tile. New passes the
 // tile index and the per-tile core options: the global Bounds, and
 // Region set to the tile's rectangle grown by the halo and clipped to
-// those bounds; internal/cluster installs a factory that binds tiles to
-// worker processes.
+// those bounds.
 type TileFactory func(tile int, opt core.Options) (Tile, error)
 
 // localTile is one in-process tile: its engine and the goroutine

@@ -5,7 +5,7 @@
 // Under a TestMain hook the leak becomes a hard failure with the
 // offending stacks attached.
 //
-// Usage, in a package whose tests start servers, shards, or clusters:
+// Usage, in a package whose tests start servers or shards:
 //
 //	func TestMain(m *testing.M) { leakcheck.Main(m) }
 //
@@ -59,11 +59,10 @@ func Verify() error {
 	return fmt.Errorf("%s", b.String())
 }
 
-// Run executes m.Run and then the leak check, returning the exit code:
-// the test result when tests fail, 1 when the tests pass but goroutines
-// leaked. Callers embedding extra TestMain logic (worker re-exec, flag
-// parsing) use this form.
-func Run(m *testing.M) int {
+// Main is the one-line TestMain body: run the tests, then the leak
+// check, and exit with the test result when tests fail, 1 when the
+// tests pass but goroutines leaked.
+func Main(m *testing.M) {
 	code := m.Run()
 	if err := Verify(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -71,13 +70,7 @@ func Run(m *testing.M) int {
 			code = 1
 		}
 	}
-	return code
-}
-
-// Main is the one-line TestMain body: run the tests, fail on leaks,
-// exit.
-func Main(m *testing.M) {
-	os.Exit(Run(m))
+	os.Exit(code)
 }
 
 // leaked snapshots every goroutine and drops the benign ones.

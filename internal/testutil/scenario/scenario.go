@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"slices"
 	"testing"
-	"time"
 
 	"cqp/internal/core"
 )
@@ -102,22 +101,13 @@ type Config struct {
 	// Ledger requires the work ledgers of the targets under test that
 	// have one to be equal after every step and never to decrease.
 	Ledger bool
-	// Before runs before step's reports are sent: splits, merges,
-	// worker kills, fault toggles.
+	// Before runs before step's reports are sent, say to split or merge
+	// tiles.
 	Before func(step int)
 	// After runs after step's checks with every stream, the reference's
 	// first, then the processors', then the targets'.
 	After func(step int, streams [][]core.Update)
-	// Settle, if set, keeps the run stepping on fresh batches after
-	// Steps, of a source that never runs dry, until it has reported true
-	// settleSteps times, within settleTimeout.
-	Settle func() bool
 }
-
-const (
-	settleTimeout = 15 * time.Second
-	settleSteps   = 10
-)
 
 // Run drives src through a reference core.Engine, cfg.Procs and
 // cfg.Targets, and fails t at the first check that does not hold.
@@ -152,30 +142,11 @@ func run(src Source, cfg Config) error {
 	for range d.ps {
 		d.views = append(d.views, map[core.QueryID]map[core.ObjectID]struct{}{})
 	}
-	step := 0
-	for ; cfg.Steps == 0 || step < cfg.Steps; step++ {
+	for step := 0; cfg.Steps == 0 || step < cfg.Steps; step++ {
 		b, ok := src.Next()
 		if !ok {
 			break
 		}
-		if err := d.step(step, b); err != nil {
-			return err
-		}
-	}
-	if cfg.Settle == nil {
-		return nil
-	}
-	deadline := time.Now().Add(settleTimeout)
-	for more := settleSteps; more > 0; step++ {
-		switch {
-		case cfg.Settle():
-			more--
-		case time.Now().After(deadline):
-			return fmt.Errorf("did not settle within %v", settleTimeout)
-		default:
-			time.Sleep(2 * time.Millisecond)
-		}
-		b, _ := src.Next()
 		if err := d.step(step, b); err != nil {
 			return err
 		}

@@ -11,7 +11,7 @@ import (
 
 // pinnedFrames is one frame of every message type, with every field set
 // to a distinct value so a swapped or resized field shows up as a
-// changed byte. The cluster frames end in their FNV-1a payload checksum.
+// changed byte.
 var pinnedFrames = []struct {
 	m   Message
 	hex string
@@ -43,36 +43,13 @@ var pinnedFrames = []struct {
 		Objects: 9, Queries: 10, Uptime: 11.5,
 	}, "500000000a01000000000000000200000000000000030000000000000004000000000000000500000000000000060000000000000007000000000000000800000000000000090000000a0000000000000000002740"},
 	{Heartbeat{Time: 33.25}, "080000000b0000000000a04040"},
-	{ClusterHello{Worker: 2, Incarnation: 3}, "140000000c02000000030000000000000094f7deb1ff62fee1"},
-	{ClusterAssign{
-		Tile: 1, Epoch: 4, Bounds: geo.R(0, 0, 2, 2), GridN: 16, PredictiveHorizon: 50,
-		Region: geo.R(0, 0, 1, 2), MaxSpeed: 0.25,
-	}, "680000000d010000000400000000000000000000000000000000000000000000000000000000000040000000000000004010000000000000000000494000000000000000000000000000000000000000000000f03f0000000000000040000000000000d03f21ce7ddc0ede16d3"},
-	{ClusterStep{
-		Tile: 1, Epoch: 4, Time: 5,
-		Objects: []core.ObjectUpdate{{ID: 1, Kind: core.Moving, Loc: geo.Pt(0.5, 0.5), T: 5}},
-		Queries: []core.QueryUpdate{{ID: 2, Kind: core.Range, Region: geo.R(0, 0, 1, 1), T: 5}},
-	}, "b00000000e010000000400000000000000000000000000144001000000010000000000000001000000000000e03f000000000000e03f00000000000000000000000000000000000000000000144000000000000100000002000000000000000000000000000000000000000000000000000000000000f03f000000000000f03f000000000000000000000000000000000000000000000000000000000000000000000000000000000000144000b606d599575b7191"},
-	{ClusterStepResult{
-		Tile: 1, Epoch: 4, Time: 5, Updates: []core.Update{{Query: 2, Object: 1, Positive: true}},
-		Work: core.Stats{Steps: 1, ObjectReports: 2, ObjectsIndexed: 3, QueryReports: 4,
-			RegionEvalCells: 5, CandidateChecks: 6, JoinFindings: 7, KNNRecomputes: 8,
-			PositiveUpdates: 9, NegativeUpdates: 10},
-	}, "810000000f01000000040000000000000000000000000014400100000002000000000000000100000000000000010100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000006ee7af78f1bdd826"},
-	{ClusterResync{
-		Tile: 1, Epoch: 5, HasStep: true, LastStep: 5,
-		Objects: []core.ObjectUpdate{{ID: 1, Remove: true, T: 5}},
-		Queries: []core.QueryUpdate{{ID: 2, Kind: core.KNN, Focal: geo.Pt(0.5, 0.5), K: 4, T: 5}},
-	}, "b10000001001000000050000000000000001000000000000144001000000010000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000014400100000000010000000200000000000000010000000000000000000000000000000000000000000000000000000000000000000000000000e03f000000000000e03f04000000000000000000000000000000000000000000000000001440003120d44d1f9b0bdb"},
-	{ClusterResyncAck{Tile: 1, Epoch: 5, Checksum: 0xDEADBEEF}, "1c00000011010000000500000000000000efbeadde0000000097d6f5df789991a2"},
-	{ClusterRetire{Tile: 1, Epoch: 6}, "1400000012010000000600000000000000a29763ac279f2e21"},
 }
 
 // TestFrameBytesPinned fixes the wire format byte for byte: every frame
 // must encode to its recorded bytes, and the recorded bytes must decode
 // back to the frame. Round-trip tests cannot see a layout change made
 // consistently on the encode and decode sides; this test can, so
-// deployed clients and cluster workers keep interoperating.
+// deployed clients keep interoperating.
 func TestFrameBytesPinned(t *testing.T) {
 	for _, tc := range pinnedFrames {
 		var buf bytes.Buffer

@@ -61,42 +61,8 @@ const (
 	MsgStatsResponse
 	// MsgHeartbeat (both directions): liveness probe. The server sends it
 	// periodically; the client echoes it so per-session read deadlines
-	// see traffic from live peers. The cluster coordinator reuses it on
-	// worker links for deadline-based death detection.
+	// see traffic from live peers.
 	MsgHeartbeat
-
-	// Cluster control frames (internal/cluster, coordinator ⇄ tile
-	// worker). Unlike the client protocol — where a corrupted answer is
-	// caught end-to-end by the commit/wakeup checksum handshake — a
-	// corrupted tile batch would silently poison the coordinator's merged
-	// stream, so every cluster payload carries a trailing FNV-1a checksum
-	// of its own bytes; a mismatch fails the decode, the link is torn
-	// down, and the tile is resynced from the coordinator's journal.
-
-	// MsgClusterHello (worker→coordinator): the worker process announces
-	// itself after dialing in.
-	MsgClusterHello
-	// MsgClusterAssign (coordinator→worker): host a tile engine with the
-	// given core options under the given epoch.
-	MsgClusterAssign
-	// MsgClusterStep (coordinator→worker): apply the carried reports to
-	// one tile and evaluate it at the carried time.
-	MsgClusterStep
-	// MsgClusterStepResult (worker→coordinator): one tile evaluation's
-	// incremental updates plus the engine's work-ledger delta for it.
-	MsgClusterStepResult
-	// MsgClusterResync (coordinator→worker): rebuild a tile engine from
-	// the carried compacted state (latest report per object, live query
-	// replicas) and re-establish its membership at LastStep.
-	MsgClusterResync
-	// MsgClusterResyncAck (worker→coordinator): the tile was rebuilt;
-	// Checksum folds the rebuilt replica answers so the coordinator can
-	// verify the worker's state before routing to it again.
-	MsgClusterResyncAck
-	// MsgClusterRetire (coordinator→worker): a repartition retired the
-	// tile; the worker drops its engine. Tile ids are never reused, so
-	// no epoch race can resurrect a retired tile.
-	MsgClusterRetire
 )
 
 // MaxPayload bounds a message payload; it accommodates a full answer over
@@ -113,10 +79,6 @@ const maxPrealloc = 64 << 10
 var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds MaxPayload")
 	ErrUnknownType   = errors.New("wire: unknown message type")
-	// ErrClusterChecksum marks a cluster control frame whose payload
-	// checksum does not match: corruption in transit. The link carrying
-	// it cannot be trusted and must be torn down.
-	ErrClusterChecksum = errors.New("wire: cluster frame checksum mismatch")
 )
 
 // ObjectReport is the payload of MsgObjectReport.
@@ -179,93 +141,6 @@ type StatsResponse struct {
 	Uptime  float64 // server clock, seconds
 }
 
-// ClusterHello is the payload of MsgClusterHello: a freshly spawned (or
-// respawned) worker process announcing itself on its coordinator link.
-type ClusterHello struct {
-	Worker uint32 // worker slot, assigned by the coordinator at spawn
-	// Incarnation distinguishes successive processes in the same slot
-	// (restart observability; the per-tile Epoch is what gates frames).
-	Incarnation uint64
-}
-
-// ClusterAssign is the payload of MsgClusterAssign: the engine
-// parameters of one tile. The semantic options must match the
-// coordinator's exactly or the merged stream would diverge; Region is
-// the tile's sub-rectangle of Bounds (zero value: the full bounds) so
-// a remote tile builds the same tile-local grid the coordinator's
-// router assumes.
-type ClusterAssign struct {
-	Tile  uint32
-	Epoch uint64 // current tile epoch; stamped on all subsequent frames
-
-	Bounds            geo.Rect
-	GridN             uint32
-	PredictiveHorizon float64
-	Region            geo.Rect // tile bounds + halo; zero = full Bounds
-	MaxSpeed          float64  // swept-region routing bound (0: disabled)
-}
-
-// ClusterStep is the payload of MsgClusterStep: the reports routed to
-// one tile this evaluation plus the evaluation timestamp — one frame
-// per tile per (sub-)step, so a step costs one round trip.
-type ClusterStep struct {
-	Tile    uint32
-	Epoch   uint64
-	Time    float64
-	Objects []core.ObjectUpdate
-	Queries []core.QueryUpdate
-}
-
-// ClusterStepResult is the payload of MsgClusterStepResult: one tile
-// evaluation's incremental updates and the tile engine's work-ledger
-// delta for that evaluation, which the coordinator accumulates into the
-// tile's ledger without extra round trips.
-type ClusterStepResult struct {
-	Tile    uint32
-	Epoch   uint64
-	Time    float64
-	Updates []core.Update
-	Work    core.Stats
-}
-
-// ClusterResync is the payload of MsgClusterResync: the compacted
-// authoritative state of one tile — the latest report of every owned
-// object and the definition of every live query replica. The worker
-// rebuilds a fresh engine, replays the snapshot, evaluates it at
-// LastStep (discarding the resulting batch: the coordinator's merge
-// state already reflects those memberships), and acks with a state
-// checksum.
-type ClusterResync struct {
-	Tile  uint32
-	Epoch uint64
-	// HasStep is false when the tile has never been stepped; LastStep is
-	// then meaningless and the rebuild skips the re-establishing step.
-	HasStep  bool
-	LastStep float64
-	Objects  []core.ObjectUpdate
-	Queries  []core.QueryUpdate
-}
-
-// ClusterResyncAck is the payload of MsgClusterResyncAck. Checksum is
-// the fold of the rebuilt tile's replica answers (see
-// internal/cluster); the coordinator compares it against its own
-// fallback engine's fold before trusting the worker again.
-type ClusterResyncAck struct {
-	Tile     uint32
-	Epoch    uint64
-	Checksum uint64
-}
-
-// ClusterRetire is the payload of MsgClusterRetire: a split or merge
-// retired the tile, its state has been re-homed onto born tiles, and
-// the worker should free the engine. Best-effort — a worker that never
-// sees it (death before delivery) merely holds a dead engine until its
-// process is recycled.
-type ClusterRetire struct {
-	Tile  uint32
-	Epoch uint64
-}
-
 // Message is any decodable protocol message.
 type Message interface{ msgType() MsgType }
 
@@ -279,14 +154,6 @@ func (CommitAck) msgType() MsgType     { return MsgCommitAck }
 func (StatsRequest) msgType() MsgType  { return MsgStatsRequest }
 func (StatsResponse) msgType() MsgType { return MsgStatsResponse }
 func (Heartbeat) msgType() MsgType     { return MsgHeartbeat }
-
-func (ClusterHello) msgType() MsgType      { return MsgClusterHello }
-func (ClusterAssign) msgType() MsgType     { return MsgClusterAssign }
-func (ClusterStep) msgType() MsgType       { return MsgClusterStep }
-func (ClusterStepResult) msgType() MsgType { return MsgClusterStepResult }
-func (ClusterResync) msgType() MsgType     { return MsgClusterResync }
-func (ClusterResyncAck) msgType() MsgType  { return MsgClusterResyncAck }
-func (ClusterRetire) msgType() MsgType     { return MsgClusterRetire }
 
 // RecoveryDiff wraps an UpdateBatch under the MsgRecoveryDiff type.
 type RecoveryDiff UpdateBatch
@@ -558,10 +425,8 @@ func (c *codec) rect(r *geo.Rect) {
 
 // Minimum wire sizes of list elements, by which count bounds a list.
 const (
-	updateSize      = 8 + 8 + 1
-	waypointSize    = 3 * 8
-	objectUpdateMin = 8 + 1 + 5*8 + 1 + 4 // without waypoints
-	queryUpdateSize = 8 + 1 + 6*8 + 4 + 3*8 + 1
+	updateSize   = 8 + 8 + 1
+	waypointSize = 3 * 8
 )
 
 // count codes the length of a list as a uint32; the caller then codes
@@ -617,19 +482,6 @@ func (c *codec) queryUpdate(u *core.QueryUpdate) {
 	c.bool(&u.Remove)
 }
 
-// reports codes an object-report list followed by a query-report list
-// (the shared tail of ClusterStep and ClusterResync).
-func (c *codec) reports(objs *[]core.ObjectUpdate, qrys *[]core.QueryUpdate) {
-	count(c, objs, objectUpdateMin, "object report")
-	for i := range *objs {
-		c.objectUpdate(&(*objs)[i])
-	}
-	count(c, qrys, queryUpdateSize, "query report")
-	for i := range *qrys {
-		c.queryUpdate(&(*qrys)[i])
-	}
-}
-
 // --- frame layouts ----------------------------------------------------------
 
 func (m *ObjectReport) code(c *codec) { c.objectUpdate(&m.Update) }
@@ -679,100 +531,6 @@ func (m *StatsResponse) code(c *codec) {
 	c.f64(&m.Uptime)
 }
 
-func (m *ClusterHello) code(c *codec) {
-	u32(c, &m.Worker)
-	u64(c, &m.Incarnation)
-}
-
-func (m *ClusterAssign) code(c *codec) {
-	u32(c, &m.Tile)
-	u64(c, &m.Epoch)
-	c.rect(&m.Bounds)
-	u32(c, &m.GridN)
-	c.f64(&m.PredictiveHorizon)
-	c.rect(&m.Region)
-	c.f64(&m.MaxSpeed)
-}
-
-func (m *ClusterStep) code(c *codec) {
-	u32(c, &m.Tile)
-	u64(c, &m.Epoch)
-	c.f64(&m.Time)
-	c.reports(&m.Objects, &m.Queries)
-}
-
-func (m *ClusterStepResult) code(c *codec) {
-	u32(c, &m.Tile)
-	u64(c, &m.Epoch)
-	c.f64(&m.Time)
-	c.updates(&m.Updates)
-	for _, v := range m.Work.Counters() {
-		u64(c, v)
-	}
-}
-
-func (m *ClusterResync) code(c *codec) {
-	u32(c, &m.Tile)
-	u64(c, &m.Epoch)
-	c.bool(&m.HasStep)
-	c.f64(&m.LastStep)
-	c.reports(&m.Objects, &m.Queries)
-}
-
-func (m *ClusterResyncAck) code(c *codec) {
-	u32(c, &m.Tile)
-	u64(c, &m.Epoch)
-	u64(c, &m.Checksum)
-}
-
-func (m *ClusterRetire) code(c *codec) {
-	u32(c, &m.Tile)
-	u64(c, &m.Epoch)
-}
-
-// --- cluster payload checksum ---------------------------------------------
-
-// sealed reports whether frames of type t end in an FNV-1a checksum of
-// the rest of their payload: the cluster control frames do.
-func (t MsgType) sealed() bool { return t >= MsgClusterHello && t <= MsgClusterRetire }
-
-// FNV-1a 64-bit, the cluster frames' payload integrity check. Inlined
-// rather than hash/fnv so encoding stays allocation-free.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnv1a(b []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// seal appends the checksum of everything encoded from start on.
-func (c *codec) seal(start int) {
-	sum := fnv1a(c.b[start:])
-	u64(c, &sum)
-}
-
-// unseal verifies and strips the trailing checksum before the fields are
-// decoded.
-func (c *codec) unseal() {
-	if len(c.b) < 8 {
-		c.err = errTruncated
-		return
-	}
-	body := c.b[:len(c.b)-8]
-	if fnv1a(body) != binary.LittleEndian.Uint64(c.b[len(body):]) {
-		c.err = ErrClusterChecksum
-		return
-	}
-	c.b = body
-}
-
 // --- messages ---------------------------------------------------------------
 
 func appendMessage(b []byte, m Message) []byte {
@@ -800,25 +558,8 @@ func appendMessage(b []byte, m Message) []byte {
 		m.code(&c)
 	case Heartbeat:
 		m.code(&c)
-	case ClusterHello:
-		m.code(&c)
-	case ClusterAssign:
-		m.code(&c)
-	case ClusterStep:
-		m.code(&c)
-	case ClusterStepResult:
-		m.code(&c)
-	case ClusterResync:
-		m.code(&c)
-	case ClusterResyncAck:
-		m.code(&c)
-	case ClusterRetire:
-		m.code(&c)
 	default:
 		panic(fmt.Sprintf("wire: cannot encode %T", m))
-	}
-	if m.msgType().sealed() {
-		c.seal(len(b))
 	}
 	return c.b
 }
@@ -837,9 +578,6 @@ func decoded[M any](c *codec, code func(*M, *codec)) M {
 // decoded into *u and returns a nil Message, as does every error.
 func decodeMessage(t MsgType, payload []byte, u *core.ObjectUpdate) (Message, error) {
 	c := codec{b: payload}
-	if t.sealed() {
-		c.unseal()
-	}
 	var m Message
 	switch t {
 	case MsgObjectReport:
@@ -865,20 +603,6 @@ func decodeMessage(t MsgType, payload []byte, u *core.ObjectUpdate) (Message, er
 		m = decoded(&c, (*StatsResponse).code)
 	case MsgHeartbeat:
 		m = decoded(&c, (*Heartbeat).code)
-	case MsgClusterHello:
-		m = decoded(&c, (*ClusterHello).code)
-	case MsgClusterAssign:
-		m = decoded(&c, (*ClusterAssign).code)
-	case MsgClusterStep:
-		m = decoded(&c, (*ClusterStep).code)
-	case MsgClusterStepResult:
-		m = decoded(&c, (*ClusterStepResult).code)
-	case MsgClusterResync:
-		m = decoded(&c, (*ClusterResync).code)
-	case MsgClusterResyncAck:
-		m = decoded(&c, (*ClusterResyncAck).code)
-	case MsgClusterRetire:
-		m = decoded(&c, (*ClusterRetire).code)
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)
 	}
