@@ -98,28 +98,152 @@ func TestShardStepAppendSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkShardStepRepartition is BenchmarkShardStep with the
-// load-aware split/merge policy active and a hotspot drifting through
-// the space, so splits and merges actually run while the clock ticks.
-func BenchmarkShardStepRepartition(b *testing.B) {
-	e, rng, objects := benchShard(b, 4, RepartitionOptions{Enable: true, Interval: 4, MaxTiles: 16})
-	moves := objects / 33
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// The hotspot corner wanders so the hot tile changes over time.
-		cx := 0.4 + 0.4*float64(i%8)/8
-		for n := 0; n < moves; n++ {
-			id := core.ObjectID(1 + rng.Intn(objects))
-			loc := geo.Pt(rng.Float64(), rng.Float64())
-			if n%2 == 0 {
-				loc = geo.Pt(cx+rng.Float64()*0.1, rng.Float64()*0.1)
-			}
-			e.ReportObject(core.ObjectUpdate{
-				ID: id, Kind: core.Moving, Loc: loc, T: float64(i + 1),
-			})
-		}
-		e.Step(float64(i + 1))
+// BenchmarkShardStepHotspot measures one step of a skewed population:
+// 75 % of objects and queries are placed Gaussian (σ 0.06) around
+// (0.15, 0.15), the rest uniformly, and 30 % of each report a local
+// random-walk move (σ 0.005) per step. It runs the same script through
+// one core.Engine and through 4 and 16 tiles, so the rows show whether
+// a tiling keeps the hotspot from landing in one tile. Each arm warms
+// up 64 steps outside the timer; report generation is untimed too.
+// -short shrinks the population from 20K × 20K to 2K × 2K so the CI
+// bench smoke stays cheap.
+func BenchmarkShardStepHotspot(b *testing.B) {
+	n := 20000
+	if testing.Short() {
+		n = 2000
 	}
-	b.ReportMetric(float64(moves), "moves/op")
+	opt := core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: 64}
+	for _, arm := range []struct {
+		name string
+		proc func() core.Processor
+	}{
+		{"engine", func() core.Processor { return core.MustNewEngine(opt) }},
+		{"tiles4-static", func() core.Processor { return MustNew(Options{Core: opt, Rows: 2, Cols: 2}) }},
+		{"tiles4-policy", func() core.Processor {
+			return MustNew(Options{Core: opt, Rows: 2, Cols: 2, Repartition: RepartitionOptions{Enable: true}})
+		}},
+		{"tiles16-static", func() core.Processor { return MustNew(Options{Core: opt, Rows: 4, Cols: 4}) }},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			p := arm.proc()
+			if e, ok := p.(*Engine); ok {
+				b.Cleanup(func() { e.Close() })
+			}
+			w := newHotspotWalk(n)
+			w.bootstrap(p)
+			var buf []core.Update
+			for i := 0; i < 64; i++ {
+				w.tick(p)
+				buf = p.StepAppend(buf[:0], w.now)
+			}
+			updates := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				w.tick(nil)
+				b.StartTimer()
+				w.report(p)
+				buf = p.StepAppend(buf[:0], w.now)
+				updates += len(buf)
+			}
+			b.ReportMetric(float64(updates)/float64(b.N), "updates/op")
+			if e, ok := p.(*Engine); ok {
+				b.ReportMetric(float64(e.NumTiles()), "tiles")
+			}
+		})
+	}
+}
+
+// hotspotWalk is BenchmarkShardStepHotspot's script: n objects and n
+// range queries of side 0.01, each step's reports generated into
+// slices so they can be drawn outside the timer.
+type hotspotWalk struct {
+	rng        *rand.Rand
+	objs, qrys []geo.Point
+	now        float64
+	objBuf     []core.ObjectUpdate
+	qryBuf     []core.QueryUpdate
+}
+
+func newHotspotWalk(n int) *hotspotWalk {
+	w := &hotspotWalk{rng: rand.New(rand.NewSource(1)), objs: make([]geo.Point, n), qrys: make([]geo.Point, n)}
+	for i := range w.objs {
+		w.objs[i] = w.place()
+	}
+	for j := range w.qrys {
+		w.qrys[j] = w.place()
+	}
+	return w
+}
+
+// place draws one placement: Gaussian around the hotspot with
+// probability 0.75, uniform otherwise.
+func (w *hotspotWalk) place() geo.Point {
+	if w.rng.Float64() < 0.75 {
+		return clamp01(geo.Pt(0.15+0.06*w.rng.NormFloat64(), 0.15+0.06*w.rng.NormFloat64()))
+	}
+	return geo.Pt(w.rng.Float64(), w.rng.Float64())
+}
+
+func clamp01(p geo.Point) geo.Point {
+	p.X = min(max(p.X, 0), 1)
+	p.Y = min(max(p.Y, 0), 1)
+	return p
+}
+
+func (w *hotspotWalk) objectUpdate(i int) core.ObjectUpdate {
+	return core.ObjectUpdate{ID: core.ObjectID(i + 1), Kind: core.Moving, Loc: w.objs[i], T: w.now}
+}
+
+func (w *hotspotWalk) queryUpdate(j int) core.QueryUpdate {
+	return core.QueryUpdate{ID: core.QueryID(j + 1), Kind: core.Range, Region: geo.RectAt(w.qrys[j], 0.01), T: w.now}
+}
+
+// bootstrap registers every object and query and runs the first step.
+func (w *hotspotWalk) bootstrap(p core.Processor) {
+	for i := range w.objs {
+		p.ReportObject(w.objectUpdate(i))
+	}
+	for j := range w.qrys {
+		p.ReportQuery(w.queryUpdate(j))
+	}
+	p.Step(w.now)
+}
+
+// tick advances the clock and moves 30 % of the objects and 30 % of
+// the queries by one random-walk step, buffering their reports; a
+// non-nil p receives them at once.
+func (w *hotspotWalk) tick(p core.Processor) {
+	w.now++
+	w.objBuf, w.qryBuf = w.objBuf[:0], w.qryBuf[:0]
+	for i := range w.objs {
+		if w.rng.Float64() < 0.3 {
+			w.objs[i] = w.walk(w.objs[i])
+			w.objBuf = append(w.objBuf, w.objectUpdate(i))
+		}
+	}
+	for j := range w.qrys {
+		if w.rng.Float64() < 0.3 {
+			w.qrys[j] = w.walk(w.qrys[j])
+			w.qryBuf = append(w.qryBuf, w.queryUpdate(j))
+		}
+	}
+	if p != nil {
+		w.report(p)
+	}
+}
+
+func (w *hotspotWalk) walk(p geo.Point) geo.Point {
+	return clamp01(geo.Pt(p.X+0.005*w.rng.NormFloat64(), p.Y+0.005*w.rng.NormFloat64()))
+}
+
+// report feeds the buffered reports of the last tick to p.
+func (w *hotspotWalk) report(p core.Processor) {
+	for _, u := range w.objBuf {
+		p.ReportObject(u)
+	}
+	for _, u := range w.qryBuf {
+		p.ReportQuery(u)
+	}
 }
