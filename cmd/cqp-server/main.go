@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"cqp"
+	"cqp/internal/server"
 )
 
 func main() {
@@ -28,16 +29,14 @@ func main() {
 		gridN    = flag.Int("grid", 64, "grid cells per axis")
 		size     = flag.Float64("size", 1.0, "monitored space is the square [0,size)²")
 		horizon  = flag.Float64("horizon", 100, "predictive trajectory horizon (seconds)")
-		shards   = flag.Int("shards", 1, "spatial shards, each a tile engine stepping on its own goroutine: the way to use more than one core (1 = single engine)")
-
-		shardRepart = flag.Bool("shard-repartition", false, "split hot tiles and merge cold ones under load skew (shards > 1)")
-		repoDir     = flag.String("repo", "", "repository directory for durable commits and location history (empty = in-memory only)")
+		shards   = flag.Int("shards", 1, "spatial shards, each a tile engine stepping on its own goroutine: the way to use more than one core (1 = single engine; hot tiles split and cold ones merge under load skew)")
+		repoDir  = flag.String("repo", "", "repository directory for durable commits and location history (empty = in-memory only)")
 
 		readTO    = flag.Duration("read-timeout", 45*time.Second, "reap sessions silent for this long (0 = never)")
-		writeTO   = flag.Duration("write-timeout", 5*time.Second, "per-frame write deadline (<0 = none)")
+		writeTO   = flag.Duration("write-timeout", server.DefaultWriteTimeout, "per-frame write deadline (<0 = none)")
 		heartbeat = flag.Duration("heartbeat", 15*time.Second, "server→client heartbeat period (0 = off)")
-		outbox    = flag.Int("outbox", 256, "per-session outbound queue depth; size it from the sheds the serve-bulk and ingest-flood benchmark workloads report")
-		maxFrame  = flag.Uint("max-frame", 1<<20, "largest accepted inbound frame in bytes")
+		outbox    = flag.Int("outbox", server.DefaultOutboxSize, "per-session outbound queue depth, the depth the serve-bulk and ingest-flood benchmark workloads run at; size it from the sheds they report")
+		maxFrame  = flag.Uint("max-frame", server.DefaultMaxFrame, "largest accepted inbound frame in bytes")
 
 		metricsAddr = flag.String("metrics", "", "serve a JSON metrics snapshot and pprof on this address (e.g. :6060; empty = off)")
 		metricsLog  = flag.Duration("metrics-log", 0, "log a metrics snapshot this often (0 = off; implies metrics collection)")
@@ -56,7 +55,6 @@ func main() {
 			PredictiveHorizon: *horizon,
 		},
 		Shards:            *shards,
-		ShardRepartition:  cqp.ShardRepartitionOptions{Enable: *shardRepart},
 		Interval:          *interval,
 		RepositoryDir:     *repoDir,
 		ReadTimeout:       *readTO,

@@ -30,6 +30,12 @@
 //	p, err := cqp.NewShardedEngine(cqp.Options{Bounds: cqp.R(0, 0, 100, 100)}, 4)
 //	defer p.Close()
 //
+// The router adapts the grid to load as it runs: every 16 steps it
+// splits a tile whose report queue is more than twice the mean, up to
+// four times the initial tile count, or merges two cold sibling halves
+// back. The decision reads only the reports, so it never depends on
+// whether metrics are on, and balanced load never repartitions.
+//
 // The network server selects the implementation with its Shards config
 // knob (cmd/cqp-server -shards).
 //
@@ -89,12 +95,9 @@ type (
 	// Protocol layers the out-of-sync client protocol (Commit, Recover,
 	// committed answers) over any Processor.
 	Protocol = core.Protocol
-	// ShardOptions configures a ShardedEngine (tile grid shape,
-	// repartition policy).
+	// ShardOptions configures a ShardedEngine: the tile engines' Options
+	// and the initial tile grid's shape.
 	ShardOptions = shard.Options
-	// ShardRepartitionOptions tunes the sharded engine's load-aware
-	// tile split/merge policy.
-	ShardRepartitionOptions = shard.RepartitionOptions
 	// Options configures an Engine.
 	Options = core.Options
 	// Stats is the engine's per-phase work ledger.

@@ -47,13 +47,27 @@ func TestRecoveryAcrossQueryKinds(t *testing.T) {
 	}
 }
 
-// TestChecksumProperties pins the checksum's order independence and
-// sensitivity.
+// TestChecksumProperties pins the checksum's order independence,
+// sensitivity and literal values. A client and the server fold their
+// checksums in different processes, so the mix must be a pure function
+// of the IDs: a per-process salt would pass every in-process
+// comparison and turn every reconnect into a full-answer heal.
 func TestChecksumProperties(t *testing.T) {
 	a := ChecksumIDs([]ObjectID{1, 2, 3})
 	b := ChecksumIDs([]ObjectID{3, 1, 2})
 	if a != b {
 		t.Error("checksum is order dependent")
+	}
+	for _, c := range []struct {
+		ids  []ObjectID
+		want uint64
+	}{
+		{[]ObjectID{1, 2, 3}, 0x1b590cd64e9485e2},
+		{[]ObjectID{0xfedcba9876543210}, 0x7ae893b5e32fee86},
+	} {
+		if got := ChecksumIDs(c.ids); got != c.want {
+			t.Errorf("ChecksumIDs(%#x) = %#x, want %#x", c.ids, got, c.want)
+		}
 	}
 	if a == ChecksumIDs([]ObjectID{1, 2}) {
 		t.Error("checksum insensitive to membership")

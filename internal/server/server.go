@@ -62,15 +62,11 @@ type Config struct {
 	Engine core.Options
 
 	// Shards selects the processor implementation: 0 or 1 runs the
-	// single core.Engine (today's behavior); larger values run the
-	// spatially sharded engine (internal/shard) with that many tile
-	// shards evaluating in parallel. Negative values are rejected.
+	// single core.Engine; larger values run the spatially sharded engine
+	// (internal/shard) with that many initial tile shards evaluating in
+	// parallel, split and merged under load skew. Negative values are
+	// rejected.
 	Shards int
-
-	// ShardRepartition configures the sharded engine's load-aware
-	// split/merge policy when Shards > 1; the zero value leaves the
-	// partition static.
-	ShardRepartition shard.RepartitionOptions
 
 	// Processor, when non-nil, is used as the query processor instead of
 	// constructing one from Engine/Shards (which are then ignored). The
@@ -350,11 +346,7 @@ func newProcessor(cfg Config) (core.Processor, error) {
 	case cfg.Shards < 0:
 		return nil, fmt.Errorf("server: Config.Shards must be non-negative, got %d", cfg.Shards)
 	case cfg.Shards > 1:
-		rows, cols := shard.Split(cfg.Shards)
-		return shard.New(shard.Options{
-			Core: cfg.Engine, Rows: rows, Cols: cols,
-			Repartition: cfg.ShardRepartition,
-		})
+		return shard.NewN(cfg.Engine, cfg.Shards)
 	default:
 		return core.NewEngine(cfg.Engine)
 	}

@@ -11,17 +11,16 @@ import (
 // benchShard builds a sharded engine with a uniform population. -short
 // shrinks the population so the CI bench smoke (one iteration) stays
 // cheap.
-func benchShard(tb testing.TB, tiles int, ro RepartitionOptions) (*Engine, *rand.Rand, int) {
+func benchShard(tb testing.TB, tiles int) (*Engine, *rand.Rand, int) {
 	objects, queries := 10000, 2000
 	if testing.Short() {
 		objects, queries = 1000, 200
 	}
 	rows, cols := Split(tiles)
 	e := MustNew(Options{
-		Core:        core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: 64, PredictiveHorizon: 100},
-		Rows:        rows,
-		Cols:        cols,
-		Repartition: ro,
+		Core: core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: 64, PredictiveHorizon: 100},
+		Rows: rows,
+		Cols: cols,
 	})
 	tb.Cleanup(func() { e.Close() })
 	rng := rand.New(rand.NewSource(1))
@@ -58,7 +57,7 @@ func shardChurn(e *Engine, rng *rand.Rand, objects int, tick float64) int {
 // broadcast, merge — with 3% of the population moving per tick across
 // a 2×2 tiling.
 func BenchmarkShardStep(b *testing.B) {
-	e, rng, objects := benchShard(b, 4, RepartitionOptions{})
+	e, rng, objects := benchShard(b, 4)
 	moves := 0
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -77,7 +76,7 @@ func BenchmarkShardStep(b *testing.B) {
 // the per-round runs and cursors) is engine-owned and reused; a
 // per-query buffer would cost hundreds of allocations per tick.
 func TestShardStepAppendSteadyStateAllocs(t *testing.T) {
-	e, rng, objects := benchShard(t, 4, RepartitionOptions{})
+	e, rng, objects := benchShard(t, 4)
 	var buf []core.Update
 	tick := 0
 	step := func() {
@@ -102,11 +101,12 @@ func TestShardStepAppendSteadyStateAllocs(t *testing.T) {
 // 75 % of objects and queries are placed Gaussian (σ 0.06) around
 // (0.15, 0.15), the rest uniformly, and 30 % of each report a local
 // random-walk move (σ 0.005) per step. It runs the same script through
-// one core.Engine and through 4 and 16 tiles, so the rows show whether
-// a tiling keeps the hotspot from landing in one tile. Each arm warms
-// up 64 steps outside the timer; report generation is untimed too.
-// -short shrinks the population from 20K × 20K to 2K × 2K so the CI
-// bench smoke stays cheap.
+// one core.Engine and through routers of 4 and 16 initial tiles, so the
+// rows show whether the load policy's splits, reported as the router's
+// final tile count, pay for themselves against the hotspot. Each arm
+// warms up 64 steps outside the timer, four policy checks; report
+// generation is untimed too. -short shrinks the population from
+// 20K × 20K to 2K × 2K so the CI bench smoke stays cheap.
 func BenchmarkShardStepHotspot(b *testing.B) {
 	n := 20000
 	if testing.Short() {
@@ -118,11 +118,8 @@ func BenchmarkShardStepHotspot(b *testing.B) {
 		proc func() core.Processor
 	}{
 		{"engine", func() core.Processor { return core.MustNewEngine(opt) }},
-		{"tiles4-static", func() core.Processor { return MustNew(Options{Core: opt, Rows: 2, Cols: 2}) }},
-		{"tiles4-policy", func() core.Processor {
-			return MustNew(Options{Core: opt, Rows: 2, Cols: 2, Repartition: RepartitionOptions{Enable: true}})
-		}},
-		{"tiles16-static", func() core.Processor { return MustNew(Options{Core: opt, Rows: 4, Cols: 4}) }},
+		{"tiles4", func() core.Processor { return MustNew(Options{Core: opt, Rows: 2, Cols: 2}) }},
+		{"tiles16", func() core.Processor { return MustNew(Options{Core: opt, Rows: 4, Cols: 4}) }},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			p := arm.proc()
@@ -133,7 +130,8 @@ func BenchmarkShardStepHotspot(b *testing.B) {
 			w.bootstrap(p)
 			var buf []core.Update
 			for i := 0; i < 64; i++ {
-				w.tick(p)
+				w.tick()
+				w.report(p)
 				buf = p.StepAppend(buf[:0], w.now)
 			}
 			updates := 0
@@ -141,7 +139,7 @@ func BenchmarkShardStepHotspot(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				w.tick(nil)
+				w.tick()
 				b.StartTimer()
 				w.report(p)
 				buf = p.StepAppend(buf[:0], w.now)
@@ -212,9 +210,8 @@ func (w *hotspotWalk) bootstrap(p core.Processor) {
 }
 
 // tick advances the clock and moves 30 % of the objects and 30 % of
-// the queries by one random-walk step, buffering their reports; a
-// non-nil p receives them at once.
-func (w *hotspotWalk) tick(p core.Processor) {
+// the queries by one random-walk step, buffering their reports.
+func (w *hotspotWalk) tick() {
 	w.now++
 	w.objBuf, w.qryBuf = w.objBuf[:0], w.qryBuf[:0]
 	for i := range w.objs {
@@ -228,9 +225,6 @@ func (w *hotspotWalk) tick(p core.Processor) {
 			w.qrys[j] = w.walk(w.qrys[j])
 			w.qryBuf = append(w.qryBuf, w.queryUpdate(j))
 		}
-	}
-	if p != nil {
-		w.report(p)
 	}
 }
 

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -77,6 +78,37 @@ func TestShardMetricsDoNotAffectUpdates(t *testing.T) {
 	}
 	if got := reg.Histogram("shard.queue_depth", obs.SizeBuckets).Count(); got == 0 {
 		t.Error("shard.queue_depth recorded nothing")
+	}
+}
+
+// TestShardMetricsDoNotAffectWork extends the rule from the stream to
+// the work: on a hotspot workload that makes the load policy split, a
+// bare 2×2 router and one with metrics and a live clock must end with
+// the same partition and the same work ledger. The policy reads queue
+// depth, never the clock, so what the tiles do cannot depend on
+// whether anyone is measuring them.
+func TestShardMetricsDoNotAffectWork(t *testing.T) {
+	for _, seed := range []int64{1, 2, 7, 42, 1234} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			g := scenario.NewGen(seed, churnVocab|scenario.Hotspot)
+			bare := newScenarioShard(t, g, 2, 2)
+			reg := obs.NewRegistry()
+			iopt := g.Options()
+			iopt.Metrics = reg
+			iopt.Clock = atomicFakeClock()
+			inst := MustNew(Options{Core: iopt, Rows: 2, Cols: 2})
+			defer inst.Close()
+			scenario.Run(t, g, scenario.Config{Steps: 100, Procs: []core.Processor{bare, inst}, SameStream: true})
+			if b, i := bare.NumTiles(), inst.NumTiles(); b != i {
+				t.Errorf("tiles: bare %d, instrumented %d", b, i)
+			}
+			if b, i := bare.Stats(), inst.Stats(); b != i {
+				t.Errorf("work ledger\n bare         %+v\n instrumented %+v", b, i)
+			}
+			if reg.Counter("shard.tile_splits").Value() == 0 {
+				t.Errorf("the instrumented router never split a tile: %d tiles", inst.NumTiles())
+			}
+		})
 	}
 }
 

@@ -41,10 +41,13 @@ import (
 //     but the candidate set and all distances are preserved.)
 //  4. Destroy the dying transports.
 //
-// The policy (maybeRepartition) is driven by the same two signals the
-// obs layer exports per tile: queue depth at broadcast (always on) and
-// measured step nanos (when a clock is configured), folded into
-// per-tile EWMAs by stepAll.
+// The policy (maybeRepartition) runs in every router. Its one signal
+// is each tile's queue depth at broadcast, the shard.queue_depth
+// observation, folded into a per-tile EWMA by stepAll. The depth is a
+// pure function of the reports, so the partition, and with it the work
+// ledger, is the same whether or not metrics and a clock are on. A
+// router whose tiles carry equal load never repartitions; one tile is
+// always at the mean and never splits.
 
 // repartOp is one queued repartition request.
 type repartOp struct {
@@ -124,26 +127,20 @@ func (e *Engine) runRepartitions(m *mergeState) {
 	}
 }
 
-// maybeRepartition runs the load policy: every Interval steps, split
-// the hottest tile if its load exceeds splitFactor × the mean (and the
-// tile budget allows), otherwise merge the coldest sibling-leaf pair
-// whose combined load is below mergeFactor × the mean. At most one
-// operation per check keeps the partition from thrashing. Reports
-// whether an operation ran.
+// maybeRepartition runs the load policy: every repartitionInterval
+// steps, split the hottest tile if its load exceeds splitFactor × the
+// mean (and the partition has fewer than maxTilesFactor × its initial
+// tiles), otherwise merge the coldest sibling-leaf pair whose combined
+// load is below mergeFactor × the mean. At most one operation per
+// check keeps the partition from thrashing. Reports whether an
+// operation ran.
 func (e *Engine) maybeRepartition(m *mergeState) bool {
-	ro := e.opt.Repartition
-	if !ro.Enable || e.stepSeq <= 1 || e.stepSeq%uint64(ro.Interval) != 0 {
+	if e.stepSeq%repartitionInterval != 0 {
 		return false
-	}
-	// Prefer measured step time when a clock is present; queue depth
-	// otherwise. Both are EWMAs maintained by stepAll.
-	scores := e.loadEW
-	if e.m.tracer.Enabled() {
-		scores = e.nanosEW
 	}
 	mean := 0.0
 	for _, id := range e.live {
-		mean += scores[id]
+		mean += e.loadEW[id]
 	}
 	mean /= float64(len(e.live))
 	if mean <= 0 {
@@ -151,11 +148,11 @@ func (e *Engine) maybeRepartition(m *mergeState) bool {
 	}
 	hot, hotScore := -1, 0.0
 	for _, id := range e.live {
-		if s := scores[id]; s > hotScore {
+		if s := e.loadEW[id]; s > hotScore {
 			hot, hotScore = id, s
 		}
 	}
-	if hot >= 0 && len(e.live) < ro.MaxTiles && hotScore > splitFactor*mean {
+	if hot >= 0 && len(e.live) < maxTilesFactor*e.opt.Rows*e.opt.Cols && hotScore > splitFactor*mean {
 		e.splitNow(m, hot)
 		return true
 	}
@@ -171,7 +168,7 @@ func (e *Engine) maybeRepartition(m *mergeState) bool {
 		if t0 < 0 || t1 < 0 {
 			continue
 		}
-		if s := scores[t0] + scores[t1]; bestP < 0 || s < bestScore {
+		if s := e.loadEW[t0] + e.loadEW[t1]; bestP < 0 || s < bestScore {
 			bestP, bestScore = p, s
 		}
 	}
@@ -208,7 +205,6 @@ func (e *Engine) splitNow(m *mergeState, id int) {
 	// the policy keeps a plausible score until fresh observations
 	// arrive, instead of seeing two idle-looking tiles.
 	e.loadEW[t1], e.loadEW[t2] = e.loadEW[id]/2, e.loadEW[id]/2
-	e.nanosEW[t1], e.nanosEW[t2] = e.nanosEW[id]/2, e.nanosEW[id]/2
 	e.handoff(m, []int{id}, []int{t1, t2})
 	e.destroyTile(id)
 	e.m.tileSplits.Inc()
@@ -224,7 +220,6 @@ func (e *Engine) mergeNow(m *mergeState, p int) {
 	e.nodes[p].kids = [2]int{-1, -1}
 	c := e.mustAttach(p)
 	e.loadEW[c] = e.loadEW[a] + e.loadEW[b]
-	e.nanosEW[c] = e.nanosEW[a] + e.nanosEW[b]
 	e.handoff(m, []int{a, b}, []int{c})
 	e.destroyTile(a)
 	e.destroyTile(b)

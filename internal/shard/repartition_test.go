@@ -12,11 +12,11 @@ import (
 
 // TestDifferentialRepartitionMidRun extends the five-seed differential
 // property to repartitioning: the same randomized hotspot workload runs
-// through a fixed 2×2 shard engine, one that is split and merged mid-run
-// by the manual hooks (hottest tile split, coldest sibling pair merged),
-// and one driven by the automatic load policy. All three merged update
-// streams must be BIT-IDENTICAL at every step — a repartition may never
-// show a seam — and the answers must match a single core engine's.
+// through a 2×2 router that the load policy alone repartitions and one
+// that the manual hooks also split and merge mid-run (hottest tile
+// split, coldest sibling pair merged). Both merged update streams must
+// be BIT-IDENTICAL at every step — a repartition may never show a seam
+// — and the answers must match the scenario driver's reference engine.
 // The last case moves its predictive objects, which pins the born
 // tiles' share of a kNN query's coverage in handoff.
 func TestDifferentialRepartitionMidRun(t *testing.T) {
@@ -27,24 +27,17 @@ func TestDifferentialRepartitionMidRun(t *testing.T) {
 	}{{1, hot}, {2, hot}, {7, hot}, {42, hot}, {1234, hot}, {1, hot | scenario.Velocity}} {
 		t.Run("", func(t *testing.T) {
 			g := scenario.NewGen(c.seed, c.vocab)
-			fixed := newScenarioShard(t, g, 2, 2)
 			manual := newScenarioShard(t, g, 2, 2)
-			// The policy engine gets its own registry so the test can read
-			// the split/merge counters; metrics never affect the stream.
-			// With no Clock the policy scores queue-depth EWMAs, which are
-			// a pure function of the reports — so its stream stays
-			// deterministic.
+			// The policy router gets its own registry so the test can read
+			// the split counter; metrics never affect the stream.
 			reg := obs.NewRegistry()
 			mopt := g.Options()
 			mopt.Metrics = reg
-			auto := MustNew(Options{
-				Core: mopt, Rows: 2, Cols: 2,
-				Repartition: RepartitionOptions{Enable: true, Interval: 5, MaxTiles: 12},
-			})
+			auto := MustNew(Options{Core: mopt, Rows: 2, Cols: 2})
 			defer auto.Close()
 			scenario.Run(t, g, scenario.Config{
-				Steps: 100, Procs: []core.Processor{fixed, manual, auto}, SameStream: true,
-				// Mid-run repartitions on the manual engine only: split the
+				Steps: 100, Procs: []core.Processor{manual, auto}, SameStream: true,
+				// Mid-run repartitions on the manual router only: split the
 				// hottest tile, merge the coldest sibling pair.
 				Before: func(step int) {
 					if step%7 == 3 {
@@ -56,7 +49,7 @@ func TestDifferentialRepartitionMidRun(t *testing.T) {
 				},
 			})
 			if manual.NumTiles() < 3 {
-				t.Fatalf("manual engine never grew past %d tiles; repartitions did not run", manual.NumTiles())
+				t.Fatalf("manual router never grew past %d tiles; repartitions did not run", manual.NumTiles())
 			}
 			if reg.Flatten()["shard.tile_splits"] == 0 {
 				t.Fatalf("hotspot workload never triggered the split policy: %v tiles", auto.NumTiles())

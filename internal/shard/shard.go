@@ -72,36 +72,18 @@ type Options struct {
 
 	// Rows, Cols shape the initial tile grid. Both default to 1.
 	Rows, Cols int
-
-	// Repartition configures load-aware tile splitting and merging.
-	// Disabled unless Repartition.Enable is set; SplitTile and
-	// MergeTile work either way.
-	Repartition RepartitionOptions
 }
 
-// RepartitionOptions tunes the load-aware split/merge policy. Per-tile
-// load is an exponential moving average of the tile's queue depth at
-// broadcast time (the shard.queue_depth observation), or of the tile's
-// measured step nanos (the shard.step_skew_ns source) when Core.Clock
-// is configured — the same two signals the obs layer already exports.
-type RepartitionOptions struct {
-	// Enable turns the periodic policy check on.
-	Enable bool
-
-	// Interval is the number of steps between policy checks (default 16).
-	Interval int
-
-	// MaxTiles caps the number of live tiles (default 4 × the initial
-	// Rows×Cols count).
-	MaxTiles int
-}
-
-// The repartition policy's load thresholds: a tile splits when its load
-// exceeds splitFactor × the mean live-tile load, and two sibling leaves
-// merge when their combined load is below mergeFactor × the mean.
+// The repartition policy (see repartition.go) checks the partition
+// every repartitionInterval steps and never grows it past
+// maxTilesFactor × the initial Rows×Cols tiles. A tile splits when its
+// load exceeds splitFactor × the mean live-tile load, and two sibling
+// leaves merge when their combined load is below mergeFactor × the mean.
 const (
-	splitFactor = 2
-	mergeFactor = 0.5
+	repartitionInterval = 16
+	maxTilesFactor      = 4
+	splitFactor         = 2
+	mergeFactor         = 0.5
 )
 
 func (o *Options) withDefaults() (Options, error) {
@@ -126,16 +108,6 @@ func (o *Options) withDefaults() (Options, error) {
 		return out, err
 	}
 	out.Core = c
-	r := &out.Repartition
-	if r.Interval == 0 {
-		r.Interval = 16
-	}
-	if r.MaxTiles == 0 {
-		r.MaxTiles = 4 * out.Rows * out.Cols
-	}
-	if r.Interval < 1 || r.MaxTiles < out.Rows*out.Cols {
-		return out, fmt.Errorf("shard: invalid Repartition options %+v", *r)
-	}
 	return out, nil
 }
 
@@ -264,7 +236,6 @@ type Engine struct {
 
 	objCount []int     // objects owned per tile id
 	loadEW   []float64 // EWMA of queue depth at broadcast, per tile id
-	nanosEW  []float64 // EWMA of measured step nanos, per tile id (0 without a clock)
 
 	factory TileFactory
 
@@ -434,7 +405,6 @@ func (e *Engine) attachTile(node int) (int, error) {
 	e.tstate = append(e.tstate, tileState{rect: rect, node: node, live: true})
 	e.objCount = append(e.objCount, 0)
 	e.loadEW = append(e.loadEW, 0)
-	e.nanosEW = append(e.nanosEW, 0)
 	e.nodes[node].tile = id
 	// Keep the live list sorted; new ids are always the largest.
 	e.live = append(e.live, id)
@@ -628,8 +598,9 @@ func (e *Engine) stepTiles(tiles []int, now float64) [][]core.Update {
 
 // stepAll runs Step(now) on every live tile in parallel, recording each
 // tile's queue depth at broadcast time (also folded into the load
-// average driving repartitioning) and the broadcast's step skew
-// (slowest minus fastest tile) when a clock is configured.
+// average driving repartitioning) and, when a clock is configured, the
+// broadcast's step skew (slowest minus fastest tile). The skew is an
+// observation only: the partition never reads the clock.
 func (e *Engine) stepAll(now float64) [][]core.Update {
 	const keep = 0.75 // EWMA retention of the previous load estimate
 	for _, id := range e.live {
@@ -643,21 +614,13 @@ func (e *Engine) stepAll(now float64) [][]core.Update {
 		out = append(out, e.tiles[id].StepWait())
 	}
 	e.batchBuf = out
-	if e.m.tracer.Enabled() && len(e.live) > 0 {
+	if e.m.tracer.Enabled() && len(e.live) > 1 {
 		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 		for _, id := range e.live {
 			ns := e.tiles[id].StepNanos()
-			e.nanosEW[id] = keep*e.nanosEW[id] + (1-keep)*float64(ns)
-			if ns < lo {
-				lo = ns
-			}
-			if ns > hi {
-				hi = ns
-			}
+			lo, hi = min(lo, ns), max(hi, ns)
 		}
-		if len(e.live) > 1 {
-			e.m.stepSkew.Observe(hi - lo)
-		}
+		e.m.stepSkew.Observe(hi - lo)
 	}
 	return out
 }
