@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"slices"
 	"time"
 
 	"cqp/internal/baseline/snapshot"
@@ -13,7 +14,6 @@ import (
 	"cqp/internal/gen"
 	"cqp/internal/geo"
 	"cqp/internal/roadnet"
-	"cqp/internal/wire"
 )
 
 // Fig5Config parameterizes the paper's Figure 5 experiment: a
@@ -79,6 +79,9 @@ type Fig5Result struct {
 	Updates       float64 // avg update tuples/evaluation
 	AnswerTuples  float64 // avg total answer cardinality
 	StepMillis    float64 // avg engine Step wall time
+
+	// Exact byte totals over the measured evaluations.
+	IncrementalBytes, CompleteBytes int64
 }
 
 // scatter spreads freshly created populations along the road edges:
@@ -89,47 +92,9 @@ func scatter(wl *gen.Workload) {
 	wl.Queries.Advance(3600)
 }
 
-// RunFig5Point measures one configuration point.
+// RunFig5Point measures one configuration point on one core.Engine.
 func RunFig5Point(cfg Fig5Config) Fig5Result {
-	cfg = cfg.WithDefaults()
-	net := roadnet.Generate(roadnet.Config{Seed: cfg.Seed})
-	world := gen.MustNewWorld(gen.Config{Net: net, NumObjects: cfg.Objects, Seed: cfg.Seed})
-	wl := gen.NewWorkload(world, cfg.Queries, cfg.QuerySide, cfg.Seed)
-	scatter(wl)
-
-	engine := core.MustNewEngine(core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: cfg.GridN})
-	wl.Bootstrap(engine)
-	engine.Step(world.Now())
-	for i := 0; i < cfg.Warmup; i++ {
-		wl.Tick(engine, cfg.DT, cfg.Rate, cfg.QueryRate)
-		engine.Step(world.Now())
-	}
-
-	var res Fig5Result
-	for i := 0; i < cfg.Ticks; i++ {
-		wl.Tick(engine, cfg.DT, cfg.Rate, cfg.QueryRate)
-		res.measureStep(engine, world.Now(), cfg.Queries)
-	}
-	return res.per(cfg.Ticks)
-}
-
-// measureStep runs one measured evaluation of e and adds its traffic
-// under both strategies to r: the update stream it emits, and what the
-// naive server would send instead, every query's complete answer.
-// Queries are numbered 1..queries.
-func (r *Fig5Result) measureStep(e *core.Engine, now float64, queries int) {
-	start := time.Now()
-	updates := e.Step(now)
-	r.StepMillis += msSince(start)
-
-	r.Updates += float64(len(updates))
-	r.IncrementalKB += float64(wire.EncodedSize(wire.UpdateBatch{Updates: updates})) / 1024
-	for j := 0; j < queries; j++ {
-		q := core.QueryID(j + 1)
-		ans, _ := e.Answer(q)
-		r.AnswerTuples += float64(len(ans))
-		r.CompleteKB += float64(wire.EncodedSize(wire.FullAnswer{Query: q, Objects: ans})) / 1024
-	}
+	return RunFig5(RecordFig5(NewFig5Workload(cfg), cfg), EngineFactory)
 }
 
 // per returns r's sums averaged over ticks evaluations.
@@ -141,6 +106,9 @@ func (r Fig5Result) per(ticks int) Fig5Result {
 		Updates:       r.Updates / n,
 		AnswerTuples:  r.AnswerTuples / n,
 		StepMillis:    r.StepMillis / n,
+
+		IncrementalBytes: r.IncrementalBytes,
+		CompleteBytes:    r.CompleteBytes,
 	}
 }
 
@@ -242,34 +210,13 @@ type RecoveryResult struct {
 // disconnects it for missedTicks evaluations, and measures both recovery
 // payloads.
 func RunRecovery(cfg Fig5Config, missedTicksList []int) []RecoveryResult {
-	cfg = cfg.WithDefaults()
-	out := make([]RecoveryResult, 0, len(missedTicksList))
-	for _, missed := range missedTicksList {
-		net := roadnet.Generate(roadnet.Config{Seed: cfg.Seed})
-		world := gen.MustNewWorld(gen.Config{Net: net, NumObjects: cfg.Objects, Seed: cfg.Seed})
-		wl := gen.NewWorkload(world, cfg.Queries, cfg.QuerySide, cfg.Seed)
-		scatter(wl)
-		engine := core.NewProtocol(core.MustNewEngine(core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: cfg.GridN}))
-		wl.Bootstrap(engine)
-		engine.Step(world.Now())
-
-		const q = core.QueryID(1)
-		engine.Commit(q)
-		for i := 0; i < missed; i++ {
-			wl.Tick(engine, cfg.DT, cfg.Rate, cfg.QueryRate)
-			engine.Step(world.Now())
-		}
-		diff, _ := engine.Recover(q)
-		ans, _ := engine.Answer(q)
-		out = append(out, RecoveryResult{
-			MissedTicks: missed,
-			DiffKB:      float64(wire.EncodedSize(wire.RecoveryDiff{Updates: diff})) / 1024,
-			FullKB:      float64(wire.EncodedSize(wire.FullAnswer{Query: q, Objects: ans})) / 1024,
-			DiffTuples:  len(diff),
-			AnswerSize:  len(ans),
-		})
+	// The recovery replays the periods right after the bootstrap; the
+	// recorded warm-up periods are the first of them.
+	if len(missedTicksList) == 0 {
+		return nil
 	}
-	return out
+	cfg.Ticks = slices.Max(missedTicksList)
+	return RunRecoveryScript(RecordFig5(NewFig5Workload(cfg), cfg), EngineFactory, missedTicksList)
 }
 
 // --- Ablation 6: bulk vs per-report processing -----------------------------

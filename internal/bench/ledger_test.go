@@ -5,13 +5,11 @@ import (
 
 	"cqp/internal/core"
 	"cqp/internal/gen"
-	"cqp/internal/geo"
-	"cqp/internal/roadnet"
 	"cqp/internal/shard"
 )
 
 // TestWorkLedgerPinned pins the exact work ledger of a small seeded
-// Figure 5 point plus stationary kNN queries, for one engine and for the
+// Figure 5 point plus stationary kNN queries (pinnedScripts' first), for one engine and for the
 // four-tile router's sum over its tiles. The paper's savings are work the update stream does not
 // show: re-evaluating the overlap A_new ∩ A_old, or handing the phase-3
 // apply memberships the object already has, leaves every update
@@ -20,37 +18,17 @@ import (
 // counts are deterministic: tile interleaving does not change a tile's
 // work, so the router's sum holds at any GOMAXPROCS.
 func TestWorkLedgerPinned(t *testing.T) {
-	cfg := Fig5Config{
-		Objects: 2000, Queries: 2000, GridN: 32, QuerySide: 0.04,
-		Rate: 0.3, QueryRate: 0.3, Ticks: 5, Warmup: 1, DT: 5, Seed: 1,
-	}
-	const knnQueries = 200
-	opt := core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: cfg.GridN}
-	eng := core.MustNewEngine(opt)
-	sh, err := shard.NewN(opt, 4)
+	s := pinnedScripts().ledger
+	eng := core.MustNewEngine(s.Opt)
+	sh, err := shard.NewN(s.Opt, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sh.Close()
-
-	net := roadnet.Generate(roadnet.Config{Seed: cfg.Seed})
-	world := gen.MustNewWorld(gen.Config{Net: net, NumObjects: cfg.Objects, Seed: cfg.Seed})
-	wl := gen.NewWorkload(world, cfg.Queries, cfg.QuerySide, cfg.Seed)
-	scatter(wl)
-	both := fanout{sinks: []gen.Sink{eng, sh}}
-	wl.Bootstrap(both)
-	// Figure 5 has only range queries; stationary kNN queries at the
-	// first query centres put phases 3 and 4's kNN work in the ledger.
-	for j := 0; j < knnQueries; j++ {
-		focal, _ := wl.Queries.Object(j)
-		both.ReportQuery(core.QueryUpdate{ID: core.QueryID(cfg.Queries + 1 + j), Kind: core.KNN, Focal: focal, K: 8})
-	}
-	eng.Step(world.Now())
-	sh.Step(world.Now())
-	for i := 0; i < cfg.Warmup+cfg.Ticks; i++ {
-		wl.Tick(both, cfg.DT, cfg.Rate, cfg.QueryRate)
-		eng.Step(world.Now())
-		sh.Step(world.Now())
+	for i := range s.Steps {
+		s.Steps[i].Report(fanout{sinks: []gen.Sink{eng, sh}})
+		eng.Step(s.Steps[i].Now)
+		sh.Step(s.Steps[i].Now)
 	}
 
 	for _, c := range []struct {

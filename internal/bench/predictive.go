@@ -4,7 +4,6 @@ import (
 	"cqp/internal/core"
 	"cqp/internal/gen"
 	"cqp/internal/geo"
-	"cqp/internal/roadnet"
 )
 
 // RunPredictivePoint measures one point of Ablation 7: RunFig5Point's
@@ -14,72 +13,70 @@ import (
 // the future. The complete-answer column is what a re-evaluating server
 // (a TPR-tree, say) ships every period.
 func RunPredictivePoint(cfg Fig5Config) Fig5Result {
+	return RunFig5(RecordPredictive(NewFig5Workload(cfg), cfg), EngineFactory)
+}
+
+// RecordPredictive records RunPredictivePoint's script from wl's
+// current state; see RecordFig5.
+func RecordPredictive(wl *gen.Workload, cfg Fig5Config) *Script {
 	cfg = cfg.WithDefaults()
 	const (
 		horizon     = 200.0
 		windowAhead = 10.0
 		windowLen   = 50.0
 	)
-	net := roadnet.Generate(roadnet.Config{Seed: cfg.Seed})
-	world := gen.MustNewWorld(gen.Config{Net: net, NumObjects: cfg.Objects, Seed: cfg.Seed})
-	wl := gen.NewWorkload(world, cfg.Queries, cfg.QuerySide, cfg.Seed)
-	scatter(wl)
-
-	engine := core.MustNewEngine(core.Options{
-		Bounds: geo.R(0, 0, 1, 1), GridN: cfg.GridN, PredictiveHorizon: horizon,
-	})
-	reportObject := func(i int, now float64) {
+	world := wl.World
+	wl.QuerySide = cfg.QuerySide
+	s := &Script{
+		Opt:     core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: cfg.GridN, PredictiveHorizon: horizon},
+		Queries: wl.NumQueries,
+		Warmup:  cfg.Warmup,
+	}
+	reportObject := func(b *Batch, i int, now float64) {
 		loc, vel := world.Object(i)
-		engine.ReportObject(core.ObjectUpdate{
+		b.ReportObject(core.ObjectUpdate{
 			ID: core.ObjectID(i + 1), Kind: core.Predictive, Loc: loc, Vel: vel, T: now,
 		})
 	}
-	reportQuery := func(j int, now float64) {
-		engine.ReportQuery(core.QueryUpdate{
+	reportQuery := func(b *Batch, j int, now float64) {
+		b.ReportQuery(core.QueryUpdate{
 			ID: core.QueryID(j + 1), Kind: core.PredictiveRange,
 			Region: wl.QueryRegion(j),
 			T1:     now + windowAhead, T2: now + windowAhead + windowLen,
 			T: now,
 		})
 	}
-	// tick advances one period and reports the movers: cfg.Rate of
-	// objects change course (move + new velocity), cfg.QueryRate of
-	// queries move and slide their windows.
-	tick := func() float64 {
+
+	// The bootstrap reports the full population.
+	boot := Batch{Now: world.Now()}
+	for i := 0; i < world.NumObjects(); i++ {
+		reportObject(&boot, i, boot.Now)
+	}
+	for j := 0; j < wl.NumQueries; j++ {
+		reportQuery(&boot, j, boot.Now)
+	}
+	s.Steps = append(s.Steps, boot)
+
+	// Each period cfg.Rate of objects change course (move + new
+	// velocity), and cfg.QueryRate of queries move and slide their
+	// windows.
+	for t := 0; t < cfg.Warmup+cfg.Ticks; t++ {
 		world.AdvanceClock(cfg.DT)
 		wl.Queries.AdvanceClock(cfg.DT)
-		now := world.Now()
-		for i := 0; i < cfg.Objects; i++ {
+		b := Batch{Now: world.Now()}
+		for i := 0; i < world.NumObjects(); i++ {
 			if float64(i%100)/100 < cfg.Rate {
 				world.AdvanceObject(i, cfg.DT)
-				reportObject(i, now)
+				reportObject(&b, i, b.Now)
 			}
 		}
-		for j := 0; j < cfg.Queries; j++ {
+		for j := 0; j < wl.NumQueries; j++ {
 			if float64(j%100)/100 < cfg.QueryRate {
 				wl.Queries.AdvanceObject(j, cfg.DT)
-				reportQuery(j, now)
+				reportQuery(&b, j, b.Now)
 			}
 		}
-		return now
+		s.Steps = append(s.Steps, b)
 	}
-
-	// Bootstrap the full population.
-	now := world.Now()
-	for i := 0; i < cfg.Objects; i++ {
-		reportObject(i, now)
-	}
-	for j := 0; j < cfg.Queries; j++ {
-		reportQuery(j, now)
-	}
-	engine.Step(now)
-	for i := 0; i < cfg.Warmup; i++ {
-		engine.Step(tick())
-	}
-
-	var res Fig5Result
-	for i := 0; i < cfg.Ticks; i++ {
-		res.measureStep(engine, tick(), cfg.Queries)
-	}
-	return res.per(cfg.Ticks)
+	return s
 }
