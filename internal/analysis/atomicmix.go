@@ -8,7 +8,7 @@ import (
 
 // AtomicMix enforces the internal/obs hot-path contract: no obs
 // instrument may be resolved inside a loop. Registry.Counter/Gauge/
-// GaugeFunc/Histogram are construction-time calls (they allocate on
+// GaugeFunc/SharedGaugeFunc/Histogram are construction-time calls (they allocate on
 // first use and take a registry lock); the contract is "resolve once,
 // hold the pointer". A lookup inside a for/range body turns a per-step
 // increment into a per-step map+mutex operation.
@@ -69,15 +69,15 @@ func loopWalk(pass *Pass, n ast.Node, depth int) {
 	})
 }
 
-// obsResolveCall recognizes Registry.Counter/Gauge/GaugeFunc/Histogram
-// calls from internal/obs.
+// obsResolveCall recognizes Registry.Counter/Gauge/GaugeFunc/
+// SharedGaugeFunc/Histogram calls from internal/obs.
 func obsResolveCall(info *types.Info, call *ast.CallExpr) string {
 	fn := funcOf(info, call)
 	if fn == nil {
 		return ""
 	}
 	switch fn.Name() {
-	case "Counter", "Gauge", "GaugeFunc", "Histogram":
+	case "Counter", "Gauge", "GaugeFunc", "SharedGaugeFunc", "Histogram":
 	default:
 		return ""
 	}

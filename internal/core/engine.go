@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"cqp/internal/geo"
 	"cqp/internal/grid"
@@ -189,6 +191,11 @@ type queryState struct {
 
 	registered bool // region currently present in the grid
 
+	// seen is the last Step whose batch reported the query, and dup
+	// whether that batch reported it more than once (queryPhase).
+	seen uint64
+	dup  bool
+
 	// answer is the OList: the latest answer, maintained incrementally,
 	// keyed by object handle (members are always live, so handles cannot
 	// dangle).
@@ -237,28 +244,39 @@ type Engine struct {
 	// carries semantics between Steps — each buffer is reset (length
 	// zero or cleared) before use.
 	movedBuf []*objectState // phase-1 changed-object list, one entry per object
-	join     joinScratch    // phase-3 gather findings and callbacks (see join.go)
-	dirtyBuf []QueryID      // sorted dirty-kNN drain
+	live     []*objectState // phase 3's moved objects, read by its gather
+	qsOf     []*queryState  // phase 2: per report, its query if gathered
+	dirtyBuf []*queryState  // phase 4's dirty-kNN drain
 	qidBuf   []*queryState  // removeObject's sorted QList drain
 	hBuf     []int32        // answer-member snapshot for drop scans et al.
-	diffBuf  []geo.Rect     // region-difference pieces
-	knnBuf   []grid.Neighbor
-	knnDrop  []int32 // recomputeKNN's retracted member handles
-	knnAdd   []int32 // recomputeKNN's admitted member handles
-	prevEmit int     // previous Step's emission count: pre-size hint for out
+	knnDrop  []int32        // recomputeKNN's retracted member handles
+	knnAdd   []int32        // recomputeKNN's admitted member handles
+	prevEmit int            // previous Step's emission count: pre-size hint for out
 
 	// Canonical-sort keys and permutation scratch (see sort.go).
 	sortKeys []uint64
 	sortWide []updSortKey
 	sortTmp  []Update
 
-	// Pre-bound grid-visit callbacks for phase 2's query updates (a
-	// fresh closure per moved query escapes to the heap; with tens of
-	// thousands of query moves per Step that was a dominant allocation
-	// source). curQS/curOut carry the query being applied.
+	// The join's gather (join.go): the running phase gathers n items in
+	// nChunks chunks, next being the first unclaimed, with js[0] on the
+	// caller and js[w] on helper w, which wg joins. inline holds a range
+	// report applied where it stands. lastWork is the previous step's
+	// CandidateChecks + RegionEvalCells.
+	js         []*joinScratch
+	chunks     []*chunk
+	inline     chunk
+	gather     func(j *joinScratch, lo, hi int)
+	n, nChunks int
+	next       atomic.Int32
+	wg         sync.WaitGroup
+	lastWork   uint64
+
+	// Pre-bound grid-visit callbacks for predictive query updates (a
+	// fresh closure per moved query escapes to the heap). curQS/curOut
+	// carry the query being applied.
 	curQS        *queryState
 	curOut       *[]Update
-	rangeVisitCB func(uint64, geo.Point) bool
 	predCellCB   func(int) bool
 	predRegionCB func(uint64, geo.Rect) bool
 }
@@ -277,16 +295,7 @@ func NewEngine(opt Options) (*Engine, error) {
 		dirtyKNN: make(map[QueryID]struct{}),
 		m:        newEngineMetrics(o.Metrics, o.Clock),
 	}
-	e.bindJoinScratch()
-	e.rangeVisitCB = func(k uint64, _ geo.Point) bool {
-		e.stats.CandidateChecks++
-		// Candidates from the region difference A_new − A_old can still
-		// be members: phase 1 moves objects before the query phase, so
-		// a member may sit in the new area under its new location while
-		// its membership dates from the old one. setMember dedupes.
-		e.setMember(e.curQS, e.objsByH[k>>1], true, e.curOut)
-		return true
-	}
+	e.js = []*joinScratch{e.newJoinScratch()}
 	e.predRegionCB = func(k uint64, _ geo.Rect) bool {
 		if keyIsQuery(k) {
 			return true
@@ -532,6 +541,7 @@ func (e *Engine) stepAppend(out []Update, now float64) []Update {
 	// The work counters publish the step's ledger delta.
 	m := e.m
 	delta := e.stats.Since(prev)
+	e.lastWork = delta.CandidateChecks + delta.RegionEvalCells
 	for i, p := range delta.Counters() {
 		m.ledger[i].Add(*p)
 	}

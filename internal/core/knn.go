@@ -9,10 +9,10 @@ import (
 // so passing it as a callback never allocates a closure.
 func notQueryKey(k uint64) bool { return !keyIsQuery(k) }
 
-// recomputeKNN performs an exact k-nearest-neighbor search for a dirty
-// kNN query, emits the diff against the stored answer, and re-registers
-// the query's circular region in the grid. Phase 4 of a Step (knnPhase,
-// join.go) calls it once per dirty query, in ascending QueryID order.
+// recomputeKNN takes the exact k-nearest-neighbor search of a dirty kNN
+// query, emits the diff against the stored answer, and re-registers the
+// query's circular region in the grid. Phase 4 of a Step (knnPhase,
+// join.go) runs the searches and then calls it once per dirty query.
 //
 // Following the paper, a kNN query lives in the grid "as the smallest
 // circular region that contains the k nearest objects": a focal-centered
@@ -21,15 +21,12 @@ func notQueryKey(k uint64) bool { return !keyIsQuery(k) }
 // into the circle) and trigger this exact re-search; the emitted updates
 // are only the diff, e.g. (Q, −p2) (Q, +p1) when p1 displaces p2.
 //
-// The neighbor list and the drop/add diff live in engine scratch reused
+// The neighbor lists and the drop/add diff live in engine scratch reused
 // across recomputes, so steady-state kNN upkeep does not allocate. The
 // diff is emitted in search/answer order, not sorted: the step's
 // canonical sort fixes the stream, and no pair appears twice.
-func (e *Engine) recomputeKNN(qs *queryState, out *[]Update) {
+func (e *Engine) recomputeKNN(qs *queryState, neighbors []grid.Neighbor, out *[]Update) {
 	e.stats.KNNRecomputes++
-
-	neighbors := e.g.KNearestAppend(e.knnBuf[:0], qs.focal, qs.k, notQueryKey)
-	e.knnBuf = neighbors
 	radius := 0.0
 	for _, n := range neighbors {
 		if n.Dist > radius {

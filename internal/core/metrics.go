@@ -22,6 +22,12 @@ type engineMetrics struct {
 
 	ledger [numCounters]*obs.Counter // in Stats.Counters order
 
+	// Phases the join split across helpers (join.go's fork). Kept out
+	// of Stats: how a phase was split depends on GOMAXPROCS and on the
+	// other engines in the process, and the ledger must not. The
+	// engine.helpers gauge reads the process-wide helper count.
+	parallelPhases *obs.Counter
+
 	// Scratch-slab high-water marks: the retained working-set sizes
 	// that make steady-state Steps allocation-stable. A mark that keeps
 	// climbing under a stable workload is a leak in scratch reuse.
@@ -33,6 +39,7 @@ type engineMetrics struct {
 // newEngineMetrics resolves every instrument against reg (nil reg
 // yields detached instruments) and binds the injected clock.
 func newEngineMetrics(reg *obs.Registry, clock obs.Clock) *engineMetrics {
+	reg.SharedGaugeFunc("engine.helpers", func() int64 { return int64(helpers.Load()) })
 	return &engineMetrics{
 		tracer:         obs.NewTracer(clock),
 		stepLatency:    reg.Histogram("engine.step_ns", obs.DurationBuckets),
@@ -42,6 +49,7 @@ func newEngineMetrics(reg *obs.Registry, clock obs.Clock) *engineMetrics {
 		lastEmitted:    reg.Gauge("engine.last_emitted"),
 		objects:        reg.Gauge("engine.objects"),
 		qrySet:         reg.Gauge("engine.queries"),
+		parallelPhases: reg.Counter("engine.parallel_phases"),
 		ledger: [numCounters]*obs.Counter{ // in Stats.Counters order
 			reg.Counter("engine.steps"),
 			reg.Counter("engine.reports.objects"),

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cqp/internal/geo"
@@ -150,22 +151,28 @@ func TestStepAppendPreservesPrefixAndSortsSuffix(t *testing.T) {
 // TestMetricsDoNotAffectUpdates is the differential guarantee the
 // Options.Metrics docs promise: the same report stream through a bare
 // engine and a fully instrumented one yields bit-identical update
-// streams, step by step.
+// streams, step by step. The second size passes forkWork, so its
+// phases fork above one CPU and the parallel-phase counter moves.
 func TestMetricsDoNotAffectUpdates(t *testing.T) {
+	checkMetricsDoNotAffectUpdates(t, 500, 500, 50, false)
+	checkMetricsDoNotAffectUpdates(t, 4000, 20000, 4000, true)
+}
+
+func checkMetricsDoNotAffectUpdates(t *testing.T, objects, queries, moves int, fork bool) {
 	reg := obs.NewRegistry()
-	bare, rngA := benchEngine(500, 500, Range)
-	inst, rngB := metricsBenchEngine(500, 500, Range, reg)
+	bare, rngA := benchEngine(objects, queries, Range)
+	inst, rngB := metricsBenchEngine(objects, queries, Range, reg)
 
 	for tick := 1; tick <= 30; tick++ {
-		for n := 0; n < 50; n++ {
+		for n := 0; n < moves; n++ {
 			// Identical draws on both sides: the seeded rngs are in
 			// lockstep by construction.
 			bare.ReportObject(ObjectUpdate{
-				ID: ObjectID(1 + rngA.Intn(500)), Kind: Moving,
+				ID: ObjectID(1 + rngA.Intn(objects)), Kind: Moving,
 				Loc: geo.Pt(rngA.Float64(), rngA.Float64()), T: float64(tick),
 			})
 			inst.ReportObject(ObjectUpdate{
-				ID: ObjectID(1 + rngB.Intn(500)), Kind: Moving,
+				ID: ObjectID(1 + rngB.Intn(objects)), Kind: Moving,
 				Loc: geo.Pt(rngB.Float64(), rngB.Float64()), T: float64(tick),
 			})
 		}
@@ -179,6 +186,20 @@ func TestMetricsDoNotAffectUpdates(t *testing.T) {
 				t.Fatalf("tick %d update %d: %v bare vs %v instrumented", tick, i, a[i], b[i])
 			}
 		}
+	}
+	if bare.Stats() != inst.Stats() {
+		t.Errorf("ledgers differ: bare %+v, instrumented %+v", bare.Stats(), inst.Stats())
+	}
+
+	// The parallel-phase counter stays out of the ledger; it moves only
+	// when a step's work passes forkWork and there is a CPU to fork to.
+	forked := reg.Counter("engine.parallel_phases").Value()
+	if fork != (inst.lastWork >= forkWork) || fork != (forked > 0) && runtime.GOMAXPROCS(0) > 1 {
+		t.Errorf("%d objects: last step's work %d (forkWork %d), %d phases forked",
+			objects, inst.lastWork, forkWork, forked)
+	}
+	if _, ok := reg.Snapshot()["engine.helpers"]; !ok {
+		t.Error("engine.helpers gauge not registered")
 	}
 
 	// Every ledger counter is published under its engine.* name and

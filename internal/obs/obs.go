@@ -171,6 +171,23 @@ func (r *Registry) GaugeFunc(name string, f func() int64) {
 	r.funcs[name] = f
 }
 
+// SharedGaugeFunc is GaugeFunc for a value the process owns rather than
+// the caller, which every owner sharing the registry registers (each
+// tile engine of a sharded router, say): the first registration under
+// name wins, and later ones are no-ops. A name of another kind panics.
+func (r *Registry) SharedGaugeFunc(name string, f func() int64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.funcs[name]; ok {
+		return
+	}
+	r.mustBeFree(name, "gauge func")
+	r.funcs[name] = f
+}
+
 // Histogram returns the histogram registered under name, creating it
 // with the given bucket bounds on first use (later bounds are ignored
 // for an existing name). A nil registry returns a detached histogram.

@@ -373,3 +373,22 @@ func TestConcurrentInstruments(t *testing.T) {
 		t.Errorf("concurrent histogram count = %d, want 8000", got)
 	}
 }
+
+// TestSharedGaugeFunc: owners sharing a registry may each register a
+// process-owned func gauge; the first registration is the one read,
+// and a name of another kind still panics.
+func TestSharedGaugeFunc(t *testing.T) {
+	r := NewRegistry()
+	r.SharedGaugeFunc("shared", func() int64 { return 1 })
+	r.SharedGaugeFunc("shared", func() int64 { return 2 })
+	if got := r.Snapshot()["shared"]; got != int64(1) {
+		t.Errorf("Snapshot[shared] = %v, want 1", got)
+	}
+	r.Counter("c")
+	defer func() {
+		if recover() == nil {
+			t.Error("shared gauge func over a counter name did not panic")
+		}
+	}()
+	r.SharedGaugeFunc("c", func() int64 { return 0 })
+}
