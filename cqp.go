@@ -25,7 +25,8 @@
 // Processor interface. NewShardedEngine partitions the space into an
 // R×C tile grid with one engine per tile evaluating in parallel and a
 // router merging the per-tile streams into the same exact global answer
-// stream — a drop-in replacement when one core saturates:
+// stream — a drop-in replacement for the Engine, which itself spreads a
+// large step's join over the CPUs:
 //
 //	p, err := cqp.NewShardedEngine(cqp.Options{Bounds: cqp.R(0, 0, 100, 100)}, 4)
 //	defer p.Close()
