@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"cqp/internal/geo"
@@ -367,5 +368,46 @@ func TestGridObjectQueryAgreement(t *testing.T) {
 				t.Fatalf("object %v inside region %d=%v not in candidates", p, q, r)
 			}
 		}
+	}
+}
+
+// TestRegionWritesBesideObjectReads exercises the concurrency rule the
+// engine's join relies on: region writers may run while other
+// goroutines visit objects. Under -race, a change that lets a region
+// write touch what an object read reads fails here.
+func TestRegionWritesBesideObjectReads(t *testing.T) {
+	g := unitGrid(16)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		g.InsertObject(uint64(i), geo.Pt(rng.Float64(), rng.Float64()))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(seed))
+			var nbrs []Neighbor
+			for i := 0; i < 200; i++ {
+				x, y := r.Float64()*0.8, r.Float64()*0.8
+				g.VisitObjectsIn(geo.R(x, y, x+0.2, y+0.2), func(uint64, geo.Point) bool { return true })
+				g.CountCells(geo.R(x, y, x+0.2, y+0.2))
+				nbrs = g.KNearestAppend(nbrs, geo.Pt(x, y), 8, nil)
+			}
+		}(int64(w))
+	}
+	old := geo.R(0.1, 0.1, 0.3, 0.3)
+	g.InsertRegion(1<<40, old)
+	for i := 0; i < 400; i++ {
+		x, y := rng.Float64()*0.7, rng.Float64()*0.7
+		nr := geo.R(x, y, x+0.3, y+0.3)
+		g.MoveRegion(1<<40, old, nr)
+		g.InsertRegion(1<<41+uint64(i), nr)
+		g.RemoveRegion(1<<41+uint64(i), nr)
+		old = nr
+	}
+	wg.Wait()
+	if g.NumRegionEntries() != g.CountCells(old) {
+		t.Errorf("region entries = %d, want %d", g.NumRegionEntries(), g.CountCells(old))
 	}
 }
