@@ -2,6 +2,8 @@
 // accepts object/query reports, evaluates all continuous queries in bulk
 // every interval, and streams incremental positive/negative updates to
 // subscribers, with durable committed answers for out-of-sync recovery.
+// Each evaluation spreads its join over the CPUs the Go runtime may use
+// (GOMAXPROCS).
 //
 // Example:
 //
@@ -29,7 +31,6 @@ func main() {
 		gridN    = flag.Int("grid", 64, "grid cells per axis")
 		size     = flag.Float64("size", 1.0, "monitored space is the square [0,size)²")
 		horizon  = flag.Float64("horizon", 100, "predictive trajectory horizon (seconds)")
-		shards   = flag.Int("shards", 1, "spatial shards, each a tile engine stepping on its own goroutine: the way to use more than one core (1 = single engine; hot tiles split and cold ones merge under load skew)")
 		repoDir  = flag.String("repo", "", "repository directory for durable commits and location history (empty = in-memory only)")
 
 		readTO    = flag.Duration("read-timeout", 45*time.Second, "reap sessions silent for this long (0 = never)")
@@ -54,7 +55,6 @@ func main() {
 			GridN:             *gridN,
 			PredictiveHorizon: *horizon,
 		},
-		Shards:            *shards,
 		Interval:          *interval,
 		RepositoryDir:     *repoDir,
 		ReadTimeout:       *readTO,

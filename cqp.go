@@ -19,26 +19,12 @@
 //		fmt.Println(u) // (Q1, +O1)
 //	}
 //
-// # Sharding
+// # Multiple cores
 //
-// Both the single Engine and the spatially sharded engine satisfy the
-// Processor interface. NewShardedEngine partitions the space into an
-// R×C tile grid with one engine per tile evaluating in parallel and a
-// router merging the per-tile streams into the same exact global answer
-// stream — a drop-in replacement for the Engine, which itself spreads a
-// large step's join over the CPUs:
-//
-//	p, err := cqp.NewShardedEngine(cqp.Options{Bounds: cqp.R(0, 0, 100, 100)}, 4)
-//	defer p.Close()
-//
-// The router adapts the grid to load as it runs: every 16 steps it
-// splits a tile whose report queue is more than twice the mean, up to
-// four times the initial tile count, or merges two cold sibling halves
-// back. The decision reads only the reports, so it never depends on
-// whether metrics are on, and balanced load never repartitions.
-//
-// The network server selects the implementation with its Shards config
-// knob (cmd/cqp-server -shards).
+// An Engine spreads each step's join over the CPUs the Go runtime may
+// use (GOMAXPROCS): helper goroutines gather the work in chunks while
+// the stepping goroutine applies their findings in order, so the
+// update stream is the same at any CPU count.
 //
 // The root package re-exports the engine (internal/core), the geometry
 // kernel (internal/geo), the network layer (internal/server,
@@ -50,7 +36,6 @@ package cqp
 import (
 	"cqp/internal/core"
 	"cqp/internal/geo"
-	"cqp/internal/shard"
 )
 
 // Geometry kernel.
@@ -87,18 +72,12 @@ var (
 type (
 	// Engine is the shared incremental continuous query processor.
 	Engine = core.Engine
-	// Processor is the evaluation contract satisfied by both the single
-	// Engine and the sharded engine.
+	// Processor is the evaluation contract the Engine satisfies and
+	// Protocol wraps.
 	Processor = core.Processor
-	// ShardedEngine partitions the space into parallel per-tile engines
-	// behind the Processor interface.
-	ShardedEngine = shard.Engine
 	// Protocol layers the out-of-sync client protocol (Commit, Recover,
 	// committed answers) over any Processor.
 	Protocol = core.Protocol
-	// ShardOptions configures a ShardedEngine: the tile engines' Options
-	// and the initial tile grid's shape.
-	ShardOptions = shard.Options
 	// Options configures an Engine.
 	Options = core.Options
 	// Stats is the engine's per-phase work ledger.
@@ -146,14 +125,6 @@ func NewEngine(opt Options) (*Engine, error) { return core.NewEngine(opt) }
 
 // MustNewEngine is NewEngine that panics on configuration errors.
 func MustNewEngine(opt Options) *Engine { return core.MustNewEngine(opt) }
-
-// NewShardedEngine constructs a spatially sharded processor over the
-// given space with n tile shards (arranged into the most square R×C
-// grid whose product is n), each evaluated by its own goroutine. Close
-// it when done to stop the workers.
-func NewShardedEngine(opt Options, n int) (*ShardedEngine, error) {
-	return shard.NewN(opt, n)
-}
 
 // NewProtocol wraps a Processor that has not seen any report yet in the
 // out-of-sync client protocol.

@@ -261,8 +261,7 @@ type Engine struct {
 	// The join's gather (join.go): the running phase gathers n items in
 	// nChunks chunks, next being the first unclaimed, with js[0] on the
 	// caller and js[w] on helper w, which wg joins. inline holds a range
-	// report applied where it stands. lastWork is the previous step's
-	// CandidateChecks + RegionEvalCells.
+	// report applied where it stands.
 	js         []*joinScratch
 	chunks     []*chunk
 	inline     chunk
@@ -270,7 +269,6 @@ type Engine struct {
 	n, nChunks int
 	next       atomic.Int32
 	wg         sync.WaitGroup
-	lastWork   uint64
 
 	// Pre-bound grid-visit callbacks for predictive query updates (a
 	// fresh closure per moved query escapes to the heap). curQS/curOut
@@ -541,7 +539,6 @@ func (e *Engine) stepAppend(out []Update, now float64) []Update {
 	// The work counters publish the step's ledger delta.
 	m := e.m
 	delta := e.stats.Since(prev)
-	e.lastWork = delta.CandidateChecks + delta.RegionEvalCells
 	for i, p := range delta.Counters() {
 		m.ledger[i].Add(*p)
 	}

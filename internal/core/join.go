@@ -12,10 +12,10 @@ import (
 // is a gather, which reads engine state and writes only its own
 // scratch, and a serial apply, which does every write in the order a
 // one-at-a-time evaluation would. A phase's items are gathered in
-// chunks of forkChunk, claimed in order by the caller and, in a large
-// phase, by helper goroutines (fork); the caller applies the chunks in
-// order, gathering the next unclaimed chunk itself while the one it
-// needs is not done. Two invariants carry this:
+// chunks of forkChunk, claimed in order by the caller and, in a phase
+// of more than one chunk, by helper goroutines (fork); the caller
+// applies the chunks in order, gathering the next unclaimed chunk
+// itself while the one it needs is not done. Two invariants carry this:
 //
 //   - No apply writes what a gather of its phase reads, other than its
 //     own item's state after that item's gather, so the stream and the
@@ -52,14 +52,10 @@ import (
 // depend on the order the moved objects are visited in; the step's
 // canonical sort (sort.go) then fixes the stream.
 
-// A phase forks when the previous step's work (CandidateChecks +
-// RegionEvalCells) passed forkWork, which keeps small ticks serial; of
-// the benchmark workloads only ingest-durable (about 11K) stays below
-// it (DESIGN §14). forkChunk is the number of items in a chunk.
-const (
-	forkWork  = 1 << 15
-	forkChunk = 64
-)
+// forkChunk is the number of items in a chunk. A phase of more than
+// one chunk forks as many helpers as it has further chunks and the
+// budget has CPUs; a phase of one chunk runs on the caller alone.
+const forkChunk = 64
 
 // helpers counts the helper goroutines of every engine in the process:
 // at most GOMAXPROCS−1 run at once, so the tile engines of a router
@@ -193,8 +189,8 @@ func (e *Engine) newJoinScratch() *joinScratch {
 	return j
 }
 
-// fork starts a phase's gather of n items and, if the phase is large,
-// one helper per further chunk as far as the budget allows. The caller
+// fork starts a phase's gather of n items and one helper per further
+// chunk as far as the budget allows. The caller
 // then takes the chunks in order with await, and calls join.
 func (e *Engine) fork(n int, gather func(j *joinScratch, lo, hi int)) {
 	e.n, e.gather = n, gather
@@ -205,9 +201,6 @@ func (e *Engine) fork(n int, gather func(j *joinScratch, lo, hi int)) {
 	}
 	for _, ch := range e.chunks[:e.nChunks] {
 		ch.done.Store(false)
-	}
-	if e.lastWork < forkWork {
-		return
 	}
 	limit := int32(runtime.GOMAXPROCS(0) - 1)
 	w := 1

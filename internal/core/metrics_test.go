@@ -151,8 +151,9 @@ func TestStepAppendPreservesPrefixAndSortsSuffix(t *testing.T) {
 // TestMetricsDoNotAffectUpdates is the differential guarantee the
 // Options.Metrics docs promise: the same report stream through a bare
 // engine and a fully instrumented one yields bit-identical update
-// streams, step by step. The second size passes forkWork, so its
-// phases fork above one CPU and the parallel-phase counter moves.
+// streams, step by step. The first size moves one chunk of objects a
+// tick and never forks; the second moves thousands, so its phases fork
+// above one CPU and the parallel-phase counter moves.
 func TestMetricsDoNotAffectUpdates(t *testing.T) {
 	checkMetricsDoNotAffectUpdates(t, 500, 500, 50, false)
 	checkMetricsDoNotAffectUpdates(t, 4000, 20000, 4000, true)
@@ -162,6 +163,7 @@ func checkMetricsDoNotAffectUpdates(t *testing.T, objects, queries, moves int, f
 	reg := obs.NewRegistry()
 	bare, rngA := benchEngine(objects, queries, Range)
 	inst, rngB := metricsBenchEngine(objects, queries, Range, reg)
+	setupForked := reg.Counter("engine.parallel_phases").Value()
 
 	for tick := 1; tick <= 30; tick++ {
 		for n := 0; n < moves; n++ {
@@ -191,12 +193,13 @@ func checkMetricsDoNotAffectUpdates(t *testing.T, objects, queries, moves int, f
 		t.Errorf("ledgers differ: bare %+v, instrumented %+v", bare.Stats(), inst.Stats())
 	}
 
-	// The parallel-phase counter stays out of the ledger; it moves only
-	// when a step's work passes forkWork and there is a CPU to fork to.
-	forked := reg.Counter("engine.parallel_phases").Value()
-	if fork != (inst.lastWork >= forkWork) || fork != (forked > 0) && runtime.GOMAXPROCS(0) > 1 {
-		t.Errorf("%d objects: last step's work %d (forkWork %d), %d phases forked",
-			objects, inst.lastWork, forkWork, forked)
+	// The parallel-phase counter stays out of the ledger; it moves
+	// exactly when a phase has more than one chunk of items and there is
+	// a CPU to fork to.
+	forked := reg.Counter("engine.parallel_phases").Value() - setupForked
+	if want := fork && runtime.GOMAXPROCS(0) > 1; (forked > 0) != want {
+		t.Errorf("%d objects, %d moves a tick: %d phases forked in the ticks, want forking %v",
+			objects, moves, forked, want)
 	}
 	if _, ok := reg.Snapshot()["engine.helpers"]; !ok {
 		t.Error("engine.helpers gauge not registered")

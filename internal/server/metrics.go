@@ -8,8 +8,8 @@ import "cqp/internal/obs"
 //
 // The same registry is threaded into the processor (newProcessor wires
 // Config.Metrics and obs.WallClock into the engine options), so one
-// scrape of `cqp-server -metrics` returns engine, shard, and session
-// metrics together.
+// scrape of `cqp-server -metrics` returns engine and session metrics
+// together.
 type serverMetrics struct {
 	tracer *obs.Tracer
 

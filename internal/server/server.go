@@ -41,7 +41,6 @@ import (
 	"cqp/internal/geo"
 	"cqp/internal/obs"
 	"cqp/internal/repository"
-	"cqp/internal/shard"
 	"cqp/internal/wire"
 )
 
@@ -61,15 +60,8 @@ type Config struct {
 	// Engine configures the underlying query processor. Required.
 	Engine core.Options
 
-	// Shards selects the processor implementation: 0 or 1 runs the
-	// single core.Engine; larger values run the spatially sharded engine
-	// (internal/shard) with that many initial tile shards evaluating in
-	// parallel, split and merged under load skew. Negative values are
-	// rejected.
-	Shards int
-
 	// Processor, when non-nil, is used as the query processor instead of
-	// constructing one from Engine/Shards (which are then ignored). The
+	// constructing a core.Engine from Engine (which is then ignored). The
 	// server wraps every processor in core.Protocol and takes ownership:
 	// Close closes it if it implements io.Closer. It carries a processor
 	// the server does not build itself, such as the tests' gated one.
@@ -327,11 +319,11 @@ func (s *Server) Close() error {
 	return err
 }
 
-// newProcessor builds the query processor Config.Shards selects: the
-// single core.Engine, or the sharded engine with that many tiles. When
-// metrics are enabled the engine options inherit the registry, and the
-// wall clock is injected here — the deterministic engine packages never
-// read it themselves.
+// newProcessor builds the query processor: Config.Processor if set,
+// otherwise a core.Engine, which spreads a large step's join over the
+// CPUs itself. When metrics are enabled the engine options inherit the
+// registry, and the wall clock is injected here — the deterministic
+// engine packages never read it themselves.
 func newProcessor(cfg Config) (core.Processor, error) {
 	if cfg.Processor != nil {
 		return cfg.Processor, nil
@@ -342,18 +334,11 @@ func newProcessor(cfg Config) (core.Processor, error) {
 			cfg.Engine.Clock = obs.WallClock
 		}
 	}
-	switch {
-	case cfg.Shards < 0:
-		return nil, fmt.Errorf("server: Config.Shards must be non-negative, got %d", cfg.Shards)
-	case cfg.Shards > 1:
-		return shard.NewN(cfg.Engine, cfg.Shards)
-	default:
-		return core.NewEngine(cfg.Engine)
-	}
+	return core.NewEngine(cfg.Engine)
 }
 
-// closeProcessor releases processor-owned resources (the sharded
-// engine's worker goroutines); the plain core engine has none.
+// closeProcessor releases processor-owned resources (an injected
+// router's tile goroutines); the core engine has none.
 func closeProcessor(p core.Processor) {
 	if c, ok := p.(io.Closer); ok {
 		c.Close()

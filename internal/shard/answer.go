@@ -29,16 +29,12 @@ func (e *Engine) AnswerChecksum(q core.QueryID) (uint64, bool) {
 
 // Stats returns the router's work ledger. Step, report, and update
 // counts are the router's own (they match the single-engine counts for
-// the same workload); every work counter is the sum over the live tile
-// engines plus the final ledgers of tiles retired by repartitioning,
-// exposing the actual evaluation work done across shards.
+// the same workload); every work counter is the sum over the tile
+// engines, exposing the actual evaluation work done across shards.
 func (e *Engine) Stats() core.Stats {
 	s := e.stats
-	s.AddWork(e.retiredWork)
 	for _, t := range e.tiles {
-		if t != nil {
-			s.AddWork(t.WorkStats())
-		}
+		s.AddWork(t.WorkStats())
 	}
 	return s
 }

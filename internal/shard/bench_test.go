@@ -101,12 +101,12 @@ func TestShardStepAppendSteadyStateAllocs(t *testing.T) {
 // 75 % of objects and queries are placed Gaussian (σ 0.06) around
 // (0.15, 0.15), the rest uniformly, and 30 % of each report a local
 // random-walk move (σ 0.005) per step. It runs the same script through
-// one core.Engine and through routers of 4 and 16 initial tiles, so the
-// rows show whether the load policy's splits, reported as the router's
-// final tile count, pay for themselves against the hotspot. Each arm
-// warms up 64 steps outside the timer, four policy checks; report
-// generation is untimed too. -short shrinks the population from
-// 20K × 20K to 2K × 2K so the CI bench smoke stays cheap.
+// one core.Engine and through routers of 4 and 16 tiles, so the rows
+// show what splitting the work (the engine's helpers) and splitting the
+// space (the tiles) each make of the hotspot. Each arm warms up 64
+// steps outside the timer; report generation is untimed too. -short
+// shrinks the population from 20K × 20K to 2K × 2K so the CI bench
+// smoke stays cheap.
 func BenchmarkShardStepHotspot(b *testing.B) {
 	n := 20000
 	if testing.Short() {
@@ -146,9 +146,6 @@ func BenchmarkShardStepHotspot(b *testing.B) {
 				updates += len(buf)
 			}
 			b.ReportMetric(float64(updates)/float64(b.N), "updates/op")
-			if e, ok := p.(*Engine); ok {
-				b.ReportMetric(float64(e.NumTiles()), "tiles")
-			}
 		})
 	}
 }

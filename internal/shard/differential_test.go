@@ -16,7 +16,7 @@ const shardVocab = scenario.Velocity | scenario.Waypoints | scenario.KNN | churn
 
 // churnVocab is shardVocab without moving predictive objects, whose
 // swept regions cover most of the space: the shapes of the protocol and
-// repartition differentials, which step the most.
+// hotspot differentials, which step the most.
 const churnVocab = scenario.KNN | scenario.ObjectRemovals | scenario.QueryRemovals | scenario.KindChanges
 
 // TestDifferentialShardedVsSingle is the central correctness property

@@ -13,11 +13,11 @@ import (
 // queryInfo.cands — always contains the exact global answer, provided
 // the coverage is wide enough. settleKNN establishes "wide enough" as a
 // fixpoint: after ranking the candidates by distance, any uncovered
-// live tile that could still hold a closer object (MinDist(focal, tile)
+// tile that could still hold a closer object (MinDist(focal, tile)
 // ≤ distance to the current k-th candidate) is added to the coverage,
 // the query is registered on it, only those tiles are sub-stepped at
 // the same timestamp, and the loop repeats. Termination: the coverage
-// only grows and is bounded by the live tile count, and adding
+// only grows and is bounded by the tile count, and adding
 // candidates never increases the k-th distance.
 //
 // A starved query (fewer than k candidates) is replicated to *every*
@@ -99,11 +99,11 @@ func (e *Engine) settleKNN(m *mergeState, qi *queryInfo, now float64) {
 				rk = cands[qi.k-1].dist
 			}
 			var grow []int
-			for _, t := range e.live {
+			for t, r := range e.rects {
 				if covHas(qi.coverage, t) {
 					continue
 				}
-				if starved || e.tstate[t].rect.MinDist(qi.focal) <= rk {
+				if starved || r.MinDist(qi.focal) <= rk {
 					grow = append(grow, t)
 				}
 			}

@@ -20,12 +20,9 @@ type shardMetrics struct {
 	netted        *obs.Counter // merge-dedup hits: (query, object) pairs whose updates in one round canceled
 	knnSubsteps   *obs.Counter // tiles sub-stepped by the kNN settle fixpoint
 	mergedUpdates *obs.Counter // updates emitted after the merge
-	tileSplits    *obs.Counter // hot-tile splits applied
-	tileMerges    *obs.Counter // cold-sibling merges applied
 
-	tiles          *obs.Gauge // live tile count
+	tiles          *obs.Gauge // tile count
 	tileObjectsMax *obs.Gauge // owned objects on the fullest tile: balance monitor
-	tileAreaMax    *obs.Gauge // largest live tile's share of the bounds, in ppm
 	lastEmitted    *obs.Gauge // merged updates emitted by the last Step
 }
 
@@ -43,11 +40,8 @@ func newShardMetrics(reg *obs.Registry, clock obs.Clock) *shardMetrics {
 		netted:         reg.Counter("shard.merge.netted"),
 		knnSubsteps:    reg.Counter("shard.knn.substeps"),
 		mergedUpdates:  reg.Counter("shard.updates.merged"),
-		tileSplits:     reg.Counter("shard.tile_splits"),
-		tileMerges:     reg.Counter("shard.tile_merges"),
 		tiles:          reg.Gauge("shard.tiles"),
 		tileObjectsMax: reg.Gauge("shard.tile_objects_max"),
-		tileAreaMax:    reg.Gauge("shard.tile_area_max_ppm"),
 		lastEmitted:    reg.Gauge("shard.last_emitted"),
 	}
 }

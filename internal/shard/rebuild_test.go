@@ -14,10 +14,8 @@ import (
 // object, latest definition per query, last step time). An engine
 // rebuilt from exactly that compacted journal must, from then on,
 // produce byte-identical update batches and answers when driven in
-// lockstep with the engine that lived through the full history. The
-// repartition handoff relies on it when it re-homes an object into a
-// born tile from the router's last full report. If this test breaks,
-// fix the engine property, not this test.
+// lockstep with the engine that lived through the full history. If
+// this test breaks, fix the engine property, not this test.
 func TestJournalRebuildReproducesEngine(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7} {
 		for _, rebuildAt := range []int{1, 13, 40} {

@@ -32,13 +32,8 @@
 //     evaluate raw geometry; the grid is only a candidate generator;
 //     see core.Options.Region) — it exists so a replica's clipped
 //     region and its owned objects stay well inside the tile's index.
-//   - The tiling is a binary split forest over an initial Rows×Cols
-//     grid: a hot tile splits into two halves along its longer axis, two
-//     cold sibling leaves merge back into their parent rectangle, and
-//     the object/query state moves through the ordinary migration and
-//     replication paths inside the step, so the merged stream never
-//     shows a seam (see repartition.go).
-//   - Step broadcasts the evaluation to all live tiles, runs them in
+//   - The tiling is a fixed Rows×Cols grid.
+//   - Step broadcasts the evaluation to all tiles, runs them in
 //     parallel, and merges the resulting streams with one sorted fold
 //     per query: every object has one owning tile, so a query's merged
 //     membership is the disjoint union of its replicas' memberships, and
@@ -70,21 +65,9 @@ type Options struct {
 	// router owns it). Required.
 	Core core.Options
 
-	// Rows, Cols shape the initial tile grid. Both default to 1.
+	// Rows, Cols shape the tile grid. Both default to 1.
 	Rows, Cols int
 }
-
-// The repartition policy (see repartition.go) checks the partition
-// every repartitionInterval steps and never grows it past
-// maxTilesFactor × the initial Rows×Cols tiles. A tile splits when its
-// load exceeds splitFactor × the mean live-tile load, and two sibling
-// leaves merge when their combined load is below mergeFactor × the mean.
-const (
-	repartitionInterval = 16
-	maxTilesFactor      = 4
-	splitFactor         = 2
-	mergeFactor         = 0.5
-)
 
 func (o *Options) withDefaults() (Options, error) {
 	out := *o
@@ -125,32 +108,29 @@ func Split(n int) (rows, cols int) {
 }
 
 // objInfo is the router's record of one object: which tile owns it and
-// its last full report (used for migration detection, kNN merge
-// distances, and re-insertion when a repartition moves the object to a
-// fresh tile).
+// its last full report (used for migration detection and kNN merge
+// distances).
 type objInfo struct {
 	tile int
 	last core.ObjectUpdate
 }
 
-// queryInfo is the router's record of one query: its definition (for
-// replication), the tiles currently holding a replica, and the globally
-// merged membership and answer, each an ascending ObjectID slice.
+// queryInfo is the router's record of one query: what the kNN merge
+// needs of its definition, the tiles currently holding a replica, and
+// the globally merged membership and answer, each an ascending ObjectID
+// slice.
 type queryInfo struct {
 	id   core.QueryID
 	kind core.QueryKind
-	t    float64
+	t    float64 // KNN: report time, for replicas the fixpoint adds
 
-	region geo.Rect  // Range / PredictiveRange region
-	t1, t2 float64   // PredictiveRange validity window
 	focal  geo.Point // KNN focal point
 	k      int       // KNN cardinality
 	radius float64   // KNN: distance to the current global k-th member
 
 	// coverage is the sorted set of tiles holding a replica of this
 	// query. Invariant: every replica receives every subsequent update
-	// of the query, so replicas never go stale; coverage only contains
-	// live tiles (repartitions rewrite it in the same step).
+	// of the query, so replicas never go stale.
 	coverage []int
 
 	// answer is the merged global answer. For Range and PredictiveRange
@@ -204,45 +184,20 @@ func unionSorted(dst, a, b []int) []int {
 	return dst
 }
 
-// tileState is the router-side spatial record of one tile id.
-type tileState struct {
-	rect geo.Rect // the tile's owned rectangle (partition cell)
-	node int      // index into Engine.nodes of the leaf this tile serves
-	live bool
-}
-
-// tnode is one node of the binary split forest. The initial Rows×Cols
-// tiles are the roots; a split turns a leaf into an interior node with
-// two children, a merge of two sibling leaves turns their parent back
-// into a leaf (served by a fresh tile id).
-type tnode struct {
-	rect   geo.Rect
-	parent int    // -1 for roots
-	kids   [2]int // node indexes; {-1, -1} while a leaf
-	tile   int    // live tile id serving this leaf; -1 otherwise
-}
-
 // Engine is the sharded processor. See the package documentation.
 type Engine struct {
 	opt   Options
 	halo  float64 // margin around each tile's rectangle: one global grid cell
-	tileW float64 // initial tile width (kNN pad, stable across repartitions)
+	tileW float64 // tile width and height (the kNN pad)
 	tileH float64
 
-	tiles  []Tile      // by tile id; nil once retired (ids are never reused)
-	tstate []tileState // parallel to tiles
-	nodes  []tnode
-	live   []int // sorted ids of live tiles
+	tiles []Tile     // by tile id
+	rects []geo.Rect // each tile's owned rectangle (partition cell)
 
-	objCount []int     // objects owned per tile id
-	loadEW   []float64 // EWMA of queue depth at broadcast, per tile id
+	objCount []int // objects owned per tile id
 
-	factory TileFactory
-
-	now     float64
-	stepSeq uint64
-	objs    map[core.ObjectID]*objInfo
-	qrys    map[core.QueryID]*queryInfo
+	objs map[core.ObjectID]*objInfo
+	qrys map[core.QueryID]*queryInfo
 
 	// candKNN is the reverse candidacy index: for each object, the KNN
 	// queries holding it as a merge candidate. An object report must
@@ -251,8 +206,6 @@ type Engine struct {
 	// global distances silently).
 	candKNN map[core.ObjectID]map[core.QueryID]struct{}
 
-	pendingOps []repartOp // queued SplitTile/MergeTile requests
-
 	objBuf   []core.ObjectUpdate
 	qryBuf   []core.QueryUpdate
 	covBuf   []int           // coverage scratch, reused per query update
@@ -260,9 +213,8 @@ type Engine struct {
 	batchBuf [][]core.Update // broadcast scratch
 	merge    mergeState      // step scratch, reused across Steps
 
-	stats       core.Stats
-	retiredWork core.Stats // summed ledgers of retired tiles (see Stats)
-	m           *shardMetrics
+	stats core.Stats
+	m     *shardMetrics
 
 	closeOnce sync.Once
 }
@@ -295,9 +247,8 @@ func NewWithTiles(opt Options, factory TileFactory) (*Engine, error) {
 		candKNN: make(map[core.ObjectID]map[core.QueryID]struct{}),
 		m:       newShardMetrics(o.Core.Metrics, o.Core.Clock),
 	}
-	e.factory = factory
-	if e.factory == nil {
-		e.factory = func(_ int, opt core.Options) (Tile, error) {
+	if factory == nil {
+		factory = func(_ int, opt core.Options) (Tile, error) {
 			// Every tile engine resolves the same "engine.*" names against
 			// the shared registry, so engine metrics aggregate across tiles.
 			return newLocalTile(opt, e.m.tracer)
@@ -322,15 +273,17 @@ func NewWithTiles(opt Options, factory TileFactory) (*Engine, error) {
 			if r == o.Rows-1 {
 				rect.MaxY = b.MaxY
 			}
-			node := e.newNode(rect, -1)
-			if _, err := e.attachTile(node); err != nil {
+			t, err := factory(len(e.tiles), e.tileOptions(rect))
+			if err != nil {
 				e.Close()
 				return nil, err
 			}
+			e.tiles = append(e.tiles, t)
+			e.rects = append(e.rects, rect)
 		}
 	}
-	e.m.tiles.Set(int64(len(e.live)))
-	e.observeTileArea()
+	e.objCount = make([]int, len(e.tiles))
+	e.m.tiles.Set(int64(len(e.tiles)))
 	return e, nil
 }
 
@@ -356,30 +309,14 @@ func MustNew(opt Options) *Engine {
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
 		for _, t := range e.tiles {
-			if t != nil {
-				t.Close()
-			}
+			t.Close()
 		}
 	})
 	return nil
 }
 
-// NumTiles returns the number of live tiles (shards).
-func (e *Engine) NumTiles() int { return len(e.live) }
-
-// TileRect returns the spatial extent of tile id i (live or retired),
-// for tests and monitoring.
-func (e *Engine) TileRect(i int) geo.Rect { return e.tstate[i].rect }
-
-// LiveTiles returns the sorted ids of the live tiles. The returned
-// slice is owned by the engine; callers must not modify it.
-func (e *Engine) LiveTiles() []int { return e.live }
-
-// newNode appends a forest node and returns its index.
-func (e *Engine) newNode(rect geo.Rect, parent int) int {
-	e.nodes = append(e.nodes, tnode{rect: rect, parent: parent, kids: [2]int{-1, -1}, tile: -1})
-	return len(e.nodes) - 1
-}
+// NumTiles returns the number of tiles (shards).
+func (e *Engine) NumTiles() int { return len(e.tiles) }
 
 // tileOptions derives the core options of a tile engine serving rect:
 // the engine's Region is the rectangle grown by the halo, clipped to
@@ -390,47 +327,6 @@ func (e *Engine) tileOptions(rect geo.Rect) core.Options {
 		o.Region = region
 	}
 	return o
-}
-
-// attachTile creates a fresh live tile serving leaf node and returns
-// its id.
-func (e *Engine) attachTile(node int) (int, error) {
-	id := len(e.tiles)
-	rect := e.nodes[node].rect
-	t, err := e.factory(id, e.tileOptions(rect))
-	if err != nil {
-		return -1, err
-	}
-	e.tiles = append(e.tiles, t)
-	e.tstate = append(e.tstate, tileState{rect: rect, node: node, live: true})
-	e.objCount = append(e.objCount, 0)
-	e.loadEW = append(e.loadEW, 0)
-	e.nodes[node].tile = id
-	// Keep the live list sorted; new ids are always the largest.
-	e.live = append(e.live, id)
-	return id, nil
-}
-
-// deactivateTile removes id from the live set (routing no longer sees
-// it) while keeping its transport alive for the handoff sub-step.
-func (e *Engine) deactivateTile(id int) {
-	st := &e.tstate[id]
-	st.live = false
-	e.nodes[st.node].tile = -1
-	for i, t := range e.live {
-		if t == id {
-			e.live = append(e.live[:i], e.live[i+1:]...)
-			break
-		}
-	}
-}
-
-// destroyTile keeps a deactivated tile's work ledger and closes its
-// transport.
-func (e *Engine) destroyTile(id int) {
-	e.retiredWork.Add(e.tiles[id].WorkStats())
-	e.tiles[id].Close()
-	e.tiles[id] = nil
 }
 
 // clampToBounds clamps a point into the monitored space componentwise.
@@ -467,27 +363,28 @@ func (e *Engine) ownsPoint(r geo.Rect, p geo.Point) bool {
 	return true
 }
 
-// tileOf returns the id of the live tile owning a point.
+// tileOf returns the id of the tile owning a point.
 func (e *Engine) tileOf(p geo.Point) int {
 	p = e.clampToBounds(p)
-	for _, id := range e.live {
-		if e.ownsPoint(e.tstate[id].rect, p) {
+	for id, r := range e.rects {
+		if e.ownsPoint(r, p) {
 			return id
 		}
 	}
-	// The live rectangles partition the bounds exactly (splits are
-	// midpoint cuts of their parent), so this is unreachable; guard
-	// against float pathology with the nearest tile, deterministically.
-	best, bd := e.live[0], math.Inf(1)
-	for _, id := range e.live {
-		if d := e.tstate[id].rect.MinDist2(p); d < bd {
+	// The rectangles partition the bounds exactly (neighbours compute
+	// their shared edge from the same expression), so this is
+	// unreachable; guard against float pathology with the nearest tile,
+	// deterministically.
+	best, bd := 0, math.Inf(1)
+	for id, r := range e.rects {
+		if d := r.MinDist2(p); d < bd {
 			bd, best = d, id
 		}
 	}
 	return best
 }
 
-// tilesOverlapping appends to dst (sorted) every live tile a region can
+// tilesOverlapping appends to dst (sorted) every tile a region can
 // share an owned object with. The region is clamped into bounds
 // componentwise first: clamping is monotone, so the owner tile of any
 // (clamped) location the region contains always intersects the clamped
@@ -499,21 +396,16 @@ func (e *Engine) tilesOverlapping(r geo.Rect, dst []int) []int {
 	lo := e.clampToBounds(geo.Pt(r.MinX, r.MinY))
 	hi := e.clampToBounds(geo.Pt(r.MaxX, r.MaxY))
 	cr := geo.Rect{MinX: lo.X, MinY: lo.Y, MaxX: hi.X, MaxY: hi.Y}
-	for _, id := range e.live {
-		if e.tstate[id].rect.Intersects(cr) {
+	for id, r := range e.rects {
+		if r.Intersects(cr) {
 			dst = append(dst, id)
 		}
 	}
 	return dst
 }
 
-// allLive appends every live tile id to dst (sorted).
-func (e *Engine) allLive(dst []int) []int {
-	return append(dst, e.live...)
-}
-
 // knnCoverage appends the tiles a kNN query must be replicated to for a
-// focal circle of the given radius, padded by one initial tile width so
+// focal circle of the given radius, padded by one tile width so
 // small circle growth does not force a re-replication every step. The
 // pad is a replication-churn damper, not a correctness bound —
 // settleKNN's fixpoint supplies that.
@@ -533,7 +425,10 @@ func (e *Engine) knnCoverage(focal geo.Point, radius float64, dst []int) []int {
 func (e *Engine) predictiveCoverage(region geo.Rect, dst []int) []int {
 	ms := e.opt.Core.MaxSpeed
 	if ms <= 0 {
-		return e.allLive(dst)
+		for id := range e.tiles {
+			dst = append(dst, id)
+		}
+		return dst
 	}
 	reach := ms*e.opt.Core.PredictiveHorizon + e.halo
 	return e.tilesOverlapping(region.Expand(reach), dst)
@@ -556,7 +451,7 @@ const farOut = 1e12
 // local answer is exactly the full query's answer restricted to the
 // tile's objects.
 func (e *Engine) clipRegion(region geo.Rect, tile int) geo.Rect {
-	c := e.tstate[tile].rect.Expand(e.halo)
+	c := e.rects[tile].Expand(e.halo)
 	b := e.opt.Core.Bounds
 	if c.MinX <= b.MinX {
 		c.MinX = -farOut
@@ -581,8 +476,7 @@ func (e *Engine) clipRegion(region geo.Rect, tile int) geo.Rect {
 }
 
 // stepTiles runs Step(now) on the given tiles in parallel and returns
-// their update batches in tile order. Used by the kNN settle fixpoint
-// and the repartition handoff.
+// their update batches in tile order. Used by the kNN settle fixpoint.
 func (e *Engine) stepTiles(tiles []int, now float64) [][]core.Update {
 	for _, t := range tiles {
 		e.m.queueDepth.Observe(int64(e.tiles[t].Pending()))
@@ -596,49 +490,26 @@ func (e *Engine) stepTiles(tiles []int, now float64) [][]core.Update {
 	return out
 }
 
-// stepAll runs Step(now) on every live tile in parallel, recording each
-// tile's queue depth at broadcast time (also folded into the load
-// average driving repartitioning) and, when a clock is configured, the
-// broadcast's step skew (slowest minus fastest tile). The skew is an
-// observation only: the partition never reads the clock.
+// stepAll runs Step(now) on every tile in parallel, recording each
+// tile's queue depth at broadcast time and, when a clock is configured,
+// the broadcast's step skew (slowest minus fastest tile).
 func (e *Engine) stepAll(now float64) [][]core.Update {
-	const keep = 0.75 // EWMA retention of the previous load estimate
-	for _, id := range e.live {
-		p := e.tiles[id].Pending()
-		e.m.queueDepth.Observe(int64(p))
-		e.loadEW[id] = keep*e.loadEW[id] + (1-keep)*float64(p)
-		e.tiles[id].StepBegin(now)
+	for _, t := range e.tiles {
+		e.m.queueDepth.Observe(int64(t.Pending()))
+		t.StepBegin(now)
 	}
 	out := e.batchBuf[:0]
-	for _, id := range e.live {
-		out = append(out, e.tiles[id].StepWait())
+	for _, t := range e.tiles {
+		out = append(out, t.StepWait())
 	}
 	e.batchBuf = out
-	if e.m.tracer.Enabled() && len(e.live) > 1 {
+	if e.m.tracer.Enabled() && len(e.tiles) > 1 {
 		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-		for _, id := range e.live {
-			ns := e.tiles[id].StepNanos()
+		for _, t := range e.tiles {
+			ns := t.StepNanos()
 			lo, hi = min(lo, ns), max(hi, ns)
 		}
 		e.m.stepSkew.Observe(hi - lo)
 	}
 	return out
-}
-
-// observeTileArea publishes the largest live tile's share of the
-// monitored space, in parts per million, to shard.tile_area_max_ppm.
-func (e *Engine) observeTileArea() {
-	b := e.opt.Core.Bounds
-	total := b.Width() * b.Height()
-	if total <= 0 {
-		return
-	}
-	maxA := 0.0
-	for _, id := range e.live {
-		r := e.tstate[id].rect
-		if a := r.Width() * r.Height(); a > maxA {
-			maxA = a
-		}
-	}
-	e.m.tileAreaMax.Set(int64(maxA / total * 1e6))
 }

@@ -6,6 +6,7 @@ import (
 
 	"cqp/internal/core"
 	"cqp/internal/geo"
+	"cqp/internal/obs"
 	"cqp/internal/testutil/scenario"
 )
 
@@ -198,5 +199,53 @@ func TestStatsAggregation(t *testing.T) {
 	}
 	if s.KNNRecomputes == 0 {
 		t.Fatal("expected shard kNN work to be aggregated")
+	}
+}
+
+// TestPredictiveFanoutBounded pins the swept-region routing bound: with
+// a MaxSpeed cap a predictive query replicates only to tiles
+// overlapping its region expanded by MaxSpeed·PredictiveHorizon plus
+// the halo (one grid cell, 0.125 here) — 9 of the 16 tiles, not every
+// tile — and the shard.query_replicas histogram records that fan-out.
+// Without a cap it must broadcast.
+func TestPredictiveFanoutBounded(t *testing.T) {
+	reg := obs.NewRegistry()
+	e := MustNew(Options{
+		Core: core.Options{
+			Bounds: geo.R(0, 0, 1, 1), GridN: 8,
+			PredictiveHorizon: 10, MaxSpeed: 0.004,
+			Metrics: reg,
+		},
+		Rows: 4, Cols: 4,
+	})
+	defer e.Close()
+
+	region := geo.R(0.30, 0.30, 0.45, 0.45) // inside the second row/col of tiles
+	e.ReportQuery(core.QueryUpdate{ID: 1, Kind: core.PredictiveRange, Region: region, T1: 0, T2: 10})
+	e.Step(1)
+
+	qi := e.qrys[1]
+	reach := 0.004*10 + e.halo
+	want := e.tilesOverlapping(region.Expand(reach), nil)
+	if !slices.Equal(qi.coverage, want) {
+		t.Fatalf("predictive coverage %v, want swept-region tiles %v", qi.coverage, want)
+	}
+	if len(qi.coverage) != 9 {
+		t.Fatalf("swept-region routing did not bound fan-out: %d of %d tiles, want 9", len(qi.coverage), e.NumTiles())
+	}
+	if got := reg.Flatten()["shard.query_replicas.count"]; got != 1 {
+		t.Fatalf("replica fan-out histogram saw %v observations, want 1", got)
+	}
+
+	// Without a speed cap the same query must replicate everywhere.
+	e2 := MustNew(Options{
+		Core: core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: 8, PredictiveHorizon: 10},
+		Rows: 4, Cols: 4,
+	})
+	defer e2.Close()
+	e2.ReportQuery(core.QueryUpdate{ID: 1, Kind: core.PredictiveRange, Region: region, T1: 0, T2: 10})
+	e2.Step(1)
+	if got := len(e2.qrys[1].coverage); got != e2.NumTiles() {
+		t.Fatalf("uncapped predictive query covers %d of %d tiles", got, e2.NumTiles())
 	}
 }

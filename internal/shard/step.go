@@ -76,12 +76,9 @@ func (e *Engine) Step(now float64) []core.Update {
 func (e *Engine) StepAppend(out []core.Update, now float64) []core.Update {
 	base := len(out)
 	begin := e.m.tracer.Begin()
-	e.now = now
-	e.stepSeq++
 	e.stats.Steps++
 	m := e.beginMerge(out)
 
-	e.runRepartitions(m)
 	e.routeObjects(m)
 	e.routeQueries(m)
 
@@ -103,13 +100,7 @@ func (e *Engine) StepAppend(out []core.Update, now float64) []core.Update {
 	e.m.steps.Inc()
 	e.m.mergedUpdates.Add(uint64(emitted))
 	e.m.lastEmitted.Set(int64(emitted))
-	maxObjs := 0
-	for _, id := range e.live {
-		if c := e.objCount[id]; c > maxObjs {
-			maxObjs = c
-		}
-	}
-	e.m.tileObjectsMax.Set(int64(maxObjs))
+	e.m.tileObjectsMax.Set(int64(slices.Max(e.objCount)))
 	e.m.tracer.End(e.m.stepLatency, begin)
 	out = m.out
 	m.out = nil
@@ -143,7 +134,7 @@ func (e *Engine) routeObjects(m *mergeState) {
 		clamped := e.clampToBounds(u.Loc)
 		if info, ok := e.objs[u.ID]; ok {
 			t := info.tile
-			if !e.ownsPoint(e.tstate[t].rect, clamped) {
+			if !e.ownsPoint(e.rects[t], clamped) {
 				t = e.tileOf(u.Loc)
 			}
 			if info.tile != t {
@@ -241,11 +232,8 @@ func (e *Engine) applyQueryUpdate(m *mergeState, u core.QueryUpdate) {
 	newCov := e.covBuf[:0]
 	switch u.Kind {
 	case core.Range:
-		qi.region = u.Region
 		newCov = e.tilesOverlapping(u.Region, newCov)
 	case core.PredictiveRange:
-		qi.region = u.Region
-		qi.t1, qi.t2 = u.T1, u.T2
 		newCov = e.predictiveCoverage(u.Region, newCov)
 	case core.KNN:
 		qi.focal = u.Focal
@@ -284,13 +272,12 @@ func (e *Engine) applyQueryUpdate(m *mergeState, u core.QueryUpdate) {
 	e.covBuf = newCov[:0]
 }
 
-// absorb folds one round of tile batches — the main broadcast, a kNN
-// settle sub-step, or a repartition handoff sub-step — into the merged
-// state. Every batch is in canonical (Query, Object) order, so one pass
-// walks all of them query by query, gathers the query's run from each
-// batch that mentions it, in tile order, and hands the runs to fold.
-// Live kNN queries touched by the round are scheduled for a global
-// re-rank.
+// absorb folds one round of tile batches — the main broadcast or a kNN
+// settle sub-step — into the merged state. Every batch is in canonical
+// (Query, Object) order, so one pass walks all of them query by query,
+// gathers the query's run from each batch that mentions it, in tile
+// order, and hands the runs to fold. Live kNN queries touched by the
+// round are scheduled for a global re-rank.
 func (e *Engine) absorb(m *mergeState, batches [][]core.Update) {
 	cur := m.cursors[:0]
 	for range batches {
@@ -345,9 +332,9 @@ func (e *Engine) absorb(m *mergeState, batches [][]core.Update) {
 // never for a query in resetQrys, and the object stays a member iff
 // the count ends positive. Every object is owned by exactly one tile,
 // so a member is claimed by exactly one replica, and a retraction paired
-// with an assertion — a cross-tile migration, a repartition handoff, a
-// remove and re-add inside one tile — nets to no change. Each net change
-// goes to transition; fold returns the number of objects that netted.
+// with an assertion — a cross-tile migration, a remove and re-add
+// inside one tile — nets to no change. Each net change goes to
+// transition; fold returns the number of objects that netted.
 func (e *Engine) fold(m *mergeState, qi *queryInfo, live bool, runs [][]core.Update) (netted int) {
 	set := &qi.answer
 	if qi.kind == core.KNN {

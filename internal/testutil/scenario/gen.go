@@ -43,8 +43,8 @@ const (
 	// per batch, interleaved with the others' reports, crossing quadrants
 	// and often returning to the quadrant it started the batch in.
 	Repeats
-	// Hotspot puts three in four placements in the corner [0,0.2]², a
-	// hot tile for the repartition policy.
+	// Hotspot puts three in four placements in the corner [0,0.2]², so
+	// one tile of a sharded router carries most of the load.
 	Hotspot
 	// NaNs puts a NaN in some object reports' location, velocity, time
 	// or waypoint, so every processor must reject them.

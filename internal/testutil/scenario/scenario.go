@@ -101,8 +101,8 @@ type Config struct {
 	// Ledger requires the work ledgers of the targets under test that
 	// have one to be equal after every step and never to decrease.
 	Ledger bool
-	// Before runs before step's reports are sent, say to split or merge
-	// tiles.
+	// Before runs before step's reports are sent, say to read a counter
+	// the step will move.
 	Before func(step int)
 	// After runs after step's checks with every stream, the reference's
 	// first, then the processors', then the targets'.
