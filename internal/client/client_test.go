@@ -394,10 +394,9 @@ func TestSlowConsumerDoesNotBlockAnswerOrCommit(t *testing.T) {
 		wait(t, feed, client.EventStats)
 		s.Evaluate()
 	}
-	for deadline := time.Now().Add(5 * time.Second); reg.Counter("client.frames_in").Value() < 65; {
-		if time.Now().After(deadline) {
-			t.Fatalf("client.frames_in = %d, want more than the buffer's 64", reg.Counter("client.frames_in").Value())
-		}
+	// More frames than the buffer's 64 arrive however loaded the box is;
+	// go test's -timeout bounds the wait.
+	for reg.Counter("client.frames_in").Value() < 65 {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(10 * time.Millisecond) // the 65th delivery blocks

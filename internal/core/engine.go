@@ -224,8 +224,8 @@ type Engine struct {
 	qryFree []int32
 
 	// idByH mirrors objsByH with just the external ID: handle→ID
-	// translation (answer reads, checksums) is a flat array load
-	// instead of a pointer chase through the object state.
+	// translation (answer reads, checksums, kNN tie ranks) is a flat
+	// array load instead of a pointer chase through the object state.
 	// Freed slots keep their stale ID — translation is only ever done
 	// for live members, whose slots are current.
 	idByH []ObjectID
@@ -277,6 +277,11 @@ type Engine struct {
 	curOut       *[]Update
 	predCellCB   func(int) bool
 	predRegionCB func(uint64, geo.Rect) bool
+
+	// knnRank breaks a kNN search's exact distance ties by ObjectID, so
+	// the k nearest are one set (EvalFromScratch's). Phase-4 helpers call
+	// it while the stepping goroutine applies, which never writes idByH.
+	knnRank func(key uint64) uint64
 }
 
 // NewEngine constructs an engine over the given space.
@@ -294,6 +299,7 @@ func NewEngine(opt Options) (*Engine, error) {
 		m:        newEngineMetrics(o.Metrics, o.Clock),
 	}
 	e.js = []*joinScratch{e.newJoinScratch()}
+	e.knnRank = func(k uint64) uint64 { return uint64(e.idByH[k>>1]) }
 	e.predRegionCB = func(k uint64, _ geo.Rect) bool {
 		if keyIsQuery(k) {
 			return true

@@ -196,6 +196,47 @@ func TestObjectMovesOutsideBoundsIntoQuery(t *testing.T) {
 	}
 }
 
+// TestRangeEdgeOnCellBoundary: a range region is closed, so an object
+// on a max edge that lies on a cell boundary is a member, whether the
+// object or the query arrives first. The grid stores that object in the
+// cell past the boundary, which the region's entries must reach.
+func TestRangeEdgeOnCellBoundary(t *testing.T) {
+	for _, queryFirst := range []bool{true, false} {
+		e := MustNewEngine(Options{Bounds: geo.R(0, 0, 16, 16), GridN: 8})
+		q := QueryUpdate{ID: 1, Kind: Range, Region: geo.R(0, 0, 2, 2)}
+		o := ObjectUpdate{ID: 1, Kind: Moving, Loc: geo.Pt(2, 1)}
+		if queryFirst {
+			e.ReportQuery(q)
+			e.Step(0)
+			e.ReportObject(o)
+		} else {
+			e.ReportObject(o)
+			e.Step(0)
+			e.ReportQuery(q)
+		}
+		e.Step(1)
+		if got, _ := e.Answer(1); !slices.Equal(got, []ObjectID{1}) {
+			t.Errorf("query first %v: answer %v, want [1]", queryFirst, got)
+		}
+		if err := e.CheckConsistency(true); err != nil {
+			t.Errorf("query first %v: %v", queryFirst, err)
+		}
+	}
+}
+
+// TestRangeMovesOntoSegment: a region of no area is closed too, so a
+// query moved onto a segment admits the objects lying on it.
+func TestRangeMovesOntoSegment(t *testing.T) {
+	e := newTestEngine(t)
+	e.ReportObject(ObjectUpdate{ID: 7, Kind: Moving, Loc: geo.Pt(3, 5)})
+	e.ReportQuery(QueryUpdate{ID: 1, Kind: Range, Region: geo.R(0, 0, 1, 1)})
+	e.Step(0)
+	e.ReportQuery(QueryUpdate{ID: 1, Kind: Range, Region: geo.R(3, 0, 3, 10), T: 1})
+	if got, want := e.Step(1), []Update{{1, 7, true}}; !updatesEqual(got, want) {
+		t.Fatalf("query moved onto a segment through an object: got %v want %v", got, want)
+	}
+}
+
 // TestNaNReportRejected pins that a report holding a NaN anywhere is
 // rejected, leaving the object's prior state in place: a NaN location
 // has no grid cell, so an accepted one was counted but never indexed.

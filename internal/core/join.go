@@ -451,7 +451,7 @@ func (e *Engine) knnPhase(out *[]Update) {
 func (j *joinScratch) searchKNN(lo, hi int) {
 	ch := j.ch
 	for _, qs := range j.e.dirtyBuf[lo:hi] {
-		j.knnBuf = j.e.g.KNearestAppend(j.knnBuf, qs.focal, qs.k, notQueryKey)
+		j.knnBuf = j.e.g.KNearestAppend(j.knnBuf, qs.focal, qs.k, j.e.knnRank)
 		ch.nbrs = append(ch.nbrs, j.knnBuf...)
 		ch.ends = append(ch.ends, int32(len(ch.nbrs)))
 	}

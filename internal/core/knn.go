@@ -5,10 +5,6 @@ import (
 	"cqp/internal/grid"
 )
 
-// notQueryKey filters a grid search down to object entries. Package-level
-// so passing it as a callback never allocates a closure.
-func notQueryKey(k uint64) bool { return !keyIsQuery(k) }
-
 // recomputeKNN takes the exact k-nearest-neighbor search of a dirty kNN
 // query, emits the diff against the stored answer, and re-registers the
 // query's circular region in the grid. Phase 4 of a Step (knnPhase,

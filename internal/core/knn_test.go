@@ -149,16 +149,16 @@ func TestKNNRadiusAccessor(t *testing.T) {
 
 func TestKNNManyTies(t *testing.T) {
 	e := newTestEngine(t)
-	// Four objects equidistant from the focal point; k=2 must pick some
-	// two of them, and the engine's answer must remain a valid kNN set.
-	e.ReportObject(ObjectUpdate{ID: 1, Kind: Moving, Loc: geo.Pt(4, 5)})
-	e.ReportObject(ObjectUpdate{ID: 2, Kind: Moving, Loc: geo.Pt(6, 5)})
-	e.ReportObject(ObjectUpdate{ID: 3, Kind: Moving, Loc: geo.Pt(5, 4)})
+	// Four objects equidistant from the focal point, reported out of ID
+	// order: k=2 picks the two smallest IDs, the oracle's answer.
 	e.ReportObject(ObjectUpdate{ID: 4, Kind: Moving, Loc: geo.Pt(5, 6)})
+	e.ReportObject(ObjectUpdate{ID: 3, Kind: Moving, Loc: geo.Pt(5, 4)})
+	e.ReportObject(ObjectUpdate{ID: 2, Kind: Moving, Loc: geo.Pt(6, 5)})
+	e.ReportObject(ObjectUpdate{ID: 1, Kind: Moving, Loc: geo.Pt(4, 5)})
 	e.ReportQuery(QueryUpdate{ID: 1, Kind: KNN, Focal: geo.Pt(5, 5), K: 2})
-	got := e.Step(0)
-	if len(got) != 2 {
-		t.Fatalf("tie answer: %v", got)
+	e.Step(0)
+	if got, _ := e.Answer(1); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("tie answer %v, want [1 2]", got)
 	}
 	if err := e.CheckConsistency(true); err != nil {
 		t.Fatal(err)

@@ -77,9 +77,9 @@ func (e *Engine) EvalFromScratch(q QueryID) ([]ObjectID, bool) {
 //   - QList/OList symmetry: o ∈ q.answer ⇔ q ∈ o.queries;
 //   - every answer references live objects and vice versa;
 //   - the grid indexes each live object exactly once, at its location;
-//   - with deep: every non-kNN answer equals the brute-force oracle, and
-//     every kNN answer is a valid k-nearest set (distance-equivalent to
-//     the oracle, allowing ties to differ).
+//   - with deep: every answer equals the brute-force oracle, a kNN
+//     answer included: its k objects are the first in (distance to the
+//     focal point, ObjectID) order, so a tie has one answer.
 func (e *Engine) CheckConsistency(deep bool) error {
 	for qid, qs := range e.qrys {
 		var members []int32
@@ -137,40 +137,10 @@ func (e *Engine) CheckConsistency(deep bool) error {
 	}
 	slices.Sort(qids)
 	for _, qid := range qids {
-		qs := e.qrys[qid]
 		want, _ := e.EvalFromScratch(qid)
 		got, _ := e.Answer(qid)
-		if qs.kind == KNN {
-			if err := knnEquivalent(e, qs, got, want); err != nil {
-				return fmt.Errorf("query %d (knn): %v", qid, err)
-			}
-			continue
-		}
 		if !equalIDs(got, want) {
-			return fmt.Errorf("query %d (%v): answer %v, oracle %v", qid, qs.kind, got, want)
-		}
-	}
-	return nil
-}
-
-// knnEquivalent accepts any answer whose sorted distance multiset matches
-// the oracle's: ties at the k-th distance may legitimately resolve to
-// different objects.
-func knnEquivalent(e *Engine, qs *queryState, got, want []ObjectID) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("answer size %d, oracle %d", len(got), len(want))
-	}
-	gd := make([]float64, len(got))
-	wd := make([]float64, len(want))
-	for i := range got {
-		gd[i] = qs.focal.Dist(e.objs[got[i]].loc)
-		wd[i] = qs.focal.Dist(e.objs[want[i]].loc)
-	}
-	slices.Sort(gd)
-	slices.Sort(wd)
-	for i := range gd {
-		if diff := gd[i] - wd[i]; diff > 1e-9 || diff < -1e-9 {
-			return fmt.Errorf("distance[%d] %v, oracle %v", i, gd[i], wd[i])
+			return fmt.Errorf("query %d (%v): answer %v, oracle %v", qid, e.qrys[qid].kind, got, want)
 		}
 	}
 	return nil

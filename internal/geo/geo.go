@@ -192,8 +192,9 @@ func axisDist(v, lo, hi float64) float64 {
 
 // Difference returns r − s as a set of up to four disjoint rectangles.
 // The pieces cover every point that is in r but not in the interior of s.
-// If r and s do not intersect the result is {r}; if s covers r the result
-// is empty. dst is reused when its capacity suffices.
+// If r ∩ s has no area the result is {r}, even for an r of no area (a
+// segment or a point), which is a closed region too; if s covers an r of
+// positive area the result is empty. dst is reused when its capacity suffices.
 //
 // This is the primitive behind the paper's A_old − A_new / A_new − A_old
 // incremental evaluation areas.
@@ -201,10 +202,7 @@ func (r Rect) Difference(s Rect, dst []Rect) []Rect {
 	dst = dst[:0]
 	in, ok := r.Intersect(s)
 	if !ok || in.Empty() {
-		if !r.Empty() {
-			dst = append(dst, r)
-		}
-		return dst
+		return append(dst, r)
 	}
 	// Left slab.
 	if r.MinX < in.MinX {

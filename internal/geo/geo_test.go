@@ -159,6 +159,14 @@ func TestRectDifferenceBasic(t *testing.T) {
 		t.Errorf("covered difference = %v", out)
 	}
 
+	// A segment is a closed region too: disjoint from s, or meeting only
+	// its edge, it is its own difference.
+	for _, seg := range []Rect{R(2, 0, 2, 10), R(5, 0, 5, 10)} {
+		if out := seg.Difference(R(5, 5, 15, 15), nil); len(out) != 1 || out[0] != seg {
+			t.Errorf("segment %v difference = %v", seg, out)
+		}
+	}
+
 	// Corner overlap: 2 pieces (L-shape).
 	out = r.Difference(R(5, 5, 15, 15), nil)
 	if len(out) != 2 {

@@ -96,12 +96,6 @@ func (g *modelGrid) cellRange(r geo.Rect) (x1, y1, x2, y2 int, ok bool) {
 	}
 	x1, y1 = g.cellCoords(geo.Pt(r.MinX, r.MinY))
 	x2, y2 = g.cellCoords(geo.Pt(r.MaxX, r.MaxY))
-	if x2 > x1 && r.MaxX == g.bounds.MinX+float64(x2)*g.cellW {
-		x2--
-	}
-	if y2 > y1 && r.MaxY == g.bounds.MinY+float64(y2)*g.cellH {
-		y2--
-	}
 	return x1, y1, x2, y2, true
 }
 

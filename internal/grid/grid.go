@@ -181,22 +181,15 @@ func (g *Grid) clipRect(cx, cy int) geo.Rect {
 // built over a sub-Region of the monitored space depend on this:
 // a query region far outside a tile's Region still has to meet the
 // tile's boundary-clamped objects in the edge cells.) Only an invalid
-// rect registers nowhere.
+// rect registers nowhere. Both corners map through cellCoords, as
+// CellIndex maps a point, so a closed edge lying on a cell boundary
+// reaches the cell that stores a point on that edge.
 func (g *Grid) cellRange(r geo.Rect) (x1, y1, x2, y2 int, ok bool) {
 	if !r.Valid() {
 		return 0, 0, 0, 0, false
 	}
 	x1, y1 = g.cellCoords(geo.Pt(r.MinX, r.MinY))
 	x2, y2 = g.cellCoords(geo.Pt(r.MaxX, r.MaxY))
-	// A region whose max coordinate lands exactly on a cell boundary should
-	// not spill into the next cell; the clamp in cellCoords already handles
-	// the far edge of the space.
-	if x2 > x1 && r.MaxX == g.bounds.MinX+float64(x2)*g.cellW {
-		x2--
-	}
-	if y2 > y1 && r.MaxY == g.bounds.MinY+float64(y2)*g.cellH {
-		y2--
-	}
 	return x1, y1, x2, y2, true
 }
 
@@ -438,31 +431,34 @@ type Neighbor struct {
 	Dist float64
 }
 
-// KNearest returns the k point entries nearest to focal in ascending
-// distance order. See KNearestAppend.
-func (g *Grid) KNearest(focal geo.Point, k int, filter func(id uint64) bool) []Neighbor {
-	return g.KNearestAppend(nil, focal, k, filter)
+// KNearest returns the k point entries first in (distance, rank) order.
+// See KNearestAppend.
+func (g *Grid) KNearest(focal geo.Point, k int, rank func(key uint64) uint64) []Neighbor {
+	return g.KNearestAppend(nil, focal, k, rank)
 }
 
 // KNearestAppend is KNearest writing its result into dst (overwritten
 // from length zero, grown as needed), so steady-state callers can reuse
-// one buffer across searches. It finds the k point entries nearest to
-// focal in ascending distance order, using an expanding ring of cells
-// with the standard best-first pruning bound: the search stops once the
-// k-th candidate is closer than any unvisited ring. Fewer than k results
-// are returned when the grid holds fewer objects. The filter, when
-// non-nil, excludes entries for which it returns false.
-func (g *Grid) KNearestAppend(dst []Neighbor, focal geo.Point, k int, filter func(id uint64) bool) []Neighbor {
+// one buffer across searches. It finds the k point entries first in
+// (Dist, rank(ID)) order and returns them in that order, using an
+// expanding ring of cells with the standard best-first pruning bound:
+// the search stops once the k-th candidate is closer than any unvisited
+// ring. Fewer than k results are returned when the grid holds fewer
+// objects. rank breaks exact distance ties, so the result is one set
+// whatever order the slabs are visited in; a nil rank ranks an entry by
+// its key.
+func (g *Grid) KNearestAppend(dst []Neighbor, focal geo.Point, k int, rank func(key uint64) uint64) []Neighbor {
 	if k <= 0 {
 		return dst[:0]
 	}
 	// dst doubles as the max-heap of the current best k: the root (index
-	// 0) is the farthest candidate retained.
+	// 0) is the last candidate retained.
 	heap := dst[:0]
 	fcx, fcy := g.cellCoords(focal)
 
 	for ring := 0; ring < g.n; ring++ {
-		// Prune: every cell at this ring is at least ringDist away.
+		// Prune: every cell at this ring is at least ringDist away. The
+		// test is strict, so a ring that may hold a tie is still visited.
 		if len(heap) == k {
 			ringDist := float64(ring-1) * math.Min(g.cellW, g.cellH)
 			if ring > 0 && ringDist > heap[0].Dist {
@@ -475,15 +471,12 @@ func (g *Grid) KNearestAppend(dst []Neighbor, focal geo.Point, k int, filter fun
 			objs := g.cells[cy*g.n+cx].objs
 			for i := range objs {
 				e := &objs[i]
-				if filter != nil && !filter(e.key) {
-					continue
-				}
-				d := focal.Dist(e.p)
+				nb := Neighbor{e.key, e.p, focal.Dist(e.p)}
 				if len(heap) < k {
-					heap = nnPush(heap, Neighbor{e.key, e.p, d})
-				} else if d < heap[0].Dist {
-					heap, _ = nnPop(heap)
-					heap = nnPush(heap, Neighbor{e.key, e.p, d})
+					heap = nnPush(heap, nb, rank)
+				} else if nnLess(&nb, &heap[0], rank) {
+					heap, _ = nnPop(heap, rank)
+					heap = nnPush(heap, nb, rank)
 				}
 			}
 		})
@@ -492,10 +485,10 @@ func (g *Grid) KNearestAppend(dst []Neighbor, focal geo.Point, k int, filter fun
 		}
 	}
 
-	// Unwind the heap in place: repeatedly pop the farthest into the slot
-	// it vacates, yielding ascending distance order.
+	// Unwind the heap in place: repeatedly pop the last into the slot it
+	// vacates, yielding ascending order.
 	for n := len(heap); n > 1; n-- {
-		rest, top := nnPop(heap[:n])
+		rest, top := nnPop(heap[:n], rank)
 		heap[len(rest)] = top
 	}
 	return heap
@@ -552,13 +545,25 @@ func forRing(cx, cy, ring, n int, fn func(x, y int)) {
 	}
 }
 
-// nnPush appends n to the max-heap (keyed on distance) stored in hs.
-func nnPush(hs []Neighbor, n Neighbor) []Neighbor {
+// nnLess orders neighbours by (Dist, rank(ID)), calling rank only on an
+// exact distance tie.
+func nnLess(a, b *Neighbor, rank func(uint64) uint64) bool {
+	if a.Dist != b.Dist {
+		return a.Dist < b.Dist
+	}
+	if rank == nil {
+		return a.ID < b.ID
+	}
+	return rank(a.ID) < rank(b.ID)
+}
+
+// nnPush appends n to the max-heap (in nnLess order) stored in hs.
+func nnPush(hs []Neighbor, n Neighbor, rank func(uint64) uint64) []Neighbor {
 	hs = append(hs, n)
 	i := len(hs) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if hs[parent].Dist >= hs[i].Dist {
+		if !nnLess(&hs[parent], &hs[i], rank) {
 			break
 		}
 		hs[parent], hs[i] = hs[i], hs[parent]
@@ -567,9 +572,9 @@ func nnPush(hs []Neighbor, n Neighbor) []Neighbor {
 	return hs
 }
 
-// nnPop removes and returns the farthest neighbor (the root) from the
-// max-heap stored in hs.
-func nnPop(hs []Neighbor) ([]Neighbor, Neighbor) {
+// nnPop removes and returns the last neighbor in nnLess order (the root)
+// from the max-heap stored in hs.
+func nnPop(hs []Neighbor, rank func(uint64) uint64) ([]Neighbor, Neighbor) {
 	top := hs[0]
 	last := len(hs) - 1
 	hs[0] = hs[last]
@@ -578,10 +583,10 @@ func nnPop(hs []Neighbor) ([]Neighbor, Neighbor) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		largest := i
-		if l < len(hs) && hs[l].Dist > hs[largest].Dist {
+		if l < len(hs) && nnLess(&hs[largest], &hs[l], rank) {
 			largest = l
 		}
-		if r < len(hs) && hs[r].Dist > hs[largest].Dist {
+		if r < len(hs) && nnLess(&hs[largest], &hs[r], rank) {
 			largest = r
 		}
 		if largest == i {

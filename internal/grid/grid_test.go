@@ -166,13 +166,29 @@ func TestRegionClipping(t *testing.T) {
 
 func TestRegionBoundaryAligned(t *testing.T) {
 	g := unitGrid(4)
-	// Region exactly covering one cell should register in exactly that cell
-	// (max edge on the boundary must not spill over).
-	g.InsertRegion(1, geo.R(0.25, 0.25, 0.5, 0.5))
-	if g.NumRegionEntries() != 1 {
-		t.Errorf("aligned region entries = %d, want 1", g.NumRegionEntries())
+	// A region exactly covering one cell is closed: its max edges lie on
+	// boundaries whose points CellIndex stores in the next cells, so it
+	// registers in the 2×2 cells holding its corners.
+	r := geo.R(0.25, 0.25, 0.5, 0.5)
+	g.InsertRegion(1, r)
+	if g.NumRegionEntries() != 4 {
+		t.Errorf("aligned region entries = %d, want 4", g.NumRegionEntries())
 	}
-	g.RemoveRegion(1, geo.R(0.25, 0.25, 0.5, 0.5))
+	for i, p := range []geo.Point{geo.Pt(0.5, 0.3), geo.Pt(0.3, 0.5), geo.Pt(0.5, 0.5)} {
+		g.InsertObject(uint64(i), p)
+		found := false
+		g.VisitRegionsAt(p, func(id uint64, _ geo.Rect) bool {
+			found = found || id == 1
+			return true
+		})
+		if !found {
+			t.Errorf("object at %v on the region's edge does not meet it", p)
+		}
+	}
+	if n := g.CountObjectsIn(r); n != 3 {
+		t.Errorf("objects on the region's edges = %d, want 3", n)
+	}
+	g.RemoveRegion(1, r)
 	if g.NumRegionEntries() != 0 {
 		t.Errorf("entries after remove = %d", g.NumRegionEntries())
 	}
@@ -275,13 +291,21 @@ func TestKNearestBrute(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		g := unitGrid(1 + rng.Intn(16))
 		n := 1 + rng.Intn(200)
+		// Every other trial places points and focal on a 1/8 lattice,
+		// where exact distance ties are common.
+		coord := rng.Float64
+		if trial%2 == 1 {
+			coord = func() float64 { return float64(rng.Intn(9)) / 8 }
+		}
 		pts := make(map[uint64]geo.Point, n)
 		for i := uint64(0); i < uint64(n); i++ {
-			p := geo.Pt(rng.Float64(), rng.Float64())
-			pts[i] = p
-			g.InsertObject(i, p)
+			// Insert in descending key order, so slab order is not key order.
+			key := uint64(n-1) - i
+			p := geo.Pt(coord(), coord())
+			pts[key] = p
+			g.InsertObject(key, p)
 		}
-		focal := geo.Pt(rng.Float64(), rng.Float64())
+		focal := geo.Pt(coord(), coord())
 		k := 1 + rng.Intn(12)
 
 		got := g.KNearest(focal, k, nil)
@@ -308,29 +332,34 @@ func TestKNearestBrute(t *testing.T) {
 		if len(got) != wantLen {
 			t.Fatalf("trial %d: len = %d, want %d", trial, len(got), wantLen)
 		}
-		for i := 1; i < len(got); i++ {
-			if got[i].Dist < got[i-1].Dist {
-				t.Fatalf("trial %d: results not sorted", trial)
-			}
-		}
-		// Distance multiset must match (ids may differ on ties).
 		for i := range got {
-			if diff := got[i].Dist - all[i].d; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("trial %d: dist[%d] = %v, want %v", trial, i, got[i].Dist, all[i].d)
+			if got[i].ID != all[i].id || got[i].Dist != all[i].d {
+				t.Fatalf("trial %d: neighbour %d = (%d, %v), want (%d, %v)", trial, i, got[i].ID, got[i].Dist, all[i].id, all[i].d)
 			}
 		}
 	}
 }
 
-func TestKNearestFilterAndEdge(t *testing.T) {
+func TestKNearestRankAndEdge(t *testing.T) {
 	g := unitGrid(8)
-	g.InsertObject(1, geo.Pt(0.5, 0.5))
-	g.InsertObject(2, geo.Pt(0.52, 0.5))
-	g.InsertObject(3, geo.Pt(0.6, 0.5))
-
-	got := g.KNearest(geo.Pt(0.5, 0.5), 2, func(id uint64) bool { return id != 1 })
-	if len(got) != 2 || got[0].ID != 2 || got[1].ID != 3 {
-		t.Errorf("filtered KNearest = %+v", got)
+	// Four keys equidistant from the focal point, inserted out of key
+	// order: ties go to the smaller rank, whatever the slab order.
+	g.InsertObject(3, geo.Pt(0.5, 0.25))
+	g.InsertObject(1, geo.Pt(0.75, 0.5))
+	g.InsertObject(4, geo.Pt(0.25, 0.5))
+	g.InsertObject(2, geo.Pt(0.5, 0.75))
+	focal := geo.Pt(0.5, 0.5)
+	for _, c := range []struct {
+		rank func(uint64) uint64
+		want [2]uint64
+	}{
+		{nil, [2]uint64{1, 2}},
+		{func(k uint64) uint64 { return 10 - k }, [2]uint64{4, 3}},
+	} {
+		got := g.KNearest(focal, 2, c.rank)
+		if len(got) != 2 || got[0].ID != c.want[0] || got[1].ID != c.want[1] {
+			t.Errorf("tied KNearest = %+v, want IDs %v", got, c.want)
+		}
 	}
 	if got := g.KNearest(geo.Pt(0.5, 0.5), 0, nil); got != nil {
 		t.Errorf("k=0 should yield nil, got %v", got)

@@ -41,14 +41,27 @@ func TestQuickCellIndexRoundTrip(t *testing.T) {
 }
 
 // TestQuickRegionCandidatesComplete: a point inside a registered region is
-// always among the candidates of its cell.
+// always among the candidates of its cell, also when the region's max
+// edges, and the point, lie on cell boundaries.
 func TestQuickRegionCandidatesComplete(t *testing.T) {
 	g := New(geo.R(0, 0, 1, 1), 9)
+	// lower is the cell boundary at or below v, as CellRect computes it.
+	lower := func(v float64) float64 { return g.CellRect(g.CellIndex(geo.Pt(v, 0))).MinX }
 	f := func(cx, cy, side, px, py float64) bool {
 		r := geo.RectAt(geo.Pt(cx, cy), 0.01+side*0.3)
+		p := geo.Pt(px, py)
+		if side < 0.5 { // max edges on boundaries, p inside, often on them
+			r.MaxX, r.MaxY = max(r.MinX, lower(r.MaxX)), max(r.MinY, lower(r.MaxY))
+			p = geo.Pt(r.MinX+px*r.Width(), r.MinY+py*r.Height())
+			if px < 0.5 {
+				p.X = r.MaxX
+			}
+			if py < 0.5 {
+				p.Y = r.MaxY
+			}
+		}
 		g.InsertRegion(1, r)
 		defer g.RemoveRegion(1, r)
-		p := geo.Pt(px, py)
 		if !r.Contains(p) || !g.Bounds().Contains(p) {
 			return true
 		}

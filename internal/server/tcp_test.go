@@ -18,6 +18,8 @@ import (
 // commit acknowledgment and recovery diff must match, the stream must
 // equal the direct engine's less the updates of queries the batch
 // removed, and the server's work ledger must equal the direct engine's.
+// The Lattice vocabulary brings exact kNN distance ties and region
+// edges on cell boundaries to the same checks.
 func TestDifferentialTCP(t *testing.T) {
 	vocabs := []scenario.Vocab{
 		scenario.Repeats | scenario.ObjectRemovals,
@@ -25,6 +27,7 @@ func TestDifferentialTCP(t *testing.T) {
 		scenario.KNN | scenario.Velocity | scenario.Waypoints,
 		scenario.KNN | scenario.QueryRemovals | scenario.ObjectRemovals | scenario.NaNs,
 		scenario.All,
+		scenario.KNN | scenario.Hotspot | scenario.QueryRemovals | scenario.ObjectRemovals | scenario.Lattice,
 	}
 	for _, vocab := range vocabs {
 		for _, seed := range []int64{1, 2, 3} {

@@ -19,6 +19,15 @@ const shardVocab = scenario.Velocity | scenario.Waypoints | scenario.KNN | churn
 // hotspot differentials, which step the most.
 const churnVocab = scenario.KNN | scenario.ObjectRemovals | scenario.QueryRemovals | scenario.KindChanges
 
+// latticeVocab puts placements, focal points and region corners on the
+// lattice, so kNN answers hold exact distance ties and region edges lie
+// on cell and tile boundaries. It leaves out the shapes whose
+// same-batch transients the router nets (query removals, kind changes,
+// an object removed and re-added in one batch), so the router's stream
+// must equal the engine's update for update.
+const latticeVocab = scenario.Velocity | scenario.Waypoints | scenario.KNN | scenario.ObjectRemovals |
+	scenario.Hotspot | scenario.Lattice
+
 // TestDifferentialShardedVsSingle is the central correctness property
 // of the sharded engine: a randomized workload through a 2×2 (and 1×4)
 // sharded engine must match a single core.Engine — answers, committed
@@ -27,7 +36,8 @@ const churnVocab = scenario.KNN | scenario.ObjectRemovals | scenario.QueryRemova
 // answers. The streams themselves may differ: same-batch transients
 // net in the merge but not in core. The 2×2 runs also send malformed
 // trajectories and over-speed predictive reports, which the router
-// must reject exactly as the tile engines do.
+// must reject exactly as the tile engines do. The lattice runs hold
+// the router's stream to an engine's as well.
 func TestDifferentialShardedVsSingle(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7, 42, 1234} {
 		for _, grid := range [][2]int{{2, 2}, {1, 4}} {
@@ -38,6 +48,15 @@ func TestDifferentialShardedVsSingle(t *testing.T) {
 			t.Run("", func(t *testing.T) {
 				g := scenario.NewGen(seed, vocab)
 				scenario.Run(t, g, scenario.Config{Steps: 100, Procs: []core.Processor{newScenarioShard(t, g, grid[0], grid[1])}})
+			})
+		}
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		for _, grid := range [][2]int{{2, 2}, {1, 4}} {
+			t.Run(fmt.Sprintf("lattice/%dx%d/seed=%d", grid[0], grid[1], seed), func(t *testing.T) {
+				g := scenario.NewGen(seed, latticeVocab)
+				scenario.Run(t, g, scenario.Config{Steps: 100, SameStream: true,
+					Procs: []core.Processor{core.MustNewEngine(g.Options()), newScenarioShard(t, g, grid[0], grid[1])}})
 			})
 		}
 	}

@@ -52,6 +52,14 @@ const (
 
 	// All is every shape.
 	All = NaNs<<1 - 1
+
+	// Lattice is not a shape, so All leaves it out: it moves every
+	// placement, focal point and query corner onto the lattice of
+	// spacing 1/lattice and draws a power-of-two GridN of at most 8, so
+	// every cell boundary of the engine's grid is a lattice line.
+	// Objects then share points and tie in distance, and region edges
+	// and the objects on them lie on cell boundaries.
+	Lattice = NaNs << 1
 )
 
 // Population limits and the OverSpeed cap.
@@ -60,6 +68,7 @@ const (
 	maxQueries    = 20
 	repeatObjects = 40
 	maxSpeed      = 0.05
+	lattice       = 16
 )
 
 // Gen draws batches from a seed and a vocabulary. Every choice derives
@@ -92,7 +101,11 @@ func NewGen(seed int64, vocab Vocab) *Gen {
 		nextO: 1,
 		nextQ: 1,
 	}
-	g.opt = core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: 1 + g.rng.Intn(12), PredictiveHorizon: 50}
+	gridN := 1 + g.rng.Intn(12)
+	if g.has(Lattice) {
+		gridN = 1 << g.rng.Intn(4)
+	}
+	g.opt = core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: gridN, PredictiveHorizon: 50}
 	if vocab&OverSpeed != 0 {
 		g.opt.MaxSpeed = maxSpeed
 	}
@@ -322,29 +335,44 @@ func (g *Gen) query(id core.QueryID, kind core.QueryKind) core.QueryUpdate {
 	u := core.QueryUpdate{ID: id, Kind: kind, T: g.now}
 	switch kind {
 	case core.Range:
-		u.Region = geo.RectAt(g.point(), 0.02+g.rng.Float64()*0.4)
+		u.Region = g.region()
 	case core.KNN:
 		u.Focal = g.point()
 		u.K = 1 + g.rng.Intn(6)
 	case core.PredictiveRange:
-		u.Region = geo.RectAt(g.point(), 0.02+g.rng.Float64()*0.4)
+		u.Region = g.region()
 		u.T1 = g.now + g.rng.Float64()*10
 		u.T2 = u.T1 + g.rng.Float64()*10
 	}
 	return u
 }
 
+// region draws a query region of side 0.02–0.42.
+func (g *Gen) region() geo.Rect {
+	r := geo.RectAt(g.point(), 0.02+g.rng.Float64()*0.4)
+	return geo.R(g.snap(r.MinX), g.snap(r.MinY), g.snap(r.MaxX), g.snap(r.MaxY))
+}
+
 // point draws a placement: uniform, or with Hotspot mostly in the hot
 // corner.
 func (g *Gen) point() geo.Point {
 	if g.has(Hotspot) && g.rng.Float64() < 0.75 {
-		return geo.Pt(g.rng.Float64()*0.2, g.rng.Float64()*0.2)
+		return geo.Pt(g.snap(g.rng.Float64()*0.2), g.snap(g.rng.Float64()*0.2))
 	}
-	return geo.Pt(g.rng.Float64(), g.rng.Float64())
+	return geo.Pt(g.snap(g.rng.Float64()), g.snap(g.rng.Float64()))
 }
 
 // inQuadrant draws a point in quadrant q of the unit square, numbered
 // row-major from the origin: the tiles of a 2×2 split.
 func (g *Gen) inQuadrant(q int) geo.Point {
-	return geo.Pt((float64(q%2)+g.rng.Float64())/2, (float64(q/2)+g.rng.Float64())/2)
+	return geo.Pt(g.snap((float64(q%2)+g.rng.Float64())/2), g.snap((float64(q/2)+g.rng.Float64())/2))
+}
+
+// snap rounds v to the nearest lattice line under Lattice, and leaves it
+// alone otherwise.
+func (g *Gen) snap(v float64) float64 {
+	if !g.has(Lattice) {
+		return v
+	}
+	return math.Round(v*lattice) / lattice
 }

@@ -11,9 +11,11 @@ import (
 // TestCoreAgainstCore runs a second core.Engine against the reference
 // over every vocabulary shape and every script: two engines fed the
 // same batches must pass every check, bit-identical streams and
-// ledgers included.
+// ledgers included. The Lattice runs hold kNN answers with exact
+// distance ties, and regions whose edges lie on cell boundaries, to
+// the oracle exactly.
 func TestCoreAgainstCore(t *testing.T) {
-	for _, vocab := range []Vocab{0, All &^ NaNs, All &^ (Repeats | MultiReport | NaNs), All} {
+	for _, vocab := range []Vocab{0, All &^ NaNs, All &^ (Repeats | MultiReport | NaNs), All, KNN | Hotspot | Lattice, All | Lattice} {
 		for _, seed := range []int64{1, 2, 3} {
 			t.Run(fmt.Sprintf("vocab=%#x/seed=%d", vocab, seed), func(t *testing.T) {
 				g := NewGen(seed, vocab)
