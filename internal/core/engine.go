@@ -159,6 +159,7 @@ type objectState struct {
 
 	gridLoc geo.Point // where the grid indexes the point entry, once indexed
 	indexed bool
+	removed bool   // the object's last report of step removed it
 	step    uint64 // the Step in which the object last joined the moved list
 
 	// swept is the grid-registered trajectory bounding box of a predictive
@@ -463,19 +464,17 @@ func (e *Engine) stepAppend(out []Update, now float64) []Update {
 	// Phase 1: apply every object report to the object table in arrival
 	// order, without touching the grid. Only an object's state at the
 	// step boundary enters the join, so an object joins the moved list
-	// on its first accepted report of the step and never again.
+	// on its first accepted report or removal of the step and never
+	// again. A removal only marks the object; a later accepted report
+	// clears the mark, which makes a removal and a re-add one move.
 	moved := e.movedBuf[:0]
 	for i := range e.objBuf {
 		u := &e.objBuf[i]
 		e.stats.ObjectReports++
-		if u.Remove {
-			e.removeObject(u.ID, &out)
-			continue
-		}
-		if !AcceptObject(u, e.opt.MaxSpeed) {
-			continue // keep prior state
-		}
 		os, exists := e.objs[u.ID]
+		if u.Remove && !exists || !u.Remove && !AcceptObject(u, e.opt.MaxSpeed) {
+			continue // nothing to remove, or a rejected report: keep prior state
+		}
 		if !exists {
 			os = &objectState{id: u.ID}
 			e.allocObjHandle(os)
@@ -485,15 +484,18 @@ func (e *Engine) stepAppend(out []Update, now float64) []Update {
 			os.step = e.stats.Steps
 			moved = append(moved, os)
 		}
+		// A removal's fields are overwritten by any later accepted
+		// report, and a removed object's are never read.
+		os.removed = u.Remove
 		os.kind, os.loc, os.vel, os.waypoints, os.t = u.Kind, u.Loc, u.Vel, u.Waypoints, u.T
 	}
 
-	// Index pass: each object live at the step boundary is indexed once,
-	// at its last accepted state. An object removed later in the batch
-	// has lost its handle, memberships and grid entries already.
+	// Index pass: each object whose last report removed it is removed;
+	// each other object is indexed once, at its last accepted state.
 	live := moved[:0]
 	for _, os := range moved {
-		if e.objsByH[os.h] != os {
+		if os.removed {
+			e.removeObject(os, &out)
 			continue
 		}
 		if os.indexed {
@@ -618,11 +620,7 @@ func (e *Engine) setMemberNew(qs *queryState, os *objectState, out *[]Update) {
 
 // removeObject deregisters an object, emitting negative updates for every
 // query whose answer it occupied.
-func (e *Engine) removeObject(id ObjectID, out *[]Update) {
-	os, ok := e.objs[id]
-	if !ok {
-		return
-	}
+func (e *Engine) removeObject(os *objectState, out *[]Update) {
 	// Retract memberships in ascending QueryID order (collected first:
 	// setMember swap-removes from the QList being walked).
 	qss := append(e.qidBuf[:0], os.queries...)
@@ -649,7 +647,7 @@ func (e *Engine) removeObject(id ObjectID, out *[]Update) {
 	if os.sweptValid {
 		e.g.RemoveRegion(okeyH(os.h), os.swept)
 	}
-	delete(e.objs, id)
+	delete(e.objs, os.id)
 	e.objsByH[os.h] = nil
 	e.objFree = append(e.objFree, os.h)
 }

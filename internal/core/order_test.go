@@ -8,108 +8,12 @@ import (
 	"cqp/internal/geo"
 )
 
-// This file pins the reproducibility half of the update-stream contract:
-// Step output is in the canonical order of SortUpdates, identical runs
-// produce identical streams (bit-for-bit, not just as multisets), and
-// the recovery surfaces (Recover, CommittedAnswer, checksums) are
-// independent of map iteration order. These are the invariants cqp-lint's
-// maporder/determinism analyzers enforce mechanically; the tests keep
-// them honest at runtime.
-
-// driveRandom feeds a deterministic random workload to eng, returning
-// the concatenated update stream with step boundaries marked by index.
-func driveRandom(eng *Engine, seed int64, steps int) [][]Update {
-	rng := rand.New(rand.NewSource(seed))
-	streams := make([][]Update, 0, steps)
-	for step := 0; step < steps; step++ {
-		now := float64(step)
-		for n := 0; n < 60; n++ {
-			u := ObjectUpdate{
-				ID:   ObjectID(1 + rng.Intn(150)),
-				Kind: ObjectKind(rng.Intn(3)),
-				Loc:  geo.Pt(rng.Float64(), rng.Float64()),
-				Vel:  geo.Vec(rng.Float64()*0.02-0.01, rng.Float64()*0.02-0.01),
-				T:    now,
-			}
-			if rng.Float64() < 0.05 {
-				u = ObjectUpdate{ID: u.ID, Remove: true, T: now}
-			}
-			eng.ReportObject(u)
-		}
-		for n := 0; n < 6; n++ {
-			q := QueryUpdate{ID: QueryID(1 + rng.Intn(25)), T: now}
-			switch rng.Intn(3) {
-			case 0:
-				q.Kind = Range
-				q.Region = geo.RectAt(geo.Pt(rng.Float64(), rng.Float64()), 0.1+rng.Float64()*0.2)
-			case 1:
-				q.Kind = KNN
-				q.Focal = geo.Pt(rng.Float64(), rng.Float64())
-				q.K = 1 + rng.Intn(5)
-			case 2:
-				q.Kind = PredictiveRange
-				q.Region = geo.RectAt(geo.Pt(rng.Float64(), rng.Float64()), 0.2)
-				q.T1, q.T2 = now+2, now+20
-			}
-			eng.ReportQuery(q)
-		}
-		streams = append(streams, eng.Step(now))
-	}
-	return streams
-}
-
-func inCanonicalOrder(us []Update) bool {
-	for i := 1; i < len(us); i++ {
-		a, b := us[i-1], us[i]
-		if a.Query > b.Query || (a.Query == b.Query && a.Object > b.Object) {
-			return false
-		}
-	}
-	return true
-}
-
-func streamsIdentical(a, b [][]Update) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// TestStepCanonicalOrder asserts every Step output is sorted by
-// (Query, Object).
-func TestStepCanonicalOrder(t *testing.T) {
-	eng := MustNewEngine(Options{Bounds: geo.R(0, 0, 1, 1), GridN: 12})
-	for i, stream := range driveRandom(eng, 7, 60) {
-		if !inCanonicalOrder(stream) {
-			t.Fatalf("step %d emitted out of canonical order: %v", i, stream)
-		}
-	}
-}
-
-// TestStepStreamReproducible runs the same workload through two engines
-// and requires the two update streams to be identical
-// element-for-element — the bit-reproducibility the server's per-client
-// streams inherit.
-func TestStepStreamReproducible(t *testing.T) {
-	opt := Options{Bounds: geo.R(0, 0, 1, 1), GridN: 12}
-
-	first := driveRandom(MustNewEngine(opt), 99, 60)
-	second := driveRandom(MustNewEngine(opt), 99, 60)
-
-	if !streamsIdentical(first, second) {
-		t.Fatal("two runs of the same workload produced different update streams")
-	}
-}
+// This file pins the order of the recovery surfaces (Recover,
+// CommittedAnswer, checksums), which must not depend on map iteration
+// order. The scenario driver (internal/testutil/scenario) checks every
+// Step's canonical order and, between two engines, bit-identical
+// streams; cqp-lint's maporder and determinism analyzers enforce the
+// same invariants mechanically.
 
 // TestRecoverPinnedOrder pins Recover's documented output order exactly:
 // negatives in ascending ObjectID order first (the client prunes before

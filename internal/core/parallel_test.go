@@ -110,8 +110,8 @@ func TestStepDeterministicAcrossCPUs(t *testing.T) {
 	const wantHash = 0x1670a6824616b0b
 	wantStats := Stats{
 		Steps: 8, ObjectReports: 18014, ObjectsIndexed: 15068,
-		QueryReports: 7460, RegionEvalCells: 48012, CandidateChecks: 591298,
-		JoinFindings: 64199, KNNRecomputes: 1488,
+		QueryReports: 7460, RegionEvalCells: 48012, CandidateChecks: 591320,
+		JoinFindings: 64212, KNNRecomputes: 1488,
 		PositiveUpdates: 106362, NegativeUpdates: 88964,
 	}
 	reg := obs.NewRegistry()

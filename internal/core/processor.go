@@ -10,9 +10,15 @@ package core
 //   - ReportObject and ReportQuery buffer reports; Step applies every
 //     buffered report as one bulk evaluation at the given time and
 //     returns the incremental (Q, ±A) updates in canonical order (see
-//     SortUpdates). Fed the same Protocol-normalized batches (one net
-//     report per query), every Processor yields equal answers, which the
-//     differential shard tests check; the streams themselves may differ.
+//     SortUpdates). The stream is each answer's net change over the
+//     step, one update per changed (query, object) pair, except in a
+//     query the batch removed or re-kinded: there the retractions of
+//     the old answer, which the subscriber has dropped, may precede the
+//     new answer's updates. Fed the same Protocol-normalized batches
+//     (one net report per query), every Processor yields equal answers
+//     and equal streams, which the scenario differentials check; the
+//     streams may differ only in those retractions, which a processor
+//     may stream or drop.
 //   - Replaying the update stream against a query's previously reported
 //     answer always yields exactly its current Answer.
 //

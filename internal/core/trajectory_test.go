@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"cqp/internal/geo"
@@ -95,67 +94,5 @@ func TestInvalidTrajectoryRejected(t *testing.T) {
 	got := e.Step(2)
 	if !updatesEqual(got, []Update{{1, 1, true}}) {
 		t.Fatalf("valid follow-up: %v", got)
-	}
-}
-
-// TestTrajectoryRandomWorkload extends the central replay invariant to
-// trajectory-reporting objects.
-func TestTrajectoryRandomWorkload(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	e := MustNewEngine(Options{Bounds: geo.R(0, 0, 1, 1), GridN: 8, PredictiveHorizon: 100})
-
-	clients := map[QueryID]map[ObjectID]struct{}{}
-	now := 0.0
-	for q := QueryID(1); q <= 8; q++ {
-		u := QueryUpdate{
-			ID: q, Kind: PredictiveRange,
-			Region: geo.RectAt(geo.Pt(rng.Float64(), rng.Float64()), 0.1+rng.Float64()*0.2),
-			T1:     rng.Float64() * 20, T2: 20 + rng.Float64()*20,
-		}
-		e.ReportQuery(u)
-		clients[q] = map[ObjectID]struct{}{}
-	}
-
-	for step := 0; step < 60; step++ {
-		now += 1
-		for n := rng.Intn(6); n > 0; n-- {
-			id := ObjectID(1 + rng.Intn(30))
-			u := ObjectUpdate{ID: id, Kind: Predictive, Loc: geo.Pt(rng.Float64(), rng.Float64()), T: now}
-			if rng.Float64() < 0.7 {
-				// Trajectory representation with 1–3 waypoints.
-				wt := now
-				for legs := 1 + rng.Intn(3); legs > 0; legs-- {
-					wt += 1 + rng.Float64()*10
-					u.Waypoints = append(u.Waypoints, geo.TimedPoint{
-						P: geo.Pt(rng.Float64(), rng.Float64()), T: wt,
-					})
-				}
-			} else {
-				u.Vel = geo.Vec(rng.Float64()*0.02-0.01, rng.Float64()*0.02-0.01)
-			}
-			e.ReportObject(u)
-		}
-		updates := e.Step(now)
-		for _, u := range updates {
-			if u.Positive {
-				clients[u.Query][u.Object] = struct{}{}
-			} else {
-				delete(clients[u.Query], u.Object)
-			}
-		}
-		for q, ans := range clients {
-			oracle, _ := e.EvalFromScratch(q)
-			if len(oracle) != len(ans) {
-				t.Fatalf("step %d query %d: client=%d oracle=%v", step, q, len(ans), oracle)
-			}
-			for _, id := range oracle {
-				if _, ok := ans[id]; !ok {
-					t.Fatalf("step %d query %d: missing %d", step, q, id)
-				}
-			}
-		}
-		if err := e.CheckConsistency(true); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
 	}
 }

@@ -21,23 +21,30 @@ const churnVocab = scenario.KNN | scenario.ObjectRemovals | scenario.QueryRemova
 
 // latticeVocab puts placements, focal points and region corners on the
 // lattice, so kNN answers hold exact distance ties and region edges lie
-// on cell and tile boundaries. It leaves out the shapes whose
-// same-batch transients the router nets (query removals, kind changes,
-// an object removed and re-added in one batch), so the router's stream
-// must equal the engine's update for update.
+// on cell and tile boundaries, and repeats objects and removes objects
+// and queries. It leaves out the shapes that re-register or re-kind a
+// query (MultiReport, KindChanges): the engine streams the old
+// incarnation's retractions of such a query, and the router drops
+// them. So the router's stream must equal the engine's update for
+// update.
 const latticeVocab = scenario.Velocity | scenario.Waypoints | scenario.KNN | scenario.ObjectRemovals |
-	scenario.Hotspot | scenario.Lattice
+	scenario.QueryRemovals | scenario.Repeats | scenario.Hotspot | scenario.Lattice
+
+// orderVocab is a mixed workload of dense batches in which each object
+// reports 2–4 times under a random kind — stationary, moving,
+// predictive, with trajectories — and is removed and re-added; range and
+// predictive queries register and move. Most of the moves cross a tile.
+const orderVocab = scenario.Velocity | scenario.Waypoints | scenario.ObjectRemovals | scenario.Repeats
 
 // TestDifferentialShardedVsSingle is the central correctness property
 // of the sharded engine: a randomized workload through a 2×2 (and 1×4)
 // sharded engine must match a single core.Engine — answers, committed
 // answers, checksums and recovery diffs through core.Protocol — after
 // every step, and its stream must replay into its subscribers'
-// answers. The streams themselves may differ: same-batch transients
-// net in the merge but not in core. The 2×2 runs also send malformed
-// trajectories and over-speed predictive reports, which the router
-// must reject exactly as the tile engines do. The lattice runs hold
-// the router's stream to an engine's as well.
+// answers. The 2×2 runs also send malformed trajectories and
+// over-speed predictive reports, which the router must reject exactly
+// as the tile engines do. The lattice runs hold the router's stream to
+// an engine's as well.
 func TestDifferentialShardedVsSingle(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7, 42, 1234} {
 		for _, grid := range [][2]int{{2, 2}, {1, 4}} {
@@ -60,6 +67,15 @@ func TestDifferentialShardedVsSingle(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestShardStreamMatchesSingle holds the router's stream to the
+// engine's, update for update, over dense batches that remove and
+// re-add objects: both stream each step's net diff.
+func TestShardStreamMatchesSingle(t *testing.T) {
+	g := scenario.NewGen(29, orderVocab)
+	scenario.Run(t, g, scenario.Config{Steps: 40, SameStream: true,
+		Procs: []core.Processor{core.MustNewEngine(g.Options()), newScenarioShard(t, g, 2, 2)}})
 }
 
 // TestDifferentialRepeatedReports is the differential over batches that

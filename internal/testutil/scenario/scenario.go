@@ -11,10 +11,14 @@
 //     positive, no negative for an absent member (except the retractions
 //     of a query the batch removed or re-kinded, which the client has
 //     dropped), and every view equals the target's Answer;
+//   - the reference's and every processor's stream is the net diff of
+//     the step: strictly increasing in (Query, Object), so no pair
+//     appears twice, except in a query the batch removed or re-kinded;
 //   - NumObjects, NumQueries and Answer agree with the reference for
 //     every query ID the run has reported, and so do CommittedAnswer and
 //     CommittedChecksum where the target has them, and the batch's
-//     Commit and Recover calls;
+//     Commit and Recover calls; the reference's recovery diff, applied
+//     to its committed answer, yields its answer;
 //   - the reference passes CheckConsistency(true), whose answers are
 //     the brute-force EvalFromScratch oracle's;
 //   - where the configuration asks, the targets under test emit
@@ -26,6 +30,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"testing"
@@ -233,7 +238,11 @@ func (d *driver) step(step int, b Batch) error {
 		}
 	}
 	for _, q := range b.Recover {
+		committed, _ := d.ps[0].(committer).CommittedAnswer(q)
 		want, wok := d.ps[0].Recover(q)
+		if err := recovers(d.ps[0], q, committed, want); err != nil {
+			return fail("reference: %v", err)
+		}
 		for i, p := range d.ps[1:] {
 			if got, ok := p.Recover(q); ok != wok || !slices.Equal(got, want) {
 				return fail("processor %d: Recover(%d) = %v (%v), reference %v (%v)", i+1, q, got, ok, want, wok)
@@ -272,9 +281,20 @@ func (d *driver) track(us []core.QueryUpdate) map[core.QueryID]bool {
 	return reset
 }
 
-// replay applies processor i's stream to its client views.
+// replay applies processor i's stream to its client views. The stream
+// of the reference or of a processor of Procs must be in strictly
+// increasing (Query, Object) order but in a query the batch reset.
+// Targets are exempt: a ticker-driven server may evaluate several times
+// in one driver step, and SameStream holds its stream to a processor's.
 func (d *driver) replay(i int, stream []core.Update, reset map[core.QueryID]bool) error {
-	for _, u := range stream {
+	ordered := i <= len(d.cfg.Procs)
+	for j, u := range stream {
+		if ordered && j > 0 {
+			p := stream[j-1]
+			if c := cmp.Or(cmp.Compare(p.Query, u.Query), cmp.Compare(p.Object, u.Object)); c > 0 || c == 0 && !reset[u.Query] {
+				return fmt.Errorf("%v follows %v: the stream is not the step's net diff in (Query, Object) order", u, p)
+			}
+		}
 		v, ok := d.views[i][u.Query]
 		if !ok {
 			if u.Positive || !reset[u.Query] {
@@ -359,5 +379,36 @@ func (d *driver) ledger() error {
 		}
 	}
 	d.ledg = got
+	return nil
+}
+
+// recovers checks that diff, applied to the committed answer, yields
+// p's answer of q: each negative retracts a member, each positive adds
+// an absent object.
+func recovers(p Target, q core.QueryID, committed []core.ObjectID, diff []core.Update) error {
+	view := map[core.ObjectID]struct{}{}
+	for _, o := range committed {
+		view[o] = struct{}{}
+	}
+	for _, u := range diff {
+		if _, in := view[u.Object]; in == u.Positive {
+			return fmt.Errorf("Recover(%d): %v does not apply to the committed answer %v", q, u, committed)
+		}
+		if u.Positive {
+			view[u.Object] = struct{}{}
+		} else {
+			delete(view, u.Object)
+		}
+	}
+	want, _ := p.Answer(q)
+	held := 0
+	for _, o := range want {
+		if _, in := view[o]; in {
+			held++
+		}
+	}
+	if held != len(view) || held != len(want) {
+		return fmt.Errorf("Recover(%d): the committed answer %v with the diff %v is not the answer %v", q, committed, diff, want)
+	}
 	return nil
 }

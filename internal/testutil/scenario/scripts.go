@@ -82,12 +82,12 @@ func Scripts() []*Script {
 	}
 	removeReadd := func(name string, region geo.Rect) *Script {
 		// An object removed and re-reported in one step, staying inside
-		// the query, is an in-batch transient: no net update, answer kept,
-		// whether the query sits on one tile of a 1×2 split or spans both.
+		// the query, has moved: no update, answer kept, whether the query
+		// sits on one tile of a 1×2 split or spans both.
 		return script(name, 1, 2,
 			Batch{T: 0, Objects: objs{at(7, 2.5, 5)}, Queries: qrys{rng(1, region)}, Check: want{answers: answers{1: {7}}}.check},
 			Batch{T: 1, Objects: objs{{ID: 7, Remove: true}, at(7, 2.5, 5)},
-				Check: want{net: true, stream: upds{}, answers: answers{1: {7}}}.check})
+				Check: want{stream: upds{}, answers: answers{1: {7}}}.check})
 	}
 	multiMove := script("multi-move-batch", 2, 2,
 		// A query that moves twice in one batch commits the answer as of
@@ -225,7 +225,6 @@ type answers map[core.QueryID][]core.ObjectID
 
 // want is a batch's expectations; a nil part is not checked.
 type want struct {
-	net       bool // compare the stream net of same-step transients
 	stream    []core.Update
 	answers   answers
 	committed []core.ObjectID // query 1's committed answer, before recovery
@@ -234,9 +233,6 @@ type want struct {
 
 // check holds p to w; the committed answer only where p exposes it.
 func (w want) check(p Target, stream []core.Update) error {
-	if w.net {
-		stream = Net(stream)
-	}
 	if w.stream != nil && !slices.Equal(stream, w.stream) {
 		return fmt.Errorf("stream %v, want %v", stream, w.stream)
 	}
@@ -256,25 +252,4 @@ func (w want) check(p Target, stream []core.Update) error {
 		}
 	}
 	return nil
-}
-
-// Net collapses a canonically sorted stream's same-step transients.
-// Consecutive updates of one (query, object) pair alternate sign, so
-// their net effect is the last of them when they are odd in number and
-// nothing when even. A single engine may stream a transient (−O then +O
-// when an object leaves and re-enters an answer in one step) that the
-// sharded merge nets by construction; both replay to the same answer.
-func Net(us []core.Update) []core.Update {
-	var out []core.Update
-	for i := 0; i < len(us); {
-		j := i
-		for j < len(us) && us[j].Query == us[i].Query && us[j].Object == us[i].Object {
-			j++
-		}
-		if (j-i)%2 == 1 {
-			out = append(out, us[j-1])
-		}
-		i = j
-	}
-	return out
 }
