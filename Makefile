@@ -22,8 +22,10 @@ race:
 flake:
 	$(GO) test -race -count=50 ./internal/shard/ ./internal/server/ ./internal/client/
 
-# The seeded fault-injection convergence test (see DESIGN.md, "Failure
-# model & recovery").
+# The one fault test: TestChaosConvergence drives clients through a
+# seeded storm of network faults until they converge (DESIGN.md §7,
+# "What corruption can and cannot do"). Restarts are configurations of
+# TestDifferentialTCP.
 chaos:
 	$(GO) test -race -run TestChaosConvergence -count=1 -v ./internal/server/
 

@@ -47,16 +47,6 @@ type Faults struct {
 	// PCorrupt flips one bit of the data in transit (on writes the
 	// buffer is copied first; callers never see their data mutated).
 	PCorrupt float64
-
-	// PStall hangs the operation — and with it the connection's whole
-	// direction — until the scenario is reset (Disable or Enable) or the
-	// connection is closed. Unlike PDelay it involves no timer: the hang
-	// is indefinite, which is exactly what deadline-based death
-	// detection (heartbeat timeouts, step deadlines) needs to be tested
-	// against without wall-clock sleeps in the fault schedule. A stalled
-	// operation released by Disable proceeds normally; one released by a
-	// close fails with the close error.
-	PStall float64
 }
 
 // ErrInjectedReset is returned by operations the injector chose to fail.
@@ -68,49 +58,19 @@ type Injector struct {
 	faults  Faults
 	enabled atomic.Bool
 	seq     atomic.Uint64
-
-	mu      sync.Mutex
-	release chan struct{} // closed on Disable/Enable: frees stalled ops
 }
 
 // New returns an enabled Injector with the given fault schedule.
 func New(f Faults) *Injector {
-	in := &Injector{faults: f, release: make(chan struct{})}
+	in := &Injector{faults: f}
 	in.enabled.Store(true)
 	return in
 }
 
 // Disable turns all fault injection off; wrapped connections become
-// transparent and stalled operations resume. Tests call this to end the
-// storm and let the system heal.
-func (in *Injector) Disable() {
-	in.enabled.Store(false)
-	in.releaseStalled()
-}
-
-// Enable turns fault injection back on. It also releases operations
-// stalled under the previous scenario: a stall lasts until the next
-// scenario change, in either direction.
-func (in *Injector) Enable() {
-	in.enabled.Store(true)
-	in.releaseStalled()
-}
-
-// releaseStalled frees every currently stalled operation and arms a
-// fresh release barrier for future stalls.
-func (in *Injector) releaseStalled() {
-	in.mu.Lock()
-	close(in.release)
-	in.release = make(chan struct{})
-	in.mu.Unlock()
-}
-
-// releaseCh returns the barrier a newly stalled operation waits on.
-func (in *Injector) releaseCh() <-chan struct{} {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.release
-}
+// transparent. Tests call this to end the storm and let the system
+// heal.
+func (in *Injector) Disable() { in.enabled.Store(false) }
 
 // Wrap returns c with this injector's fault schedule applied. Each
 // wrapped connection draws from its own deterministic streams, derived
@@ -123,28 +83,12 @@ func (in *Injector) Wrap(c net.Conn) net.Conn {
 		in:   in,
 		rd:   faultStream{rng: rand.New(rand.NewSource(int64(splitmix(base + 1))))},
 		wr:   faultStream{rng: rand.New(rand.NewSource(int64(splitmix(base + 2))))},
-		done: make(chan struct{}),
 	}
 }
 
 // Listener wraps ln so every accepted connection is fault-injected.
 func (in *Injector) Listener(ln net.Listener) net.Listener {
 	return &listener{Listener: ln, in: in}
-}
-
-// Dialer wraps a dial function so every dialed connection is
-// fault-injected. dial defaults to a plain TCP dial when nil.
-func (in *Injector) Dialer(dial func(addr string) (net.Conn, error)) func(addr string) (net.Conn, error) {
-	if dial == nil {
-		dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-	}
-	return func(addr string) (net.Conn, error) {
-		c, err := dial(addr)
-		if err != nil {
-			return nil, err
-		}
-		return in.Wrap(c), nil
-	}
 }
 
 type listener struct {
@@ -163,7 +107,6 @@ func (l *listener) Accept() (net.Conn, error) {
 // fault is the set of faults drawn for one operation.
 type fault struct {
 	delay    time.Duration
-	stall    bool
 	reset    bool
 	partial  bool
 	corrupt  bool
@@ -190,10 +133,6 @@ func (s *faultStream) draw(f Faults, enabled bool) fault {
 	if f.PDelay > 0 && f.MaxDelay > 0 && s.rng.Float64() < f.PDelay {
 		out.delay = time.Duration(s.rng.Int63n(int64(f.MaxDelay)))
 	}
-	if f.PStall > 0 && s.rng.Float64() < f.PStall {
-		out.stall = true
-		return out
-	}
 	if f.PReset > 0 && s.rng.Float64() < f.PReset {
 		out.reset = true
 		return out
@@ -216,45 +155,12 @@ type conn struct {
 	in *Injector
 	rd faultStream
 	wr faultStream
-
-	closeOnce sync.Once
-	done      chan struct{} // closed by Close: frees this conn's stalls
-}
-
-// Close releases any operation stalled on this connection before
-// closing the wrapped one.
-func (c *conn) Close() error {
-	c.closeOnce.Do(func() { close(c.done) })
-	return c.Conn.Close()
-}
-
-// stall blocks until the injector's scenario changes or the connection
-// closes; it reports whether the operation may proceed. The enabled
-// re-check after capturing the barrier closes the race with a Disable
-// that lands between the draw and the wait: either the check observes
-// it, or the barrier we hold is the one it closed.
-func (c *conn) stall() error {
-	ch := c.in.releaseCh()
-	if !c.in.enabled.Load() {
-		return nil
-	}
-	select {
-	case <-ch:
-		return nil
-	case <-c.done:
-		return net.ErrClosed
-	}
 }
 
 func (c *conn) Read(p []byte) (int, error) {
 	f := c.rd.draw(c.in.faults, c.in.enabled.Load())
 	if f.delay > 0 {
 		time.Sleep(f.delay)
-	}
-	if f.stall {
-		if err := c.stall(); err != nil {
-			return 0, err
-		}
 	}
 	if f.reset {
 		c.Conn.Close()
@@ -271,11 +177,6 @@ func (c *conn) Write(p []byte) (int, error) {
 	f := c.wr.draw(c.in.faults, c.in.enabled.Load())
 	if f.delay > 0 {
 		time.Sleep(f.delay)
-	}
-	if f.stall {
-		if err := c.stall(); err != nil {
-			return 0, err
-		}
 	}
 	if f.reset {
 		c.Conn.Close()

@@ -147,6 +147,7 @@ type Server struct {
 	heartbeat    time.Duration
 	outboxSize   int
 	maxFrame     uint32
+	maxSpeed     float64 // Engine.MaxSpeed: the repository keeps the reports it accepts
 	start        time.Time
 
 	wg        sync.WaitGroup
@@ -255,6 +256,7 @@ func Listen(addr string, cfg Config) (*Server, error) {
 		heartbeat:    cfg.HeartbeatInterval,
 		outboxSize:   outboxSize,
 		maxFrame:     maxFrame,
+		maxSpeed:     cfg.Engine.MaxSpeed,
 		start:        time.Now(),
 		closed:       make(chan struct{}),
 	}
@@ -721,12 +723,12 @@ func (s *Server) handleCommit(sess *session, m wire.Commit) {
 // last completed step. Caller holds s.stepMu and s.mu.
 func (s *Server) handleWakeup(sess *session, m wire.Wakeup) {
 	q := m.Update.ID
-	s.subs[q] = sess
-
 	if _, known := s.engine.Answer(q); !known {
 		// Server restarted (or never saw the query): re-register from the
 		// definition carried by the wakeup, evaluate, and seed the
-		// committed answer from the repository if we have one.
+		// committed answer from the repository if we have one. The
+		// session subscribes only after the registration step, so the
+		// answer reaches it as the recovery below, not as an update batch.
 		s.qrys = append(s.qrys, m.Update)
 		s.step()
 		if s.repo != nil {
@@ -735,6 +737,7 @@ func (s *Server) handleWakeup(sess *session, m wire.Wakeup) {
 			}
 		}
 	}
+	s.subs[q] = sess
 
 	committedCk, ok := s.engine.CommittedChecksum(q)
 	if !ok {
@@ -769,13 +772,15 @@ func (s *Server) sendFullAnswer(sess *session, q core.QueryID) {
 }
 
 // persistObjectReport archives a location report and keeps the durable
-// stationary catalog current. Caller holds s.mu.
+// stationary catalog current. A report the engine will reject changes
+// neither. Caller holds s.mu.
 func (s *Server) persistObjectReport(u core.ObjectUpdate) {
 	switch {
 	case u.Remove:
 		if _, err := s.repo.DeleteStationary(u.ID); err != nil {
 			s.logger.Printf("server: delete stationary: %v", err)
 		}
+	case !core.AcceptObject(&u, s.maxSpeed):
 	case u.Kind == core.Stationary:
 		if err := s.repo.PutStationary(u.ID, u.Loc); err != nil {
 			s.logger.Printf("server: catalog stationary: %v", err)

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -19,7 +20,11 @@ import (
 // equal the direct engine's less the updates of queries the batch
 // removed, and the server's work ledger must equal the direct engine's.
 // The Lattice vocabulary brings exact kNN distance ties and region
-// edges on cell boundaries to the same checks.
+// edges on cell boundaries to the same checks. The restart runs close
+// the server at seeded steps and open a new one, on the same repository
+// or without one: every client must recover by diff exactly when its
+// snapshot is the query's durable commit, and every check must hold
+// again before the next reports.
 func TestDifferentialTCP(t *testing.T) {
 	vocabs := []scenario.Vocab{
 		scenario.Repeats | scenario.ObjectRemovals,
@@ -37,6 +42,26 @@ func TestDifferentialTCP(t *testing.T) {
 			})
 		}
 	}
+	restarts := []struct {
+		name  string
+		vocab scenario.Vocab
+		repo  bool
+	}{
+		{"restart/with-repository", scenario.All | scenario.Restart, true},
+		{"restart/without-repository", scenario.KNN | scenario.ObjectRemovals | scenario.QueryRemovals | scenario.Restart, false},
+	}
+	for _, r := range restarts {
+		for _, seed := range []int64{1, 2, 3} {
+			t.Run(fmt.Sprintf("%s/vocab=%#x/seed=%d", r.name, r.vocab, seed), func(t *testing.T) {
+				g := scenario.NewGen(seed, r.vocab)
+				var cfg server.Config
+				if r.repo {
+					cfg.RepositoryDir = t.TempDir()
+				}
+				runTCP(t, g, cfg, 60, core.MustNewEngine(g.Options()))
+			})
+		}
+	}
 	for _, s := range scenario.Scripts() {
 		// seed-committed seeds the server's Protocol directly, and
 		// migrate-in-removed-query pins the stream of a removed query,
@@ -49,20 +74,28 @@ func TestDifferentialTCP(t *testing.T) {
 }
 
 // runTCP runs src for steps (0: until dry) through cfg's server over
-// two feed sessions, holding its stream to direct's.
+// two feed sessions, holding its stream to direct's, and its ledger too
+// unless the server keeps a repository: restoring the stationary
+// catalog at startup is a step of its own.
 func runTCP(t *testing.T, src scenario.Source, cfg server.Config, steps int, direct core.Processor) {
 	scenario.Run(t, src, scenario.Config{
 		Steps:      steps,
 		Procs:      []core.Processor{direct},
 		Targets:    []scenario.Target{overtcp.New(t, src, cfg, 2)},
 		SameStream: true,
-		Ledger:     true,
+		Ledger:     cfg.RepositoryDir == "",
 	})
 }
 
 // runScript runs a literal scenario through a server over the engine.
+// A script that restarts the server gives it a repository, so its
+// durable commits survive the restart.
 func runScript(t *testing.T, s *scenario.Script) {
-	runTCP(t, s, server.Config{}, 0, core.MustNewEngine(s.Options()))
+	var cfg server.Config
+	if slices.ContainsFunc(s.Batches, func(b scenario.Batch) bool { return b.Restart }) {
+		cfg.RepositoryDir = t.TempDir()
+	}
+	runTCP(t, s, cfg, 0, core.MustNewEngine(s.Options()))
 }
 
 // TestEndToEndRangeQuery: an object entering one range query, then

@@ -60,6 +60,11 @@ const (
 	// Objects then share points and tie in distance, and region edges
 	// and the objects on them lie on cell boundaries.
 	Lattice = NaNs << 1
+
+	// Restart is not a shape either, so All leaves it out: it marks some
+	// batches Restart, so every client reconnects before their reports.
+	// Without it a Gen draws as if it did not exist.
+	Restart = Lattice << 1
 )
 
 // Population limits and the OverSpeed cap.
@@ -137,6 +142,7 @@ func (g *Gen) Next() (Batch, bool) {
 	if g.nextQ > 1 && g.rng.Float64() < 0.1 {
 		b.Recover = append(b.Recover, core.QueryID(1+g.rng.Intn(int(g.nextQ-1))))
 	}
+	b.Restart = g.has(Restart) && g.rng.Float64() < 0.1
 	return b, true
 }
 

@@ -19,6 +19,18 @@
 // query's updates come from one session, in canonical order, so the
 // sort gives back the canonical order. A session that receives an
 // update of a query it does not own fails the test.
+//
+// Restart closes the server and opens a new one on the same
+// configuration, RepositoryDir included. The objects re-send their
+// last accepted reports, as live clients would; with a repository,
+// stationary objects do not, since the server restores its catalog.
+// The new server evaluates them, and then every session reconnects.
+// Each session that holds its query must receive one recovery for it
+// and no update batch before it: the incremental diff exactly when the
+// client's commit snapshot equals the query's last durable commit (an
+// acknowledged Commit, a recovery or a full answer, kept only with a
+// repository, erased by a removal), and the whole answer otherwise.
+// Restart needs a server without a ticker (Interval 0).
 package overtcp
 
 import (
@@ -47,13 +59,15 @@ const timeout = 10 * time.Second
 // goroutine.
 type Target struct {
 	t        testing.TB
+	cfg      server.Config // what Restart opens the next server with
 	srv      *server.Server
 	streamed *obs.Counter  // the server's server.updates.streamed
 	creg     *obs.Registry // every client's metrics
 	feeds    []*session
 	qs       map[core.QueryID]*session
-	all      []*session    // in dial order
-	wake     chan struct{} // a session received an event
+	all      []*session                          // in dial order
+	wake     chan struct{}                       // a session received an event
+	last     map[core.ObjectID]core.ObjectUpdate // each live object's last accepted report
 }
 
 // session is one client connection and the events it has received.
@@ -69,6 +83,9 @@ type session struct {
 
 	objs []core.ObjectUpdate // reports not yet sent
 	qrys []core.QueryUpdate
+
+	snap    []core.ObjectID // q's commit snapshot, as the client keeps it
+	durable []core.ObjectID // q's last commit the repository holds
 }
 
 // New starts a server on loopback with cfg, its engine options set to
@@ -84,23 +101,29 @@ func New(t testing.TB, src scenario.Source, cfg server.Config, feeds int) *Targe
 	if cfg.Logger == nil {
 		cfg.Logger = log.New(io.Discard, "", 0)
 	}
-	srv, err := server.Listen("127.0.0.1:0", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tg := &Target{
-		t:        t,
-		srv:      srv,
-		streamed: cfg.Metrics.Counter("server.updates.streamed"),
-		creg:     obs.NewRegistry(),
-		qs:       map[core.QueryID]*session{},
-		wake:     make(chan struct{}, 1),
+		t:    t,
+		cfg:  cfg,
+		creg: obs.NewRegistry(),
+		qs:   map[core.QueryID]*session{},
+		wake: make(chan struct{}, 1),
+		last: map[core.ObjectID]core.ObjectUpdate{},
 	}
+	tg.listen()
 	t.Cleanup(tg.close)
 	for range feeds {
 		tg.feeds = append(tg.feeds, tg.dial(0))
 	}
 	return tg
+}
+
+// listen starts a server with tg.cfg.
+func (tg *Target) listen() {
+	srv, err := server.Listen("127.0.0.1:0", tg.cfg)
+	if err != nil {
+		tg.t.Fatal(err)
+	}
+	tg.srv, tg.streamed = srv, tg.cfg.Metrics.Counter("server.updates.streamed")
 }
 
 // ClientMetrics returns the registry every session's client counts in.
@@ -147,6 +170,88 @@ func (tg *Target) close() {
 	tg.srv.Close()
 }
 
+// Restart closes the server, opens a new one on the same configuration
+// and a registry of its own, re-feeds the objects, reconnects every
+// session, and returns the recovery diff of each query that recovered
+// by diff. A recovery of the wrong kind, or an update batch streamed
+// during the restart, fails the test.
+func (tg *Target) Restart() map[core.QueryID][]core.Update {
+	tg.t.Helper()
+	if err := tg.srv.Close(); err != nil {
+		tg.t.Fatal(err)
+	}
+	for _, s := range tg.all {
+		tg.await(s, client.EventDisconnected)
+		s.mu.Lock()
+		s.n = 0 // the new server counts from zero
+		s.mu.Unlock()
+	}
+	tg.cfg.Metrics = obs.NewRegistry()
+	tg.listen()
+	addr := tg.srv.Addr().String()
+	for _, s := range tg.feeds {
+		if err := s.c.Reconnect(addr); err != nil {
+			tg.t.Fatal(err)
+		}
+	}
+	ids := make([]core.ObjectID, 0, len(tg.last))
+	for id, u := range tg.last {
+		if tg.cfg.RepositoryDir == "" || u.Kind != core.Stationary {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		tg.ReportObject(tg.last[id])
+	}
+	if out := tg.Step(0); len(out) > 0 {
+		tg.t.Fatalf("overtcp: the re-fed objects streamed %v", out)
+	}
+	diffs := map[core.QueryID][]core.Update{}
+	for _, s := range tg.all {
+		if s.q == 0 {
+			continue
+		}
+		_, live := s.c.Answer(s.q)
+		if err := s.c.Reconnect(addr); err != nil {
+			tg.t.Fatal(err)
+		}
+		if live {
+			ev := tg.next(s)
+			diff := slices.Equal(s.snap, s.durable)
+			switch {
+			case ev.Kind == client.EventRecovered && diff:
+				diffs[s.q] = ev.Updates
+			case ev.Kind == client.EventFullAnswer && !diff:
+			default:
+				tg.t.Fatalf("overtcp: query %d: event %+v after a restart, snapshot %v, durable commit %v", s.q, ev, s.snap, s.durable)
+			}
+			tg.committed(s)
+		}
+		// The stats round trip leaves room for no second recovery.
+		if err := s.c.RequestStats(); err != nil {
+			tg.t.Fatal(err)
+		}
+		tg.await(s, client.EventStats)
+		s.mu.Lock()
+		early := s.upds
+		s.mu.Unlock()
+		if len(early) > 0 {
+			tg.t.Fatalf("overtcp: session of query %d received %v while reconnecting", s.q, early)
+		}
+	}
+	return diffs
+}
+
+// committed records that s's query committed the answer its client
+// holds, durably if the server keeps a repository.
+func (tg *Target) committed(s *session) {
+	s.snap, _ = s.c.Answer(s.q)
+	if tg.cfg.RepositoryDir != "" {
+		s.durable = s.snap
+	}
+}
+
 // wait blocks until cond holds, and fails the test after timeout.
 func (tg *Target) wait(what string, cond func() bool) {
 	tg.t.Helper()
@@ -161,9 +266,8 @@ func (tg *Target) wait(what string, cond func() bool) {
 	}
 }
 
-// await returns s's next event other than updates, and fails the test
-// unless it is of the wanted kind.
-func (tg *Target) await(s *session, want client.EventKind) client.Event {
+// next returns s's next event other than updates.
+func (tg *Target) next(s *session) client.Event {
 	tg.t.Helper()
 	var ev client.Event
 	tg.wait("a session event", func() bool {
@@ -175,6 +279,14 @@ func (tg *Target) await(s *session, want client.EventKind) client.Event {
 		ev, s.ctl = s.ctl[0], s.ctl[1:]
 		return true
 	})
+	return ev
+}
+
+// await returns s's next event other than updates, and fails the test
+// unless it is of the wanted kind.
+func (tg *Target) await(s *session, want client.EventKind) client.Event {
+	tg.t.Helper()
+	ev := tg.next(s)
 	if ev.Kind != want {
 		tg.t.Fatalf("overtcp: session of query %d: event %+v, want kind %d (kind %d is a full-answer heal)", s.q, ev, want, client.EventFullAnswer)
 	}
@@ -183,6 +295,12 @@ func (tg *Target) await(s *session, want client.EventKind) client.Event {
 
 // ReportObject queues u on its feed session.
 func (tg *Target) ReportObject(u core.ObjectUpdate) {
+	switch {
+	case u.Remove:
+		delete(tg.last, u.ID)
+	case core.AcceptObject(&u, tg.cfg.Engine.MaxSpeed):
+		tg.last[u.ID] = u
+	}
 	s := tg.feeds[int(u.ID)%len(tg.feeds)]
 	s.objs = append(s.objs, u)
 }
@@ -259,7 +377,9 @@ func (tg *Target) Step(float64) []core.Update {
 	return out
 }
 
-// send writes s's queued reports in order.
+// send writes s's queued reports in order. Each query report makes the
+// client's answer its commit snapshot, and a removal erases the
+// durable commit.
 func (s *session) send() error {
 	for _, u := range s.objs {
 		if err := s.c.ReportObject(u); err != nil {
@@ -270,6 +390,12 @@ func (s *session) send() error {
 		if err := s.c.RegisterQuery(u); err != nil {
 			return err
 		}
+		if u.Remove {
+			s.durable = nil
+		}
+	}
+	if len(s.qrys) > 0 {
+		s.snap, _ = s.c.Answer(s.q)
 	}
 	s.objs, s.qrys = s.objs[:0], s.qrys[:0]
 	return nil
@@ -303,6 +429,7 @@ func (tg *Target) Commit(q core.QueryID) bool {
 		tg.t.Fatal(err)
 	}
 	tg.await(s, client.EventCommitted)
+	tg.committed(s)
 	return true
 }
 
@@ -321,5 +448,7 @@ func (tg *Target) Recover(q core.QueryID) ([]core.Update, bool) {
 	if err := s.c.Reconnect(tg.srv.Addr().String()); err != nil {
 		tg.t.Fatal(err)
 	}
-	return tg.await(s, client.EventRecovered).Updates, true
+	diff := tg.await(s, client.EventRecovered).Updates
+	tg.committed(s)
+	return diff, true
 }

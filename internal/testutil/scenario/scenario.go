@@ -25,6 +25,12 @@
 //     bit-identical streams, and their work ledgers are equal and never
 //     decrease.
 //
+// A batch marked Restart first reconnects every client: a target that
+// can restart (a server) does, and every other target recovers each
+// live query, as a reconnect does. Every recovery diff that the
+// reference's Recover can be held to must equal it, and every state
+// check above must hold again before the batch's reports.
+//
 // The package imports only core and geo, so any processor's in-package
 // tests can use it.
 package scenario
@@ -38,10 +44,12 @@ import (
 	"cqp/internal/core"
 )
 
-// Batch is one step's input: reports sent in order, then a step at T,
-// then the protocol calls.
+// Batch is one step's input: a restart if asked, reports sent in
+// order, then a step at T, then the protocol calls.
 type Batch struct {
-	T       float64
+	T float64
+	// Restart reconnects every client before the batch's reports.
+	Restart bool
 	Objects []core.ObjectUpdate
 	Queries []core.QueryUpdate
 	// Commit and Recover name queries committed and recovered on every
@@ -66,6 +74,14 @@ type Target interface {
 	NumQueries() int
 	Commit(core.QueryID) bool
 	Recover(core.QueryID) ([]core.Update, bool)
+}
+
+// restarter is a Target that can restart: Restart stops it and starts
+// it again on what it made durable, then reconnects every client. It
+// returns the recovery diff of each query that recovered by diff; a
+// query healed with its whole answer is absent.
+type restarter interface {
+	Restart() map[core.QueryID][]core.Update
 }
 
 // committer is a Target that exposes its committed answers.
@@ -104,7 +120,9 @@ type Config struct {
 	// the batch removed: a server drops those with their subscriptions.
 	SameStream bool
 	// Ledger requires the work ledgers of the targets under test that
-	// have one to be equal after every step and never to decrease.
+	// have one to be equal after every step and never to decrease. A
+	// target that restarted starts its ledger again, and is exempt from
+	// then on.
 	Ledger bool
 	// Before runs before step's reports are sent, say to read a counter
 	// the step will move.
@@ -125,13 +143,14 @@ func Run(t testing.TB, src Source, cfg Config) {
 
 // driver is one run's state.
 type driver struct {
-	cfg   Config
-	ref   *core.Engine
-	ps    []Target // the reference's Protocol, then Procs', then Targets
-	views []map[core.QueryID]map[core.ObjectID]struct{}
-	kinds map[core.QueryID]core.QueryKind // registered queries, as a client sees them
-	maxQ  core.QueryID                    // the highest query ID reported
-	ledg  core.Stats                      // the ledger after the previous step
+	cfg       Config
+	ref       *core.Engine
+	ps        []Target // the reference's Protocol, then Procs', then Targets
+	views     []map[core.QueryID]map[core.ObjectID]struct{}
+	kinds     map[core.QueryID]core.QueryKind // registered queries, as a client sees them
+	maxQ      core.QueryID                    // the highest query ID reported
+	ledg      core.Stats                      // the ledger after the previous step
+	restarted map[int]bool                    // targets that restarted, by index
 }
 
 func run(src Source, cfg Config) error {
@@ -139,7 +158,7 @@ func run(src Source, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	d := &driver{cfg: cfg, ref: ref, kinds: map[core.QueryID]core.QueryKind{}}
+	d := &driver{cfg: cfg, ref: ref, kinds: map[core.QueryID]core.QueryKind{}, restarted: map[int]bool{}}
 	for _, p := range append([]core.Processor{ref}, cfg.Procs...) {
 		d.ps = append(d.ps, core.NewProtocol(p))
 	}
@@ -164,6 +183,14 @@ func (d *driver) step(step int, b Batch) error {
 	if d.cfg.Before != nil {
 		d.cfg.Before(step)
 	}
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("step %d (t=%v): %s", step, b.T, fmt.Sprintf(format, args...))
+	}
+	if b.Restart {
+		if err := d.restart(); err != nil {
+			return fail("restart: %v", err)
+		}
+	}
 	reset := d.track(b.Queries)
 	for _, p := range d.ps {
 		for _, u := range b.Objects {
@@ -176,9 +203,6 @@ func (d *driver) step(step int, b Batch) error {
 	streams := make([][]core.Update, len(d.ps))
 	for i, p := range d.ps {
 		streams[i] = p.Step(b.T)
-	}
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("step %d (t=%v): %s", step, b.T, fmt.Sprintf(format, args...))
 	}
 
 	for i, s := range streams {
@@ -238,15 +262,64 @@ func (d *driver) step(step int, b Batch) error {
 		}
 	}
 	for _, q := range b.Recover {
-		committed, _ := d.ps[0].(committer).CommittedAnswer(q)
-		want, wok := d.ps[0].Recover(q)
-		if err := recovers(d.ps[0], q, committed, want); err != nil {
-			return fail("reference: %v", err)
+		if err := d.recover(q, nil); err != nil {
+			return fail("%v", err)
 		}
-		for i, p := range d.ps[1:] {
-			if got, ok := p.Recover(q); ok != wok || !slices.Equal(got, want) {
-				return fail("processor %d: Recover(%d) = %v (%v), reference %v (%v)", i+1, q, got, ok, want, wok)
+	}
+	return nil
+}
+
+// restart reconnects every client: each target that can restart does,
+// and every other target recovers each live query. The state checks
+// must then hold as after a step.
+func (d *driver) restart() error {
+	diffs := make([]map[core.QueryID][]core.Update, len(d.ps))
+	for i, p := range d.ps {
+		if r, ok := p.(restarter); ok {
+			diffs[i] = r.Restart()
+			d.restarted[i] = true
+		}
+	}
+	live := make([]core.QueryID, 0, len(d.kinds))
+	for q := range d.kinds {
+		live = append(live, q)
+	}
+	slices.Sort(live)
+	for _, q := range live {
+		if err := d.recover(q, diffs); err != nil {
+			return err
+		}
+	}
+	for i := range d.ps {
+		if err := d.agree(i); err != nil {
+			return fmt.Errorf("processor %d: %v", i, err)
+		}
+	}
+	return nil
+}
+
+// recover recovers q on the reference, checks its diff against its
+// committed answer, and holds every other target's Recover(q) to it.
+// A target with restart diffs is held to its diff of q instead, if it
+// has one.
+func (d *driver) recover(q core.QueryID, diffs []map[core.QueryID][]core.Update) error {
+	committed, _ := d.ps[0].(committer).CommittedAnswer(q)
+	want, wok := d.ps[0].Recover(q)
+	if err := recovers(d.ps[0], q, committed, want); err != nil {
+		return fmt.Errorf("reference: %v", err)
+	}
+	for i := 1; i < len(d.ps); i++ {
+		var got []core.Update
+		ok := true
+		if diffs != nil && d.restarted[i] {
+			if got, ok = diffs[i][q]; !ok {
+				continue // healed with the whole answer
 			}
+		} else {
+			got, ok = d.ps[i].Recover(q)
+		}
+		if ok != wok || !slices.Equal(got, want) {
+			return fmt.Errorf("processor %d: Recover(%d) = %v (%v), reference %v (%v)", i, q, got, ok, want, wok)
 		}
 	}
 	return nil
@@ -366,7 +439,7 @@ func (d *driver) agree(i int) error {
 func (d *driver) ledger() error {
 	got := d.ps[1].(ledgered).Stats()
 	for i, p := range d.ps[2:] {
-		if l, ok := p.(ledgered); ok {
+		if l, ok := p.(ledgered); ok && !d.restarted[i+2] {
 			if s := l.Stats(); s != got {
 				return fmt.Errorf("ledgers diverge\nprocessor 1: %+v\nprocessor %d: %+v", got, i+2, s)
 			}

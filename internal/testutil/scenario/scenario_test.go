@@ -13,9 +13,13 @@ import (
 // same batches must pass every check, bit-identical streams and
 // ledgers included. The Lattice runs hold kNN answers with exact
 // distance ties, and regions whose edges lie on cell boundaries, to
-// the oracle exactly.
+// the oracle exactly. The Waypoints run without Velocity keeps
+// predictive objects' swept boxes to their trajectories: velocities
+// would stretch most of them over the whole space. The Restart run
+// recovers every live query on every processor at its restarts, which
+// must keep their committed answers aligned.
 func TestCoreAgainstCore(t *testing.T) {
-	for _, vocab := range []Vocab{0, All &^ NaNs, All &^ (Repeats | MultiReport | NaNs), All, KNN | Hotspot | Lattice, All | Lattice} {
+	for _, vocab := range []Vocab{0, All &^ NaNs, All &^ (Repeats | MultiReport | NaNs), All, KNN | Hotspot | Lattice, All | Lattice, Waypoints | Malformed | ObjectRemovals, All | Restart} {
 		for _, seed := range []int64{1, 2, 3} {
 			t.Run(fmt.Sprintf("vocab=%#x/seed=%d", vocab, seed), func(t *testing.T) {
 				g := NewGen(seed, vocab)

@@ -195,6 +195,18 @@ func Scripts() []*Script {
 				}
 				return nil
 			}}),
+		// Both sides of a restart. Query 1 commits {1, 2}, then object 1
+		// leaves it: its client's snapshot is still its last commit, so
+		// it recovers by diff, −1. Query 2 commits {3}, object 4 enters,
+		// and query 2 reports: that commit of {3, 4} is implicit and
+		// lives in memory only, so a restarted server heals it with the
+		// whole answer.
+		script("restart-recover", 2, 2,
+			Batch{T: 0, Objects: objs{at(1, 1, 1), at(2, 1.5, 1.5), at(3, 9, 9)},
+				Queries: qrys{rng(1, geo.R(0, 0, 2, 2)), rng(2, geo.R(8, 8, 10, 10))}, Commit: []core.QueryID{1, 2}},
+			Batch{T: 1, Objects: objs{at(1, 5, 5), at(4, 9.5, 9.5)}},
+			Batch{T: 2, Queries: qrys{rng(2, geo.R(8, 8, 10, 10))}},
+			Batch{T: 3, Restart: true, Check: want{stream: upds{}, answers: answers{1: {2}, 2: {3, 4}}, committed: ids{2}}.check}),
 		// A query moving in the batch that removes its member commits the
 		// answer its client held, the member included: recovery retracts it.
 		script("move-with-removal", 2, 2,
