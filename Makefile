@@ -71,11 +71,11 @@ benchmark:
 fmt:
 	gofmt -l -w .
 
-# The paper's Figure 5 and ablation benchmarks (laptop scale). The
-# full tables come from go run ./cmd/cqp-bench (see EXPERIMENTS.md);
-# performance claims about the pipeline cite BENCHMARK.json.
+# The paper's Figure 5 and ablation tables at their defaults, as
+# EXPERIMENTS.md records them; performance claims about the pipeline
+# cite BENCHMARK.json.
 bench:
-	$(GO) test -bench=. -benchmem .
+	$(GO) run ./cmd/cqp-bench -exp all
 
 # Run every example once.
 examples:

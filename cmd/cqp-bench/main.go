@@ -7,7 +7,6 @@
 //	fig5a      answer size vs. object update rate (paper Figure 5a)
 //	fig5b      answer size vs. query side length (paper Figure 5b)
 //	shared     shared incremental engine vs. snapshot re-evaluation CPU
-//	gridsize   grid granularity sweep
 //	recovery   out-of-sync diff recovery vs. full-answer resend
 //	bulk       bulk vs. per-report processing
 //	predictive predictive-query answer size vs. object update rate
@@ -27,13 +26,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 
 	"cqp/internal/bench"
 )
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: fig5a|fig5b|shared|gridsize|recovery|bulk|predictive|all")
+		exp        = flag.String("exp", "all", "experiment: fig5a|fig5b|shared|recovery|bulk|predictive|all")
 		objects    = flag.Int("objects", 20000, "moving object population")
 		queries    = flag.Int("queries", 20000, "moving query population")
 		ticks      = flag.Int("ticks", 8, "measured evaluation periods per point")
@@ -43,7 +43,7 @@ func main() {
 	flag.Parse()
 
 	switch *exp {
-	case "fig5a", "fig5b", "shared", "gridsize", "recovery", "bulk", "predictive", "all":
+	case "fig5a", "fig5b", "shared", "recovery", "bulk", "predictive", "all":
 	default:
 		fmt.Fprintf(os.Stderr, "cqp-bench: unknown experiment %q\n", *exp)
 		os.Exit(2)
@@ -61,16 +61,24 @@ func main() {
 			fn()
 		}
 	}
-	fmt.Printf("workload: %d objects, %d queries, Δt=%.0fs, %d ticks/point, seed %d\n\n",
-		base.Objects, base.Queries, base.DT, base.Ticks, base.Seed)
+	fmt.Printf("workload: %d objects, %d queries, Δt=%.0fs, %d warm-up + %d measured ticks/point, seed %d\n",
+		base.Objects, base.Queries, base.DT, base.Warmup, base.Ticks, base.Seed)
+	fmt.Printf("machine: %s %s/%s, %d CPUs, GOMAXPROCS %d\n\n",
+		runtime.Version(), runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.GOMAXPROCS(0))
 
 	run("fig5a", func() { fig5a(base) })
 	run("fig5b", func() { fig5b(base) })
 	run("shared", func() { shared(base) })
-	run("gridsize", func() { gridsize(base) })
 	run("recovery", func() { recovery(base) })
 	run("bulk", func() { bulk(base) })
 	run("predictive", func() { predictive(base) })
+}
+
+// fig5Row prints one answer-size row: its label, both answer sizes,
+// their ratio and the step time.
+func fig5Row(label string, r bench.Fig5Result) {
+	fmt.Printf("%8s %14.1f %14.1f %7.1f%% %12.1f\n",
+		label, r.IncrementalKB, r.CompleteKB, 100*r.IncrementalKB/r.CompleteKB, r.StepMillis)
 }
 
 func fig5a(base bench.Fig5Config) {
@@ -80,9 +88,7 @@ func fig5a(base bench.Fig5Config) {
 		cfg := base
 		cfg.Rate = rate
 		cfg.QuerySide = 0.01
-		r := bench.RunFig5Point(cfg)
-		fmt.Printf("%7.0f%% %14.1f %14.1f %7.1f%% %12.1f\n",
-			rate*100, r.IncrementalKB, r.CompleteKB, 100*r.IncrementalKB/r.CompleteKB, r.StepMillis)
+		fig5Row(fmt.Sprintf("%.0f%%", rate*100), bench.RunFig5Point(cfg))
 	}
 	fmt.Println()
 }
@@ -94,9 +100,7 @@ func fig5b(base bench.Fig5Config) {
 		cfg := base
 		cfg.Rate = 0.3
 		cfg.QuerySide = side
-		r := bench.RunFig5Point(cfg)
-		fmt.Printf("%8.3f %14.1f %14.1f %7.1f%% %12.1f\n",
-			side, r.IncrementalKB, r.CompleteKB, 100*r.IncrementalKB/r.CompleteKB, r.StepMillis)
+		fig5Row(fmt.Sprintf("%.3f", side), bench.RunFig5Point(cfg))
 	}
 	fmt.Println()
 }
@@ -127,17 +131,6 @@ func shared(base bench.Fig5Config) {
 	fmt.Println()
 }
 
-func gridsize(base bench.Fig5Config) {
-	fmt.Println("=== Ablation 3: grid granularity ===")
-	sizes := []int{16, 32, 64, 128, 256}
-	times := bench.RunGridSweep(base, sizes)
-	fmt.Printf("%10s %12s\n", "grid NxN", "step ms")
-	for i, n := range sizes {
-		fmt.Printf("%7dx%-3d %12.1f\n", n, n, times[i])
-	}
-	fmt.Println()
-}
-
 func recovery(base bench.Fig5Config) {
 	fmt.Println("=== Ablation 5: out-of-sync recovery, diff vs. complete answer ===")
 	fmt.Printf("%14s %12s %12s %12s %12s\n", "missed ticks", "diff KB", "full KB", "diff tuples", "answer size")
@@ -154,9 +147,7 @@ func predictive(base bench.Fig5Config) {
 	for _, rate := range []float64{0.1, 0.3, 0.5} {
 		cfg := base
 		cfg.Rate, cfg.QueryRate = rate, rate
-		r := bench.RunPredictivePoint(cfg)
-		fmt.Printf("%7.0f%% %14.1f %14.1f %7.1f%% %12.1f\n",
-			rate*100, r.IncrementalKB, r.CompleteKB, 100*r.IncrementalKB/r.CompleteKB, r.StepMillis)
+		fig5Row(fmt.Sprintf("%.0f%%", rate*100), bench.RunPredictivePoint(cfg))
 	}
 	fmt.Println()
 }

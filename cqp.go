@@ -34,8 +34,16 @@
 package cqp
 
 import (
+	"net/http"
+	"time"
+
+	"cqp/internal/client"
 	"cqp/internal/core"
+	"cqp/internal/gen"
 	"cqp/internal/geo"
+	"cqp/internal/obs"
+	"cqp/internal/roadnet"
+	"cqp/internal/server"
 )
 
 // Geometry kernel.
@@ -46,12 +54,6 @@ type (
 	Vector = geo.Vector
 	// Rect is an axis-aligned rectangle.
 	Rect = geo.Rect
-	// Circle is a disk.
-	Circle = geo.Circle
-	// Segment is a line segment.
-	Segment = geo.Segment
-	// Motion is a time-parameterized linear movement.
-	Motion = geo.Motion
 )
 
 // Geometry constructors, re-exported for convenience.
@@ -64,20 +66,12 @@ var (
 	R = geo.R
 	// RectAt constructs the square of a given side centered at a point.
 	RectAt = geo.RectAt
-	// RectAround constructs the bounding square of a circle.
-	RectAround = geo.RectAround
 )
 
 // Engine types.
 type (
 	// Engine is the shared incremental continuous query processor.
 	Engine = core.Engine
-	// Processor is the evaluation contract the Engine satisfies and
-	// Protocol wraps.
-	Processor = core.Processor
-	// Protocol layers the out-of-sync client protocol (Commit, Recover,
-	// committed answers) over any Processor.
-	Protocol = core.Protocol
 	// Options configures an Engine.
 	Options = core.Options
 	// Stats is the engine's per-phase work ledger.
@@ -88,16 +82,12 @@ type (
 	QueryID = core.QueryID
 	// ObjectKind classifies objects (Stationary, Moving, Predictive).
 	ObjectKind = core.ObjectKind
-	// QueryKind classifies queries (Range, KNN, PredictiveRange).
-	QueryKind = core.QueryKind
 	// Update is one incremental answer update (Q, ±A).
 	Update = core.Update
 	// ObjectUpdate is a buffered object report.
 	ObjectUpdate = core.ObjectUpdate
 	// QueryUpdate is a buffered query report.
 	QueryUpdate = core.QueryUpdate
-	// Snapshot is a complete answer of one query.
-	Snapshot = core.Snapshot
 )
 
 // Object kinds.
@@ -126,10 +116,6 @@ func NewEngine(opt Options) (*Engine, error) { return core.NewEngine(opt) }
 // MustNewEngine is NewEngine that panics on configuration errors.
 func MustNewEngine(opt Options) *Engine { return core.MustNewEngine(opt) }
 
-// NewProtocol wraps a Processor that has not seen any report yet in the
-// out-of-sync client protocol.
-func NewProtocol(p Processor) *Protocol { return core.NewProtocol(p) }
-
 // ApplyUpdates replays an update stream onto a client-side answer set.
 func ApplyUpdates(answer map[ObjectID]struct{}, updates []Update, q QueryID) {
 	core.ApplyUpdates(answer, updates, q)
@@ -138,3 +124,119 @@ func ApplyUpdates(answer map[ObjectID]struct{}, updates []Update, q QueryID) {
 // ChecksumIDs returns the order-independent answer checksum used by the
 // recovery handshake.
 func ChecksumIDs(ids []ObjectID) uint64 { return core.ChecksumIDs(ids) }
+
+// Network layer: the location-aware TCP server and its client library.
+type (
+	// Server is a running location-aware server.
+	Server = server.Server
+	// ServerConfig parameterizes Listen.
+	ServerConfig = server.Config
+	// Client is a connection to a location-aware server.
+	Client = client.Client
+	// Event is a client-side notification (updates, recovery, full
+	// answer, disconnection, commit acknowledgment).
+	Event = client.Event
+	// EventKind discriminates Events.
+	EventKind = client.EventKind
+)
+
+// Client event kinds.
+const (
+	// EventUpdates is a routine incremental batch.
+	EventUpdates = client.EventUpdates
+	// EventRecovered is the diff completing an out-of-sync recovery.
+	EventRecovered = client.EventRecovered
+	// EventFullAnswer is a complete answer (recovery fallback).
+	EventFullAnswer = client.EventFullAnswer
+	// EventDisconnected reports a dead connection.
+	EventDisconnected = client.EventDisconnected
+	// EventCommitted acknowledges a commit.
+	EventCommitted = client.EventCommitted
+	// EventStats carries a server-statistics response.
+	EventStats = client.EventStats
+	// EventReconnectFailed reports exhausted automatic reconnection.
+	EventReconnectFailed = client.EventReconnectFailed
+)
+
+// ClientOptions parameterizes DialOptions (automatic reconnection,
+// retry backoff, read deadlines, custom dialers).
+type ClientOptions = client.Options
+
+// RetryPolicy shapes the jittered exponential backoff of automatic
+// client reconnection.
+type RetryPolicy = client.RetryPolicy
+
+// Listen starts a location-aware server on addr.
+func Listen(addr string, cfg ServerConfig) (*Server, error) { return server.Listen(addr, cfg) }
+
+// Dial connects a client to a running server.
+func Dial(addr string) (*Client, error) { return client.Dial(addr) }
+
+// DialOptions connects a client with explicit lifecycle options.
+func DialOptions(addr string, opts ClientOptions) (*Client, error) {
+	return client.DialOptions(addr, opts)
+}
+
+// Observability layer (internal/obs): an allocation-free metrics
+// registry plus clock-injected step tracing. Pass a registry through
+// Options.Metrics (engine tier), ServerConfig.Metrics (all tiers behind
+// a server), or ClientOptions.Metrics (subscriber library), then serve
+// it with MetricsHandler or snapshot it directly.
+type (
+	// MetricsRegistry names and holds counters, gauges, and histograms
+	// and renders deterministic snapshots.
+	MetricsRegistry = obs.Registry
+)
+
+// NewMetricsRegistry returns an empty metrics registry.
+func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
+
+// MetricsHandler serves a registry over HTTP: a JSON snapshot at
+// /metrics plus net/http/pprof under /debug/pprof/. It is what
+// cqp-server's -metrics flag mounts.
+func MetricsHandler(r *MetricsRegistry) http.Handler { return obs.Handler(r) }
+
+// MetricsLogLoop periodically logs compact JSON snapshots of r through
+// logf until stop is closed.
+func MetricsLogLoop(r *MetricsRegistry, interval time.Duration, logf func(format string, args ...any), stop <-chan struct{}) {
+	obs.LogLoop(r, interval, logf, stop)
+}
+
+// Workload generation: the Brinkhoff-style network-based generator the
+// benchmarks (and the paper's evaluation) run on.
+type (
+	// RoadNetwork is a synthetic city road network.
+	RoadNetwork = roadnet.Network
+	// RoadNetworkConfig parameterizes GenerateRoadNetwork.
+	RoadNetworkConfig = roadnet.Config
+	// World is a population of network-constrained moving objects.
+	World = gen.World
+	// WorldConfig parameterizes NewWorld.
+	WorldConfig = gen.Config
+	// Workload drives an engine with the paper's evaluation setup.
+	Workload = gen.Workload
+)
+
+// Road classes.
+const (
+	// SideRoad is a dense, slow side street.
+	SideRoad = roadnet.Side
+	// MainRoad is a faster arterial.
+	MainRoad = roadnet.Main
+	// HighwayRoad is the fastest class.
+	HighwayRoad = roadnet.Highway
+)
+
+// GenerateRoadNetwork builds a deterministic synthetic city network.
+func GenerateRoadNetwork(cfg RoadNetworkConfig) *RoadNetwork { return roadnet.Generate(cfg) }
+
+// NewWorld creates a moving-object population on a road network.
+func NewWorld(cfg WorldConfig) (*World, error) { return gen.NewWorld(cfg) }
+
+// MustNewWorld is NewWorld that panics on configuration errors.
+func MustNewWorld(cfg WorldConfig) *World { return gen.MustNewWorld(cfg) }
+
+// NewWorkload builds the paper's evaluation workload over a world.
+func NewWorkload(w *World, numQueries int, querySide float64, seed int64) *Workload {
+	return gen.NewWorkload(w, numQueries, querySide, seed)
+}

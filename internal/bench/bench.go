@@ -1,8 +1,7 @@
 // Package bench implements the measurement harnesses that regenerate the
 // paper's evaluation (Figure 5) and the ablation experiments documented
-// in DESIGN.md. The same code backs the cqp-bench command and the root
-// bench_test.go benchmarks, so the tables in EXPERIMENTS.md and the
-// testing.B numbers come from one implementation.
+// in DESIGN.md, all by replaying a recorded Script. The cqp-bench
+// command prints their tables, which EXPERIMENTS.md records.
 package bench
 
 import (
@@ -11,9 +10,6 @@ import (
 
 	"cqp/internal/baseline/snapshot"
 	"cqp/internal/core"
-	"cqp/internal/gen"
-	"cqp/internal/geo"
-	"cqp/internal/roadnet"
 )
 
 // Fig5Config parameterizes the paper's Figure 5 experiment: a
@@ -84,14 +80,6 @@ type Fig5Result struct {
 	IncrementalBytes, CompleteBytes int64
 }
 
-// scatter spreads freshly created populations along the road edges:
-// travelers start exactly on intersections, which would otherwise inflate
-// initial query answers with co-located clusters.
-func scatter(wl *gen.Workload) {
-	wl.World.Advance(3600)
-	wl.Queries.Advance(3600)
-}
-
 // RunFig5Point measures one configuration point on one core.Engine.
 func RunFig5Point(cfg Fig5Config) Fig5Result {
 	return RunFig5(RecordFig5(NewFig5Workload(cfg), cfg), EngineFactory)
@@ -120,40 +108,36 @@ type StrategyResult struct {
 	SnapshotMillis    float64 // snapshot re-evaluation baseline, avg Step ms
 }
 
-// RunStrategyComparison drives the incremental engine and the snapshot
-// baseline with an identical report stream and returns average
-// per-evaluation CPU times.
+// RunStrategyComparison replays cfg's Figure 5 script through the
+// incremental engine and the snapshot baseline, step by step, and
+// returns each one's average Step time after the warm-up.
 func RunStrategyComparison(cfg Fig5Config) StrategyResult {
-	cfg = cfg.WithDefaults()
-	net := roadnet.Generate(roadnet.Config{Seed: cfg.Seed})
-	world := gen.MustNewWorld(gen.Config{Net: net, NumObjects: cfg.Objects, Seed: cfg.Seed})
-	wl := gen.NewWorkload(world, cfg.Queries, cfg.QuerySide, cfg.Seed)
-	scatter(wl)
-
-	inc := core.MustNewEngine(core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: cfg.GridN})
-	snap, err := snapshot.New(core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: cfg.GridN})
+	s := RecordFig5(NewFig5Workload(cfg), cfg)
+	inc := core.MustNewEngine(s.Opt)
+	snap, err := snapshot.New(s.Opt)
 	if err != nil {
 		panic(err)
 	}
-	fan := fanout{[]gen.Sink{inc, snap}}
-	wl.Bootstrap(fan)
-	inc.Step(world.Now())
-	snap.Step(world.Now())
-
-	var res StrategyResult
-	for i := 0; i < cfg.Ticks; i++ {
-		wl.Tick(fan, cfg.DT, cfg.Rate, cfg.QueryRate)
-		now := world.Now()
-
+	var (
+		res     StrategyResult
+		updates []core.Update
+	)
+	for i := range s.Steps {
+		b := &s.Steps[i]
+		b.Report(inc)
+		b.Report(snap)
 		start := time.Now()
-		inc.Step(now)
-		res.IncrementalMillis += msSince(start)
-
+		updates = inc.StepAppend(updates[:0], b.Now)
+		incMs := msSince(start)
 		start = time.Now()
-		snap.Step(now)
-		res.SnapshotMillis += msSince(start)
+		snap.Step(b.Now)
+		snapMs := msSince(start)
+		if i > s.Warmup {
+			res.IncrementalMillis += incMs
+			res.SnapshotMillis += snapMs
+		}
 	}
-	n := float64(cfg.Ticks)
+	n := float64(len(s.Steps) - 1 - s.Warmup)
 	res.IncrementalMillis /= n
 	res.SnapshotMillis /= n
 	return res
@@ -161,37 +145,6 @@ func RunStrategyComparison(cfg Fig5Config) StrategyResult {
 
 func msSince(t time.Time) float64 {
 	return float64(time.Since(t).Microseconds()) / 1000
-}
-
-// fanout duplicates reports to several engines.
-type fanout struct {
-	sinks []gen.Sink
-}
-
-func (f fanout) ReportObject(u core.ObjectUpdate) {
-	for _, s := range f.sinks {
-		s.ReportObject(u)
-	}
-}
-
-func (f fanout) ReportQuery(u core.QueryUpdate) {
-	for _, s := range f.sinks {
-		s.ReportQuery(u)
-	}
-}
-
-// --- Ablation 3: grid granularity -----------------------------------------
-
-// RunGridSweep returns the average Step time for each grid size.
-func RunGridSweep(cfg Fig5Config, gridSizes []int) []float64 {
-	cfg = cfg.WithDefaults()
-	out := make([]float64, len(gridSizes))
-	for i, n := range gridSizes {
-		c := cfg
-		c.GridN = n
-		out[i] = RunFig5Point(c).StepMillis
-	}
-	return out
 }
 
 // --- Ablation 5: recovery traffic ----------------------------------------
@@ -229,62 +182,52 @@ type BulkResult struct {
 	OneByOneMS float64 // one Step per report
 }
 
-// RunBulk measures the bulk-processing advantage for several batch sizes.
+// RunBulk measures the bulk-processing advantage for several batch
+// sizes. A batch is the first object reports of cfg's first measured
+// period; a size larger than that period's reports is skipped.
 func RunBulk(cfg Fig5Config, batchSizes []int) []BulkResult {
-	cfg = cfg.WithDefaults()
-	out := make([]BulkResult, 0, len(batchSizes))
+	s := RecordFig5(NewFig5Workload(cfg), cfg)
+	var out []BulkResult
 	for _, bs := range batchSizes {
-		out = append(out, runBulkPoint(cfg, bs))
+		if bs <= len(s.Steps[s.Warmup+1].Objs) {
+			r, _, _ := runBulkPoint(s, bs)
+			out = append(out, r)
+		}
 	}
 	return out
 }
 
-func runBulkPoint(cfg Fig5Config, batchSize int) BulkResult {
-	build := func() (*core.Engine, *gen.Workload, *gen.World) {
-		net := roadnet.Generate(roadnet.Config{Seed: cfg.Seed})
-		world := gen.MustNewWorld(gen.Config{Net: net, NumObjects: cfg.Objects, Seed: cfg.Seed})
-		wl := gen.NewWorkload(world, cfg.Queries, cfg.QuerySide, cfg.Seed)
-		scatter(wl)
-		e := core.MustNewEngine(core.Options{Bounds: geo.R(0, 0, 1, 1), GridN: cfg.GridN})
-		wl.Bootstrap(e)
-		e.Step(world.Now())
-		return e, wl, world
+// runBulkPoint replays s's bootstrap and warm-up on two engines, then
+// hands the first batchSize object reports of the next period to one in
+// a single Step and to the other a Step per report. It returns both
+// engines, whose answers must agree.
+func runBulkPoint(s *Script, batchSize int) (BulkResult, *core.Engine, *core.Engine) {
+	setUp := func() *core.Engine {
+		e := core.MustNewEngine(s.Opt)
+		for _, b := range s.Steps[:s.Warmup+1] {
+			b.Report(e)
+			e.Step(b.Now)
+		}
+		return e
 	}
+	batch := s.Steps[s.Warmup+1]
+	reports := batch.Objs[:batchSize]
 
-	// Collect an identical stream of reports.
-	e1, wl, world := build()
-	var reports []core.ObjectUpdate
-	rec := &recorder{}
-	wl.Tick(rec, cfg.DT, cfg.Rate, 0)
-	reports = rec.objs
-	if len(reports) > batchSize {
-		reports = reports[:batchSize]
-	}
-
-	// Bulk: one Step.
+	bulk := setUp()
 	start := time.Now()
 	for _, u := range reports {
-		e1.ReportObject(u)
+		bulk.ReportObject(u)
 	}
-	e1.Step(world.Now())
-	bulk := msSince(start)
+	bulk.Step(batch.Now)
+	bulkMs := msSince(start)
 
-	// One by one: a Step per report.
-	e2, _, world2 := build()
+	single := setUp()
 	start = time.Now()
 	for _, u := range reports {
-		e2.ReportObject(u)
-		e2.Step(world2.Now())
+		single.ReportObject(u)
+		single.Step(batch.Now)
 	}
-	single := msSince(start)
+	singleMs := msSince(start)
 
-	return BulkResult{BatchSize: len(reports), BulkMillis: bulk, OneByOneMS: single}
+	return BulkResult{BatchSize: batchSize, BulkMillis: bulkMs, OneByOneMS: singleMs}, bulk, single
 }
-
-type recorder struct {
-	objs []core.ObjectUpdate
-	qrys []core.QueryUpdate
-}
-
-func (r *recorder) ReportObject(u core.ObjectUpdate) { r.objs = append(r.objs, u) }
-func (r *recorder) ReportQuery(u core.QueryUpdate)   { r.qrys = append(r.qrys, u) }

@@ -1,6 +1,12 @@
 package bench
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"cqp/internal/baseline/snapshot"
+	"cqp/internal/core"
+)
 
 // tiny returns a configuration small enough for unit tests while still
 // exercising the full harness path.
@@ -72,10 +78,31 @@ func TestRunStrategyComparison(t *testing.T) {
 	}
 }
 
-func TestRunGridSweep(t *testing.T) {
-	times := RunGridSweep(tiny(), []int{8, 32})
-	if len(times) != 2 || times[0] <= 0 || times[1] <= 0 {
-		t.Fatalf("sweep: %v", times)
+// TestStrategiesAgree replays the strategy comparison's script through
+// the incremental engine and the snapshot baseline and requires equal
+// answers for every query at every step: Ablations 1 and 2 time two
+// ways to compute the same answers.
+func TestStrategiesAgree(t *testing.T) {
+	s := RecordFig5(NewFig5Workload(tiny()), tiny())
+	inc := core.MustNewEngine(s.Opt)
+	snap, err := snapshot.New(s.Opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range s.Steps {
+		s.Steps[i].Report(inc)
+		s.Steps[i].Report(snap)
+		inc.Step(s.Steps[i].Now)
+		full := snap.Step(s.Steps[i].Now)
+		if len(full) != s.Queries {
+			t.Fatalf("step %d: snapshot answered %d queries, want %d", i, len(full), s.Queries)
+		}
+		for _, a := range full {
+			got, ok := inc.Answer(a.Query)
+			if !ok || !slices.Equal(got, a.Objects) {
+				t.Fatalf("step %d, Q%d: incremental %v, snapshot %v", i, a.Query, got, a.Objects)
+			}
+		}
 	}
 }
 
@@ -101,13 +128,31 @@ func TestRunRecovery(t *testing.T) {
 	}
 }
 
+// TestRunBulk also requires Ablation 6's two engines to finish with
+// equal answers for every query, having taken equal reports, so its two
+// timings cover equal work.
 func TestRunBulk(t *testing.T) {
-	rs := RunBulk(tiny(), []int{50})
-	if len(rs) != 1 || rs[0].BatchSize == 0 {
+	// tiny's periods hold 120 object reports, so the second size is
+	// skipped rather than truncated.
+	rs := RunBulk(tiny(), []int{50, 1000})
+	if len(rs) != 1 || rs[0].BatchSize != 50 {
 		t.Fatalf("bulk: %+v", rs)
 	}
 	if rs[0].BulkMillis <= 0 || rs[0].OneByOneMS <= 0 {
 		t.Fatalf("timings: %+v", rs)
+	}
+
+	s := RecordFig5(NewFig5Workload(tiny()), tiny())
+	_, bulk, single := runBulkPoint(s, len(s.Steps[s.Warmup+1].Objs))
+	for q := core.QueryID(1); int(q) <= s.Queries; q++ {
+		a, _ := bulk.Answer(q)
+		b, _ := single.Answer(q)
+		if !slices.Equal(a, b) {
+			t.Fatalf("Q%d: bulk %v, one by one %v", q, a, b)
+		}
+	}
+	if a, b := bulk.Stats().ObjectReports, single.Stats().ObjectReports; a != b {
+		t.Fatalf("object reports: bulk %d, one by one %d", a, b)
 	}
 }
 

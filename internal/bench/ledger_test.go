@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cqp/internal/core"
-	"cqp/internal/gen"
 	"cqp/internal/shard"
 )
 
@@ -26,7 +25,8 @@ func TestWorkLedgerPinned(t *testing.T) {
 	}
 	defer sh.Close()
 	for i := range s.Steps {
-		s.Steps[i].Report(fanout{sinks: []gen.Sink{eng, sh}})
+		s.Steps[i].Report(eng)
+		s.Steps[i].Report(sh)
 		eng.Step(s.Steps[i].Now)
 		sh.Step(s.Steps[i].Now)
 	}

@@ -263,9 +263,13 @@ func Listen(addr string, cfg Config) (*Server, error) {
 	// Restore the stationary-object catalog (gas stations, hospitals, ...)
 	// from the repository: stationary objects do not re-report after a
 	// restart the way moving clients do.
+	// An empty catalog costs no step, so a fresh repository server's
+	// work ledger matches a bare engine's.
 	if repo != nil {
+		restored := 0
 		err := repo.VisitStationary(func(id core.ObjectID, loc geo.Point) bool {
 			s.engine.ReportObject(core.ObjectUpdate{ID: id, Kind: core.Stationary, Loc: loc})
+			restored++
 			return true
 		})
 		if err != nil {
@@ -274,7 +278,9 @@ func Listen(addr string, cfg Config) (*Server, error) {
 			closeProcessor(engine)
 			return nil, err
 		}
-		s.engine.Step(0)
+		if restored > 0 {
+			s.engine.Step(0)
+		}
 	}
 	s.registerStateGauges(cfg.Metrics)
 

@@ -74,16 +74,14 @@ func TestDifferentialTCP(t *testing.T) {
 }
 
 // runTCP runs src for steps (0: until dry) through cfg's server over
-// two feed sessions, holding its stream to direct's, and its ledger too
-// unless the server keeps a repository: restoring the stationary
-// catalog at startup is a step of its own.
+// two feed sessions, holding its stream and its work ledger to direct's.
 func runTCP(t *testing.T, src scenario.Source, cfg server.Config, steps int, direct core.Processor) {
 	scenario.Run(t, src, scenario.Config{
 		Steps:      steps,
 		Procs:      []core.Processor{direct},
 		Targets:    []scenario.Target{overtcp.New(t, src, cfg, 2)},
 		SameStream: true,
-		Ledger:     cfg.RepositoryDir == "",
+		Ledger:     true,
 	})
 }
 
