@@ -262,9 +262,8 @@ func Listen(addr string, cfg Config) (*Server, error) {
 	}
 	// Restore the stationary-object catalog (gas stations, hospitals, ...)
 	// from the repository: stationary objects do not re-report after a
-	// restart the way moving clients do.
-	// An empty catalog costs no step, so a fresh repository server's
-	// work ledger matches a bare engine's.
+	// restart the way moving clients do. An empty catalog costs no step,
+	// so a fresh repository server's work ledger matches a bare engine's.
 	if repo != nil {
 		restored := 0
 		err := repo.VisitStationary(func(id core.ObjectID, loc geo.Point) bool {
