@@ -106,6 +106,17 @@ func fig5b(base bench.Fig5Config) {
 }
 
 func shared(base bench.Fig5Config) {
+	// Ablation 1's last row and Ablation 2's 10% row are one
+	// configuration: it runs once and prints in both tables.
+	runs := make(map[bench.Fig5Config]bench.StrategyResult)
+	compare := func(cfg bench.Fig5Config) bench.StrategyResult {
+		r, ok := runs[cfg]
+		if !ok {
+			r = bench.RunStrategyComparison(cfg)
+			runs[cfg] = r
+		}
+		return r
+	}
 	fmt.Println("=== Ablation 1: shared incremental engine vs. snapshot re-evaluation (CPU) ===")
 	fmt.Println("--- scalability in the number of concurrent queries (10% update rate) ---")
 	fmt.Printf("%10s %16s %16s %9s\n", "queries", "incremental ms", "snapshot ms", "speedup")
@@ -113,7 +124,7 @@ func shared(base bench.Fig5Config) {
 		cfg := base
 		cfg.Queries = q
 		cfg.Rate, cfg.QueryRate = 0.1, 0.1
-		r := bench.RunStrategyComparison(cfg)
+		r := compare(cfg)
 		fmt.Printf("%10d %16.1f %16.1f %8.1fx\n",
 			q, r.IncrementalMillis, r.SnapshotMillis, r.SnapshotMillis/r.IncrementalMillis)
 	}
@@ -124,7 +135,7 @@ func shared(base bench.Fig5Config) {
 	for _, rate := range []float64{0.05, 0.1, 0.2, 0.3, 0.5, 1.0} {
 		cfg := base
 		cfg.Rate, cfg.QueryRate = rate, rate
-		r := bench.RunStrategyComparison(cfg)
+		r := compare(cfg)
 		fmt.Printf("%7.0f%% %16.1f %16.1f %8.1fx\n",
 			rate*100, r.IncrementalMillis, r.SnapshotMillis, r.SnapshotMillis/r.IncrementalMillis)
 	}

@@ -49,19 +49,13 @@ type query struct {
 // New constructs a snapshot engine over the given space. The options are
 // interpreted exactly as by core.NewEngine.
 func New(opt core.Options) (*Engine, error) {
-	// Validate via the real engine's rules by constructing one.
-	probe, err := core.NewEngine(opt)
+	o, err := opt.Normalized()
 	if err != nil {
 		return nil, err
 	}
-	bounds := probe.Bounds()
-	n := opt.GridN
-	if n == 0 {
-		n = 64
-	}
 	return &Engine{
-		opt:  opt,
-		g:    grid.New(bounds, n),
+		opt:  o,
+		g:    grid.New(o.Bounds, o.GridN),
 		objs: make(map[core.ObjectID]*object),
 		qrys: make(map[core.QueryID]*query),
 	}, nil
@@ -136,9 +130,6 @@ func (e *Engine) evaluate(q *query) []core.ObjectID {
 		}
 	case core.PredictiveRange:
 		horizon := e.opt.PredictiveHorizon
-		if horizon == 0 {
-			horizon = 100
-		}
 		for oid, o := range e.objs {
 			if o.kind != core.Predictive {
 				continue

@@ -81,9 +81,13 @@ func TestRunStrategyComparison(t *testing.T) {
 // TestStrategiesAgree replays the strategy comparison's script through
 // the incremental engine and the snapshot baseline and requires equal
 // answers for every query at every step: Ablations 1 and 2 time two
-// ways to compute the same answers.
+// ways to compute the same answers. Its queries are wider than tiny's,
+// so every object lies in about four answers and a baseline that drops
+// a handful of objects disagrees.
 func TestStrategiesAgree(t *testing.T) {
-	s := RecordFig5(NewFig5Workload(tiny()), tiny())
+	c := tiny()
+	c.QuerySide = 0.1
+	s := RecordFig5(NewFig5Workload(c), c)
 	inc := core.MustNewEngine(s.Opt)
 	snap, err := snapshot.New(s.Opt)
 	if err != nil {

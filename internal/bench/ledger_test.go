@@ -43,10 +43,12 @@ func TestWorkLedgerPinned(t *testing.T) {
 		}},
 		// The router's own step, report and update counts, plus its
 		// tiles' work: finer tile grids and replicated queries make the
-		// work counters differ from the single engine's.
+		// work counters differ from the single engine's. A replica whose
+		// query left its tile stays in the tile's grid until the next
+		// step, so that tile's moved objects still check it.
 		{"shard.NewN(opt, 4)", sh.Stats(), core.Stats{
 			Steps: 7, ObjectReports: 5600, ObjectsIndexed: 5600,
-			QueryReports: 5800, RegionEvalCells: 59693, CandidateChecks: 310894,
+			QueryReports: 5800, RegionEvalCells: 59693, CandidateChecks: 310897,
 			JoinFindings: 14584, KNNRecomputes: 5193,
 			PositiveUpdates: 26566, NegativeUpdates: 1982,
 		}},

@@ -125,6 +125,110 @@ func TestStepJoinsEachObjectOnce(t *testing.T) {
 	}
 }
 
+// TestStepAppliesEachQueryOnce is TestStepJoinsEachObjectOnce for
+// queries. One engine gets batches in which queries report two or three
+// times: two moves; a move, a kind change and a move; a removal and a
+// re-registration; a move followed by a report of an unknown kind. A
+// twin engine gets each query's net reports for the same step: a Remove
+// if a report removed the query or changed its kind, then the last
+// report of a known kind unless it removed the query. Only a query's
+// state at the step boundary enters the join, so the two engines must
+// agree on the stream, the answers and the whole ledger, and the stream
+// must be the step's net diff, strictly increasing in (Query, Object).
+func TestStepAppliesEachQueryOnce(t *testing.T) {
+	const objects, queries, steps = 80, 30, 24
+	opt := Options{Bounds: geo.R(0, 0, 1, 1), GridN: 8, PredictiveHorizon: 5}
+	batched, net := MustNewEngine(opt), MustNewEngine(opt)
+	rng := rand.New(rand.NewSource(11))
+	pt := func() geo.Point { return geo.Pt(rng.Float64(), rng.Float64()) }
+	report := func(id QueryID, kind QueryKind, s float64) QueryUpdate {
+		switch kind {
+		case Range:
+			return QueryUpdate{ID: id, Kind: Range, Region: geo.RectAt(pt(), 0.3), T: s}
+		case KNN:
+			return QueryUpdate{ID: id, Kind: KNN, Focal: pt(), K: 4, T: s}
+		}
+		return QueryUpdate{ID: id, Kind: PredictiveRange, Region: geo.RectAt(pt(), 0.3), T: s, T1: s + 1, T2: s + 3}
+	}
+	kinds := make([]QueryKind, queries+1)
+	for id := range kinds {
+		kinds[id] = QueryKind(id % 3)
+	}
+
+	for s := 0; s < steps; s++ {
+		now := float64(s)
+		for i := 1; i <= objects; i++ {
+			if s > 0 && rng.Intn(2) == 0 {
+				continue
+			}
+			u := ObjectUpdate{ID: ObjectID(i), Kind: Moving, Loc: pt(), T: now}
+			if i%5 == 0 {
+				u.Kind, u.Vel = Predictive, geo.Vec(0.02, -0.01)
+			}
+			batched.ReportObject(u)
+			net.ReportObject(u)
+		}
+		for id := QueryID(1); id <= queries; id++ {
+			var seq []QueryUpdate
+			removed := s == 0
+			switch k := kinds[id]; (int(id) + s) % 5 {
+			case 0: // two moves
+				seq = []QueryUpdate{report(id, k, now), report(id, k, now)}
+			case 1: // a move, a kind change and a move
+				kinds[id] = (k + 1) % 3
+				seq = []QueryUpdate{report(id, k, now), report(id, kinds[id], now), report(id, kinds[id], now)}
+				removed = true
+			case 2: // a removal and a re-registration
+				seq = []QueryUpdate{{ID: id, Remove: true, T: now}, report(id, k, now)}
+				removed = true
+			case 3: // a move, then a report of an unknown kind
+				bad := report(id, k, now)
+				bad.Kind = QueryKind(9)
+				seq = []QueryUpdate{report(id, k, now), bad}
+			}
+			if len(seq) == 0 {
+				continue
+			}
+			for _, u := range seq {
+				batched.ReportQuery(u)
+			}
+			if removed && s > 0 {
+				net.ReportQuery(QueryUpdate{ID: id, Remove: true, T: now})
+			}
+			if last := seq[len(seq)-1]; last.Kind.Valid() {
+				net.ReportQuery(last)
+			} else {
+				net.ReportQuery(seq[len(seq)-2])
+			}
+		}
+
+		got, want := batched.Step(now), net.Step(now)
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: batched stream %v\nnet stream %v", s, got, want)
+		}
+		for i := 1; i < len(got); i++ {
+			if a, b := got[i-1], got[i]; a.Query > b.Query || a.Query == b.Query && a.Object >= b.Object {
+				t.Fatalf("step %d: stream not strictly increasing at %v, %v", s, a, b)
+			}
+		}
+		for id := QueryID(1); id <= queries; id++ {
+			ga, _ := batched.Answer(id)
+			wa, _ := net.Answer(id)
+			if !slices.Equal(ga, wa) {
+				t.Fatalf("step %d query %d: batched answer %v, net %v", s, id, ga, wa)
+			}
+		}
+		if bs, ns := batched.Stats(), net.Stats(); bs != ns {
+			t.Fatalf("step %d: batched engine's ledger %+v, net %+v", s, bs, ns)
+		}
+		for _, e := range []*Engine{batched, net} {
+			if err := e.CheckConsistency(true); err != nil {
+				t.Fatalf("step %d: %v", s, err)
+			}
+		}
+	}
+}
+
 // TestRemoveAfterMoveInOneBatch removes objects whose reports earlier in
 // the same batch moved them to another cell. The grid still indexes
 // them where the previous step left them, so that is where removal must

@@ -192,11 +192,6 @@ type queryState struct {
 
 	registered bool // region currently present in the grid
 
-	// seen is the last Step whose batch reported the query, and dup
-	// whether that batch reported it more than once (queryPhase).
-	seen uint64
-	dup  bool
-
 	// answer is the OList: the latest answer, maintained incrementally,
 	// keyed by object handle (members are always live, so handles cannot
 	// dangle).
@@ -231,8 +226,7 @@ type Engine struct {
 	// for live members, whose slots are current.
 	idByH []ObjectID
 
-	objBuf []ObjectUpdate
-	qryBuf []QueryUpdate
+	batch Batch // the reports buffered for the next Step
 
 	dirtyKNN map[QueryID]struct{}
 
@@ -246,7 +240,7 @@ type Engine struct {
 	// zero or cleared) before use.
 	movedBuf []*objectState // phase-1 changed-object list, one entry per object
 	live     []*objectState // phase 3's moved objects, read by its gather
-	qsOf     []*queryState  // phase 2: per report, its query if gathered
+	qsOf     []*queryState  // phase 2: per net report, its query if gathered
 	dirtyBuf []*queryState  // phase 4's dirty-kNN drain
 	qidBuf   []*queryState  // removeObject's sorted QList drain
 	hBuf     []int32        // answer-member snapshot for drop scans et al.
@@ -377,17 +371,17 @@ func (e *Engine) allocQryHandle(qs *queryState) {
 // ReportObject buffers an object update for the next Step, mirroring the
 // paper's server-side buffering of received updates for bulk processing.
 func (e *Engine) ReportObject(u ObjectUpdate) {
-	e.objBuf = append(e.objBuf, u)
+	e.batch.ReportObject(u)
 }
 
-// ReportQuery buffers a query registration, movement, or removal for the
-// next Step.
+// ReportQuery folds a query registration, movement, or removal into the
+// query's net report for the next Step (see Batch).
 func (e *Engine) ReportQuery(u QueryUpdate) {
-	e.qryBuf = append(e.qryBuf, u)
+	e.batch.ReportQuery(u)
 }
 
-// Pending returns the number of buffered, not yet processed reports.
-func (e *Engine) Pending() int { return len(e.objBuf) + len(e.qryBuf) }
+// Pending returns the number of buffered object and net query reports.
+func (e *Engine) Pending() int { return len(e.batch.objs) + len(e.batch.queries) }
 
 // Now returns the evaluation timestamp of the last Step.
 func (e *Engine) Now() float64 { return e.now }
@@ -403,10 +397,6 @@ func (e *Engine) Stats() Stats { return e.stats }
 
 // Bounds returns the monitored space.
 func (e *Engine) Bounds() geo.Rect { return e.opt.Bounds }
-
-// Region returns the sub-rectangle of the monitored space this engine's
-// spatial index spans (Bounds unless Options.Region narrowed it).
-func (e *Engine) Region() geo.Rect { return e.opt.Region }
 
 // Answer returns the current answer of query q in ascending ObjectID
 // order, or nil and false if the query is unknown.
@@ -468,8 +458,8 @@ func (e *Engine) stepAppend(out []Update, now float64) []Update {
 	// again. A removal only marks the object; a later accepted report
 	// clears the mark, which makes a removal and a re-add one move.
 	moved := e.movedBuf[:0]
-	for i := range e.objBuf {
-		u := &e.objBuf[i]
+	for i := range e.batch.objs {
+		u := &e.batch.objs[i]
 		e.stats.ObjectReports++
 		os, exists := e.objs[u.ID]
 		if u.Remove && !exists || !u.Remove && !AcceptObject(u, e.opt.MaxSpeed) {
@@ -515,7 +505,7 @@ func (e *Engine) stepAppend(out []Update, now float64) []Update {
 	// applying any finding.
 	joinBegin := e.m.tracer.Begin()
 
-	// Phase 2: apply query reports. Range queries are evaluated
+	// Phase 2: apply the net query reports. Range queries are evaluated
 	// incrementally over the region difference; kNN queries are marked for
 	// exact recomputation; predictive queries are re-joined against
 	// trajectory candidates.
@@ -534,8 +524,7 @@ func (e *Engine) stepAppend(out []Update, now float64) []Update {
 
 	e.m.tracer.End(e.m.joinLatency, joinBegin)
 
-	e.objBuf = e.objBuf[:0]
-	e.qryBuf = e.qryBuf[:0]
+	e.batch.Reset()
 	e.movedBuf = moved
 	emitted := len(out) - base
 	e.prevEmit = emitted
@@ -719,13 +708,9 @@ func (e *Engine) registerSwept(os *objectState) {
 }
 
 // applyQueryUpdate registers a new query or applies a movement report to
-// an existing one. Updates with an unknown kind are rejected up front,
-// before any state is touched: an invalid report must not re-register an
-// existing query or overwrite its timestamp.
+// an existing one. Its report is of a known kind: the Batch dropped any
+// other.
 func (e *Engine) applyQueryUpdate(u QueryUpdate, out *[]Update) {
-	if !u.Kind.Valid() {
-		return
-	}
 	qs, exists := e.qrys[u.ID]
 	if exists && qs.kind != u.Kind {
 		// A query changing kind is a re-registration: tear down the old

@@ -30,13 +30,13 @@ import (
 //
 // Per phase:
 //
-//   - Phase 2 (queryPhase) walks the query reports in report-buffer
-//     order, so duplicate reports, removals, and kind changes follow
-//     arrival order. A move of an existing range query that no other
-//     report of the batch names is gathered (gatherRange, rangeq.go):
-//     it reads the query's own answer and region, which only its own
-//     apply writes, and object slabs, which phase 2 does not write.
-//     Other reports apply where they stand (applyQueryUpdate).
+//   - Phase 2 (queryPhase) walks the batch's net query reports (see
+//     Batch), one per query, in first-arrival order. The move of a
+//     registered range query the batch did not remove is gathered
+//     (gatherRange, rangeq.go): it reads the query's own answer and
+//     region, which only its own apply writes, and object slabs, which
+//     phase 2 does not write. Other reports apply where they stand
+//     (applyQueryUpdate).
 //   - Phase 3 (objectJoinPhase) joins each distinct moved object once,
 //     at its state at the step boundary: a gather reads the object's
 //     QList, query regions and windows, region slabs, and kNN answers;
@@ -271,39 +271,38 @@ func (e *Engine) join() {
 // ---------------------------------------------------------------------------
 // Phase 2: query re-registrations.
 
-// queryPhase applies the step's buffered query reports in report-buffer
-// order, gathering the moves of range queries reported once.
+// queryPhase applies the step's net query reports in first-arrival
+// order, gathering the move of every registered range query the batch
+// did not remove.
 func (e *Engine) queryPhase(out *[]Update) {
-	step := e.stats.Steps
 	qsOf := e.qsOf[:0]
-	for _, u := range e.qryBuf {
-		qs := e.qrys[u.ID]
-		if qs != nil {
-			qs.dup = qs.seen == step
-			qs.seen = step
+	for _, n := range e.batch.queries {
+		qs := e.qrys[n.Last.ID]
+		if qs != nil && (n.Removed || n.Last.Kind != Range || qs.kind != Range || !qs.registered) {
+			qs = nil
 		}
 		qsOf = append(qsOf, qs)
-	}
-	for i, u := range e.qryBuf {
-		if qs := qsOf[i]; qs != nil && (qs.dup || u.Remove || u.Kind != Range || qs.kind != Range || !qs.registered) {
-			qsOf[i] = nil
-		}
 	}
 	e.qsOf = qsOf
 	e.fork(len(qsOf), (*joinScratch).gatherRanges)
 	var ch *chunk
 	k := 0 // ch's next gathered report
-	for i, u := range e.qryBuf {
-		e.stats.QueryReports++
+	for i, n := range e.batch.queries {
 		if i%forkChunk == 0 {
 			ch, k = e.await(i/forkChunk), 0
+		}
+		e.stats.QueryReports++
+		u := n.Last
+		if n.Removed {
+			e.removeQuery(u.ID)
+		}
+		if u.Remove {
+			continue
 		}
 		if qs := qsOf[i]; qs != nil {
 			qs.t = u.T
 			e.applyRange(qs, u.Region, ch, k, out)
 			k++
-		} else if u.Remove {
-			e.removeQuery(u.ID)
 		} else {
 			e.applyQueryUpdate(u, out)
 		}
@@ -312,11 +311,11 @@ func (e *Engine) queryPhase(out *[]Update) {
 	clear(qsOf)
 }
 
-// gatherRanges gathers the reports lo..hi-1 that queryPhase selected.
+// gatherRanges gathers the net reports lo..hi-1 that queryPhase selected.
 func (j *joinScratch) gatherRanges(lo, hi int) {
 	for i := lo; i < hi; i++ {
 		if qs := j.e.qsOf[i]; qs != nil {
-			j.gatherRange(qs, j.e.qryBuf[i].Region)
+			j.gatherRange(qs, j.e.batch.queries[i].Last.Region)
 		}
 	}
 }

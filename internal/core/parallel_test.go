@@ -107,12 +107,12 @@ func forkWorkload(e *Engine, steps int) uint64 {
 // also contend for the process's helpers. Above one CPU the phases
 // must actually have forked.
 func TestStepDeterministicAcrossCPUs(t *testing.T) {
-	const wantHash = 0x1670a6824616b0b
+	const wantHash = 0x4dae7a03e09ce264
 	wantStats := Stats{
 		Steps: 8, ObjectReports: 18014, ObjectsIndexed: 15068,
-		QueryReports: 7460, RegionEvalCells: 48012, CandidateChecks: 591320,
-		JoinFindings: 64212, KNNRecomputes: 1488,
-		PositiveUpdates: 106362, NegativeUpdates: 88964,
+		QueryReports: 6284, RegionEvalCells: 40035, CandidateChecks: 565994,
+		JoinFindings: 64230, KNNRecomputes: 1488,
+		PositiveUpdates: 93746, NegativeUpdates: 76319,
 	}
 	reg := obs.NewRegistry()
 	engines := make([]*Engine, 3)

@@ -8,122 +8,72 @@ import "slices"
 // beside the processor's current one; a reconnecting client receives
 // the committed→current diff (Recover) instead of the whole answer.
 //
-// Object reports pass straight through to the inner processor. Query
-// reports are netted: Protocol folds a batch's reports of one query
-// into one net report — the last report, preceded by a removal if any
-// report in the batch removed the query or changed its kind — and
-// forwards the net reports in first-arrival order at Step, so every
-// Processor reads the same canonical batch. A report with an unknown
-// kind is dropped, as every processor ignores it. Before the inner step
-// runs, each net report applies the implicit commit of moving queries:
+// Reports pass straight through to the inner processor, which nets them
+// in its Batch. Each query report applies the implicit commit of moving
+// queries as it passes:
 //
 //   - a removal forgets the query's committed answer;
-//   - a first registration or a kind change commits the empty answer;
+//   - a first registration or a kind change commits the empty answer,
+//     and so does any later report of that incarnation in the same
+//     batch, since Answer still returns the old one until the step;
 //   - any other report commits the answer as of the last completed step:
 //     the answer its client held when it reported.
 //
-// The rule reads nothing but Answer, so every Processor configuration
-// commits the same answers. Every report must go through the Protocol,
-// or its query table drifts from the processor's. Like the processors,
-// a Protocol is not safe for concurrent use.
+// A report of an unknown kind commits nothing, as every processor drops
+// it. The rule reads nothing but Answer, so every Processor
+// configuration commits the same answers. Every report must go through
+// the Protocol, or its query table drifts from the processor's. Like
+// the processors, a Protocol is not safe for concurrent use.
 type Protocol struct {
 	Processor
 
 	committed map[QueryID]*committedAnswer
-
-	// The current batch's net query reports in first-arrival order and
-	// their index by query, reset by every step.
-	slots  []netReport
-	slotOf map[QueryID]int
-}
-
-// netReport is one query's net report in the current batch.
-type netReport struct {
-	last    QueryUpdate // the last report: a removal or of a known kind
-	removed bool        // a report removed the query or changed its kind
+	batch     uint64 // the current batch: the number of steps taken
 }
 
 // committedAnswer is one registered query's protocol state.
 type committedAnswer struct {
-	kind QueryKind
-	ids  []ObjectID // ascending
+	kind  QueryKind
+	ids   []ObjectID // ascending
+	batch uint64     // the batch that registered this incarnation
 }
 
 var _ Processor = (*Protocol)(nil)
 
 // NewProtocol wraps p, which must not have seen any report yet.
 func NewProtocol(p Processor) *Protocol {
-	return &Protocol{
-		Processor: p,
-		committed: make(map[QueryID]*committedAnswer),
-		slotOf:    make(map[QueryID]int),
-	}
+	return &Protocol{Processor: p, committed: make(map[QueryID]*committedAnswer)}
 }
 
-// ReportQuery folds a query report into the query's net report for the
-// next step.
+// ReportQuery applies a query report's implicit commit and forwards it.
 func (p *Protocol) ReportQuery(u QueryUpdate) {
-	if !u.Remove && !u.Kind.Valid() {
-		return
+	c, ok := p.committed[u.ID]
+	switch {
+	case u.Remove:
+		delete(p.committed, u.ID)
+	case !u.Kind.Valid(): // the processor's Batch drops it
+	case !ok:
+		p.committed[u.ID] = &committedAnswer{kind: u.Kind, batch: p.batch}
+	case c.kind != u.Kind:
+		c.kind, c.ids, c.batch = u.Kind, c.ids[:0], p.batch
+	case c.batch != p.batch:
+		// The processor has not stepped this batch yet, so Answer is the
+		// answer as of the last completed step.
+		c.ids, _ = p.Processor.Answer(u.ID)
 	}
-	i, seen := p.slotOf[u.ID]
-	if !seen {
-		i = len(p.slots)
-		p.slotOf[u.ID] = i
-		p.slots = append(p.slots, netReport{})
-	}
-	s := &p.slots[i]
-	// After a removal the flag is already set, so the kind comparison
-	// only ever sees two registration or movement reports.
-	s.removed = s.removed || u.Remove || seen && s.last.Kind != u.Kind
-	s.last = u
+	p.Processor.ReportQuery(u)
 }
 
-// Step forwards the net query reports, applying their implicit
-// commits, then steps the inner processor.
+// Step closes the batch and steps the inner processor.
 func (p *Protocol) Step(now float64) []Update {
-	p.flush()
+	p.batch++
 	return p.Processor.Step(now)
 }
 
 // StepAppend is Step into a caller-owned buffer.
 func (p *Protocol) StepAppend(dst []Update, now float64) []Update {
-	p.flush()
+	p.batch++
 	return p.Processor.StepAppend(dst, now)
-}
-
-// flush applies the commit rule to the net query reports in arrival
-// order, forwards them to the inner processor, and resets the batch.
-func (p *Protocol) flush() {
-	for _, s := range p.slots {
-		u := s.last
-		if s.removed {
-			delete(p.committed, u.ID)
-			p.Processor.ReportQuery(QueryUpdate{ID: u.ID, Remove: true, T: u.T})
-		}
-		if !u.Remove {
-			p.commitReport(u)
-			p.Processor.ReportQuery(u)
-		}
-	}
-	p.slots = p.slots[:0]
-	clear(p.slotOf)
-}
-
-// commitReport applies the commit rule to one registration or movement
-// report of a known kind.
-func (p *Protocol) commitReport(u QueryUpdate) {
-	c, ok := p.committed[u.ID]
-	switch {
-	case !ok:
-		p.committed[u.ID] = &committedAnswer{kind: u.Kind}
-	case c.kind != u.Kind:
-		c.kind, c.ids = u.Kind, c.ids[:0]
-	default:
-		// The processor has not stepped this batch yet, so Answer is the
-		// answer as of the last completed step.
-		c.ids, _ = p.Processor.Answer(u.ID)
-	}
 }
 
 // Commit records that q's client provably received the stream so far:

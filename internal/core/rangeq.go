@@ -13,11 +13,11 @@ import "cqp/internal/geo"
 //     already reflected in the stored answer.
 //
 // It is split into gatherRange, a pure read, and applyRange, which does
-// every write; phase 2 (queryPhase, join.go) gathers most range reports
-// of a step up front and applies them in report-buffer order.
+// every write; phase 2 (queryPhase, join.go) gathers the range moves of
+// a step up front and applies them in net-report order.
 
 // applyRangeUpdate evaluates a range report where it stands in phase
-// 2's walk (a registration, or a move its batch names more than once)
+// 2's walk (a registration, fresh or after a removal or kind change)
 // with the caller's scratch, whose counts join adds to Stats.
 func (e *Engine) applyRangeUpdate(qs *queryState, newRegion geo.Rect, out *[]Update) {
 	j, ch := e.js[0], &e.inline

@@ -205,7 +205,7 @@ type Stats struct {
 	Steps           uint64 // Step invocations
 	ObjectReports   uint64 // phase 1: object updates applied
 	ObjectsIndexed  uint64 // phase 1: live objects indexed and joined, once each per step
-	QueryReports    uint64 // phase 2: query updates applied
+	QueryReports    uint64 // phase 2: net query reports applied, one per query per step
 	RegionEvalCells uint64 // phase 2: cells evaluated, only A_new − A_old for a moved range
 	CandidateChecks uint64 // phases 2–3: object↔query predicate evaluations
 	JoinFindings    uint64 // phase 3: membership proposals and kNN dirty marks gathered

@@ -206,12 +206,12 @@ type Engine struct {
 	// global distances silently).
 	candKNN map[core.ObjectID]map[core.QueryID]struct{}
 
-	objBuf   []core.ObjectUpdate
-	qryBuf   []core.QueryUpdate
-	covBuf   []int           // coverage scratch, reused per query update
-	covBuf2  []int           // second coverage scratch (kNN union)
-	batchBuf [][]core.Update // broadcast scratch
-	merge    mergeState      // step scratch, reused across Steps
+	batch    core.Batch       // the reports buffered for the next Step
+	retired  [][]core.QueryID // by tile: replicas to remove at the next Step
+	covBuf   []int            // coverage scratch, reused per query update
+	covBuf2  []int            // second coverage scratch (kNN union)
+	batchBuf [][]core.Update  // broadcast scratch
+	merge    mergeState       // step scratch, reused across Steps
 
 	stats core.Stats
 	m     *shardMetrics
@@ -283,6 +283,7 @@ func NewWithTiles(opt Options, factory TileFactory) (*Engine, error) {
 		}
 	}
 	e.objCount = make([]int, len(e.tiles))
+	e.retired = make([][]core.QueryID, len(e.tiles))
 	e.m.tiles.Set(int64(len(e.tiles)))
 	return e, nil
 }

@@ -8,13 +8,13 @@ import (
 
 // ReportObject buffers an object update for the next Step.
 func (e *Engine) ReportObject(u core.ObjectUpdate) {
-	e.objBuf = append(e.objBuf, u)
+	e.batch.ReportObject(u)
 }
 
-// ReportQuery buffers a query registration, movement, or removal for
-// the next Step.
+// ReportQuery folds a query registration, movement, or removal into the
+// query's net report for the next Step (see core.Batch).
 func (e *Engine) ReportQuery(u core.QueryUpdate) {
-	e.qryBuf = append(e.qryBuf, u)
+	e.batch.ReportQuery(u)
 }
 
 // mergeState is the scratch state of one router Step: the KNN queries
@@ -29,8 +29,8 @@ type mergeState struct {
 
 	// resetQrys are queries whose merge state restarted from empty this
 	// step (a kind change, or a removal followed by a re-registration
-	// under the same ID). After core.Protocol, a reset query's only
-	// report in its batch is that fresh registration, so its negatives
+	// under the same ID). The batch nets a query's reports, so a reset
+	// query's fresh registration is its last report, and its negatives
 	// all come from the old incarnation (say, a removed object re-added
 	// in another tile) and must not fold into the fresh membership.
 	resetQrys map[core.QueryID]struct{}
@@ -79,14 +79,24 @@ func (e *Engine) StepAppend(out []core.Update, now float64) []core.Update {
 	e.stats.Steps++
 	m := e.beginMerge(out)
 
+	// Replicas whose query left their tile last step hold no member
+	// now: remove them before this step's reports reach the tiles, so a
+	// query that comes back reaches its tile as removal plus
+	// registration, a fresh replica.
+	for t, ids := range e.retired {
+		for _, id := range ids {
+			e.tiles[t].ReportQuery(core.QueryUpdate{ID: id, Remove: true})
+		}
+		e.retired[t] = ids[:0]
+	}
+
 	e.routeObjects(m)
 	e.routeQueries(m)
 
 	e.absorb(m, e.stepAll(now))
 	e.settleKNNQueries(m, now)
 
-	e.objBuf = e.objBuf[:0]
-	e.qryBuf = e.qryBuf[:0]
+	e.batch.Reset()
 	core.SortUpdates(m.out[base:])
 
 	for _, u := range m.out[base:] {
@@ -113,8 +123,7 @@ func (e *Engine) StepAppend(out []core.Update, now float64) []core.Update {
 // tile) so the old tile's queries still see their negative updates.
 func (e *Engine) routeObjects(m *mergeState) {
 	maxSpeed := e.opt.Core.MaxSpeed
-	for i := range e.objBuf {
-		u := e.objBuf[i]
+	for _, u := range e.batch.Objects() {
 		e.stats.ObjectReports++
 		if u.Remove {
 			info, ok := e.objs[u.ID]
@@ -165,18 +174,14 @@ func (e *Engine) markCandidateQueries(m *mergeState, id core.ObjectID) {
 	}
 }
 
-// routeQueries applies the buffered query reports: removals are
-// forwarded to every replica, registrations and movements update the
-// replication coverage and are forwarded to it.
+// routeQueries applies the net query reports: removals are forwarded
+// to every replica, registrations and movements update the replication
+// coverage and are forwarded to it.
 func (e *Engine) routeQueries(m *mergeState) {
-	for i := range e.qryBuf {
-		u := e.qryBuf[i]
+	for _, n := range e.batch.Queries() {
 		e.stats.QueryReports++
-		if u.Remove {
-			qi, ok := e.qrys[u.ID]
-			if !ok {
-				continue
-			}
+		u := n.Last
+		if qi, ok := e.qrys[u.ID]; ok && n.Removed {
 			for _, t := range qi.coverage {
 				e.tiles[t].ReportQuery(core.QueryUpdate{ID: u.ID, Remove: true})
 			}
@@ -187,12 +192,10 @@ func (e *Engine) routeQueries(m *mergeState) {
 			// processed before the removal of the query), exactly as the
 			// single engine does.
 			m.removedQrys[u.ID] = qi
-			continue
 		}
-		if !u.Kind.Valid() {
-			continue // mirror core: unknown kind, no side effects
+		if !u.Remove {
+			e.applyQueryUpdate(m, u)
 		}
-		e.applyQueryUpdate(m, u)
 	}
 }
 
@@ -254,12 +257,13 @@ func (e *Engine) applyQueryUpdate(m *mergeState, u core.QueryUpdate) {
 			continue
 		}
 		// The region moved off this tile: forward the update so the
-		// replica retracts its members with proper negatives, then
-		// remove the now-empty replica in the same tile step. The full
-		// (unclipped) region is fine here — it no longer overlaps the
-		// tile, and the replica is gone within the step.
+		// replica retracts its members with proper negatives, and
+		// remove the now-empty replica at the start of the next step
+		// (only range and predictive coverage shrinks). The full
+		// (unclipped) region is fine here: it no longer overlaps the
+		// tile, so the replica admits none of the tile's objects.
 		e.tiles[t].ReportQuery(u)
-		e.tiles[t].ReportQuery(core.QueryUpdate{ID: u.ID, Remove: true})
+		e.retired[t] = append(e.retired[t], u.ID)
 	}
 	for _, t := range newCov {
 		uc := u
